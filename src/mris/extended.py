@@ -225,11 +225,6 @@ def adjoint_matrix(g: ExtendedGenerator) -> np.ndarray:
     return g.matrix.conj().T
 
 
-def adjoint_apply(g: ExtendedGenerator, x: ExtendedObservable) -> ExtendedObservable:
-    v = adjoint_matrix(g) @ big_vec(x.blocks)
-    return ExtendedObservable(g.labels, big_unvec(v, g.n_labels, g.dim))
-
-
 # ---------------------------------------------------------------------------
 # spectral classification and steady states
 # ---------------------------------------------------------------------------

@@ -15,11 +15,11 @@ import numpy as np
 
 from . import extended
 from .chains import MarkovChain
-from .quantum import (QuantumChannel, QuantumError, channel_from_kraus,
-                      check_density_matrix, check_hermitian, choi_verify,
-                      entropy_vn, interaction_kraus_atoms, partial_trace_env,
-                      propagator, relative_entropy, superop_from_kraus,
-                      tensor, thermal_state)
+from .quantum import (QuantumChannel, check_density_matrix, check_hermitian,
+                      choi_verify, entropy_vn, interaction_kraus_atoms,
+                      partial_trace_env, propagator, reduced_map,
+                      relative_entropy, superop_from_kraus, tensor,
+                      thermal_state)
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -265,8 +265,7 @@ def build_model(h_sys, chain: MarkovChain, probes: dict, rho_init: dict,
 
 def reduced_channel(u, rho_env, d_sys, tol: Tolerances = DEFAULT) -> QuantumChannel:
     """Reduced one-step channel with its CPTP certificate enforced."""
-    atoms, _ = interaction_kraus_atoms(u, rho_env, d_sys, floor=tol.prob_floor)
-    channel = channel_from_kraus([k for _, _, k in atoms], tol)
+    channel = reduced_map(u, rho_env, d_sys, tol)
     report = choi_verify(channel)
     if report["min_choi_eig"] < -tol.psd or report["tp_residual"] > tol.tp:
         raise ModelError(f"reduced map failed its CPTP certificate: {report}")

@@ -61,10 +61,6 @@ def check_unitary(u, tol: float, what: str = "propagator") -> np.ndarray:
     return a
 
 
-def dag(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
-
-
 def tensor(*ops) -> np.ndarray:
     """Kronecker product of one or more operators (system-first ordering)."""
     if not ops:
@@ -174,10 +170,6 @@ class QuantumChannel:
         for k in self.kraus:
             out += k.conj().T @ x @ k
         return out
-
-    @property
-    def dual_superop(self) -> np.ndarray:
-        return self.superop.conj().T
 
     def tp_residual(self) -> float:
         acc = np.zeros((self.dim, self.dim), dtype=complex)

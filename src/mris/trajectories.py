@@ -1,6 +1,10 @@
 """Sampling and exact enumeration of the probe-word / measurement-outcome
 process, plus trajectory-based estimators.
 
+Both samplers share one kernel: states are rows vec(rho), one per trajectory,
+and each step is one batched matvec with the superoperator every trajectory
+gathers by (label, outcome) index from tables stacked once per call.
+
 RNG contract (stable across versions, chunk sizes, and thread counts): each
 trajectory t uses its own ``numpy.random.Generator(Philox(key=seed + t))``
 stream.  The first ``n + 1`` uniforms of the stream drive the probe path
@@ -21,6 +25,7 @@ from scipy.special import logsumexp
 from . import extended
 from .chains import path_stream
 from .models import MrisModel
+from .quantum import unvec, vec
 
 ENUMERATION_GUARD = 10_000_000
 
@@ -111,14 +116,74 @@ def _stationary_decomposition(model: MrisModel) -> extended.EssDecomposition:
     return model.caches["ess_decomposition"]
 
 
-def _initial_batch_states(model: MrisModel, paths, cfg: TrajectoryConfig):
-    d = model.dim_sys
-    if cfg.initial == "stationary":
-        dec = _stationary_decomposition(model)
-        bank = np.stack([dec.rho_plus[l] for l in model.labels])
-    else:
-        bank = np.stack([model.rho_init[l] for l in model.labels])
-    return bank[paths[:, 0]].copy()
+# ---------------------------------------------------------------------------
+# the batched stepping kernel shared by both samplers
+# ---------------------------------------------------------------------------
+
+def _outcome_tables(model: MrisModel):
+    """Per-(label, outcome) tables of the two-time measurement: outcome
+    superoperators (m, n_max, d^2, d^2), probability functionals G.reshape(-1)
+    (m, n_max, d^2), increments (m, n_max) and outcome counts (m,).  Labels
+    with fewer outcomes are zero-padded to the widest label.
+    """
+    entries = [model.unravelings[l] for l in model.labels]
+    n_out = np.array([e.n_outcomes for e in entries])
+    shape = (len(entries), n_out.max(), model.dim_sys ** 2)
+    superops = np.zeros(shape + shape[-1:], dtype=complex)
+    prob_funcs = np.zeros(shape, dtype=complex)
+    deltas = np.zeros(shape[:2])
+    for w, e in enumerate(entries):
+        superops[w, :e.n_outcomes] = e._superops
+        prob_funcs[w, :e.n_outcomes] = e.prob_ops.reshape(e.n_outcomes, -1)
+        deltas[w, :e.n_outcomes] = e.deltas
+    return superops, prob_funcs, deltas, n_out
+
+
+def _step_batches(model: MrisModel, cfg: TrajectoryConfig, t0: int, t1: int,
+                  superops, prob_funcs=None, n_out=None, floored=None):
+    """Step trajectories t0 <= t < t1, cfg.chunk at a time, and yield
+    ``(t, k, lab, xi, v)`` at every step k: the trajectory indices, labels
+    w_k, outcome indices and states v = vec(rho_{k-1}) entering the step.
+
+    Without ``prob_funcs`` every trajectory applies row 0 of its label.
+    With them it draws xi from p = prob_funcs[lab] . v; outcomes below the
+    probability floor are left out of the draw (counted per trajectory in
+    ``floored``), and the state is divided by the raw p of the drawn
+    outcome, so its trace stays one.
+    """
+    floor = model.tol.prob_floor
+    rho0 = (_stationary_decomposition(model).rho_plus
+            if cfg.initial == "stationary" else model.rho_init)
+    bank = np.stack([vec(rho0[l]) for l in model.labels])
+    for c0 in range(t0, t1, cfg.chunk):
+        c1 = min(c0 + cfg.chunk, t1)
+        paths, u_out = _batch_paths(model, c0, c1, cfg)
+        v = bank[paths[:, 0]]
+        t = np.arange(c0, c1)
+        xi, scale = 0, 1.0
+        for k in range(1, cfg.n_steps + 1):
+            lab = paths[:, k]
+            if prob_funcs is not None:
+                p = np.einsum("bxi,bi->bx", prob_funcs[lab], v).real
+                defect = np.abs(p.sum(axis=1) - 1.0)
+                bad = np.nonzero((defect > 1e-8) | (p.min(axis=1) < -1e-8))[0]
+                if bad.size:
+                    r = bad[0]
+                    raise NumericalCorruption(
+                        f"outcome law defective at step {k} of trajectory {t[r]} "
+                        f"(sum error {defect[r]:.3e}, min {p[r].min():.3e})")
+                small = (p < floor) & (p != 0.0)
+                hit = small.any(axis=1)
+                q = np.where(p < floor, 0.0, p)
+                if hit.any():
+                    floored[t[hit]] += small[hit].sum(axis=1)
+                    q[hit] /= q[hit].sum(axis=1, keepdims=True)
+                cum = np.cumsum(q, axis=1)
+                xi = np.minimum((u_out[:, k - 1][:, None] > cum).sum(axis=1),
+                                n_out[lab] - 1)
+                scale = p[t - c0, xi][:, None]
+            yield t, k, lab, xi, v
+            v = np.einsum("bij,bj->bi", superops[lab, xi], v) / scale
 
 
 # ---------------------------------------------------------------------------
@@ -143,29 +208,16 @@ def ergodic_average(model: MrisModel, x: extended.ExtendedObservable,
     entering that interaction, matching the pairing <R, X> of the extended
     process: for a flux block this is the energy exchanged during step k.
     """
-    x_blocks = np.stack([x.block(l) for l in model.labels])
-    kraus = {k: np.stack(model.channels[l].kraus)
-             for k, l in enumerate(model.labels)}
-    per_traj = np.empty(cfg.n_traj)
+    superops = np.stack([model.channels[l].superop for l in model.labels])[:, None]
+    x_funcs = np.stack([x.block(l).reshape(-1) for l in model.labels])
+    acc = np.zeros(cfg.n_traj)
 
     def run_range(t0, t1):
-        for c0 in range(t0, t1, cfg.chunk):
-            c1 = min(c0 + cfg.chunk, t1)
-            paths, _ = _batch_paths(model, c0, c1, cfg)
-            rho = _initial_batch_states(model, paths, cfg)
-            acc = np.zeros(c1 - c0)
-            for k in range(1, cfg.n_steps + 1):
-                lab = paths[:, k]
-                for li in range(model.chain.n):
-                    sel = np.nonzero(lab == li)[0]
-                    if sel.size == 0:
-                        continue
-                    acc[sel] += np.einsum("bij,ji->b", rho[sel], x_blocks[li]).real
-                    ks = kraus[li]
-                    rho[sel] = np.einsum("aij,bjk,alk->bil", ks, rho[sel], ks.conj())
-            per_traj[c0:c1] = acc / cfg.n_steps
+        for t, _, lab, _, v in _step_batches(model, cfg, t0, t1, superops):
+            acc[t] += np.einsum("bi,bi->b", x_funcs[lab], v).real
 
     _run_threaded(run_range, cfg)
+    per_traj = acc / cfg.n_steps
     mean = math.fsum(per_traj) / cfg.n_traj
     if cfg.n_traj > 1:
         var = math.fsum((v - mean) ** 2 for v in per_traj) / (cfg.n_traj - 1)
@@ -227,14 +279,8 @@ def sample_entropy_process(model: MrisModel, cfg: TrajectoryConfig) -> EntropySa
     the outcome decomposition of the step channel), updates the conditional
     system state, and accumulates the entropy increment of that probe.
     """
-    m = model.chain.n
-    prob_ops = {k: model.unravelings[l].prob_ops for k, l in enumerate(model.labels)}
-    deltas = {k: model.unravelings[l].deltas for k, l in enumerate(model.labels)}
-    out_kraus = {k: [o.kraus for o in model.unravelings[l].outcomes]
-                 for k, l in enumerate(model.labels)}
-    floor = model.tol.prob_floor
-
-    svec = np.zeros((cfg.n_traj, m))
+    superops, prob_funcs, deltas, n_out = _outcome_tables(model)
+    svec = np.zeros((cfg.n_traj, model.chain.n))
     increments = step_labels = None
     if cfg.keep_increments:
         increments = np.zeros((cfg.n_traj, cfg.n_steps))
@@ -242,41 +288,13 @@ def sample_entropy_process(model: MrisModel, cfg: TrajectoryConfig) -> EntropySa
     floored_counts = np.zeros(cfg.n_traj, dtype=np.int64)
 
     def run_range(t0, t1):
-        for c0 in range(t0, t1, cfg.chunk):
-            c1 = min(c0 + cfg.chunk, t1)
-            paths, u_out = _batch_paths(model, c0, c1, cfg)
-            rho = _initial_batch_states(model, paths, cfg)
-            for k in range(1, cfg.n_steps + 1):
-                lab = paths[:, k]
-                for li in range(m):
-                    sel = np.nonzero(lab == li)[0]
-                    if sel.size == 0:
-                        continue
-                    p = np.einsum("xij,bji->bx", prob_ops[li], rho[sel]).real
-                    defect = np.abs(p.sum(axis=1) - 1.0)
-                    if defect.max() > 1e-8 or p.min() < -1e-8:
-                        raise NumericalCorruption(
-                            f"outcome law defective at step {k} "
-                            f"(sum error {defect.max():.3e}, min {p.min():.3e})")
-                    small = (p < floor) & (p != 0.0)
-                    if small.any():
-                        floored_counts[c0 + sel[small.any(axis=1)]] += \
-                            small.sum(axis=1)[small.any(axis=1)]
-                        p = np.where(p < floor, 0.0, p)
-                        p /= p.sum(axis=1, keepdims=True)
-                    cum = np.cumsum(p, axis=1)
-                    xi = np.minimum((u_out[sel, k - 1][:, None] > cum).sum(axis=1),
-                                    p.shape[1] - 1)
-                    for x in np.unique(xi):
-                        sub = sel[xi == x]
-                        ks = out_kraus[li][x]
-                        new = np.einsum("aij,bjk,alk->bil", ks, rho[sub], ks.conj())
-                        rho[sub] = new / p[xi == x, x][:, None, None]
-                        dlt = deltas[li][x]
-                        svec[c0 + sub, li] += dlt
-                        if cfg.keep_increments:
-                            increments[c0 + sub, k - 1] = dlt
-                            step_labels[c0 + sub, k - 1] = li
+        for t, k, lab, xi, _ in _step_batches(model, cfg, t0, t1, superops,
+                                              prob_funcs, n_out, floored_counts):
+            dlt = deltas[lab, xi]
+            svec[t, lab] += dlt
+            if cfg.keep_increments:
+                increments[t, k - 1] = dlt
+                step_labels[t, k - 1] = lab
 
     _run_threaded(run_range, cfg)
     return EntropySample(labels=model.labels, config=cfg, svec=svec,
@@ -313,8 +331,8 @@ def enumerate_full_statistics(model: MrisModel, n: int,
     extended state, matching the sampled process and the duality pairing.
     """
     m = model.chain.n
-    n_out = max(model.unravelings[l].n_outcomes for l in model.labels)
-    total = m * (m * n_out) ** n
+    superops, _, deltas, n_out = _outcome_tables(model)
+    total = m * (m * superops.shape[1]) ** n
     if total > ENUMERATION_GUARD:
         raise TrajectoryError(
             f"enumeration would visit ~{total:.3g} branches "
@@ -324,20 +342,14 @@ def enumerate_full_statistics(model: MrisModel, n: int,
 
     d = model.dim_sys
     r0 = model.initial_state()
-    superops = [np.stack([o.superop for o in model.unravelings[l].outcomes])
-                for l in model.labels]
-    deltas = [model.unravelings[l].deltas for l in model.labels]
     p_mat = model.chain.P
 
     probs, svecs, words = [], [], []
 
-    def vec(mat):
-        return mat.reshape(-1, order="F")
-
     def recurse(k, w_now, v, svec, word):
         if k == n:
             # trace of the unnormalized block = branch probability
-            prob = float(v.reshape(d, d, order="F").trace().real)
+            prob = float(unvec(v, d).trace().real)
             probs.append(prob)
             svecs.append(svec.copy())
             if keep_words:
@@ -347,19 +359,19 @@ def enumerate_full_statistics(model: MrisModel, n: int,
             cw = p_mat[w_now, w]
             if cw <= model.tol.edge:
                 continue
-            for x in range(superops[w].shape[0]):
-                svec[w] += deltas[w][x]
+            for x in range(n_out[w]):
+                svec[w] += deltas[w, x]
                 word.append((w, x))
-                recurse(k + 1, w, cw * (superops[w][x] @ v), svec, word)
+                recurse(k + 1, w, cw * (superops[w, x] @ v), svec, word)
                 word.pop()
-                svec[w] -= deltas[w][x]
+                svec[w] -= deltas[w, x]
 
     for w1 in range(m):
         v0 = vec(r0.blocks[w1])
-        for x in range(superops[w1].shape[0]):
+        for x in range(n_out[w1]):
             svec = np.zeros(m)
-            svec[w1] = deltas[w1][x]
-            recurse(1, w1, superops[w1][x] @ v0, svec, [(w1, x)])
+            svec[w1] = deltas[w1, x]
+            recurse(1, w1, superops[w1, x] @ v0, svec, [(w1, x)])
 
     return ExactDistribution(
         labels=model.labels, n_steps=n,
@@ -389,16 +401,6 @@ class AutocorrResult:
     mode: str = "analytic"
 
 
-def _deformation_blocks(model: MrisModel, power: int = 1):
-    """Per-label superoperators sum_xi delta^power S_xi (the alpha-derivative
-    blocks of the deformed generator at alpha = 0, up to sign)."""
-    out = []
-    for l in model.labels:
-        un = model.unravelings[l]
-        out.append(np.einsum("x,xij->ij", un.deltas ** power, un._superops))
-    return out
-
-
 def flux_autocorrelation(source, omega, nu, max_lag: int = 5) -> AutocorrResult:
     """Stationary autocovariance c_{omega nu}(k) of the per-step entropy
     increments attributed to probes omega (late) and nu (early).
@@ -419,31 +421,27 @@ def _autocorr_analytic(model: MrisModel, omega, nu, max_lag) -> AutocorrResult:
     r_plus, _ = model.ess()
     d = model.dim_sys
     iw, iv = model.chain.index(omega), model.chain.index(nu)
-    d1 = _deformation_blocks(model, power=1)
-    d2 = _deformation_blocks(model, power=2)
+    # sum_xi delta^k S_xi: the alpha-derivatives of the deformed blocks at 0
+    superops, _, deltas, _ = _outcome_tables(model)
+    d1 = np.einsum("wx,wxij->wij", deltas, superops)
+    d2 = np.einsum("wx,wxij->wij", deltas ** 2, superops)
     p_mat = model.chain.P
-
-    def vec(mat):
-        return mat.reshape(-1, order="F")
-
-    def unvec(v):
-        return v.reshape(d, d, order="F")
 
     def apply_d(mu, state_blocks):
         """(D_mu R)(w') = P[mu, w'] * unvec(D1_mu vec(R(mu)))."""
-        core = unvec(d1[mu] @ vec(state_blocks[mu]))
+        core = unvec(d1[mu] @ vec(state_blocks[mu]), d)
         return np.stack([p_mat[mu, wp] * core for wp in range(model.chain.n)])
 
     def total_trace(blocks):
         return float(np.trace(blocks.sum(axis=0)).real)
 
-    mean = {mu: float(np.trace(unvec(d1[mu] @ vec(r_plus.blocks[mu]))).real)
+    mean = {mu: float(np.trace(unvec(d1[mu] @ vec(r_plus.blocks[mu]), d)).real)
             for mu in (iw, iv)}
 
     lags = np.arange(max_lag + 1)
     values = np.empty(max_lag + 1)
     if iw == iv:
-        raw0 = float(np.trace(unvec(d2[iw] @ vec(r_plus.blocks[iw]))).real)
+        raw0 = float(np.trace(unvec(d2[iw] @ vec(r_plus.blocks[iw]), d)).real)
     else:
         raw0 = 0.0          # a step's increment belongs to exactly one probe
     values[0] = raw0 - mean[iw] * mean[iv]
@@ -452,7 +450,7 @@ def _autocorr_analytic(model: MrisModel, omega, nu, max_lag) -> AutocorrResult:
     for k in range(1, max_lag + 1):
         if k > 1:
             v_state = g.apply(v_state)
-        raw = float(np.trace(unvec(d1[iw] @ vec(v_state.blocks[iw]))).real)
+        raw = float(np.trace(unvec(d1[iw] @ vec(v_state.blocks[iw]), d)).real)
         values[k] = raw - mean[iw] * mean[iv]
     return AutocorrResult(omega=omega, nu=nu, lags=lags, values=values,
                           stderr=None, mode="analytic")

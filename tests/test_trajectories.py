@@ -6,6 +6,7 @@ import pytest
 import oracles
 from conftest import random_density
 from mris import extended, fixtures, models, trajectories
+from mris.tolerances import DEFAULT
 from mris.trajectories import TrajectoryConfig
 
 
@@ -149,6 +150,20 @@ def test_sampler_flags_corrupted_outcome_law():
             m, TrajectoryConfig(n_steps=20, n_traj=8, seed=5))
 
 
+def test_sampler_with_active_outcome_floor_is_chunk_independent():
+    """Floored outcomes leave the draw but the state is renormalized by the
+    raw probability of the drawn outcome, so the outcome law keeps summing to
+    one and each trajectory's arithmetic ignores its chunk neighbours."""
+    m = fixtures.two_temperature_qubit(tol=DEFAULT.replace(prob_floor=1e-3))
+    runs = [trajectories.sample_entropy_process(
+                m, TrajectoryConfig(n_steps=100, n_traj=40, seed=0, chunk=chunk))
+            for chunk in (1, 7, 512)]
+    assert runs[0].floored > 0
+    for got in runs[1:]:
+        assert np.array_equal(got.svec, runs[0].svec)
+        assert got.floored == runs[0].floored
+
+
 def test_decoupled_model_exchanges_nothing(decoupled):
     sample = trajectories.sample_entropy_process(
         decoupled, TrajectoryConfig(n_steps=40, n_traj=12, seed=3))
@@ -168,6 +183,17 @@ def test_ergodic_average_hits_steady_expectation(canonical):
         TrajectoryConfig(n_steps=2000, n_traj=200, seed=11, initial="stationary"))
     assert est.stderr > 0
     assert abs(est.mean - exact) < 4 * est.stderr
+
+
+def test_ergodic_average_bitwise_deterministic_across_chunks_and_threads(canonical):
+    x = models.flux_extended(canonical, "hot")
+    base = TrajectoryConfig(n_steps=60, n_traj=45, seed=99)
+    ref = trajectories.ergodic_average(canonical, x, base)
+    for chunk, threads in ((7, 1), (512, 3), (11, 4)):
+        cfg = TrajectoryConfig(n_steps=60, n_traj=45, seed=99,
+                               chunk=chunk, n_threads=threads)
+        got = trajectories.ergodic_average(canonical, x, cfg)
+        assert np.array_equal(got.per_traj, ref.per_traj)
 
 
 def test_ergodic_average_pairs_observable_with_entering_state(canonical):
