@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .tolerances import DEFAULT, Tolerances
 
@@ -100,7 +99,7 @@ def _chain_period(adj, n) -> int:
 def stationary_vector(P: np.ndarray):
     """Left eigenvector of P at eigenvalue 1, normalized to a probability
     vector; second return flags uniqueness (eigenvalue-1 multiplicity one)."""
-    w, v = scipy.linalg.eig(P.T)
+    w, v = np.linalg.eig(P.T)
     close = np.abs(w - 1.0) <= 1e-8
     unique = int(close.sum()) == 1
     idx = int(np.argmin(np.abs(w - 1.0)))

@@ -15,7 +15,6 @@ observables is the conjugate transpose of the generator matrix.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .chains import MarkovChain
 from .quantum import QuantumChannel, QuantumError, trace_norm, unvec
@@ -166,8 +165,18 @@ class ExtendedGenerator:
         return ExtendedState(self.labels, out)
 
     def eig(self):
+        """Eigenvalues w with unit-norm left (vl) and right (vr) eigenvectors
+        as columns: M vr[:, i] = w[i] vr[:, i], vl[:, i]^H M = w[i] vl[:, i]^H.
+        The left vectors are the rows of vr^{-1}; a defective generator can
+        make vr exactly singular, and then the pseudo-inverse stands in."""
         if self._eig is None:
-            w, vl, vr = scipy.linalg.eig(self.matrix, left=True, right=True)
+            w, vr = np.linalg.eig(self.matrix)
+            try:
+                vl = np.linalg.inv(vr)
+            except np.linalg.LinAlgError:
+                vl = np.linalg.pinv(vr)
+            vl = vl.conj().T
+            vl /= np.linalg.norm(vl, axis=0)
             object.__setattr__(self, "_eig", (w, vl, vr))
         return self._eig
 

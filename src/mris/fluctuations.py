@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import extended, models, trajectories
 from .models import MrisModel
@@ -32,8 +31,12 @@ def e_of_alpha(model: MrisModel, alpha) -> float:
     if key in cache:
         return cache[key]
     g = extended.deformed_generator(model, alpha)
-    w = sla.eig(g.matrix, right=False)
-    lam = w[np.argmax(np.abs(w))]
+    w = np.linalg.eigvals(g.matrix)
+    # Perron root: on a periodic chain -lambda (and other roots of unity
+    # times lambda) share the spectral radius up to round-off
+    mod = np.abs(w)
+    top = w[mod >= (1.0 - 1e-12) * mod.max()]
+    lam = top[np.argmax(top.real)]
     if lam.real <= 0.0 or abs(lam.imag) > 1e-10 * max(1.0, abs(lam.real)):
         raise FluctuationError(
             f"dominant deformed eigenvalue is not real positive at "

@@ -20,7 +20,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import extended
 from .chains import path_stream
@@ -166,7 +165,8 @@ def _step_batches(model: MrisModel, cfg: TrajectoryConfig, t0: int, t1: int,
             if prob_funcs is not None:
                 p = np.einsum("bxi,bi->bx", prob_funcs[lab], v).real
                 defect = np.abs(p.sum(axis=1) - 1.0)
-                bad = np.nonzero((defect > 1e-8) | (p.min(axis=1) < -1e-8))[0]
+                # written so that a NaN law fails the check too
+                bad = np.nonzero(~(defect <= 1e-8) | (p.min(axis=1) < -1e-8))[0]
                 if bad.size:
                     r = bad[0]
                     raise NumericalCorruption(
@@ -388,7 +388,9 @@ def empirical_cumulant(sample: EntropySample, alpha) -> float:
     evaluated stably through a log-sum-exp."""
     alpha = np.asarray(alpha, dtype=float)
     x = -sample.svec @ alpha
-    return float(logsumexp(x) - math.log(sample.n_traj)) / sample.n_steps
+    top = x.max()
+    lse = top + math.log(np.exp(x - top).sum())
+    return float(lse - math.log(sample.n_traj)) / sample.n_steps
 
 
 @dataclass

@@ -1,9 +1,23 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import oracles
 from conftest import random_density, random_hermitian
-from mris import chains, extended, fixtures, models
+from mris import chains, extended, fixtures, modelfile, models
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
+PERIOD_TWO = [[0.0, 1.0], [1.0, 0.0]]
+
+# models whose generator has a simple eigenvalue 1
+IRREDUCIBLE_BUILDS = {
+    **{path.stem: (lambda path=path: modelfile.load_model(str(path)))
+       for path in sorted(MODELS.glob("*.json"))},
+    "random_7_4": lambda: fixtures.random_model(7, n_labels=4),
+    "period_two": lambda: fixtures.two_temperature_qubit(p_matrix=PERIOD_TWO),
+}
+ALL_BUILDS = {**IRREDUCIBLE_BUILDS, "decoupled": fixtures.decoupled_qubit}
 
 
 def _oracle_inputs(model):
@@ -116,6 +130,45 @@ def test_classification_canonical_vs_decoupled(canonical, decoupled):
     cls2 = extended.classify_generator(decoupled.generator)
     assert cls2.kind == "reducible"
     assert cls2.eigenvalue_one_multiplicity > 1
+
+
+@pytest.mark.parametrize("name", ALL_BUILDS)
+def test_left_eigenvectors_solve_the_left_eigenproblem(name):
+    g = ALL_BUILDS[name]().generator
+    w, vl, vr = g.eig()
+    lh = vl.conj().T
+    assert np.abs(lh @ g.matrix - w[:, None] * lh).max() <= 1e-12
+    assert np.abs(g.matrix @ vr - vr * w).max() <= 1e-12
+    np.testing.assert_allclose(np.linalg.norm(vl, axis=0), 1.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("name", IRREDUCIBLE_BUILDS)
+def test_left_fixed_point_is_the_identity(name):
+    """Trace preservation makes the identity family the adjoint's fixed
+    point; classification reads it off the left eigenvector at 1."""
+    g = IRREDUCIBLE_BUILDS[name]().generator
+    cls = extended.classify_generator(g)
+    assert cls.kind in ("primitive", "irreducible_periodic")
+    assert cls.period == (2 if name == "period_two" else 1)
+    eye = np.broadcast_to(np.eye(g.dim), cls.left_fixed.blocks.shape)
+    assert np.abs(cls.left_fixed.blocks - eye).max() <= 1e-12
+
+
+def test_defective_generator_classifies_without_raising():
+    """A Jordan block at 1 (and a nilpotent one at 0) leaves the right
+    eigenvectors linearly dependent; the left ones must still come out
+    finite and unit-norm, and eigenvalue 1 counts as not simple."""
+    mat = np.zeros((8, 8), dtype=complex)
+    mat[:2, :2] = [[1.0, 1.0], [0.0, 1.0]]
+    mat[2:5, 2:5] = np.eye(3, k=1)
+    mat[5:, 5:] = np.diag([0.5, 0.2, 0.1])
+    g = extended.ExtendedGenerator(labels=("a", "b"), dim=2, matrix=mat)
+    _w, vl, _vr = g.eig()
+    assert np.all(np.isfinite(vl))
+    np.testing.assert_allclose(np.linalg.norm(vl, axis=0), 1.0, atol=1e-14)
+    cls = extended.classify_generator(g)
+    assert cls.kind == "reducible"
+    assert cls.eigenvalue_one_multiplicity == 2
 
 
 def test_deformed_generator_at_zero_is_the_generator(canonical):

@@ -19,6 +19,24 @@ def test_cumulant_values_are_cached(canonical):
     assert len(cache) == size
 
 
+def test_cumulant_on_a_period_two_chain():
+    """On a periodic chain -lambda shares the spectral radius with the Perron
+    root lambda; e(alpha) must take the positive one."""
+    m = fixtures.two_temperature_qubit(p_matrix=[[0.0, 1.0], [1.0, 0.0]])
+    assert abs(fluctuations.e_of_alpha(m, np.zeros(2))) < 1e-12
+    alpha = np.array([0.3, -0.1])
+    spr = np.abs(np.linalg.eigvals(extended.deformed_generator(m, alpha).matrix)).max()
+    assert abs(fluctuations.e_of_alpha(m, alpha) - np.log(spr)) < 1e-12
+
+
+def test_cumulant_on_primitive_models_is_the_largest_modulus_root(canonical, tri_broken):
+    for model in (canonical, tri_broken):
+        for alpha in ([0.0, 0.0], [0.3, -0.1], [-0.8, 1.2]):
+            w = np.linalg.eigvals(extended.deformed_generator(model, alpha).matrix)
+            lam = w[np.argmax(np.abs(w))]
+            assert fluctuations.e_of_alpha(model, alpha) == np.log(lam.real)
+
+
 def test_gradient_at_zero_is_beta_weighted_steady_flux(canonical):
     r_plus, _ = canonical.ess()
     grad = fluctuations._grad_e(canonical, np.zeros(2))

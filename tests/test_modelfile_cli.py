@@ -226,6 +226,19 @@ def test_console_script_entry_point():
     assert "PASS" in proc.stdout
 
 
+def test_package_imports_without_scipy():
+    """numpy alone does the numerics: importing the package and its CLI
+    loads no scipy module."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, %r); import mris, mris.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))" % src)
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.skipif(
     not any(importlib.util.find_spec(m) for m in ("tomllib", "tomli")),
     reason="no tomllib or tomli to read [project.scripts] from pyproject.toml")

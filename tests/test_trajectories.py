@@ -141,11 +141,36 @@ def test_empirical_cumulant_agrees_with_exact_moment(canonical):
                - vals.mean()) < 1e-12
 
 
+def test_empirical_cumulant_is_stable_for_large_exponents(canonical):
+    cfg = TrajectoryConfig(n_steps=4, n_traj=3, seed=0)
+    svec = np.array([[-1.0, 2.0], [0.5, -0.3], [1.5, 1.0]])
+    alpha = np.array([0.7, -0.4])
+    moderate = trajectories.EntropySample(canonical.labels, cfg, svec, 0)
+    direct = np.log(np.mean(np.exp(-svec @ alpha))) / cfg.n_steps
+    assert abs(trajectories.empirical_cumulant(moderate, alpha) - direct) < 1e-15
+    for shift in (800.0, -800.0):
+        big = trajectories.EntropySample(canonical.labels, cfg, svec + shift, 0)
+        got = trajectories.empirical_cumulant(big, np.array([1.0, 1.0]))
+        want = (np.log(np.mean(np.exp(-svec.sum(axis=1)))) - 2 * shift) / cfg.n_steps
+        assert np.isfinite(got)
+        assert abs(got - want) < 1e-12 * abs(want)
+
+
 def test_sampler_flags_corrupted_outcome_law():
     m = fixtures.two_temperature_qubit()
     entry = m.unravelings["hot"]
     entry._prob_ops = entry._prob_ops * 1.01
     with pytest.raises(trajectories.NumericalCorruption):
+        trajectories.sample_entropy_process(
+            m, TrajectoryConfig(n_steps=20, n_traj=8, seed=5))
+
+
+def test_sampler_flags_nan_outcome_law():
+    m = fixtures.two_temperature_qubit()
+    entry = m.unravelings["hot"]
+    entry._prob_ops = entry._prob_ops * np.nan
+    with pytest.raises(trajectories.NumericalCorruption,
+                       match=r"outcome law defective at step \d+ of trajectory \d+"):
         trajectories.sample_entropy_process(
             m, TrajectoryConfig(n_steps=20, n_traj=8, seed=5))
 
