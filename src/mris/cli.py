@@ -77,6 +77,9 @@ def cmd_validate(args):
             worst_kms = max(worst_kms, kms)
     results["probes"] = per_probe
     results["chain"] = classify_chain(model.chain, tol).__dict__
+    tri = models.check_tri(model)
+    results["time_reversal"] = {"holds": tri["holds"],
+                                "max_residual": tri["max_residual"]}
     report = output.RunReport(
         command="validate",
         params={"model": args.model},
@@ -172,8 +175,7 @@ def cmd_simulate(args):
                 "seed": args.seed, "threads": args.threads,
                 "stationary": bool(args.stationary)},
         results=results,
-        verdicts={"no_numerical_corruption": True,
-                  "entropy_rates_within_5_stderr": bool(lln_ok)})
+        verdicts={"entropy_rates_within_5_stderr": bool(lln_ok)})
     if args.out:
         header = ["traj"] + [f"s_{l}" for l in model.labels]
         rows = [[t] + list(sample.svec[t]) for t in range(cfg.n_traj)]
@@ -218,18 +220,18 @@ def cmd_cumulant(args):
 def cmd_ratefn(args):
     model = _load(args)
     ones = np.ones(model.chain.n)
-    h = 1e-5
     a_grid = np.linspace(-args.alpha_range, args.alpha_range, args.points)
-    s_grid = np.array([
-        -(fluctuations.e_of_alpha(model, (-a + h) * ones)
-          - fluctuations.e_of_alpha(model, (-a - h) * ones)) / (2 * h)
-        for a in a_grid])
+    # s = -ebar'(-a) with ebar(b) = e(b 1), from the exact gradient
+    s_grid = np.array([-ones @ fluctuations._grad_e(model, -a * ones)
+                       for a in a_grid])
     order = np.argsort(s_grid)
     s_grid = s_grid[order]
     res = fluctuations.entropy_rate_function(model, s_grid)
     results = {
         "s": res.s, "rate": res.values, "maximizer": res.maximizers,
         "unbounded": [bool(b) for b in res.unbounded],
+        "converged": [bool(b) for b in res.converged],
+        "grad_norm": res.grad_norm,
     }
     finite = all(np.isfinite(res.values))
     report = output.RunReport(
@@ -320,7 +322,8 @@ def cmd_adiabatic(args):
         command="adiabatic",
         params={"model": args.model, "kind": args.kind, "steps": steps},
         results=results,
-        verdicts={"primitive_along_path": True,
+        verdicts={"primitive_along_path":
+                  results["instantaneous_gap_min"] > model.tol.gap,
                   "tracking_error_decreases": decreasing})
     if args.out:
         output.write_csv(args.out + ".csv", ["n_steps", "plateau_error"],

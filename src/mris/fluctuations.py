@@ -5,7 +5,7 @@ representation.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +21,23 @@ class FluctuationError(RuntimeError):
 # the cumulant generating function e(alpha) = log spr(deformed generator)
 # ---------------------------------------------------------------------------
 
+def _perron_index(w: np.ndarray, alpha) -> int:
+    """Index of the Perron root among the eigenvalues w of a deformed
+    generator: of those whose modulus is within a relative 1e-12 of the
+    spectral radius, the one with the largest real part (on a periodic chain
+    -lambda and the other roots of unity times lambda share the radius up to
+    round-off)."""
+    mod = np.abs(w)
+    top = np.flatnonzero(mod >= (1.0 - 1e-12) * mod.max())
+    i = top[np.argmax(w[top].real)]
+    lam = w[i]
+    if lam.real <= 0.0 or abs(lam.imag) > 1e-10 * max(1.0, abs(lam.real)):
+        raise FluctuationError(
+            f"dominant deformed eigenvalue is not real positive at "
+            f"alpha={alpha}: {lam}")
+    return i
+
+
 def e_of_alpha(model: MrisModel, alpha) -> float:
     """Per-step cumulant generating function of the entropy-exchange vector,
     lim (1/n) log E[exp(-alpha . S_n)], from the deformed generator's spectral
@@ -32,33 +49,83 @@ def e_of_alpha(model: MrisModel, alpha) -> float:
         return cache[key]
     g = extended.deformed_generator(model, alpha)
     w = np.linalg.eigvals(g.matrix)
-    # Perron root: on a periodic chain -lambda (and other roots of unity
-    # times lambda) share the spectral radius up to round-off
-    mod = np.abs(w)
-    top = w[mod >= (1.0 - 1e-12) * mod.max()]
-    lam = top[np.argmax(top.real)]
-    if lam.real <= 0.0 or abs(lam.imag) > 1e-10 * max(1.0, abs(lam.real)):
-        raise FluctuationError(
-            f"dominant deformed eigenvalue is not real positive at "
-            f"alpha={alpha}: {lam}")
-    val = math.log(lam.real)
+    val = math.log(w[_perron_index(w, alpha)].real)
     cache[key] = val
     return val
 
 
-def _grad_e(model, alpha, h: float = 1e-5) -> np.ndarray:
-    m = len(alpha)
-    g = np.empty(m)
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = h
-        g[i] = (e_of_alpha(model, alpha + e) - e_of_alpha(model, alpha - e)) / (2 * h)
-    return g
+# ---------------------------------------------------------------------------
+# exact derivatives of e: simple-eigenvalue perturbation at the Perron root
+# ---------------------------------------------------------------------------
+
+@dataclass
+class _Perron:
+    """Perron data of the deformed generator M(alpha).
+
+    ``lam`` is the Perron root, ``r`` and ``l`` its right and left vectors
+    with <l, r> = 1, and ``q`` the reduced resolvent, the group inverse of
+    lam - M: q = (lam - M + r l^H)^{-1} - r l^H.  M(alpha) has block column
+    v equal to P[v, .] (x) sum_xi exp(-alpha_v delta_xi) S_{v, xi}, so
+    dM/dalpha_v keeps only that column with weights -delta_xi exp(...), the
+    second derivative has delta_xi^2, and mixed second derivatives vanish.
+    """
+    lam: float
+    matrix: np.ndarray
+    r: np.ndarray
+    l: np.ndarray
+    q: np.ndarray
+    dm_r: np.ndarray        # (N, m): column v is (dM/dalpha_v) r
+    l_dm: np.ndarray        # (m, N): row v is l^H dM/dalpha_v
+    l_d2m_r: np.ndarray     # (m,): l^H (d^2 M / dalpha_v^2) r
+
+    def derivatives(self):
+        """e = log lam with its exact gradient and Hessian in alpha:
+        lam_v = l^H M_v r and lam_uv = delta_uv l^H M_vv r
+        + l^H M_u q M_v r + l^H M_v q M_u r (Kato's second-order formula)."""
+        grad = (self.l_dm @ self.r).real / self.lam
+        cross = (self.l_dm @ self.q @ self.dm_r).real
+        hess = (np.diag(self.l_d2m_r.real) + cross + cross.T) / self.lam
+        return math.log(self.lam), grad, hess - np.outer(grad, grad)
 
 
-def _richardson(coarse: float, fine: float) -> float:
-    """Limit estimate from two central differences at steps h and h/2."""
-    return (4.0 * fine - coarse) / 3.0
+def _perron(model: MrisModel, alpha) -> _Perron:
+    """One eigensolve of M(alpha) and one inverse: with r of unit norm,
+    B = lam - M + r r^H is invertible, l^H = r^H B^{-1} is the left vector
+    already normalized to <l, r> = 1, and q = (1 - r l^H) B^{-1} (1 - r l^H)."""
+    alpha = np.asarray(alpha, dtype=float)
+    superops, _, deltas, _ = trajectories._outcome_tables(model)
+    m, n = model.chain.n, model.chain.n * superops.shape[-1]
+    # the k-th alpha_v-derivative of exp(-alpha_v delta) is (-delta)^k times
+    # it; padded outcomes have zero superoperators and drop out
+    tilt = (-deltas) ** np.arange(3)[:, None, None] * np.exp(-alpha[:, None] * deltas)
+    blocks = np.einsum("kvx,vxij->kvij", tilt, superops)
+    # cols[k, v]: the block column v of M (k = 0) and its first and second
+    # derivatives in alpha_v; block (w, v) of M is P[v, w] S_v(alpha_v)
+    cols = np.einsum("vw,kvij,vu->kvwiuj", model.chain.P, blocks,
+                     np.eye(m)).reshape(3, m, n, n)
+    gen = cols[0].sum(axis=0)
+
+    w, vr = np.linalg.eig(gen)
+    i = _perron_index(w, alpha)
+    lam = w[i].real
+    r = vr[:, i]
+    eye = np.eye(n)
+    b_inv = np.linalg.inv(lam * eye - gen + np.outer(r, r.conj()))
+    l = (r.conj() @ b_inv).conj()
+    proj = eye - np.outer(r, l.conj())
+    return _Perron(lam=lam, matrix=gen, r=r, l=l, q=proj @ b_inv @ proj,
+                   dm_r=(cols[1] @ r).T, l_dm=l.conj() @ cols[1],
+                   l_d2m_r=l.conj() @ cols[2] @ r)
+
+
+def _grad_e(model, alpha) -> np.ndarray:
+    """Exact gradient of e at alpha."""
+    return _perron(model, alpha).derivatives()[1]
+
+
+def _hessian_e(model: MrisModel) -> np.ndarray:
+    """Exact Hessian of e at 0."""
+    return _perron(model, np.zeros(model.chain.n)).derivatives()[2]
 
 
 # ---------------------------------------------------------------------------
@@ -134,142 +201,116 @@ def translation_symmetry_report(model: MrisModel, alphas=None, gammas=None,
 
 
 # ---------------------------------------------------------------------------
-# central-limit covariance: Hessian of e at 0, via moments of spr
+# central-limit covariance: Hessian of e at 0
 # ---------------------------------------------------------------------------
 
-def clt_covariance(model: MrisModel, h: float = 1e-4) -> np.ndarray:
-    """Asymptotic covariance of S_n / sqrt(n): C = Hess e(0), evaluated as
-    l_{wv} - l_w l_v with l = exp(e) (the spectral radius), by Richardson-
-    extrapolated central differences."""
-    m = model.chain.n
-
-    def ell(a):
-        return math.exp(e_of_alpha(model, a))
-
-    def basis(i, s):
-        v = np.zeros(m)
-        v[i] = s
-        return v
-
-    l0 = ell(np.zeros(m))
-    grad = np.empty(m)
-    for i in range(m):
-        d_h = (ell(basis(i, h)) - ell(basis(i, -h))) / (2 * h)
-        d_h2 = (ell(basis(i, h / 2)) - ell(basis(i, -h / 2))) / h
-        grad[i] = _richardson(d_h, d_h2)
-
-    hess = np.empty((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            if i == j:
-                def second(step):
-                    return (ell(basis(i, step)) - 2 * l0 + ell(basis(i, -step))) \
-                        / step ** 2
-            else:
-                def second(step):
-                    pp = ell(basis(i, step) + basis(j, step))
-                    pm = ell(basis(i, step) - basis(j, step))
-                    mp = ell(basis(j, step) - basis(i, step))
-                    mm = ell(-basis(i, step) - basis(j, step))
-                    return (pp - pm - mp + mm) / (4 * step ** 2)
-            hess[i, j] = hess[j, i] = _richardson(second(h), second(h / 2))
-
-    c = hess / l0 - np.outer(grad, grad) / l0 ** 2
-    return (c + c.T) / 2
+def clt_covariance(model: MrisModel) -> np.ndarray:
+    """Asymptotic covariance of S_n / sqrt(n): C = Hess e(0), exactly."""
+    return _hessian_e(model)
 
 
 # ---------------------------------------------------------------------------
 # Legendre transforms (level-1 rate functions)
 # ---------------------------------------------------------------------------
 
+GRAD_TOL = 1e-8       # final gradient norm of a converged ascent; also the
+                      # slope below which a flat direction or a box face is idle
+
+
 @dataclass
 class RateFunctionResult:
     s: np.ndarray                      # (n_points, m) or (n_points,)
-    values: np.ndarray                 # (n_points,)
+    values: np.ndarray                 # inf where unbounded, nan where not converged
     maximizers: np.ndarray             # optimal alpha per point
     unbounded: np.ndarray              # True where the sup escaped the box
+    converged: np.ndarray              # True where the final gradient norm <= GRAD_TOL
+    grad_norm: np.ndarray              # final gradient norm of the objective
     box: float = 50.0
 
 
-def _ascend(objective, gradient, x0, box: float, iters: int = 200,
-            eta0: float = 0.25):
-    """Damped gradient ascent: growth 1.5 on accepted steps, halving on
-    rejected ones, iterates clamped to [-box, box]^m."""
+def _ascend(model, s, basis, x0, box: float):
+    """Damped Newton ascent of phi(x) = x . s - e(-basis x) over the box
+    [-box, box]^k, with the exact gradient and Hessian of e.
+
+    The Hessian of e is near-singular along conserved combinations of the
+    currents, so the Newton step is a least-squares solve in its
+    eigenbasis: curvatures within 1e-10 of zero (relative to max(1, the
+    largest)) count as flat.  Along flat directions phi is linear: a slope
+    there above GRAD_TOL is followed straight to the box, one below it is
+    left alone.  Steps are halved until phi increases (or, at round-off
+    level, until the gradient norm falls), iterates are clamped to the box,
+    and the ascent stops once the gradient off the flat directions is below
+    GRAD_TOL / 100.  Returns the maximizer, the value, the final gradient
+    and whether the sup escaped the box.
+    """
+    def evaluate(x):
+        e, g, h = _perron(model, -basis @ x).derivatives()
+        return float(x @ s) - e, s + basis.T @ g, basis.T @ h @ basis
+
     x = np.clip(np.asarray(x0, dtype=float), -box, box)
-    f = objective(x)
-    eta = eta0
-    for _ in range(iters):
-        g = gradient(x)
-        cand = np.clip(x + eta * g, -box, box)
-        fc = objective(cand)
-        if fc > f:
-            x, f = cand, fc
-            eta *= 1.5
-        else:
-            eta /= 2
-            if eta < 1e-18:
+    f, g, h = evaluate(x)
+    for _ in range(100):                # Newton needs a handful
+        curv, vecs = np.linalg.eigh(h)
+        coef = vecs.T @ g
+        flat = np.abs(curv) <= 1e-10 * max(1.0, np.abs(curv).max())
+        step = vecs[:, ~flat] @ (coef[~flat] / curv[~flat])
+        slope = vecs[:, flat] @ coef[flat]
+        if np.abs(slope).max(initial=0.0) > GRAD_TOL:
+            step = step + slope * (2 * box / np.abs(slope).max())
+        elif np.linalg.norm(coef[~flat]) <= GRAD_TOL / 100:
+            break
+        t = 1.0
+        while t > 1e-12:
+            cand = np.clip(x + t * step, -box, box)
+            fc, gc, hc = evaluate(cand)
+            if fc > f or (fc >= f - 1e-13 * max(1.0, abs(f))
+                          and np.linalg.norm(gc) < np.linalg.norm(g)):
                 break
-    g = gradient(x)
-    clamped_out = np.any((np.abs(x) >= box) & (g * np.sign(x) > 1e-8))
-    return x, f, bool(clamped_out)
+            t /= 2
+        else:
+            break
+        if np.array_equal(cand, x):
+            break
+        x, f, g, h = cand, fc, gc, hc
+    clamped_out = np.any((np.abs(x) >= box) & (g * np.sign(x) > GRAD_TOL))
+    return x, f, g, bool(clamped_out)
+
+
+def _legendre(model: MrisModel, s_grid, basis) -> RateFunctionResult:
+    """sup_x [x . s - e(-basis x)] at each row s of s_grid, warm-starting
+    each ascent at the previous converged maximizer."""
+    n_pts, box = s_grid.shape[0], 50.0
+    res = RateFunctionResult(
+        s=s_grid, values=np.empty(n_pts), maximizers=np.empty((n_pts, basis.shape[1])),
+        unbounded=np.zeros(n_pts, dtype=bool), converged=np.zeros(n_pts, dtype=bool),
+        grad_norm=np.empty(n_pts), box=box)
+    warm = np.zeros(basis.shape[1])
+    for p, s in enumerate(s_grid):
+        x, f, g, clamped = _ascend(model, s, basis, warm, box)
+        norm = np.linalg.norm(g)
+        converged = not clamped and norm <= GRAD_TOL
+        res.values[p] = math.inf if clamped else f if converged else math.nan
+        res.maximizers[p], res.unbounded[p] = x, clamped
+        res.converged[p], res.grad_norm[p] = converged, norm
+        if converged:
+            warm = x
+    return res
 
 
 def rate_function(model: MrisModel, s_grid) -> RateFunctionResult:
     """Legendre transform I(s) = sup_alpha [alpha . s - e(-alpha)] on a grid
     of entropy-exchange rate vectors, with warm starts along the grid."""
     s_grid = np.atleast_2d(np.asarray(s_grid, dtype=float))
-    m = model.chain.n
-    box = 50.0
-    values = np.empty(s_grid.shape[0])
-    maximizers = np.empty_like(s_grid)
-    unbounded = np.zeros(s_grid.shape[0], dtype=bool)
-    warm = np.zeros(m)
-    for p, s in enumerate(s_grid):
-        def obj(a):
-            return float(a @ s) - e_of_alpha(model, -a)
-
-        def grad(a):
-            return s + _grad_e(model, -a)
-
-        x, f, clamped = _ascend(obj, grad, warm, box)
-        maximizers[p] = x
-        unbounded[p] = clamped
-        values[p] = math.inf if clamped else f
-        if not clamped:
-            warm = x
-    return RateFunctionResult(s=s_grid, values=values, maximizers=maximizers,
-                              unbounded=unbounded, box=box)
+    return _legendre(model, s_grid, np.eye(model.chain.n))
 
 
 def entropy_rate_function(model: MrisModel, s_grid) -> RateFunctionResult:
     """Scalar version for the total entropy exchange: the transform of
-    ebar(a) = e(a 1)."""
+    ebar(a) = e(a 1), the vector transform restricted to the direction 1."""
     s_grid = np.asarray(s_grid, dtype=float).reshape(-1)
-    m = model.chain.n
-    ones = np.ones(m)
-    box = 50.0
-    values = np.empty(s_grid.shape[0])
-    maximizers = np.empty(s_grid.shape[0])
-    unbounded = np.zeros(s_grid.shape[0], dtype=bool)
-    warm = np.zeros(1)
-    h = 1e-5
-    for p, s in enumerate(s_grid):
-        def obj(a):
-            return float(a[0] * s) - e_of_alpha(model, -a[0] * ones)
-
-        def grad(a):
-            d = (e_of_alpha(model, (-a[0] + h) * ones)
-                 - e_of_alpha(model, (-a[0] - h) * ones)) / (2 * h)
-            return np.array([s + d])
-
-        x, f, clamped = _ascend(obj, grad, warm, box)
-        maximizers[p] = x[0]
-        unbounded[p] = clamped
-        values[p] = math.inf if clamped else f
-        if not clamped:
-            warm = x
-    return RateFunctionResult(s=s_grid, values=values, maximizers=maximizers,
-                              unbounded=unbounded, box=box)
+    res = _legendre(model, s_grid[:, None], np.ones((model.chain.n, 1)))
+    res.s, res.maximizers = s_grid, res.maximizers[:, 0]
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +320,7 @@ def entropy_rate_function(model: MrisModel, s_grid) -> RateFunctionResult:
 @dataclass
 class KineticMatrix:
     matrix: np.ndarray            # flux response: d Jbar_w / d zeta_v at 0
-    route_b: np.ndarray           # Hess e(0) / (2 beta^2), independent stencil
+    route_b: np.ndarray           # exact Hess e(0) / (2 beta^2)
     discrepancy: float
     beta_bar: float
     zeta_step: float
@@ -305,8 +346,8 @@ def kinetic_coefficients(model: MrisModel, zeta_step: float = 1e-3) -> KineticMa
 
     Route (a) differentiates the steady flux of the re-solved deformed model
     (Richardson-extrapolated central differences in zeta); route (b) is
-    Hess e(0) / (2 beta_bar^2) with its own stencil.  The two are returned
-    together with their maximum entrywise discrepancy.
+    the exact Hess e(0) / (2 beta_bar^2).  The two are returned together
+    with their maximum entrywise discrepancy.
     """
     eq = models.check_equilibrium(model)
     if not eq["is_equilibrium"]:
@@ -329,42 +370,12 @@ def kinetic_coefficients(model: MrisModel, zeta_step: float = 1e-3) -> KineticMa
 
         d_h = (fluxes_at(h) - fluxes_at(-h)) / (2 * h)
         d_h2 = (fluxes_at(h / 2) - fluxes_at(-h / 2)) / h
-        mat[:, v] = _richardson(d_h, d_h2)
+        mat[:, v] = (4.0 * d_h2 - d_h) / 3.0          # Richardson limit
 
-    route_b = _hessian_e(model, h=2e-4) / (2 * beta_bar ** 2)
+    route_b = _hessian_e(model) / (2 * beta_bar ** 2)
     disc = float(np.abs(mat - route_b).max())
     return KineticMatrix(matrix=mat, route_b=route_b, discrepancy=disc,
                          beta_bar=beta_bar, zeta_step=zeta_step)
-
-
-def _hessian_e(model: MrisModel, h: float = 2e-4) -> np.ndarray:
-    """Richardson-extrapolated finite-difference Hessian of e at 0, working on
-    e-values directly (the covariance route differentiates the spectral radius
-    instead, keeping the two computations independent)."""
-    m = model.chain.n
-
-    def basis(i, s):
-        v = np.zeros(m)
-        v[i] = s
-        return v
-
-    e0 = e_of_alpha(model, np.zeros(m))
-    hess = np.empty((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            if i == j:
-                def second(step):
-                    return (e_of_alpha(model, basis(i, step)) - 2 * e0
-                            + e_of_alpha(model, basis(i, -step))) / step ** 2
-            else:
-                def second(step):
-                    pp = e_of_alpha(model, basis(i, step) + basis(j, step))
-                    pm = e_of_alpha(model, basis(i, step) - basis(j, step))
-                    mp = e_of_alpha(model, basis(j, step) - basis(i, step))
-                    mm = e_of_alpha(model, -basis(i, step) - basis(j, step))
-                    return (pp - pm - mp + mm) / (4 * step ** 2)
-            hess[i, j] = hess[j, i] = _richardson(second(h), second(h / 2))
-    return hess
 
 
 # ---------------------------------------------------------------------------
@@ -373,55 +384,38 @@ def _hessian_e(model: MrisModel, h: float = 2e-4) -> np.ndarray:
 
 @dataclass
 class GreenKuboResult:
-    matrix: np.ndarray            # Abel-regularized, extrapolated to eps -> 0
-    per_epsilon: dict             # eps -> matrix
+    matrix: np.ndarray            # the eps -> 0 limit
+    per_epsilon: dict             # eps -> Abel-regularized matrix
     epsilon_list: tuple
-    lag_cap: int
     beta_bar: float
 
 
-def green_kubo(model: MrisModel, epsilon_list=(0.05, 0.025, 0.0125),
-               lag_cap: int = 2000) -> GreenKuboResult:
+def green_kubo(model: MrisModel, epsilon_list=(0.05, 0.025, 0.0125)) -> GreenKuboResult:
     """Kinetic coefficients from flux autocorrelations:
 
         GK_{wv}(eps) = [c_{wv}(0) + sum_{n>=1} e^{-n eps} (c_{wv}(n) + c_{vw}(n))]
                        / (2 beta_bar^2),
 
-    extrapolated to eps -> 0 by a polynomial fit over epsilon_list.  The lag
-    sum is truncated at lag_cap (the correlations decay at the spectral gap,
-    so the default is far past extinction for any gapped model)."""
-    betas = np.array([model.probes[l].beta for l in model.labels])
-    beta_bar = float(betas.mean())
-    m = model.chain.n
-    labels = model.labels
+    in closed form.  With G the plain generator, R_+ = r and l the Perron
+    pair at 0 and M_v the alpha-derivatives of the deformed generator, the
+    lag-n correlation is c_{wv}(n) = l^H M_w (G^{n-1} - r l^H) M_v r, so with
+    z = e^{-eps} the lag sum is l^H M_w z (1 - z G)^{-1} (1 - r l^H) M_v r.
+    At eps -> 0 the resolvent becomes the group inverse of 1 - G, the
+    fundamental matrix of perturbation theory, and the limit is exact."""
+    beta_bar = float(np.mean([model.probes[l].beta for l in model.labels]))
+    p = _perron(model, np.zeros(model.chain.n))
+    mean = (p.l_dm @ p.r).real
+    c0 = np.diag(p.l_d2m_r.real) - np.outer(mean, mean)
+    eye = np.eye(len(p.r))
+    proj = eye - np.outer(p.r, p.l.conj())
 
-    corr = np.empty((m, m, lag_cap + 1))
-    for a in range(m):
-        for b in range(m):
-            corr[a, b] = trajectories.flux_autocorrelation(
-                model, labels[a], labels[b], max_lag=lag_cap).values
+    def regularized(z):
+        # z (1 - z G)^{-1} (1 - r l^H), which is q at z = 1
+        res = p.q if z == 1.0 else z * np.linalg.solve(eye - z * p.matrix, proj)
+        lags = (p.l_dm @ res @ p.dm_r).real
+        return (c0 + lags + lags.T) / (2 * beta_bar ** 2)
 
-    eps_arr = np.asarray(sorted(epsilon_list, reverse=True), dtype=float)
-    n_arr = np.arange(1, lag_cap + 1)
-    per_eps = {}
-    stack = []
-    for eps in eps_arr:
-        damp = np.exp(-eps * n_arr)
-        mat = np.empty((m, m))
-        for a in range(m):
-            for b in range(m):
-                tail = float(np.dot(damp, corr[a, b, 1:] + corr[b, a, 1:]))
-                mat[a, b] = (corr[a, b, 0] + tail) / (2 * beta_bar ** 2)
-        per_eps[float(eps)] = mat
-        stack.append(mat)
-
-    stack = np.array(stack)
-    deg = len(eps_arr) - 1
-    extrap = np.empty((m, m))
-    for a in range(m):
-        for b in range(m):
-            coeffs = np.polyfit(eps_arr, stack[:, a, b], deg)
-            extrap[a, b] = np.polyval(coeffs, 0.0)
-    return GreenKuboResult(matrix=extrap, per_epsilon=per_eps,
-                           epsilon_list=tuple(float(e) for e in eps_arr),
-                           lag_cap=lag_cap, beta_bar=beta_bar)
+    eps_list = sorted((float(e) for e in epsilon_list), reverse=True)
+    return GreenKuboResult(
+        matrix=regularized(1.0), epsilon_list=tuple(eps_list), beta_bar=beta_bar,
+        per_epsilon={eps: regularized(math.exp(-eps)) for eps in eps_list})

@@ -341,42 +341,35 @@ def enumerate_full_statistics(model: MrisModel, n: int,
         raise TrajectoryError("n must be at least 1")
 
     d = model.dim_sys
-    r0 = model.initial_state()
     p_mat = model.chain.P
-
-    probs, svecs, words = [], [], []
-
-    def recurse(k, w_now, v, svec, word):
-        if k == n:
-            # trace of the unnormalized block = branch probability
-            prob = float(unvec(v, d).trace().real)
-            probs.append(prob)
-            svecs.append(svec.copy())
-            if keep_words:
-                words.append(list(word))
-            return
-        for w in range(m):
-            cw = p_mat[w_now, w]
-            if cw <= model.tol.edge:
-                continue
-            for x in range(n_out[w]):
-                svec[w] += deltas[w, x]
-                word.append((w, x))
-                recurse(k + 1, w, cw * (superops[w, x] @ v), svec, word)
-                word.pop()
-                svec[w] -= deltas[w, x]
-
-    for w1 in range(m):
-        v0 = vec(r0.blocks[w1])
-        for x in range(n_out[w1]):
-            svec = np.zeros(m)
-            svec[w1] = deltas[w1, x]
-            recurse(1, w1, superops[w1, x] @ v0, svec, [(w1, x)])
-
+    valid = np.arange(superops.shape[1]) < n_out[:, None]        # (m, n_max)
+    # level 1: each (w, x) acts on the initial block of w, which carries the
+    # chain factors up to the first step
+    v0 = np.stack([vec(b) for b in model.initial_state().blocks])
+    states = np.einsum("wxij,wj->wxi", superops, v0)[valid]
+    lab, out = np.nonzero(valid)
+    svecs = np.zeros((len(lab), m))
+    svecs[np.arange(len(lab)), lab] = deltas[lab, out]
+    words = np.stack([lab, out], axis=1)[:, None].astype(np.int16)
+    # each later level expands every branch over every (w, x) at once and
+    # keeps chain edges and real outcomes; boolean indexing orders the
+    # children parent-major, then by (w, x), as the depth-first order would
+    for _ in range(n - 1):
+        keep = (p_mat[lab] > model.tol.edge)[:, :, None] & valid
+        parent, w_new, out = np.nonzero(keep)
+        children = np.einsum("wxij,bj->bwxi", superops, states)[keep]
+        states = p_mat[lab[parent], w_new][:, None] * children
+        svecs = svecs[parent]
+        svecs[np.arange(len(parent)), w_new] += deltas[w_new, out]
+        if keep_words:
+            step = np.stack([w_new, out], axis=1)[:, None].astype(np.int16)
+            words = np.concatenate([words[parent], step], axis=1)
+        lab = w_new
+    # trace of the unnormalized block = branch probability
+    probs = states[:, ::d + 1].sum(axis=1).real
     return ExactDistribution(
-        labels=model.labels, n_steps=n,
-        probs=np.array(probs), svecs=np.stack(svecs),
-        words=np.array(words, dtype=np.int16) if keep_words else None)
+        labels=model.labels, n_steps=n, probs=probs, svecs=svecs,
+        words=words if keep_words else None)
 
 
 # ---------------------------------------------------------------------------

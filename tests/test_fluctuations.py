@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from mris import extended, fixtures, fluctuations, models, trajectories
+from mris import extended, fixtures, fluctuations, modelfile, models, trajectories
 
 
 def test_cumulant_vanishes_at_origin(canonical, equilibrium):
@@ -202,3 +204,115 @@ def test_green_kubo_extrapolation(equilibrium):
     errs = [np.abs(gk.per_epsilon[e] - kin.matrix).max()
             for e in sorted(gk.epsilon_list, reverse=True)]
     assert errs[-1] < errs[0]
+
+
+# ---------------------------------------------------------------------------
+# the exact perturbation kernel
+# ---------------------------------------------------------------------------
+
+BUNDLED = ("two_temperature_qubit", "equilibrium_qubit", "tri_broken_qubit")
+MODEL_DIR = Path(__file__).resolve().parent.parent / "models"
+
+
+KERNEL_MODELS = {
+    **{name: lambda name=name: modelfile.load_model(MODEL_DIR / f"{name}.json")
+       for name in BUNDLED},
+    "random_model_7_4": lambda: fixtures.random_model(7, n_labels=4),
+    "period_two": lambda: fixtures.two_temperature_qubit(
+        p_matrix=[[0.0, 1.0], [1.0, 0.0]]),
+}
+
+
+def _stencil(model, alpha, h=2e-3):
+    """Richardson-extrapolated central differences of e_of_alpha: gradient
+    and Hessian, independent of the kernel."""
+    basis = np.eye(len(alpha))
+
+    def e(a):
+        return fluctuations.e_of_alpha(model, a)
+
+    def grad(k):
+        return np.array([(e(alpha + k * b) - e(alpha - k * b)) / (2 * k)
+                         for b in basis])
+
+    def hess(k):
+        return np.array([[(e(alpha + k * (bi + bj)) - e(alpha + k * (bi - bj))
+                           - e(alpha - k * (bi - bj)) + e(alpha - k * (bi + bj)))
+                          / (4 * k ** 2) for bj in basis] for bi in basis])
+
+    return ((4 * grad(h / 2) - grad(h)) / 3, (4 * hess(h / 2) - hess(h)) / 3)
+
+
+@pytest.mark.parametrize("name", list(KERNEL_MODELS))
+def test_kernel_derivatives_match_richardson_differences(name):
+    model = KERNEL_MODELS[name]()
+    rng = np.random.default_rng(5)
+    m = model.chain.n
+    for alpha in [np.zeros(m), 0.5 * np.ones(m)] + \
+            [rng.uniform(-0.5, 1.0, size=m) for _ in range(2)]:
+        e, grad, hess = fluctuations._perron(model, alpha).derivatives()
+        want_grad, want_hess = _stencil(model, alpha)
+        assert abs(e - fluctuations.e_of_alpha(model, alpha)) < 1e-13
+        assert np.abs(grad - want_grad).max() <= 1e-8, (name, alpha)
+        assert np.abs(hess - want_hess).max() <= 1e-6, (name, alpha)
+        assert np.array_equal(fluctuations._grad_e(model, alpha), grad)
+
+
+def test_green_kubo_closed_form_matches_the_lag_sum(equilibrium):
+    """Each Abel-regularized entry equals the explicit 2000-lag sum of the
+    analytic flux autocorrelations; the eps -> 0 limit matches route (a)."""
+    gk = fluctuations.green_kubo(equilibrium)
+    labels = equilibrium.labels
+    corr = np.array([[trajectories.flux_autocorrelation(
+        equilibrium, a, b, max_lag=2000).values for b in labels] for a in labels])
+    lags = np.arange(1, 2001)
+    for eps, mat in gk.per_epsilon.items():
+        tail = corr[:, :, 1:] @ np.exp(-eps * lags)
+        want = (corr[:, :, 0] + tail + tail.T) / (2 * gk.beta_bar ** 2)
+        assert np.abs(mat - want).max() <= 1e-10, eps
+    kin = fluctuations.kinetic_coefficients(equilibrium)
+    assert np.abs(gk.matrix - kin.matrix).max() <= 1e-4 * np.abs(kin.matrix).max()
+
+
+def test_rate_functions_converge_on_the_bundled_grids():
+    """The CLI's scalar grid and a 3x3 vector grid, with s-points from the
+    exact gradient and (as perfbench/ops.py builds them) from central
+    differences, converge on every bundled model."""
+    for name in BUNDLED:
+        model = modelfile.load_model(MODEL_DIR / f"{name}.json")
+        ones = np.ones(model.chain.n)
+        tilts = [np.array([a, b]) for a in (-0.2, 0.0, 0.2) for b in (-0.2, 0.0, 0.2)]
+        exact_vec = [-fluctuations._grad_e(model, -t) for t in tilts]
+        stencil_vec = [-_stencil(model, -t, h=2e-5)[0] for t in tilts]
+        scalar = [-ones @ fluctuations._grad_e(model, -a * ones)
+                  for a in np.linspace(-0.45, 0.45, 21)]
+        for res in (fluctuations.rate_function(model, exact_vec),
+                    fluctuations.rate_function(model, stencil_vec),
+                    fluctuations.entropy_rate_function(model, np.sort(scalar))):
+            assert res.converged.all(), name
+            assert res.grad_norm.max() <= 1e-8, name
+            assert np.isfinite(res.values).all() and not res.unbounded.any()
+    res = fluctuations.rate_function(fixtures.two_temperature_qubit(),
+                                     [np.array([50.0, 50.0])])
+    assert res.unbounded[0] and not res.converged[0]
+
+
+def test_rate_function_is_infinite_off_the_conservation_hyperplane(canonical):
+    """sum_v S_v / beta_v is a bounded system-energy change, so e is flat
+    along 1/beta and I(s) = inf unless s . (1/beta) = 0: an offset from a
+    reachable point must be followed to the box, not reported as a value."""
+    beta_inv = np.array([1.0 / canonical.probes[l].beta for l in canonical.labels])
+    reachable = -fluctuations._grad_e(canonical, -np.array([0.25, 0.1]))
+    for offset in (1e-6, 1e-2):
+        res = fluctuations.rate_function(canonical, [reachable + offset * beta_inv])
+        assert res.unbounded[0] and np.isinf(res.values[0])
+
+
+def test_rate_function_reports_nan_where_the_ascent_does_not_converge(
+        canonical, monkeypatch):
+    r_plus, _ = canonical.ess()
+    ep = extended.expectation(r_plus, models.entropy_flux_observable(canonical))
+    monkeypatch.setattr(fluctuations, "GRAD_TOL", 0.0)
+    res = fluctuations.entropy_rate_function(canonical, [ep + 0.01])
+    assert not res.converged[0] and not res.unbounded[0]
+    assert np.isnan(res.values[0])

@@ -152,6 +152,18 @@ def test_cli_validate(capsys, tmp_path):
     assert doc["digest"]
 
 
+def test_cli_validate_reports_time_reversal(capsys, tmp_path):
+    """TRI is a property of the model, not a pass/fail check: a model file
+    without it still validates."""
+    for name, holds in (("two_temperature_qubit", True), ("tri_broken_qubit", False)):
+        out = str(tmp_path / name)
+        assert cli.main(["validate", "--model", str(MODELS / f"{name}.json"),
+                         "--out", out]) == 0
+        tri = json.loads(Path(out + ".json").read_text())["results"]["time_reversal"]
+        assert tri["holds"] is holds
+        assert (tri["max_residual"] <= 1e-10) is holds
+
+
 def test_cli_classify_and_ess(capsys):
     assert cli.main(["classify", "--model", TWO_TEMP]) == 0
     assert cli.main(["ess", "--model", TWO_TEMP]) == 0

@@ -6,6 +6,7 @@ import pytest
 import oracles
 from conftest import random_density
 from mris import extended, fixtures, models, trajectories
+from mris.chains import MarkovChain
 from mris.tolerances import DEFAULT
 from mris.trajectories import TrajectoryConfig
 
@@ -263,3 +264,60 @@ def test_autocorrelation_empirical_matches_analytic(canonical):
 def test_autocorrelation_decays(canonical):
     exact = trajectories.flux_autocorrelation(canonical, "hot", "hot", max_lag=40)
     assert abs(exact.values[40]) < 1e-3 * abs(exact.values[0])
+
+
+def _recursive_enumeration(model, n):
+    """Depth-first reference: (probs, svecs, words) leaf by leaf."""
+    m, d = model.chain.n, model.dim_sys
+    entries = [model.unravelings[l] for l in model.labels]
+    leaves = []
+
+    def recurse(k, w_now, v, svec, word):
+        if k == n:
+            leaves.append((np.trace(v.reshape(d, d).T).real, svec, word))
+            return
+        for w in range(m):
+            cw = model.chain.P[w_now, w]
+            if cw <= model.tol.edge:
+                continue
+            for x in range(entries[w].n_outcomes):
+                s = svec.copy()
+                s[w] += entries[w].deltas[x]
+                recurse(k + 1, w, cw * (entries[w]._superops[x] @ v), s,
+                        word + [(w, x)])
+
+    r0 = model.initial_state()
+    for w1 in range(m):
+        v0 = r0.blocks[w1].T.reshape(-1)
+        for x in range(entries[w1].n_outcomes):
+            s = np.zeros(m)
+            s[w1] = entries[w1].deltas[x]
+            recurse(1, w1, entries[w1]._superops[x] @ v0, s, [(w1, x)])
+    probs, svecs, words = zip(*leaves)
+    return np.array(probs), np.array(svecs), np.array(words)
+
+
+def _sparse_mixed_model():
+    """Three labels, two missing chain edges, and a qutrit probe whose nine
+    outcomes pad the two qubit probes' four."""
+    base = fixtures.random_model(11, n_labels=3)
+    a = np.random.default_rng(3).normal(size=(6, 6))
+    probes = dict(base.probes)
+    probes["w1"] = models.ProbeSpec(h_env=np.diag([0.0, 1.0, 2.5]).astype(complex),
+                                    beta=0.8, tau=1.0, coupling=0.4 * (a + a.T))
+    p = np.array([[0.0, 0.5, 0.5], [0.3, 0.3, 0.4], [0.6, 0.4, 0.0]])
+    chain = MarkovChain(labels=base.labels, pi=base.chain.pi, P=p)
+    return models.build_model(base.h_sys, chain, probes, base.rho_init)
+
+
+@pytest.mark.parametrize("kind,n", [("random", 1), ("random", 2), ("random", 3),
+                                    ("random", 4), ("sparse", 1), ("sparse", 3)])
+def test_batched_enumeration_matches_depth_first_recursion(kind, n):
+    m = fixtures.random_model(11, n_labels=3) if kind == "random" else _sparse_mixed_model()
+    dist = trajectories.enumerate_full_statistics(m, n)
+    probs, svecs, words = _recursive_enumeration(m, n)
+    assert np.array_equal(dist.words, words)
+    np.testing.assert_allclose(dist.probs, probs, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(dist.svecs, svecs, rtol=0, atol=1e-13)
+    assert abs(dist.total_probability() - 1.0) < 1e-12
+    assert trajectories.enumerate_full_statistics(m, n, keep_words=False).words is None
