@@ -3,15 +3,13 @@ matrices, the instantaneous generator family, and tracking of the evolved
 extended state against the instantaneous steady state.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import extended
-from .chains import ChainError, MarkovChain, stationary_vector
+from .chains import MarkovChain, stationary_vector
 from .models import MrisModel
-from .quantum import trace_norm
-from .tolerances import DEFAULT, Tolerances
 
 
 class AdiabaticError(ValueError):
@@ -43,27 +41,43 @@ class AdiabaticSchedule:
         if self.kind not in ("linear", "smoothstep"):
             raise AdiabaticError(f"unknown schedule kind {self.kind!r}")
 
-    def fraction(self, s: float) -> float:
-        if not 0.0 <= s <= 1.0:
-            raise AdiabaticError(f"schedule parameter {s} outside [0, 1]")
-        return float(s) if self.kind == "linear" else float(_smoothstep(s))
+    def fraction(self, s):
+        """f(s); elementwise for an array of schedule times."""
+        s = np.asarray(s, dtype=float)
+        outside = ~((s >= 0.0) & (s <= 1.0))
+        if outside.any():
+            raise AdiabaticError(
+                f"schedule parameter {s[outside].flat[0]} outside [0, 1]")
+        f = s if self.kind == "linear" else _smoothstep(s)
+        return float(f) if f.ndim == 0 else f
 
-    def transition_matrix(self, s: float) -> np.ndarray:
-        f = self.fraction(s)
+    def transition_matrix(self, s):
+        """P(s); a stack of matrices for an array of schedule times."""
+        f = np.asarray(self.fraction(s))[..., None, None]
         return (1.0 - f) * self.p_start + f * self.p_end
+
+
+def _check_states(model: MrisModel, schedule: AdiabaticSchedule):
+    m = schedule.p_start.shape[0]
+    if m != model.chain.n:
+        raise AdiabaticError(
+            f"schedule is {m}-state but the model has {model.chain.n}")
 
 
 def schedule_generator(model: MrisModel, schedule: AdiabaticSchedule,
                        s: float) -> extended.ExtendedGenerator:
     """Instantaneous generator at schedule time s: the model's channels driven
     by the interpolated chain."""
+    _check_states(model, schedule)
     p_s = schedule.transition_matrix(s)
-    if p_s.shape[0] != model.chain.n:
-        raise AdiabaticError(
-            f"schedule is {p_s.shape[0]}-state but the model has {model.chain.n}")
     pi_s, _ = stationary_vector(p_s)
     chain_s = MarkovChain(labels=model.labels, pi=pi_s, P=p_s)
     return extended.build_generator(chain_s, model.channels, model.tol)
+
+
+# Schedule steps per eigensolve stack (the first stack also carries s = 0),
+# so that memory does not grow with the number of steps.
+_SWEEP_BLOCK = 256
 
 
 @dataclass
@@ -91,35 +105,64 @@ def adiabatic_evolve(model: MrisModel, schedule: AdiabaticSchedule,
     reported error is pure lag, not transient decay.  The plateau error is the
     maximum over k >= N/4, by which point any admissible start has merged into
     the O(1/N) tracking regime.
+
+    The generators, their eigensolves, the steady states R_+(s_k) and the
+    trace norms are taken over stacks of schedule points; only the recursion
+    itself steps one point at a time.
     """
     if n_steps < 4:
         raise AdiabaticError("need at least 4 steps")
+    _check_states(model, schedule)
     tol = model.tol
+    labels, m, d = model.labels, model.chain.n, model.dim_sys
+    if r0 is not None:
+        if r0.labels != labels:
+            raise AdiabaticError(
+                f"r0 has labels {r0.labels}, the model has {labels}")
+        if r0.blocks.shape != (m, d, d):
+            raise AdiabaticError(
+                f"r0 blocks have shape {r0.blocks.shape}, the model needs {(m, d, d)}")
+    superops = [model.channels[l].superop for l in labels]
+
+    def generators(s):
+        return extended._generator_stack(schedule.transition_matrix(s), superops)
+
+    grid = np.linspace(0.0, 1.0, primitivity_points)
     gap_min = np.inf
-    for s in np.linspace(0.0, 1.0, primitivity_points):
-        cls = extended.classify_generator(schedule_generator(model, schedule, s), tol)
+    for s, spectrum in zip(grid, zip(*extended._eig_stack(generators(grid)))):
+        cls = extended._classify_spectrum(*spectrum, tol)
         if cls.kind != "primitive":
             raise AdiabaticError(
                 f"instantaneous generator at s={s:.3f} is {cls.kind}; the "
                 "tracking bound needs a primitive family")
         gap_min = min(gap_min, cls.gap)
 
-    if r0 is None:
-        g0 = schedule_generator(model, schedule, 0.0)
-        r0, _ = extended.find_ess(g0, tol)
-
     s_grid = np.arange(n_steps + 1) / n_steps
     errors = np.empty(n_steps + 1)
-    r = r0
-    ess0, _ = extended.find_ess(schedule_generator(model, schedule, 0.0), tol)
-    errors[0] = sum(trace_norm(r.blocks[k] - ess0.blocks[k])
-                    for k in range(model.chain.n))
-    for k in range(1, n_steps + 1):
-        g_k = schedule_generator(model, schedule, s_grid[k])
-        r = g_k.apply(r)
-        ess_k, _ = extended.find_ess(g_k, tol)
-        errors[k] = sum(trace_norm(r.blocks[j] - ess_k.blocks[j])
-                        for j in range(model.chain.n))
+
+    def track(lo, hi, v):
+        """Fill errors[lo:hi] and return R_{hi-1}, entering with R_{lo-1}
+        (with R_0, or None for R_+(0), when lo = 0).  A function of its own,
+        so that one stack is released before the next is built."""
+        mats = generators(s_grid[lo:hi])
+        w, vr = np.linalg.eig(mats)
+        ess = extended._ess_stack(w, vr, labels, d, tol)
+        states = np.empty((hi - lo, m * d * d), dtype=complex)
+        for k in range(lo, hi):
+            if k > 0:
+                v = mats[k - lo] @ v
+            elif v is None:
+                v = extended.big_vec(ess[0])
+            states[k - lo] = v
+        lag = states.reshape(hi - lo, m, d, d).transpose(0, 1, 3, 2) - ess
+        norms = np.linalg.svd(lag, compute_uv=False).sum(axis=2)
+        errors[lo:hi] = sum(norms[:, j] for j in range(m))
+        return v
+
+    v = None if r0 is None else extended.big_vec(r0.blocks)
+    bounds = [0, *range(_SWEEP_BLOCK + 1, n_steps + 1, _SWEEP_BLOCK), n_steps + 1]
+    for lo, hi in zip(bounds, bounds[1:]):
+        v = track(lo, hi, v)
     plateau = float(errors[int(np.ceil(n_steps / 4)):].max())
     return AdiabaticResult(n_steps=n_steps, kind=schedule.kind, s_grid=s_grid,
                            errors=errors, plateau_error=plateau,

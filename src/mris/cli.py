@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import adiabatic, extended, fluctuations, models, output, trajectories
-from .chains import classify_chain, stationary_vector
+from .chains import ChainError, classify_chain, stationary_vector
 from .modelfile import ModelFileError, load_model
 from .quantum import choi_verify
 from .tolerances import DEFAULT, FIELD_NAMES
@@ -423,7 +423,8 @@ def main(argv=None) -> int:
         return 2
     except (models.ModelError, fluctuations.FluctuationError,
             adiabatic.AdiabaticError, trajectories.TrajectoryError,
-            trajectories.NumericalCorruption) as exc:
+            trajectories.NumericalCorruption, extended.GeneratorError,
+            ChainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

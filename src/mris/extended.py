@@ -170,28 +170,46 @@ class ExtendedGenerator:
         The left vectors are the rows of vr^{-1}; a defective generator can
         make vr exactly singular, and then the pseudo-inverse stands in."""
         if self._eig is None:
-            w, vr = np.linalg.eig(self.matrix)
-            try:
-                vl = np.linalg.inv(vr)
-            except np.linalg.LinAlgError:
-                vl = np.linalg.pinv(vr)
-            vl = vl.conj().T
-            vl /= np.linalg.norm(vl, axis=0)
-            object.__setattr__(self, "_eig", (w, vl, vr))
+            w, vl, vr = _eig_stack(self.matrix[None])
+            object.__setattr__(self, "_eig", (w[0], vl[0], vr[0]))
         return self._eig
+
+
+def _inverse(vr):
+    """vr^{-1} for a matrix or a stack; an exactly singular matrix gets its
+    pseudo-inverse instead."""
+    try:
+        return np.linalg.inv(vr)
+    except np.linalg.LinAlgError:
+        if vr.ndim == 2:
+            return np.linalg.pinv(vr)
+        return np.stack([_inverse(x) for x in vr])
+
+
+def _eig_stack(mats: np.ndarray):
+    """ExtendedGenerator.eig for each matrix of a stack (K, n, n): one
+    batched eigensolve and one batched inverse of the right eigenvectors."""
+    w, vr = np.linalg.eig(mats)
+    vl = _inverse(vr).conj().swapaxes(-1, -2)
+    vl /= np.linalg.norm(vl, axis=-2, keepdims=True)
+    return w, vl, vr
+
+
+def _generator_stack(P: np.ndarray, superops) -> np.ndarray:
+    """Generator matrices for a stack of transition matrices P (K, m, m):
+    block (w, v) of the k-th matrix is P[k, v, w] * S_v, and exactly zero
+    where P[k, v, w] is."""
+    superops = np.asarray(superops, dtype=complex)
+    K, m, _ = P.shape
+    dd = superops.shape[1]
+    p = P.transpose(0, 2, 1)[..., None, None]
+    blocks = np.where(p != 0.0, p * superops, 0.0)
+    return blocks.transpose(0, 1, 3, 2, 4).reshape(K, m * dd, m * dd)
 
 
 def generator_matrix(chain: MarkovChain, superops) -> np.ndarray:
     """Assemble the block matrix M[w, v] = P[v, w] * S_v."""
-    m = chain.n
-    dd = superops[0].shape[0]
-    mat = np.zeros((m * dd, m * dd), dtype=complex)
-    for w in range(m):
-        for v in range(m):
-            pvw = chain.P[v, w]
-            if pvw != 0.0:
-                mat[w * dd:(w + 1) * dd, v * dd:(v + 1) * dd] = pvw * superops[v]
-    return mat
+    return _generator_stack(chain.P[None], superops)[0]
 
 
 def build_generator(chain: MarkovChain, channels: dict, tol: Tolerances = DEFAULT) -> ExtendedGenerator:
@@ -252,8 +270,43 @@ class GeneratorClassification:
     left_fixed: ExtendedObservable = None
 
 
-def _eigenvalue_one_cluster(w: np.ndarray, tol: Tolerances):
-    return np.flatnonzero(np.abs(w - 1.0) <= tol.peripheral)
+def _eigenvalue_one_cluster(w: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Mask of the eigenvalues counted as 1, for one spectrum or a stack."""
+    return np.abs(w - 1.0) <= tol.peripheral
+
+
+def _ess_stack(w: np.ndarray, vr: np.ndarray, labels, d: int,
+              tol: Tolerances = DEFAULT) -> np.ndarray:
+    """Repaired steady-state blocks (K, m, d, d) from a stack of spectra
+    w (K, n) and right eigenvectors vr (K, n, n): the eigenvalue-1 vector of
+    each, phase-fixed, Hermitized, clipped and renormalized as find_ess
+    describes."""
+    K, m = w.shape[0], len(labels)
+    ones = _eigenvalue_one_cluster(w, tol)
+    counts = ones.sum(axis=1)
+    if (counts != 1).any():
+        raise NotIrreducibleError(int(counts[counts != 1][0]))
+    v = vr[np.arange(K), :, ones.argmax(axis=1)]
+    blocks = v.reshape(K, m, d, d).transpose(0, 1, 3, 2)
+    # phase-fix and set total trace 1, in Python complex arithmetic: numpy's
+    # vectorised complex division differs in the last bit
+    scale = np.empty(K, dtype=complex)
+    for k, t in enumerate(np.trace(blocks, axis1=2, axis2=3).sum(axis=1).tolist()):
+        if abs(t) < 1e-14:
+            raise GeneratorError("fixed eigenvector is traceless; cannot normalize")
+        scale[k] = t.conjugate() / (abs(t) * abs(t))
+    blocks = blocks * scale[:, None, None, None]
+    blocks = (blocks + blocks.conj().transpose(0, 1, 3, 2)) / 2
+    ew, ev = np.linalg.eigh(blocks)
+    low = ew.min(axis=2)
+    if (low < -tol.psd).any():
+        k, j = np.argwhere(low < -tol.psd)[0]
+        raise GeneratorError(
+            f"fixed-point block {labels[j]} has eigenvalue {low[k, j]:.3e} "
+            "beyond the round-off repair window")
+    repaired = (ev * np.clip(ew, 0.0, None)[..., None, :]) @ ev.conj().transpose(0, 1, 3, 2)
+    repaired /= np.trace(repaired, axis1=2, axis2=3).sum(axis=1).real[:, None, None, None]
+    return repaired
 
 
 def find_ess(g: ExtendedGenerator, tol: Tolerances = DEFAULT):
@@ -266,27 +319,7 @@ def find_ess(g: ExtendedGenerator, tol: Tolerances = DEFAULT):
     since they signal a genuinely wrong eigenvector rather than noise.
     """
     w, _vl, vr = g.eig()
-    ones = _eigenvalue_one_cluster(w, tol)
-    if len(ones) != 1:
-        raise NotIrreducibleError(len(ones))
-    v = vr[:, ones[0]]
-    blocks = big_unvec(v, g.n_labels, g.dim)
-    t = complex(np.trace(blocks, axis1=1, axis2=2).sum())
-    if abs(t) < 1e-14:
-        raise GeneratorError("fixed eigenvector is traceless; cannot normalize")
-    blocks = blocks * (t.conjugate() / (abs(t) * abs(t)))   # phase-fix and set total trace 1
-    blocks = (blocks + blocks.conj().transpose(0, 2, 1)) / 2
-    repaired = np.empty_like(blocks)
-    for k in range(blocks.shape[0]):
-        ew, ev = np.linalg.eigh(blocks[k])
-        if ew.min() < -tol.psd:
-            raise GeneratorError(
-                f"fixed-point block {g.labels[k]} has eigenvalue {ew.min():.3e} "
-                "beyond the round-off repair window")
-        repaired[k] = (ev * np.clip(ew, 0.0, None)) @ ev.conj().T
-    total = float(np.trace(repaired, axis1=1, axis2=2).sum().real)
-    repaired /= total
-    state = ExtendedState(g.labels, repaired)
+    state = ExtendedState(g.labels, _ess_stack(w[None], vr[None], g.labels, g.dim, tol)[0])
     image = big_unvec(g.matrix @ big_vec(state.blocks), g.n_labels, g.dim)
     residual = float(sum(trace_norm(image[k] - state.blocks[k])
                          for k in range(g.n_labels)))
@@ -327,19 +360,11 @@ def ess_decompose(g: ExtendedGenerator, r_plus: ExtendedState, tol: Tolerances =
     return EssDecomposition(g.labels, pi_plus, rho_plus)
 
 
-def classify_generator(g: ExtendedGenerator, tol: Tolerances = DEFAULT) -> GeneratorClassification:
-    """Full-spectrum classification: reducible / irreducible-periodic / primitive.
-
-    Irreducibility is read off the (algebraic) simplicity of eigenvalue 1:
-    exactly one eigenvalue in the 1-cluster and a rank-one spectral projector
-    with |<left, right>| bounded away from zero.  The period is the number of
-    peripheral eigenvalues, cross-checked against the p-th roots of unity.
-    An irreducible aperiodic generator whose sub-peripheral spectrum does not
-    clear the gap threshold is reported as 'irreducible_periodic' with
-    period 1 rather than certified primitive.
-    """
-    w, vl, vr = g.eig()
-    ones = _eigenvalue_one_cluster(w, tol)
+def _classify_spectrum(w: np.ndarray, vl: np.ndarray, vr: np.ndarray,
+                       tol: Tolerances = DEFAULT) -> GeneratorClassification:
+    """The kind, period and gap that classify_generator reads off one
+    spectrum (w, vl, vr), without the steady-state fields."""
+    ones = np.flatnonzero(_eigenvalue_one_cluster(w, tol))
     mult = len(ones)
     simple = mult == 1
     if simple:
@@ -347,33 +372,15 @@ def classify_generator(g: ExtendedGenerator, tol: Tolerances = DEFAULT) -> Gener
         overlap = abs(np.vdot(vl[:, i], vr[:, i])) / (
             np.linalg.norm(vl[:, i]) * np.linalg.norm(vr[:, i]))
         simple = overlap >= 1e-8
-    peripheral_idx = np.flatnonzero(np.abs(w) >= 1.0 - tol.peripheral)
-    peripheral = w[peripheral_idx]
-    inner = np.abs(w[np.setdiff1d(np.arange(len(w)), peripheral_idx)])
+    on_circle = np.abs(w) >= 1.0 - tol.peripheral
+    peripheral = w[on_circle]
+    inner = np.abs(w[~on_circle])
     gap = float("inf") if inner.size == 0 else float(-np.log(max(inner.max(), 1e-300)))
     p = len(peripheral)
     match = False
     if simple and p >= 1:
         roots = np.exp(2j * np.pi * np.arange(p) / p)
         match = all(np.abs(peripheral - r).min() <= 1e-6 for r in roots)
-
-    ess = None
-    faithful = None
-    left_fixed = None
-    if simple:
-        ess, _resid = find_ess(g, tol)
-        pi_plus = ess.marginal()
-        faithful = True
-        for k in range(g.n_labels):
-            if pi_plus[k] > tol.pi_floor:
-                if np.linalg.eigvalsh(ess.blocks[k]).min() <= 0.0:
-                    faithful = False
-        lf = big_unvec(vl[:, ones[0]], g.n_labels, g.dim)
-        lf = (lf + lf.conj().transpose(0, 2, 1)) / 2
-        scale = np.trace(lf, axis1=1, axis2=2).sum().real / (g.n_labels * g.dim)
-        if abs(scale) > 1e-14:
-            lf = lf / scale
-        left_fixed = ExtendedObservable(g.labels, lf)
 
     if not simple:
         kind = "reducible"
@@ -390,10 +397,37 @@ def classify_generator(g: ExtendedGenerator, tol: Tolerances = DEFAULT) -> Gener
         eigenvalue_one_multiplicity=mult,
         peripheral=peripheral,
         peripheral_match_roots=match,
-        ess=ess,
-        ess_faithful=faithful,
-        left_fixed=left_fixed,
     )
+
+
+def classify_generator(g: ExtendedGenerator, tol: Tolerances = DEFAULT) -> GeneratorClassification:
+    """Full-spectrum classification: reducible / irreducible-periodic / primitive.
+
+    Irreducibility is read off the (algebraic) simplicity of eigenvalue 1:
+    exactly one eigenvalue in the 1-cluster and a rank-one spectral projector
+    with |<left, right>| bounded away from zero.  The period is the number of
+    peripheral eigenvalues, cross-checked against the p-th roots of unity.
+    An irreducible aperiodic generator whose sub-peripheral spectrum does not
+    clear the gap threshold is reported as 'irreducible_periodic' with
+    period 1 rather than certified primitive.
+    """
+    w, vl, vr = g.eig()
+    cls = _classify_spectrum(w, vl, vr, tol)
+    if cls.kind != "reducible":
+        cls.ess, _resid = find_ess(g, tol)
+        pi_plus = cls.ess.marginal()
+        cls.ess_faithful = True
+        for k in range(g.n_labels):
+            if pi_plus[k] > tol.pi_floor:
+                if np.linalg.eigvalsh(cls.ess.blocks[k]).min() <= 0.0:
+                    cls.ess_faithful = False
+        lf = big_unvec(vl[:, _eigenvalue_one_cluster(w, tol).argmax()], g.n_labels, g.dim)
+        lf = (lf + lf.conj().transpose(0, 2, 1)) / 2
+        scale = np.trace(lf, axis1=1, axis2=2).sum().real / (g.n_labels * g.dim)
+        if abs(scale) > 1e-14:
+            lf = lf / scale
+        cls.left_fixed = ExtendedObservable(g.labels, lf)
+    return cls
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,14 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from mris import adiabatic, extended
+from mris import adiabatic, extended, quantum
+from mris.modelfile import load_model
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
+MODEL_FILES = ("equilibrium_qubit", "two_temperature_qubit", "tri_broken_qubit")
 
 
 P_START = np.array([[0.7, 0.3], [0.4, 0.6]])
@@ -82,3 +89,83 @@ def test_lagged_start_merges_into_the_plateau(canonical, rng):
     ref = adiabatic.adiabatic_evolve(canonical, sch, 96)
     assert res.errors[0] > 1e-3
     assert res.plateau_error < 3 * ref.plateau_error + 1e-9
+
+
+def _stepwise_reference(model, sch, n_steps, r0=None):
+    """adiabatic_evolve one generator, one eigensolve and one trace norm per
+    schedule point, through the public single-matrix functions."""
+    tol = model.tol
+    gap_min = np.inf
+    for s in np.linspace(0.0, 1.0, 20):
+        cls = extended.classify_generator(adiabatic.schedule_generator(model, sch, s), tol)
+        assert cls.kind == "primitive"
+        gap_min = min(gap_min, cls.gap)
+    r = r0
+    if r is None:
+        r, _ = extended.find_ess(adiabatic.schedule_generator(model, sch, 0.0), tol)
+    errors = []
+    for k, s in enumerate(np.arange(n_steps + 1) / n_steps):
+        g = adiabatic.schedule_generator(model, sch, s)
+        if k > 0:
+            r = g.apply(r)
+        ess, _ = extended.find_ess(g, tol)
+        errors.append(sum(quantum.trace_norm(r.blocks[j] - ess.blocks[j])
+                          for j in range(model.chain.n)))
+    return np.array(errors), gap_min
+
+
+@pytest.mark.parametrize("name", MODEL_FILES)
+def test_batched_sweep_equals_stepwise_reference_bitwise(name):
+    model = load_model(str(MODELS / f"{name}.json"))
+    for kind in ("linear", "smoothstep"):
+        sch = adiabatic.AdiabaticSchedule(model.chain.P, P_END, kind=kind)
+        for n in (32, 48, 96):
+            res = adiabatic.adiabatic_evolve(model, sch, n)
+            errors, gap_min = _stepwise_reference(model, sch, n)
+            assert res.errors.tobytes() == errors.tobytes(), (kind, n)
+            assert res.instantaneous_gap_min == gap_min
+    r0 = extended.ExtendedState(model.labels, model.initial_state().blocks)
+    res = adiabatic.adiabatic_evolve(model, sch, 48, r0=r0)
+    errors, _ = _stepwise_reference(model, sch, 48, r0=r0)
+    assert res.errors[0] > 1e-3
+    assert res.errors.tobytes() == errors.tobytes()
+
+
+def test_two_cycle_rejection_names_the_failing_point(canonical):
+    two_cycle = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sch = adiabatic.AdiabaticSchedule(canonical.chain.P, two_cycle)
+    msg = ("instantaneous generator at s=1.000 is irreducible_periodic; the "
+           "tracking bound needs a primitive family")
+    with pytest.raises(adiabatic.AdiabaticError, match=re.escape(msg) + "$"):
+        adiabatic.adiabatic_evolve(canonical, sch, 64)
+
+
+def test_start_state_must_match_the_model(canonical):
+    sch = adiabatic.AdiabaticSchedule(canonical.chain.P, P_END)
+    blocks = canonical.initial_state().blocks
+    relabelled = extended.ExtendedState(("a", "b"), blocks)
+    with pytest.raises(adiabatic.AdiabaticError, match="labels"):
+        adiabatic.adiabatic_evolve(canonical, sch, 16, r0=relabelled)
+    wide = extended.ExtendedState(canonical.labels, np.zeros((2, 3, 3)))
+    with pytest.raises(adiabatic.AdiabaticError, match=r"\(2, 3, 3\).*\(2, 2, 2\)"):
+        adiabatic.adiabatic_evolve(canonical, sch, 16, r0=wide)
+
+
+def test_eigensolve_count_does_not_grow_with_the_step_count(canonical, monkeypatch):
+    """The sweep solves stacks of schedule points, not one point per call."""
+    sch = adiabatic.AdiabaticSchedule(canonical.chain.P, P_END)
+    eig = np.linalg.eig
+    calls = []
+
+    def counting_eig(a):
+        calls.append(np.shape(a))
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counting_eig)
+    counts = []
+    for n in (64, 256):
+        calls.clear()
+        adiabatic.adiabatic_evolve(canonical, sch, n)
+        counts.append(len(calls))
+    assert counts[0] >= 1
+    assert counts[0] == counts[1]

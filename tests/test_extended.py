@@ -203,3 +203,51 @@ def test_periodic_driving_gives_periodic_generator():
     # steady state still exists and is unique for the period-2 mixture
     r_plus, residual = extended.find_ess(m.generator)
     assert residual < 1e-10
+
+
+def _blockwise_ess_blocks(g, tol):
+    """find_ess's repair written one block at a time, with the phase factor
+    taken in Python complex arithmetic."""
+    w, _vl, vr = g.eig()
+    (i,) = np.flatnonzero(np.abs(w - 1.0) <= tol.peripheral)
+    blocks = extended.big_unvec(vr[:, i], g.n_labels, g.dim)
+    t = complex(np.trace(blocks, axis1=1, axis2=2).sum())
+    blocks = blocks * (t.conjugate() / (abs(t) * abs(t)))
+    blocks = (blocks + blocks.conj().transpose(0, 2, 1)) / 2
+    repaired = np.empty_like(blocks)
+    for k in range(blocks.shape[0]):
+        ew, ev = np.linalg.eigh(blocks[k])
+        repaired[k] = (ev * np.clip(ew, 0.0, None)) @ ev.conj().T
+    repaired /= float(np.trace(repaired, axis1=1, axis2=2).sum().real)
+    return repaired
+
+
+@pytest.mark.parametrize("name", sorted(IRREDUCIBLE_BUILDS))
+def test_stacked_ess_repair_equals_the_blockwise_repair_bitwise(name):
+    m = IRREDUCIBLE_BUILDS[name]()
+    r_plus, _ = extended.find_ess(m.generator, m.tol)
+    assert r_plus.blocks.tobytes() == _blockwise_ess_blocks(m.generator, m.tol).tobytes()
+    # a stack of generators along a path of chains, solved in one call
+    p_other = np.full((m.chain.n, m.chain.n), 1.0 / m.chain.n)
+    P = np.stack([(1 - f) * m.chain.P + f * p_other for f in np.linspace(0.0, 0.9, 5)])
+    superops = [m.channels[l].superop for l in m.labels]
+    mats = extended._generator_stack(P, superops)
+    w, vr = np.linalg.eig(mats)
+    stacked = extended._ess_stack(w, vr, m.labels, m.dim_sys, m.tol)
+    for k, p in enumerate(P):
+        chain = chains.MarkovChain(m.labels, chains.stationary_vector(p)[0], p)
+        g = extended.build_generator(chain, m.channels, m.tol)
+        assert g.matrix.tobytes() == mats[k].tobytes()
+        assert stacked[k].tobytes() == _blockwise_ess_blocks(g, m.tol).tobytes()
+
+
+def test_zero_chain_entries_give_exactly_zero_blocks():
+    """Blocks where P[v, w] = 0 are +0 exactly, not 0 * S_v (which is -0 in
+    some entries of a superoperator with negative parts)."""
+    chain = fixtures.two_temperature_qubit(p_matrix=PERIOD_TWO).chain
+    superops = [np.full((4, 4), -1.0 - 1.0j), np.full((4, 4), -2.0 - 1.0j)]
+    mat = extended.generator_matrix(chain, superops)
+    for v in range(chain.n):
+        block = mat[v * 4:(v + 1) * 4, v * 4:(v + 1) * 4]
+        assert not block.any()
+        assert not np.signbit(block.real).any() and not np.signbit(block.imag).any()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from mris import cli, fixtures, modelfile, output
+from mris.chains import ChainError
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 TWO_TEMP = str(MODELS / "two_temperature_qubit.json")
@@ -228,6 +229,24 @@ def test_cli_adiabatic_inline_matrix(capsys):
 def test_cli_missing_model_file(capsys):
     assert cli.main(["validate", "--model", "/nope/missing.json"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_reducible_generator_is_an_error_not_a_crash():
+    proc = subprocess.run([sys.executable, "-m", "mris.cli", "ess",
+                           "--model", TWO_TEMP, "--tol", "peripheral=0.5"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "error: eigenvalue 1 has multiplicity 2" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_reports_chain_errors(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ChainError("stationary eigenvector could not be normalized")
+
+    monkeypatch.setattr(cli, "classify_chain", broken)
+    assert cli.main(["classify", "--model", TWO_TEMP]) == 2
+    assert "error: stationary eigenvector" in capsys.readouterr().err
 
 
 def test_console_script_entry_point():
