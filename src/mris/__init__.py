@@ -37,9 +37,9 @@ from .quantum import (QuantumChannel, QuantumError, channel_from_kraus,
 from .tolerances import DEFAULT, Tolerances
 from .trajectories import (AutocorrResult, EntropySample, ErgodicEstimate,
                            ExactDistribution, NumericalCorruption,
-                           TrajectoryConfig, TrajectoryError, empirical_cumulant,
-                           enumerate_full_statistics, ergodic_average,
-                           flux_autocorrelation, sample_entropy_process,
-                           simulate_states)
+                           RealBasisError, TrajectoryConfig, TrajectoryError,
+                           empirical_cumulant, enumerate_full_statistics,
+                           ergodic_average, flux_autocorrelation,
+                           sample_entropy_process, simulate_states)
 
 __version__ = "0.1.0"

@@ -154,6 +154,18 @@ def path_stream(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
+def outcome_stream(seed: int, n: int) -> np.random.Generator:
+    """``path_stream(seed)`` positioned after its first n + 1 draws, where an
+    n-step trajectory's outcome uniforms start.  Each Philox counter value
+    yields four draws, so the counter advances by (n + 1) // 4 and the
+    remaining (n + 1) % 4 draws are discarded."""
+    bits = np.random.Philox(key=int(seed))
+    bits.advance((n + 1) // 4)
+    stream = np.random.Generator(bits)
+    stream.random((n + 1) % 4)
+    return stream
+
+
 def sample_path_indices(chain: MarkovChain, n: int, seed: int) -> np.ndarray:
     """omega_0 ... omega_n as label indices; draw k of the stream decides step k."""
     if n < 0:

@@ -1,20 +1,29 @@
 """Sampling and exact enumeration of the probe-word / measurement-outcome
 process, plus trajectory-based estimators.
 
-Both samplers share one kernel: states are rows vec(rho), one per trajectory,
-and each step is one batched matvec with the superoperator every trajectory
-gathers by (label, outcome) index from tables stacked once per call.
+Both samplers share one engine.  A state is its d^2 real coordinates
+tr(E_a rho) in an orthonormal Hermitian basis E_a, and a chunk of B
+trajectories is held trajectory-minor, as one (d^2, B) array X.  The
+probability functionals, every (label, outcome) superoperator (or, for the
+ergodic sampler, the observable blocks and channels) are folded once per
+call into one real table, so each step is a single GEMM ``table @ X``
+followed by flat takes of every trajectory's outcome law and drawn image.
+Uniforms are streamed in blocks of ``_BLOCK`` steps per trajectory, so
+memory does not grow with the number of steps; labels, increments and
+totals are handled block by block and summed in step order.
 
 RNG contract (stable across versions, chunk sizes, and thread counts): each
 trajectory t uses its own ``numpy.random.Generator(Philox(key=seed + t))``
 stream.  The first ``n + 1`` uniforms of the stream drive the probe path
 (initial label, then one transition per step); the next ``n`` uniforms select
-measurement outcomes.  Every categorical draw maps a uniform u through the
-same inverse-CDF arithmetic ``(u > cumsum(p)).sum()``, clipped to the last
-index.  Results are therefore bitwise identical however trajectories are
-batched or split across threads.
+measurement outcomes (read through ``chains.outcome_stream``, the same stream
+advanced past the path draws).  Every categorical draw maps a uniform u
+through the same inverse-CDF arithmetic ``(u > cumsum(p)).sum()``, clipped to
+the last index.  Results are therefore bitwise identical however
+trajectories are batched or split across threads.
 """
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -22,11 +31,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import extended
-from .chains import path_stream
+from .chains import outcome_stream, path_stream
 from .models import MrisModel
 from .quantum import unvec, vec
 
 ENUMERATION_GUARD = 10_000_000
+_BLOCK = 128          # steps of uniforms streamed per trajectory at a time
+_IMAG_TOL = 1e-12     # largest imaginary part of a real-basis table, relative
 
 
 class NumericalCorruption(RuntimeError):
@@ -36,6 +47,11 @@ class NumericalCorruption(RuntimeError):
 
 class TrajectoryError(ValueError):
     pass
+
+
+class RealBasisError(TrajectoryError):
+    """A model table has an imaginary part in the Hermitian basis: its map
+    does not preserve Hermiticity."""
 
 
 @dataclass(frozen=True)
@@ -77,35 +93,8 @@ def simulate_states(model: MrisModel, omega_path, rho0=None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# batched path sampling (shared by the estimators below)
+# tables of the stepping engine, in a real Hermitian basis
 # ---------------------------------------------------------------------------
-
-def _batch_paths(model: MrisModel, t0: int, t1: int, cfg: TrajectoryConfig):
-    """Paths (B, n+1) of label indices plus outcome uniforms (B, n) for
-    trajectories t0 <= t < t1, honoring the per-trajectory stream layout."""
-    n = cfg.n_steps
-    b = t1 - t0
-    u_path = np.empty((b, n + 1))
-    u_out = np.empty((b, n))
-    for r, t in enumerate(range(t0, t1)):
-        stream = path_stream(cfg.seed + t)
-        u_path[r] = stream.random(n + 1)
-        u_out[r] = stream.random(n)
-
-    init_dist = model.chain.pi
-    if cfg.initial == "stationary":
-        init_dist = _stationary_decomposition(model).pi_plus
-    cum0 = np.cumsum(init_dist)
-    paths = np.empty((b, n + 1), dtype=np.intp)
-    paths[:, 0] = np.minimum((u_path[:, 0][:, None] > cum0).sum(axis=1),
-                             model.chain.n - 1)
-    cum_rows = np.cumsum(model.chain.P, axis=1)
-    for k in range(1, n + 1):
-        rows = cum_rows[paths[:, k - 1]]
-        paths[:, k] = np.minimum((u_path[:, k][:, None] > rows).sum(axis=1),
-                                 model.chain.n - 1)
-    return paths, u_out
-
 
 def _stationary_decomposition(model: MrisModel) -> extended.EssDecomposition:
     if "ess_decomposition" not in model.caches:
@@ -114,10 +103,6 @@ def _stationary_decomposition(model: MrisModel) -> extended.EssDecomposition:
             model.generator, r_plus, model.tol)
     return model.caches["ess_decomposition"]
 
-
-# ---------------------------------------------------------------------------
-# the batched stepping kernel shared by both samplers
-# ---------------------------------------------------------------------------
 
 def _outcome_tables(model: MrisModel):
     """Per-(label, outcome) tables of the two-time measurement: outcome
@@ -138,52 +123,204 @@ def _outcome_tables(model: MrisModel):
     return superops, prob_funcs, deltas, n_out
 
 
-def _step_batches(model: MrisModel, cfg: TrajectoryConfig, t0: int, t1: int,
-                  superops, prob_funcs=None, n_out=None, floored=None):
-    """Step trajectories t0 <= t < t1, cfg.chunk at a time, and yield
-    ``(t, k, lab, xi, v)`` at every step k: the trajectory indices, labels
-    w_k, outcome indices and states v = vec(rho_{k-1}) entering the step.
+def _hermitian_basis(d: int) -> np.ndarray:
+    """The unitary U whose row a maps vec(rho) to tr(E_a rho), the coordinate
+    of rho in the orthonormal Hermitian basis E_a: |j><j|, then
+    (|j><k| + |k><j|)/sqrt(2) and i(|j><k| - |k><j|)/sqrt(2) for j < k.
+    Hermitian matrices have real coordinates x, and vec(rho) = U^H x."""
+    s = math.sqrt(0.5)
+    units = np.eye(d)
+    basis = [np.outer(u, u) for u in units]
+    for j, k in itertools.combinations(range(d), 2):
+        e = s * np.outer(units[j], units[k])
+        basis += [e + e.T, 1j * (e - e.T)]
+    return np.stack([vec(e.T) for e in basis])
 
-    Without ``prob_funcs`` every trajectory applies row 0 of its label.
-    With them it draws xi from p = prob_funcs[lab] . v; outcomes below the
-    probability floor are left out of the draw (counted per trajectory in
-    ``floored``), and the state is divided by the raw p of the drawn
-    outcome, so its trace stays one.
+
+def _real(table: np.ndarray, what: str, tol: float = _IMAG_TOL) -> np.ndarray:
+    """The real part of a table written in the Hermitian basis.  An imaginary
+    part above tol (relative to the table's scale) means the map does not
+    preserve Hermiticity; it is an error, never dropped.  (A NaN table
+    passes, so that the outcome-law check names the step where it bites.)"""
+    imag = float(np.abs(table.imag).max())
+    if imag > tol * max(1.0, float(np.abs(table.real).max())):
+        raise RealBasisError(
+            f"{what} not real in the Hermitian basis (imaginary part "
+            f"{imag:.3e}); the map does not preserve Hermiticity")
+    return np.ascontiguousarray(table.real)
+
+
+def _step_table(model: MrisModel, funcs, superops, what: str) -> np.ndarray:
+    """The one real table of a step, for states X (d^2, B) in the Hermitian
+    basis.  Each (label w, outcome x) owns d^2 + 1 adjacent rows of
+    ``table @ X``: the functional funcs[w, x] at every state, then the image
+    of every state under superops[w, x].  funcs is (m, n, d^2) in the
+    vec(rho) layout, superops (m, n, d^2, d^2)."""
+    u = _hermitian_basis(model.dim_sys)
+    uh = u.conj().T
+    d2 = uh.shape[0]
+    return np.concatenate([_real(funcs @ uh, what)[:, :, None],
+                           _real(u @ superops @ uh, "superoperators")],
+                          axis=2).reshape(-1, d2)
+
+
+# ---------------------------------------------------------------------------
+# the stepping engine shared by both samplers
+# ---------------------------------------------------------------------------
+
+def _uniforms(streams, steps: int) -> np.ndarray:
+    """The next ``steps`` uniforms of every stream, trajectory-minor: (steps, B)."""
+    block = np.empty((len(streams), steps))
+    for stream, row in zip(streams, block):
+        stream.random(out=row)
+    return block.T
+
+
+def _step_blocks(model: MrisModel, cfg: TrajectoryConfig, t0: int, t1: int,
+                 table, width: int, n_out=None, floored=None):
+    """Step trajectories t0 <= t < t1, cfg.chunk at a time, and yield
+    ``(c0, k0, labs, val)`` for each block of up to ``_BLOCK`` steps
+    k0 <= k < k0 + L of the chunk of B trajectories that starts at c0: the
+    labels w_k and per-step values, both (L, B).  A block's labels are drawn
+    first (the probe path does not depend on the states), then its states
+    are stepped by ``_observe_steps`` (without ``n_out``) or
+    ``_measure_steps``; ``table`` is a ``_step_table`` of ``width`` row
+    groups per label.
     """
-    floor = model.tol.prob_floor
-    rho0 = (_stationary_decomposition(model).rho_plus
-            if cfg.initial == "stationary" else model.rho_init)
-    bank = np.stack([vec(rho0[l]) for l in model.labels])
+    m, n = model.chain.n, cfg.n_steps
+    if cfg.initial == "stationary":
+        ess = _stationary_decomposition(model)
+        init_dist, rho0 = ess.pi_plus, ess.rho_plus
+    else:
+        init_dist, rho0 = model.chain.pi, model.rho_init
+    cum0 = np.cumsum(init_dist)[:, None]
+    cum_rows = np.cumsum(model.chain.P, axis=1).T.copy()      # [j, w]
+    # a state's anti-Hermitian part, within the tolerance the model accepted,
+    # reaches no outcome probability or observable and is dropped
+    bank = _real(_hermitian_basis(model.dim_sys)
+                 @ np.stack([vec(rho0[l]) for l in model.labels], axis=1),
+                 "initial states", model.tol.herm)
+    last = None if n_out is None else n_out - 1
     for c0 in range(t0, t1, cfg.chunk):
-        c1 = min(c0 + cfg.chunk, t1)
-        paths, u_out = _batch_paths(model, c0, c1, cfg)
-        v = bank[paths[:, 0]]
-        t = np.arange(c0, c1)
-        xi, scale = 0, 1.0
-        for k in range(1, cfg.n_steps + 1):
-            lab = paths[:, k]
-            if prob_funcs is not None:
-                p = np.einsum("bxi,bi->bx", prob_funcs[lab], v).real
-                defect = np.abs(p.sum(axis=1) - 1.0)
-                # written so that a NaN law fails the check too
-                bad = np.nonzero(~(defect <= 1e-8) | (p.min(axis=1) < -1e-8))[0]
-                if bad.size:
-                    r = bad[0]
-                    raise NumericalCorruption(
-                        f"outcome law defective at step {k} of trajectory {t[r]} "
-                        f"(sum error {defect[r]:.3e}, min {p[r].min():.3e})")
-                small = (p < floor) & (p != 0.0)
-                hit = small.any(axis=1)
-                q = np.where(p < floor, 0.0, p)
-                if hit.any():
-                    floored[t[hit]] += small[hit].sum(axis=1)
-                    q[hit] /= q[hit].sum(axis=1, keepdims=True)
-                cum = np.cumsum(q, axis=1)
-                xi = np.minimum((u_out[:, k - 1][:, None] > cum).sum(axis=1),
-                                n_out[lab] - 1)
-                scale = p[t - c0, xi][:, None]
-            yield t, k, lab, xi, v
-            v = np.einsum("bij,bj->bi", superops[lab, xi], v) / scale
+        span = range(c0, min(c0 + cfg.chunk, t1))
+        paths = [path_stream(cfg.seed + t) for t in span]
+        u0 = np.array([stream.random() for stream in paths])
+        lab = np.minimum((u0 > cum0).sum(axis=0), m - 1)
+        x = bank.take(lab, axis=1)
+        if n_out is not None:
+            outs = [outcome_stream(cfg.seed + t, n) for t in span]
+        for k0 in range(1, n + 1, _BLOCK):
+            steps = min(_BLOCK, n + 1 - k0)
+            labs = _label_path(cum_rows, lab, _uniforms(paths, steps))
+            lab = labs[-1]
+            if n_out is None:
+                val, x = _observe_steps(table, x, labs)
+            else:
+                val, x = _measure_steps(table, x, labs, _uniforms(outs, steps),
+                                        width, last, model.tol.prob_floor,
+                                        floored, c0, k0)
+            yield c0, k0, labs, val
+
+
+def _label_path(cum_rows, lab, u):
+    """Labels w_k (L, B) of a block of steps, from the labels entering it and
+    the path uniforms u (L, B); cum_rows[j, w] is the cumulative row w of P."""
+    m = cum_rows.shape[0]
+    labs = np.empty(u.shape, dtype=np.intp)
+    for i, row in enumerate(u):
+        lab = np.minimum((row > cum_rows.take(lab, axis=1)).sum(axis=0), m - 1,
+                         out=labs[i])
+    return labs
+
+
+def _observe_steps(table, x, labs):
+    """Ergodic steps over a block: the functional of w_k at the state entering
+    step k, (L, B), and the states after the block (the images under the
+    channels of w_k, see ``_step_table``)."""
+    group, b = x.shape[0] + 1, x.shape[1]
+    rows = np.arange(group)[:, None] * b + np.arange(b)
+    val = np.empty(labs.shape)
+    for i, lab in enumerate(labs):
+        g = (table @ x).ravel().take(rows + lab * (group * b))
+        val[i], x = g[0], g[1:]
+    return val, x
+
+
+def _measure_steps(table, x, labs, u, width, last, floor, floored, c0, k0):
+    """Two-time measurement steps over a block.  The functionals of w_k are
+    the outcome probabilities p; each step checks the law, draws xi with the
+    outcome uniforms u (L, B), leaving outcomes below the probability floor
+    out of the draw (counted per trajectory in ``floored``), and moves the
+    state to image (w_k, xi) divided by the raw p of xi, so its trace stays
+    one.  Returns the flat outcome indices w_k * width + xi (L, B) and the
+    states after the block."""
+    group, b = x.shape[0] + 1, x.shape[1]
+    col = np.arange(b)
+    p_rows = np.arange(width)[:, None] * (group * b) + col
+    rows = np.arange(group)[:, None] * b + col
+    val = np.empty(labs.shape, dtype=np.intp)
+    for i, lab in enumerate(labs):
+        y = (table @ x).ravel()
+        p = y.take(p_rows + lab * (width * group * b))
+        cum = _running_sum(p)
+        p_min = p.min()
+        # written so that a NaN law fails the check too
+        if not (cum[-1].max() <= 1.0 + 1e-8 and cum[-1].min() >= 1.0 - 1e-8
+                and p_min >= -1e-8):
+            _check_law(p, cum[-1], k0 + i, c0)
+        if p_min < floor:
+            cum = _floor(p, floor, cum, floored, c0)
+        xi = (u[i] > cum).sum(axis=0)
+        np.minimum(xi, last.take(lab), out=xi)
+        j = np.add(lab * width, xi, out=val[i])
+        g = y.take(rows + j * (group * b))
+        x = g[1:] / g[0]
+    return val, x
+
+
+def _running_sum(p: np.ndarray) -> np.ndarray:
+    """``np.cumsum(p, axis=0)``, bit for bit, in a few row additions: cheaper
+    than the accumulate loop for the short outcome axis."""
+    cum = np.empty_like(p)
+    cum[0] = p[0]
+    for x in range(1, p.shape[0]):
+        np.add(cum[x - 1], p[x], out=cum[x])
+    return cum
+
+
+def _check_law(p, total, k: int, c0: int):
+    """Raise for the first trajectory of the chunk whose outcome law at step
+    k is defective: its sum is off by more than 1e-8 or an entry is below
+    -1e-8 (or NaN)."""
+    defect = np.abs(total - 1.0)
+    bad = np.nonzero(~(defect <= 1e-8) | (p.min(axis=0) < -1e-8))[0]
+    if not bad.size:
+        return
+    r = bad[0]
+    raise NumericalCorruption(
+        f"outcome law defective at step {k} of trajectory {c0 + r} "
+        f"(sum error {defect[r]:.3e}, min {p[:, r].min():.3e})")
+
+
+def _floor(p, floor: float, cum, floored, c0: int):
+    """Leave outcomes below the floor out of the draw: count the nonzero ones
+    per trajectory, renormalize the remaining law of every trajectory that
+    lost one, and return its running sum (``cum`` where nothing was lost)."""
+    small = (p < floor) & (p != 0.0)
+    if not small.any():
+        return cum
+    hit = small.any(axis=0)
+    floored[c0 + np.nonzero(hit)[0]] += small[:, hit].sum(axis=0)
+    q = np.where(p < floor, 0.0, p)
+    kept = np.ascontiguousarray(q[:, hit].T)
+    q[:, hit] = (kept / kept.sum(axis=1, keepdims=True)).T
+    return np.cumsum(q, axis=0)
+
+
+def _add_in_step_order(total, block):
+    """total + block[0] + block[1] + ..., added left to right so the sums
+    keep the bits of a step-by-step accumulation."""
+    return np.add.reduce(np.vstack([total, block]), axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +338,7 @@ class ErgodicEstimate:
 
 def ergodic_average(model: MrisModel, x: extended.ExtendedObservable,
                     cfg: TrajectoryConfig) -> ErgodicEstimate:
-    """Monte-Carlo estimate of the time average (1/N) sum_k tr(rho_{k-1} X(w_k))
+    """Monte-Carlo estimate of the time average (1/N) sum_k Re tr(rho_{k-1} X(w_k))
     along sampled paths, with its standard error across trajectories.
 
     Each term pairs the observable at the upcoming label with the state
@@ -209,12 +346,17 @@ def ergodic_average(model: MrisModel, x: extended.ExtendedObservable,
     process: for a flux block this is the energy exchanged during step k.
     """
     superops = np.stack([model.channels[l].superop for l in model.labels])[:, None]
-    x_funcs = np.stack([x.block(l).reshape(-1) for l in model.labels])
+    # Re tr(rho X) = tr(rho H) with H the Hermitian part of X
+    blocks = np.stack([x.block(l) for l in model.labels])
+    herm = (blocks + blocks.conj().transpose(0, 2, 1)) / 2
+    table = _step_table(model, herm.reshape(len(blocks), 1, -1), superops,
+                        "observable blocks")
     acc = np.zeros(cfg.n_traj)
 
     def run_range(t0, t1):
-        for t, _, lab, _, v in _step_batches(model, cfg, t0, t1, superops):
-            acc[t] += np.einsum("bi,bi->b", x_funcs[lab], v).real
+        for c0, _, _, val in _step_blocks(model, cfg, t0, t1, table, 1):
+            c1 = c0 + val.shape[1]
+            acc[c0:c1] = _add_in_step_order(acc[c0:c1], val)
 
     _run_threaded(run_range, cfg)
     per_traj = acc / cfg.n_steps
@@ -280,7 +422,10 @@ def sample_entropy_process(model: MrisModel, cfg: TrajectoryConfig) -> EntropySa
     system state, and accumulates the entropy increment of that probe.
     """
     superops, prob_funcs, deltas, n_out = _outcome_tables(model)
-    svec = np.zeros((cfg.n_traj, model.chain.n))
+    table = _step_table(model, prob_funcs, superops, "probability functionals")
+    width, m = deltas.shape[1], model.chain.n
+    deltas = deltas.ravel()
+    svec = np.zeros((m, cfg.n_traj))
     increments = step_labels = None
     if cfg.keep_increments:
         increments = np.zeros((cfg.n_traj, cfg.n_steps))
@@ -288,16 +433,21 @@ def sample_entropy_process(model: MrisModel, cfg: TrajectoryConfig) -> EntropySa
     floored_counts = np.zeros(cfg.n_traj, dtype=np.int64)
 
     def run_range(t0, t1):
-        for t, k, lab, xi, _ in _step_batches(model, cfg, t0, t1, superops,
-                                              prob_funcs, n_out, floored_counts):
-            dlt = deltas[lab, xi]
-            svec[t, lab] += dlt
+        for c0, k0, lab, j in _step_blocks(model, cfg, t0, t1, table, width,
+                                           n_out, floored_counts):
+            c1, k1 = c0 + j.shape[1], k0 - 1 + j.shape[0]
+            dlt = deltas.take(j)
+            # steps of other labels add +0.0, which leaves every bit alone
+            for w in range(m):
+                svec[w, c0:c1] = _add_in_step_order(
+                    svec[w, c0:c1], np.where(lab == w, dlt, 0.0))
             if cfg.keep_increments:
-                increments[t, k - 1] = dlt
-                step_labels[t, k - 1] = lab
+                increments[c0:c1, k0 - 1:k1] = dlt.T
+                step_labels[c0:c1, k0 - 1:k1] = lab.T
 
     _run_threaded(run_range, cfg)
-    return EntropySample(labels=model.labels, config=cfg, svec=svec,
+    return EntropySample(labels=model.labels, config=cfg,
+                         svec=np.ascontiguousarray(svec.T),
                          floored=int(floored_counts.sum()),
                          increments=increments, step_labels=step_labels)
 

@@ -111,3 +111,12 @@ def test_random_positive_chains_are_primitive(seed):
     assert cls.irreducible and cls.period == 1 and cls.primitive
     assert cls.stationary_unique
     np.testing.assert_allclose(cls.stationary @ p, cls.stationary, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", list(range(9)) + [999, 1000, 4999, 5000])
+def test_outcome_stream_continues_the_path_stream(n):
+    """An n-step trajectory's outcome uniforms are draws n+1, n+2, ... of its
+    stream; the offset recipe must land on them bit for bit."""
+    for seed in (0, 77, 2 ** 40 + 3):
+        want = chains.path_stream(seed).random(2 * n + 5)[n + 1:]
+        assert np.array_equal(chains.outcome_stream(seed, n).random(n + 4), want)

@@ -1,11 +1,13 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
 from conftest import random_density
-from mris import extended, fixtures, models, trajectories
+from mris import chains, extended, fixtures, models, trajectories
 from mris.chains import MarkovChain
 from mris.tolerances import DEFAULT
 from mris.trajectories import TrajectoryConfig
@@ -196,6 +198,151 @@ def test_decoupled_model_exchanges_nothing(decoupled):
     assert np.all(sample.svec == 0.0)
 
 
+@pytest.mark.parametrize("label,fault,chunk,where", [
+    ("hot", "nan", 512, "step 1 of trajectory 1"),
+    ("hot", "negative", 7, "step 3 of trajectory 1"),
+    ("hot", "negative", 512, "step 2 of trajectory 13"),
+    ("cold", "negative", 3, "step 8 of trajectory 0"),
+    ("cold", "negative", 7, "step 3 of trajectory 5"),
+])
+def test_corruption_names_the_first_bad_step_and_trajectory(label, fault, chunk,
+                                                            where):
+    """Chunks are stepped one after another, so the error names the first
+    bad step of the first chunk that has one, and its first bad trajectory
+    (positions frozen from the complex vec(rho) kernel)."""
+    m = fixtures.two_temperature_qubit()
+    entry = m.unravelings[label]
+    ops = entry._prob_ops * (np.nan if fault == "nan" else 1.0)
+    if fault == "negative":
+        # outcome 1 loses weight to outcome 2: the sum stays one
+        ops[1] -= 0.05 * np.eye(2)
+        ops[2] += 0.05 * np.eye(2)
+    entry._prob_ops = ops
+    with pytest.raises(trajectories.NumericalCorruption,
+                       match=f"outcome law defective at {where} "):
+        trajectories.sample_entropy_process(
+            m, TrajectoryConfig(n_steps=30, n_traj=20, seed=5, chunk=chunk))
+
+
+def test_non_hermiticity_preserving_map_is_an_error_not_dropped():
+    m = fixtures.two_temperature_qubit()
+    cfg = TrajectoryConfig(n_steps=5, n_traj=3, seed=0)
+    entry = m.unravelings["hot"]
+    plain = entry._superops
+    # a phase of round-off size is accepted, one above it is not
+    entry._superops = plain * np.exp(1e-15j)
+    trajectories.sample_entropy_process(m, cfg)
+    entry._superops = plain * np.exp(1e-6j)
+    with pytest.raises(trajectories.RealBasisError,
+                       match="superoperators not real in the Hermitian basis"):
+        trajectories.sample_entropy_process(m, cfg)
+
+
+def test_tolerated_anti_hermitian_part_of_a_start_state_is_dropped():
+    """Within the model's Hermiticity tolerance a start state may carry an
+    anti-Hermitian part; it reaches no outcome probability, so the sample is
+    that of the Hermitian part."""
+    base = fixtures.two_temperature_qubit()
+    skew = 5e-11j * np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, -0.3]])
+    cfg = TrajectoryConfig(n_steps=300, n_traj=100, seed=8)
+    samples = []
+    for shift in (skew, 0.0):
+        rho = {l: base.rho_init[l] + shift for l in base.labels}
+        m = models.build_model(base.h_sys, base.chain, base.probes, rho)
+        samples.append(trajectories.sample_entropy_process(m, cfg))
+    assert np.array_equal(samples[0].svec, samples[1].svec)
+
+
+def test_sampler_memory_does_not_grow_with_the_step_count():
+    """Uniforms are streamed in blocks of steps, so no (trajectories, steps)
+    buffer is held: the traced peak at 4000 steps is that of 500 steps."""
+    m = fixtures.two_temperature_qubit()
+    trajectories.sample_entropy_process(m, TrajectoryConfig(4, 4, seed=0))
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for n in (500, 4000):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            trajectories.sample_entropy_process(
+                m, TrajectoryConfig(n_steps=n, n_traj=8, seed=1))
+            peaks[n] = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peaks[4000] <= 1.25 * peaks[500], peaks
+
+
+# ---------------------------------------------------------------------------
+# frozen results of the complex vec(rho) kernel the real-basis engine
+# replaced: sha256 prefixes of the arrays' bytes, recorded on x86-64 with
+# numpy 2.4 and OpenBLAS (a different LAPACK may round the model tables, and
+# so these bytes, differently).  Draws, totals and floor counts are bitwise
+# those of that kernel; ergodic averages agree to rounding.
+# ---------------------------------------------------------------------------
+
+def _digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+
+
+FROZEN_MODELS = {
+    "two_temperature": fixtures.two_temperature_qubit,
+    "random7": lambda: fixtures.random_model(7, n_labels=4),
+    "floor_1e-3": lambda: fixtures.two_temperature_qubit(
+        tol=DEFAULT.replace(prob_floor=1e-3)),
+}
+
+# (model, initial) -> (svec digest, floored) at 150 steps x 40 trajectories, seed 31
+FROZEN_SVEC = {
+    ("two_temperature", "model"): ("fd0a38cd80bd3891", 0),
+    ("two_temperature", "stationary"): ("280dcdf8462d887d", 0),
+    ("random7", "model"): ("732276eff1b69aaf", 0),
+    ("random7", "stationary"): ("d746eea19e9c6c12", 0),
+    ("floor_1e-3", "model"): ("fd0a38cd80bd3891", 73),
+    ("floor_1e-3", "stationary"): ("280dcdf8462d887d", 258),
+}
+
+
+@pytest.mark.parametrize("chunk", [7, 512])
+@pytest.mark.parametrize("name,initial", sorted(FROZEN_SVEC))
+def test_sampler_matches_frozen_kernel_bitwise(name, initial, chunk):
+    sample = trajectories.sample_entropy_process(
+        FROZEN_MODELS[name](),
+        TrajectoryConfig(n_steps=150, n_traj=40, seed=31, initial=initial,
+                         chunk=chunk))
+    assert (_digest(sample.svec), sample.floored) == FROZEN_SVEC[name, initial]
+
+
+@pytest.mark.parametrize("chunk", [7, 512])
+def test_kept_increments_match_frozen_kernel_bitwise(chunk):
+    sample = trajectories.sample_entropy_process(
+        FROZEN_MODELS["random7"](),
+        TrajectoryConfig(n_steps=120, n_traj=30, seed=5, initial="stationary",
+                         chunk=chunk, keep_increments=True))
+    got = [_digest(a) for a in (sample.svec, sample.increments, sample.step_labels)]
+    assert got == ["82a9a5eedddcbb98", "134b01f7927c7600", "14db956e74aa632e"]
+    assert sample.floored == 0
+
+
+FROZEN_ERGODIC = {
+    "two_temperature": ["0x1.0044cfe0a7608p-7", "0x1.0649d1ef53516p-7",
+                        "0x1.056152710cd5ep-7", "0x1.06d0d500ecd78p-7",
+                        "0x1.e870ec36d8c34p-8"],
+    "random7": ["-0x1.6809af51ea54ep-6", "-0x1.59ba82a7ad1b2p-6",
+                "-0x1.7209a54eb7e96p-6", "-0x1.4585f75ab381dp-6",
+                "-0x1.6b8fe0f5dcbdfp-6"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_ERGODIC))
+def test_ergodic_average_matches_frozen_kernel(name):
+    m = FROZEN_MODELS[name]()
+    est = trajectories.ergodic_average(
+        m, models.flux_extended(m, m.labels[0]),
+        TrajectoryConfig(n_steps=200, n_traj=5, seed=12, initial="stationary"))
+    want = np.array([float.fromhex(v) for v in FROZEN_ERGODIC[name]])
+    assert np.abs(est.per_traj - want).max() <= 1e-14 * np.abs(want).max()
+
+
 # ---------------------------------------------------------------------------
 # ergodic averages
 # ---------------------------------------------------------------------------
@@ -228,9 +375,10 @@ def test_ergodic_average_pairs_observable_with_entering_state(canonical):
     cfg = TrajectoryConfig(n_steps=1, n_traj=1, seed=1)
     x = models.flux_extended(canonical, "cold")
     est = trajectories.ergodic_average(canonical, x, cfg)
-    # replay the same path by hand
-    paths, _ = trajectories._batch_paths(canonical, 0, 1, cfg)
-    w0, w1 = (canonical.labels[i] for i in paths[0])
+    # replay the same path by hand: trajectory 0 of a model start draws its
+    # labels from the first two uniforms of stream seed + 0
+    path = chains.sample_path_indices(canonical.chain, 1, cfg.seed)
+    w0, w1 = (canonical.labels[i] for i in path)
     want = np.trace(canonical.rho_init[w0] @ x.block(w1)).real
     assert abs(est.mean - want) < 1e-14
 
