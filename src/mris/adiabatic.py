@@ -33,7 +33,8 @@ class AdiabaticSchedule:
             p = np.asarray(getattr(self, name), dtype=float)
             if p.ndim != 2 or p.shape[0] != p.shape[1]:
                 raise AdiabaticError(f"{name} must be square")
-            if (p < 0).any() or np.abs(p.sum(axis=1) - 1.0).max() > 1e-12:
+            # written so that a NaN entry fails it too
+            if not ((p >= 0).all() and np.abs(p.sum(axis=1) - 1.0).max() <= 1e-12):
                 raise AdiabaticError(f"{name} is not a stochastic matrix")
             object.__setattr__(self, name, p)
         if self.p_start.shape != self.p_end.shape:

@@ -15,25 +15,27 @@ import numpy as np
 
 from . import adiabatic, extended, fluctuations, models, output, trajectories
 from .chains import ChainError, classify_chain, stationary_vector
-from .modelfile import ModelFileError, load_model
+from .modelfile import ModelFileError, load_model, read_matrix, read_tolerances
 from .quantum import choi_verify
-from .tolerances import DEFAULT, FIELD_NAMES
+from .tolerances import DEFAULT
 
 
 def _parse_tol(pairs):
+    """--tol NAME=VALUE overrides, read by the rule of a model file's
+    "tolerances" object: known names, finite values > 0.  A bad pair is a
+    usage error (exit 2)."""
     overrides = {}
     for item in pairs or []:
-        if "=" not in item:
-            raise SystemExit(f"--tol expects NAME=VALUE, got {item!r}")
         name, _, value = item.partition("=")
-        if name not in FIELD_NAMES:
-            raise SystemExit(
-                f"--tol: unknown name {name!r} (known: {', '.join(FIELD_NAMES)})")
         try:
             overrides[name] = float(value)
         except ValueError:
-            raise SystemExit(f"--tol {name}: {value!r} is not a number")
-    return DEFAULT.replace(**overrides)
+            overrides[name] = value
+    try:
+        return DEFAULT.replace(**read_tolerances(overrides, "--tol"))
+    except ModelFileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from exc
 
 
 def _load(args):
@@ -301,10 +303,10 @@ def cmd_linresp(args):
 
 def cmd_adiabatic(args):
     model = _load(args)
-    p_end = _matrix_arg(args.p_end)
+    p_end = _matrix_arg(args.p_end, model.chain.n)
     sched = adiabatic.AdiabaticSchedule(p_start=model.chain.P, p_end=p_end,
                                         kind=args.kind)
-    steps = sorted(int(s) for s in args.steps.split(","))
+    steps = args.steps
     runs = {}
     for n in steps:
         runs[n] = adiabatic.adiabatic_evolve(model, sched, n)
@@ -335,14 +337,30 @@ def cmd_adiabatic(args):
     return _emit(report, args)
 
 
-def _matrix_arg(text: str) -> np.ndarray:
-    """Accept an inline JSON matrix or @path to a JSON file holding one."""
-    if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    else:
+def _matrix_arg(text: str, n: int) -> np.ndarray:
+    """--p-end: an n x n real matrix, inline JSON or @path to a JSON file."""
+    try:
+        if text.startswith("@"):
+            with open(text[1:], "r", encoding="utf-8") as fh:
+                text = fh.read()
         doc = json.loads(text)
-    return np.asarray(doc, dtype=float)
+    except (OSError, ValueError) as exc:
+        raise ModelFileError(f"--p-end: cannot read a JSON matrix ({exc})") from exc
+    return read_matrix(doc, "--p-end", n, real=True)
+
+
+def _step_counts(text: str) -> list:
+    """--steps: comma-separated positive integers, at least two distinct (the
+    verdict compares the tracking error between counts)."""
+    try:
+        steps = sorted({int(s) for s in text.split(",")})
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+    if len(steps) < 2 or steps[0] < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected at least two distinct positive step counts, got {text!r}")
+    return steps
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-end", required=True,
                    help="target transition matrix: inline JSON or @file")
     p.add_argument("--kind", choices=("linear", "smoothstep"), default="linear")
-    p.add_argument("--steps", default="64,128,256",
-                   help="comma-separated step counts")
+    p.add_argument("--steps", type=_step_counts, default="64,128,256",
+                   help="comma-separated step counts, at least two distinct")
     p.set_defaults(func=cmd_adiabatic)
 
     return parser
@@ -418,7 +436,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ModelFileError, FileNotFoundError) as exc:
+    except (ModelFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (models.ModelError, fluctuations.FluctuationError,

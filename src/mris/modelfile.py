@@ -1,15 +1,17 @@
 """Reading and writing model description files.
 
 A model file is JSON: real numbers stay plain, complex entries are [re, im]
-pairs, matrices are lists of rows.  Validation is two-stage: structural
-(JSON Schema, errors carry their JSON path) and physical (dimensions, label
-cross-references, then the full build with its own certificates).
+pairs, matrices are lists of rows.  One pass reads it: each field is checked
+as it is parsed (exact keys, finite numbers, matrix sizes, label sets), and
+the first fault raises ``ModelFileError("<JSON path>: <cause>")``.  The
+assembled model then runs the full build with its own certificates.
 """
 
 import json
+import math
+import numbers
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from .chains import MarkovChain
 from .models import MrisModel, ProbeSpec, TimeReversalData, build_model
@@ -22,162 +24,144 @@ class ModelFileError(ValueError):
     pass
 
 
-_NUMBER = {"type": "number"}
-_COMPLEX = {
-    "oneOf": [
-        _NUMBER,
-        {"type": "array", "items": _NUMBER, "minItems": 2, "maxItems": 2},
-    ]
-}
-_MATRIX = {"type": "array", "minItems": 1,
-           "items": {"type": "array", "minItems": 1, "items": _COMPLEX}}
+# ---------------------------------------------------------------------------
+# typed readers: each checks one value and names its path on failure
+# ---------------------------------------------------------------------------
 
-MODEL_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["schema_version", "system", "omega", "probes", "chain",
-                 "initial_states"],
-    "additionalProperties": False,
-    "properties": {
-        "schema_version": {"const": SCHEMA_VERSION},
-        "system": {
-            "type": "object",
-            "required": ["dim", "H_S"],
-            "additionalProperties": False,
-            "properties": {
-                "dim": {"type": "integer", "minimum": 1},
-                "H_S": _MATRIX,
-            },
-        },
-        "omega": {"type": "array", "minItems": 1,
-                  "items": {"type": "string", "minLength": 1},
-                  "uniqueItems": True},
-        "probes": {
-            "type": "object",
-            "minProperties": 1,
-            "additionalProperties": {
-                "type": "object",
-                "required": ["H_E", "beta", "tau", "V"],
-                "additionalProperties": False,
-                "properties": {
-                    "H_E": _MATRIX,
-                    "beta": {"type": "number", "minimum": 0},
-                    "tau": {"type": "number", "exclusiveMinimum": 0},
-                    "V": _MATRIX,
-                },
-            },
-        },
-        "chain": {
-            "type": "object",
-            "required": ["pi", "P"],
-            "additionalProperties": False,
-            "properties": {
-                "pi": {"type": "array", "minItems": 1, "items": _NUMBER},
-                "P": {"type": "array", "minItems": 1,
-                      "items": {"type": "array", "minItems": 1, "items": _NUMBER}},
-            },
-        },
-        "initial_states": {
-            "type": "object",
-            "minProperties": 1,
-            "additionalProperties": _MATRIX,
-        },
-        "tri": {
-            "type": "object",
-            "required": ["W_S", "W_E"],
-            "additionalProperties": False,
-            "properties": {
-                "W_S": _MATRIX,
-                "W_E": {"type": "object", "additionalProperties": _MATRIX},
-            },
-        },
-        "tolerances": {
-            "type": "object",
-            "additionalProperties": {"type": "number", "exclusiveMinimum": 0},
-        },
-    },
-}
-
-_VALIDATOR = Draft202012Validator(MODEL_SCHEMA)
+def _object(x, path: str, keys, optional=()) -> dict:
+    """An object whose keys are all of ``keys`` plus any of ``optional``
+    (any key at all when ``optional`` is None)."""
+    if not isinstance(x, dict):
+        raise ModelFileError(f"{path}: expected an object, got {x!r:.40}")
+    missing = [k for k in keys if k not in x]
+    if missing:
+        raise ModelFileError(f"{path}: missing keys {missing}")
+    if optional is not None:
+        extra = sorted(set(x).difference(keys, optional))
+        if extra:
+            raise ModelFileError(f"{path}: unexpected keys {extra} "
+                                 f"(allowed: {', '.join([*keys, *optional])})")
+    return x
 
 
-def _parse_entry(x) -> complex:
-    if isinstance(x, (int, float)):
-        return complex(x, 0.0)
-    return complex(x[0], x[1])
+def _list(x, path: str) -> list:
+    if not isinstance(x, list) or not x:
+        raise ModelFileError(f"{path}: expected a non-empty list, got {x!r:.40}")
+    return x
 
 
-def _parse_matrix(rows, path: str) -> np.ndarray:
-    mat = np.array([[_parse_entry(x) for x in row] for row in rows], dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ModelFileError(f"{path}: matrix must be square, got {mat.shape}")
-    widths = {len(row) for row in rows}
-    if len(widths) != 1:
-        raise ModelFileError(f"{path}: rows differ in length")
-    return mat
+def _number(x, path: str, low=None, strict=False) -> float:
+    """A finite number (booleans are not numbers), optionally >= low, or
+    > low when ``strict``."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise ModelFileError(f"{path}: expected a number, got {x!r:.40}")
+    try:
+        v = float(x)
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        raise ModelFileError(f"{path}: expected a finite number, got {x!r:.40}")
+    if low is not None and (v <= low if strict else v < low):
+        raise ModelFileError(
+            f"{path}: must be {'>' if strict else '>='} {low}, got {x!r}")
+    return v
+
+
+def _entry(x, path: str):
+    """A matrix entry: a number or an [re, im] pair."""
+    if not isinstance(x, list):
+        return _number(x, path)
+    if len(x) != 2:
+        raise ModelFileError(f"{path}: expected a number or [re, im], got {x!r:.40}")
+    return complex(_number(x[0], f"{path}[0]"), _number(x[1], f"{path}[1]"))
+
+
+def _vector(x, path: str, n: int) -> np.ndarray:
+    items = _list(x, path)
+    if len(items) != n:
+        raise ModelFileError(f"{path}: expected {n} entries, got {len(items)}")
+    return np.array([_number(v, f"{path}[{i}]") for i, v in enumerate(items)])
+
+
+def read_matrix(x, path: str, n: int = None, real: bool = False) -> np.ndarray:
+    """A square n x n matrix given as a list of rows (any size when n is
+    None); complex entries unless ``real``."""
+    rows = [_list(r, f"{path}[{i}]") for i, r in enumerate(_list(x, path))]
+    n = len(rows) if n is None else n
+    if len(rows) != n or any(len(r) != n for r in rows):
+        raise ModelFileError(f"{path}: expected a square {n}x{n} matrix, "
+                             f"got rows of lengths {[len(r) for r in rows]}")
+    read = _number if real else _entry
+    return np.array([[read(v, f"{path}[{i}][{j}]") for j, v in enumerate(r)]
+                     for i, r in enumerate(rows)], dtype=float if real else complex)
+
+
+def read_tolerances(x, path: str, names=FIELD_NAMES) -> dict:
+    """Tolerance overrides: an object of finite numbers > 0, keyed by
+    ``names`` (any keys when ``names`` is None)."""
+    return {k: _number(v, f"{path}.{k}", low=0, strict=True)
+            for k, v in _object(x, path, (), names).items()}
+
+
+def _probe(x, path: str, d: int) -> ProbeSpec:
+    spec = _object(x, path, ("H_E", "beta", "tau", "V"))
+    h_env = read_matrix(spec["H_E"], f"{path}.H_E")
+    return ProbeSpec(h_env=h_env,
+                     beta=_number(spec["beta"], f"{path}.beta", low=0),
+                     tau=_number(spec["tau"], f"{path}.tau", low=0, strict=True),
+                     coupling=read_matrix(spec["V"], f"{path}.V", d * len(h_env)))
 
 
 def parse_model_dict(doc: dict, tol: Tolerances = None) -> MrisModel:
-    """Validate a parsed JSON document and build the model it describes."""
-    errors = sorted(_VALIDATOR.iter_errors(doc), key=lambda e: list(e.absolute_path))
-    if errors:
-        e = errors[0]
-        raise ModelFileError(f"{e.json_path}: {e.message}")
+    """Read a parsed JSON document and build the model it describes.
 
-    labels = tuple(doc["omega"])
-    d = doc["system"]["dim"]
-    h_sys = _parse_matrix(doc["system"]["H_S"], "$.system.H_S")
-    if h_sys.shape != (d, d):
-        raise ModelFileError(
-            f"$.system.H_S: shape {h_sys.shape} does not match dim {d}")
+    ``tol``, when given, replaces the document's tolerances; their values
+    are still checked, their names only when the document's are used.
+    """
+    _object(doc, "$", ("schema_version", "system", "omega", "probes", "chain",
+                       "initial_states"), ("tri", "tolerances"))
+    version = doc["schema_version"]
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
+        raise ModelFileError(f"$.schema_version: expected {SCHEMA_VERSION}, "
+                             f"got {version!r:.40}")
 
-    for key, section in (("probes", doc["probes"]),
-                         ("initial_states", doc["initial_states"])):
-        missing = set(labels) - set(section)
-        extra = set(section) - set(labels)
-        if missing:
-            raise ModelFileError(f"$.{key}: missing entries for {sorted(missing)}")
-        if extra:
-            raise ModelFileError(f"$.{key}: entries for unknown labels {sorted(extra)}")
+    system = _object(doc["system"], "$.system", ("dim", "H_S"))
+    d = _number(system["dim"], "$.system.dim", low=1)
+    if d != int(d):
+        raise ModelFileError(f"$.system.dim: expected an integer, got {d!r}")
+    d = int(d)
+    h_sys = read_matrix(system["H_S"], "$.system.H_S", d)
+
+    labels = tuple(_list(doc["omega"], "$.omega"))
+    for i, l in enumerate(labels):
+        if not isinstance(l, str) or not l:
+            raise ModelFileError(
+                f"$.omega[{i}]: expected a non-empty string, got {l!r:.40}")
+    if len(set(labels)) != len(labels):
+        raise ModelFileError(f"$.omega: labels are not distinct: {list(labels)}")
 
     m = len(labels)
-    pi = np.asarray(doc["chain"]["pi"], dtype=float)
-    p_mat = np.asarray(doc["chain"]["P"], dtype=float)
-    if pi.shape != (m,):
-        raise ModelFileError(f"$.chain.pi: expected {m} entries, got {pi.shape[0]}")
-    if p_mat.shape != (m, m):
-        raise ModelFileError(f"$.chain.P: expected {m}x{m}, got {p_mat.shape}")
+    chain = _object(doc["chain"], "$.chain", ("pi", "P"))
+    pi = _vector(chain["pi"], "$.chain.pi", m)
+    p_mat = read_matrix(chain["P"], "$.chain.P", m, real=True)
 
-    probes = {}
-    for l in labels:
-        spec = doc["probes"][l]
-        h_env = _parse_matrix(spec["H_E"], f"$.probes.{l}.H_E")
-        v = _parse_matrix(spec["V"], f"$.probes.{l}.V")
-        if v.shape != (d * h_env.shape[0],) * 2:
-            raise ModelFileError(
-                f"$.probes.{l}.V: shape {v.shape} does not match "
-                f"dim_sys * dim_env = {d * h_env.shape[0]}")
-        probes[l] = ProbeSpec(h_env=h_env, beta=float(spec["beta"]),
-                              tau=float(spec["tau"]), coupling=v)
-
-    rho_init = {l: _parse_matrix(doc["initial_states"][l], f"$.initial_states.{l}")
-                for l in labels}
+    probe_docs = _object(doc["probes"], "$.probes", labels)
+    probes = {l: _probe(probe_docs[l], f"$.probes.{l}", d) for l in labels}
+    states = _object(doc["initial_states"], "$.initial_states", labels)
+    rho_init = {l: read_matrix(states[l], f"$.initial_states.{l}", d) for l in labels}
 
     tri = None
     if "tri" in doc:
-        w_e_doc = doc["tri"]["W_E"]
-        missing = set(labels) - set(w_e_doc)
-        if missing:
-            raise ModelFileError(f"$.tri.W_E: missing entries for {sorted(missing)}")
+        tri_doc = _object(doc["tri"], "$.tri", ("W_S", "W_E"))
+        w_env = _object(tri_doc["W_E"], "$.tri.W_E", labels)
         tri = TimeReversalData(
-            w_sys=_parse_matrix(doc["tri"]["W_S"], "$.tri.W_S"),
-            w_env={l: _parse_matrix(w_e_doc[l], f"$.tri.W_E.{l}") for l in labels})
+            w_sys=read_matrix(tri_doc["W_S"], "$.tri.W_S", d),
+            w_env={l: read_matrix(w_env[l], f"$.tri.W_E.{l}", len(probes[l].h_env))
+                   for l in labels})
 
+    overrides = read_tolerances(doc.get("tolerances", {}), "$.tolerances",
+                                FIELD_NAMES if tol is None else None)
     if tol is None:
-        overrides = doc.get("tolerances", {})
-        unknown = set(overrides) - set(FIELD_NAMES)
-        if unknown:
-            raise ModelFileError(f"$.tolerances: unknown names {sorted(unknown)}")
         tol = DEFAULT.replace(**overrides)
 
     try:
@@ -191,7 +175,7 @@ def load_model(path: str, tol: Tolerances = None) -> MrisModel:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ModelFileError(f"{path}: not valid JSON ({exc})") from exc
     return parse_model_dict(doc, tol=tol)
 

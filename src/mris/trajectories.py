@@ -67,6 +67,10 @@ class TrajectoryConfig:
     def __post_init__(self):
         if self.n_steps < 1 or self.n_traj < 1:
             raise TrajectoryError("n_steps and n_traj must be positive")
+        if not 0 <= self.seed <= 2 ** 128 - self.n_traj:
+            # trajectory t is keyed seed + t, and a Philox key is < 2**128
+            raise TrajectoryError(
+                f"seed {self.seed} outside [0, 2**128 - n_traj]")
         if self.chunk < 1 or self.n_threads < 1:
             raise TrajectoryError("chunk and n_threads must be positive")
         if self.initial not in ("model", "stationary"):

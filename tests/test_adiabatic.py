@@ -20,6 +20,8 @@ def test_schedule_validation():
         adiabatic.AdiabaticSchedule(np.array([[0.5, 0.6], [0.4, 0.6]]), P_END)
     with pytest.raises(adiabatic.AdiabaticError, match="stochastic"):
         adiabatic.AdiabaticSchedule(P_START, np.array([[-0.1, 1.1], [0.4, 0.6]]))
+    with pytest.raises(adiabatic.AdiabaticError, match="stochastic"):
+        adiabatic.AdiabaticSchedule(P_START, np.array([[np.nan, 1.0], [0.4, 0.6]]))
     with pytest.raises(adiabatic.AdiabaticError, match="kind"):
         adiabatic.AdiabaticSchedule(P_START, P_END, kind="cubic")
     with pytest.raises(adiabatic.AdiabaticError, match="square"):

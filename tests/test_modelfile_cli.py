@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 from mris import cli, fixtures, modelfile, output
 from mris.chains import ChainError
+from mris.tolerances import DEFAULT
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 TWO_TEMP = str(MODELS / "two_temperature_qubit.json")
@@ -99,6 +101,108 @@ def test_scalar_and_pair_complex_forms_agree(tmp_path):
                                    ref.channels[l].superop, atol=1e-12)
 
 
+def _set(*keys):
+    """A mutation of the base document: keys k0..kn then a value sets
+    doc[k0]...[kn] = value."""
+    *keys, value = keys
+
+    def mutate(doc):
+        node = doc
+        for k in keys[:-1]:
+            node = node[k]
+        node[keys[-1]] = value
+        return doc
+    return mutate
+
+
+NAN, INF = float("nan"), float("inf")
+ROW2 = [[1.0, 0.0], [0.0, 1.0]]
+
+# (mutation of the two-temperature document, JSON path the error must name)
+MALFORMED = {
+    "ragged H_S": (_set("system", "H_S", 1, [0.0]), "$.system.H_S"),
+    "ragged P": (_set("chain", "P", 0, [1.0]), "$.chain.P"),
+    "ragged V": (_set("probes", "hot", "V", 2, [0.0, 0.0, 0.0]), "$.probes.hot.V"),
+    "ragged initial state": (_set("initial_states", "cold", 0, [1.0]),
+                             "$.initial_states.cold"),
+    "1x1 initial state": (_set("initial_states", "cold", [[1.0]]),
+                          "$.initial_states.cold"),
+    "1x1 W_E": (_set("tri", "W_E", "hot", [[1.0]]), "$.tri.W_E.hot"),
+    "3x3 W_S": (_set("tri", "W_S", np.eye(3).tolist()), "$.tri.W_S"),
+    "4x4 H_S": (_set("system", "H_S", np.eye(4).tolist()), "$.system.H_S"),
+    "3 pi entries": (_set("chain", "pi", [0.5, 0.25, 0.25]), "$.chain.pi"),
+    "NaN beta": (_set("probes", "hot", "beta", NAN), "$.probes.hot.beta"),
+    "Infinity beta": (_set("probes", "cold", "beta", INF), "$.probes.cold.beta"),
+    "NaN tau": (_set("probes", "hot", "tau", NAN), "$.probes.hot.tau"),
+    "Infinity tau": (_set("probes", "hot", "tau", INF), "$.probes.hot.tau"),
+    "NaN pi": (_set("chain", "pi", 0, NAN), "$.chain.pi[0]"),
+    "Infinity P": (_set("chain", "P", 1, 1, INF), "$.chain.P[1][1]"),
+    "NaN H_S": (_set("system", "H_S", 0, 1, [NAN, 0.0]), "$.system.H_S[0][1][0]"),
+    "Infinity H_S": (_set("system", "H_S", 1, 1, INF), "$.system.H_S[1][1]"),
+    "NaN tolerance": (_set("tolerances", {"tp": NAN}), "$.tolerances.tp"),
+    "Infinity tolerance": (_set("tolerances", {"gap": INF}), "$.tolerances.gap"),
+    "zero tolerance": (_set("tolerances", {"gap": 0}), "$.tolerances.gap"),
+    "boolean beta": (_set("probes", "hot", "beta", True), "$.probes.hot.beta"),
+    "negative beta": (_set("probes", "hot", "beta", -1.0), "$.probes.hot.beta"),
+    "zero tau": (_set("probes", "hot", "tau", 0), "$.probes.hot.tau"),
+    "extra W_E label": (_set("tri", "W_E", "warm", ROW2), "$.tri.W_E"),
+    "extra probe label": (_set("probes", "warm", {}), "$.probes"),
+    "missing initial state": (_set("initial_states", {"cold": ROW2}),
+                              "$.initial_states"),
+    "three-number entry": (_set("system", "H_S", 0, 0, [0, 0, 0]),
+                           "$.system.H_S[0][0]"),
+    "string entry": (_set("probes", "hot", "H_E", 0, 0, "1"), "$.probes.hot.H_E[0][0]"),
+    "fractional dim": (_set("system", "dim", 2.5), "$.system.dim"),
+    "boolean schema_version": (_set("schema_version", True), "$.schema_version"),
+    "duplicate label": (_set("omega", ["hot", "hot"]), "$.omega"),
+    "empty label": (_set("omega", 1, ""), "$.omega[1]"),
+    "extra probe key": (_set("probes", "cold", "gamma", 1.0), "$.probes.cold"),
+    "non-object document": (lambda doc: [doc], "$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_document_names_its_path(case, tmp_path, capsys):
+    mutate, path = MALFORMED[case]
+    file = _dump(tmp_path, mutate(_base_dict()))
+    with pytest.raises(modelfile.ModelFileError, match=re.escape(path) + ":"):
+        modelfile.load_model(file)
+    assert cli.main(["classify", "--model", file]) == 2
+    assert f"error: {path}:" in capsys.readouterr().err
+
+
+def test_malformed_document_exits_2_without_a_traceback(tmp_path):
+    doc = _base_dict()
+    doc["system"]["H_S"][1] = [0.0]
+    proc = subprocess.run([sys.executable, "-m", "mris.cli", "validate",
+                           "--model", _dump(tmp_path, doc)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "error: $.system.H_S: expected a square 2x2 matrix" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_tolerance_names_are_checked_when_the_file_sets_them(tmp_path):
+    """Names are checked only when the file's tolerances are used; values
+    always are."""
+    file = _dump(tmp_path, _set("tolerances", {"gaps": 1e-3})(_base_dict()))
+    with pytest.raises(modelfile.ModelFileError, match=r"\$\.tolerances: .*gaps"):
+        modelfile.load_model(file)
+    assert modelfile.load_model(file, tol=DEFAULT).tol == DEFAULT
+
+
+def test_integral_floats_and_scalar_entries_load_to_the_same_model(tmp_path):
+    doc = _base_dict()
+    doc["schema_version"] = 1.0
+    doc["system"]["dim"] = 2.0
+    doc["system"]["H_S"] = [[0, 0], [0, 1]]
+    m = modelfile.load_model(_dump(tmp_path, doc))
+    ref = fixtures.two_temperature_qubit()
+    assert m.dim_sys == 2
+    for l in m.labels:
+        assert np.array_equal(m.channels[l].superop, ref.channels[l].superop)
+
+
 def test_bundled_models_load(rng):
     for name in ("two_temperature_qubit", "equilibrium_qubit", "tri_broken_qubit"):
         m = modelfile.load_model(MODELS / f"{name}.json")
@@ -136,10 +240,18 @@ def test_write_csv_full_precision(tmp_path):
 def test_tolerance_override_parsing():
     tol = cli._parse_tol(["herm=0.5", "gap=1e-3"])
     assert tol.herm == 0.5 and tol.gap == 1e-3
-    with pytest.raises(SystemExit):
-        cli._parse_tol(["nonsense=1"])
-    with pytest.raises(SystemExit):
-        cli._parse_tol(["herm=abc"])
+    for bad in ("nonsense=1", "herm=abc", "herm", "tp=nan", "gap=inf", "gap=0",
+                "psd=-1e-9"):
+        with pytest.raises(SystemExit) as exc:
+            cli._parse_tol([bad])
+        assert exc.value.code == 2
+
+
+def test_bad_tolerance_override_exits_2_naming_it(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["validate", "--model", TWO_TEMP, "--tol", "tp=nan"])
+    assert exc.value.code == 2
+    assert "error: --tol.tp: expected a finite number" in capsys.readouterr().err
 
 
 def test_cli_validate(capsys, tmp_path):
@@ -226,6 +338,38 @@ def test_cli_adiabatic_inline_matrix(capsys):
     assert "PASS tracking_error_decreases" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("p_end", [
+    "[[0.2, 0.8], [0.5]]", "[[0.2, 0.8], [0.5, 0.5]", '"a"', "NaN",
+    "[[NaN, 1], [0.5, 0.5]]", "[[0.2, 0.8]]", "[[1, 0, 0], [0, 1, 0], [0, 0, 1]]",
+    "[[true, 0], [0.5, 0.5]]", "@/nope/p_end.json"])
+def test_cli_adiabatic_malformed_p_end_exits_2(p_end, capsys):
+    assert cli.main(["adiabatic", "--model", TWO_TEMP, "--p-end", p_end,
+                     "--steps", "16,32"]) == 2
+    assert capsys.readouterr().err.startswith("error: --p-end")
+
+
+def test_cli_adiabatic_p_end_from_file(tmp_path, capsys):
+    p = tmp_path / "p_end.json"
+    p.write_text("[[0.2, 0.8], [0.5, 0.5]]")
+    assert cli.main(["adiabatic", "--model", TWO_TEMP, "--p-end", f"@{p}",
+                     "--steps", "16,32"]) == 0
+
+
+@pytest.mark.parametrize("steps", ["16,x", "16", "16,16", "0,16", "-4,16", ""])
+def test_cli_adiabatic_steps_must_compare_two_counts(steps, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["adiabatic", "--model", TWO_TEMP,
+                  "--p-end", "[[0.2, 0.8], [0.5, 0.5]]", "--steps", steps])
+    assert exc.value.code == 2
+    assert "argument --steps: expected" in capsys.readouterr().err
+
+
+def test_cli_simulate_negative_seed_exits_2(capsys):
+    assert cli.main(["simulate", "--model", TWO_TEMP, "--steps", "5",
+                     "--traj", "4", "--seed", "-1"]) == 2
+    assert "error: seed -1 outside [0, 2**128 - n_traj]" in capsys.readouterr().err
+
+
 def test_cli_missing_model_file(capsys):
     assert cli.main(["validate", "--model", "/nope/missing.json"]) == 2
     assert "error" in capsys.readouterr().err
@@ -258,12 +402,13 @@ def test_console_script_entry_point():
 
 
 def test_package_imports_without_scipy():
-    """numpy alone does the numerics: importing the package and its CLI
-    loads no scipy module."""
+    """numpy alone does the numerics and the model-file reader is plain
+    Python: importing the package and its CLI loads no scipy module and no
+    JSON-Schema validator (jsonschema, referencing, attrs)."""
     src = str(Path(cli.__file__).resolve().parent.parent)
     code = ("import sys; sys.path.insert(0, %r); import mris, mris.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))" % src)
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('scipy', 'jsonschema', 'referencing', 'attrs', 'attr')))" % src)
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -22,6 +22,18 @@ def test_trajectory_config_validation():
         TrajectoryConfig(n_steps=1, n_traj=1, seed=0, initial="blah")
 
 
+def test_seed_must_key_every_trajectory(canonical):
+    """Trajectory t draws from Philox(key=seed + t), and a key lies in
+    [0, 2**128): the seed range is [0, 2**128 - n_traj]."""
+    top = 2 ** 128 - 4
+    for seed in (-1, top + 1):
+        with pytest.raises(trajectories.TrajectoryError, match="seed"):
+            TrajectoryConfig(n_steps=1, n_traj=4, seed=seed)
+    sample = trajectories.sample_entropy_process(
+        canonical, TrajectoryConfig(n_steps=2, n_traj=4, seed=top))
+    assert np.isfinite(sample.svec).all()
+
+
 def test_simulate_states_matches_one_step_oracle(canonical, rng):
     path = ["hot", "cold", "cold", "hot"]
     rho0 = random_density(rng, 2)
