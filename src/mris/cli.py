@@ -5,6 +5,10 @@ line per verdict, optionally writes a JSON report (plus CSV / plot script
 where the output is tabular), and exits 0 exactly when all verdicts passed.
 Outputs are deterministic: rerunning a command byte-identically reproduces
 its files.
+
+Each subcommand imports the analysis module it runs (``trajectories``,
+``fluctuations`` or ``adiabatic``) in its handler, so a process loads only
+what its subcommand needs.
 """
 
 import argparse
@@ -13,14 +17,19 @@ import sys
 
 import numpy as np
 
-from . import adiabatic, extended, fluctuations, models, output, trajectories
+from . import extended, models, output
 from .chains import ChainError, classify_chain, stationary_vector
 from .modelfile import ModelFileError, load_model, read_matrix, read_tolerances
 from .quantum import choi_verify
-from .tolerances import DEFAULT
+
+# typed errors of the analysis modules that the handlers import
+_ANALYSIS_ERRORS = (("fluctuations", "FluctuationError"),
+                    ("adiabatic", "AdiabaticError"),
+                    ("trajectories", "TrajectoryError"),
+                    ("trajectories", "NumericalCorruption"))
 
 
-def _parse_tol(pairs):
+def _parse_tol(pairs) -> dict:
     """--tol NAME=VALUE overrides, read by the rule of a model file's
     "tolerances" object: known names, finite values > 0.  A bad pair is a
     usage error (exit 2)."""
@@ -32,14 +41,15 @@ def _parse_tol(pairs):
         except ValueError:
             overrides[name] = value
     try:
-        return DEFAULT.replace(**read_tolerances(overrides, "--tol"))
+        return read_tolerances(overrides, "--tol")
     except ModelFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2) from exc
 
 
 def _load(args):
-    return load_model(args.model, tol=_parse_tol(args.tol))
+    """The model, with DEFAULT tolerances, then the file's, then --tol."""
+    return load_model(args.model, overrides=_parse_tol(args.tol))
 
 
 def _emit(report: output.RunReport, args):
@@ -152,6 +162,8 @@ def cmd_ess(args):
 
 
 def cmd_simulate(args):
+    from . import trajectories
+
     model = _load(args)
     cfg = trajectories.TrajectoryConfig(
         n_steps=args.steps, n_traj=args.traj, seed=args.seed,
@@ -187,6 +199,8 @@ def cmd_simulate(args):
 
 
 def cmd_cumulant(args):
+    from . import fluctuations
+
     model = _load(args)
     gc = fluctuations.gc_symmetry_report(model)
     e0 = fluctuations.e_of_alpha(model, np.zeros(model.chain.n))
@@ -220,6 +234,8 @@ def cmd_cumulant(args):
 
 
 def cmd_ratefn(args):
+    from . import fluctuations
+
     model = _load(args)
     ones = np.ones(model.chain.n)
     a_grid = np.linspace(-args.alpha_range, args.alpha_range, args.points)
@@ -254,6 +270,8 @@ def cmd_ratefn(args):
 
 
 def cmd_linresp(args):
+    from . import fluctuations
+
     model = _load(args)
     kin = fluctuations.kinetic_coefficients(model, zeta_step=args.zeta_step)
     cov = fluctuations.clt_covariance(model)
@@ -302,6 +320,8 @@ def cmd_linresp(args):
 
 
 def cmd_adiabatic(args):
+    from . import adiabatic
+
     model = _load(args)
     p_end = _matrix_arg(args.p_end, model.chain.n)
     sched = adiabatic.AdiabaticSchedule(p_start=model.chain.P, p_end=p_end,
@@ -432,17 +452,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _typed_errors() -> tuple:
+    """The failures that exit 2: a named cause, not a crash.  Only an
+    analysis module already imported can have raised its errors, so none is
+    imported here."""
+    loaded = tuple(getattr(sys.modules[f"mris.{module}"], name)
+                   for module, name in _ANALYSIS_ERRORS
+                   if f"mris.{module}" in sys.modules)
+    return (ModelFileError, OSError, models.ModelError, extended.GeneratorError,
+            ChainError) + loaded
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ModelFileError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (models.ModelError, fluctuations.FluctuationError,
-            adiabatic.AdiabaticError, trajectories.TrajectoryError,
-            trajectories.NumericalCorruption, extended.GeneratorError,
-            ChainError) as exc:
+    except _typed_errors() as exc:      # evaluated once the handler has failed
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import extended, models, trajectories
-from .models import MrisModel
+from . import extended, models
+from .models import MrisModel, _outcome_tables
 
 
 class FluctuationError(RuntimeError):
@@ -93,7 +93,7 @@ def _perron(model: MrisModel, alpha) -> _Perron:
     B = lam - M + r r^H is invertible, l^H = r^H B^{-1} is the left vector
     already normalized to <l, r> = 1, and q = (1 - r l^H) B^{-1} (1 - r l^H)."""
     alpha = np.asarray(alpha, dtype=float)
-    superops, _, deltas, _ = trajectories._outcome_tables(model)
+    superops, _, deltas, _ = _outcome_tables(model)
     m, n = model.chain.n, model.chain.n * superops.shape[-1]
     # the k-th alpha_v-derivative of exp(-alpha_v delta) is (-delta)^k times
     # it; padded outcomes have zero superoperators and drop out

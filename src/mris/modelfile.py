@@ -112,11 +112,14 @@ def _probe(x, path: str, d: int) -> ProbeSpec:
                      coupling=read_matrix(spec["V"], f"{path}.V", d * len(h_env)))
 
 
-def parse_model_dict(doc: dict, tol: Tolerances = None) -> MrisModel:
+def parse_model_dict(doc: dict, tol: Tolerances = None,
+                     overrides: dict = None) -> MrisModel:
     """Read a parsed JSON document and build the model it describes.
 
-    ``tol``, when given, replaces the document's tolerances; their values
-    are still checked, their names only when the document's are used.
+    The model's tolerances are DEFAULT, then the document's ``tolerances``,
+    then ``overrides`` (checked values, as ``read_tolerances`` returns them).
+    ``tol``, when given, replaces all three; the document's values are still
+    checked, their names only when they are used.
     """
     _object(doc, "$", ("schema_version", "system", "omega", "probes", "chain",
                        "initial_states"), ("tri", "tolerances"))
@@ -159,10 +162,10 @@ def parse_model_dict(doc: dict, tol: Tolerances = None) -> MrisModel:
             w_env={l: read_matrix(w_env[l], f"$.tri.W_E.{l}", len(probes[l].h_env))
                    for l in labels})
 
-    overrides = read_tolerances(doc.get("tolerances", {}), "$.tolerances",
-                                FIELD_NAMES if tol is None else None)
+    own = read_tolerances(doc.get("tolerances", {}), "$.tolerances",
+                          FIELD_NAMES if tol is None else None)
     if tol is None:
-        tol = DEFAULT.replace(**overrides)
+        tol = DEFAULT.replace(**{**own, **(overrides or {})})
 
     try:
         chain = MarkovChain(labels=labels, pi=pi, P=p_mat)
@@ -171,13 +174,14 @@ def parse_model_dict(doc: dict, tol: Tolerances = None) -> MrisModel:
         raise ModelFileError(str(exc)) from exc
 
 
-def load_model(path: str, tol: Tolerances = None) -> MrisModel:
+def load_model(path: str, tol: Tolerances = None,
+               overrides: dict = None) -> MrisModel:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except ValueError as exc:
             raise ModelFileError(f"{path}: not valid JSON ({exc})") from exc
-    return parse_model_dict(doc, tol=tol)
+    return parse_model_dict(doc, tol=tol, overrides=overrides)
 
 
 # ---------------------------------------------------------------------------

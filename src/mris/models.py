@@ -219,6 +219,11 @@ class MrisModel:
         return extended.initial_extended_state(self.chain, self.rho_init)
 
 
+def _check_shape(a, n: int, what: str):
+    if np.shape(a) != (n, n):
+        raise ModelError(f"{what} has shape {np.shape(a)}, expected {(n, n)}")
+
+
 def build_model(h_sys, chain: MarkovChain, probes: dict, rho_init: dict,
                 tri: TimeReversalData = None, tol: Tolerances = DEFAULT) -> MrisModel:
     """Assemble and validate every derived object of an MRIS model."""
@@ -229,6 +234,14 @@ def build_model(h_sys, chain: MarkovChain, probes: dict, rho_init: dict,
             raise ModelError(f"no probe for chain label {label!r}")
         if label not in rho_init:
             raise ModelError(f"no initial state for chain label {label!r}")
+        _check_shape(rho_init[label], d, f"rho_init[{label!r}]")
+    if tri is not None:
+        _check_shape(tri.w_sys, d, "W_S")
+        for label in chain.labels:
+            if label not in tri.w_env:
+                raise ModelError(f"no W_E for chain label {label!r}")
+            _check_shape(tri.w_env[label], len(probes[label].h_env),
+                         f"W_E[{label!r}]")
 
     model = MrisModel(h_sys=h_sys, chain=chain, probes=dict(probes),
                       rho_init={l: check_density_matrix(rho_init[l], tol, f"rho_init[{l!r}]")
@@ -329,6 +342,25 @@ def entropy_flux_observable(model: MrisModel) -> extended.ExtendedObservable:
 
 def unraveling(model: MrisModel, omega) -> UnravelingEntry:
     return model.unravelings[omega]
+
+
+def _outcome_tables(model: MrisModel):
+    """Per-(label, outcome) tables of the two-time measurement: outcome
+    superoperators (m, n_max, d^2, d^2), probability functionals G.reshape(-1)
+    (m, n_max, d^2), increments (m, n_max) and outcome counts (m,).  Labels
+    with fewer outcomes are zero-padded to the widest label.
+    """
+    entries = [model.unravelings[l] for l in model.labels]
+    n_out = np.array([e.n_outcomes for e in entries])
+    shape = (len(entries), n_out.max(), model.dim_sys ** 2)
+    superops = np.zeros(shape + shape[-1:], dtype=complex)
+    prob_funcs = np.zeros(shape, dtype=complex)
+    deltas = np.zeros(shape[:2])
+    for w, e in enumerate(entries):
+        superops[w, :e.n_outcomes] = e._superops
+        prob_funcs[w, :e.n_outcomes] = e.prob_ops.reshape(e.n_outcomes, -1)
+        deltas[w, :e.n_outcomes] = e.deltas
+    return superops, prob_funcs, deltas, n_out
 
 
 # ---------------------------------------------------------------------------

@@ -25,14 +25,13 @@ trajectories are batched or split across threads.
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import extended
 from .chains import outcome_stream, path_stream
-from .models import MrisModel
+from .models import MrisModel, _outcome_tables
 from .quantum import unvec, vec
 
 ENUMERATION_GUARD = 10_000_000
@@ -106,25 +105,6 @@ def _stationary_decomposition(model: MrisModel) -> extended.EssDecomposition:
         model.caches["ess_decomposition"] = extended.ess_decompose(
             model.generator, r_plus, model.tol)
     return model.caches["ess_decomposition"]
-
-
-def _outcome_tables(model: MrisModel):
-    """Per-(label, outcome) tables of the two-time measurement: outcome
-    superoperators (m, n_max, d^2, d^2), probability functionals G.reshape(-1)
-    (m, n_max, d^2), increments (m, n_max) and outcome counts (m,).  Labels
-    with fewer outcomes are zero-padded to the widest label.
-    """
-    entries = [model.unravelings[l] for l in model.labels]
-    n_out = np.array([e.n_outcomes for e in entries])
-    shape = (len(entries), n_out.max(), model.dim_sys ** 2)
-    superops = np.zeros(shape + shape[-1:], dtype=complex)
-    prob_funcs = np.zeros(shape, dtype=complex)
-    deltas = np.zeros(shape[:2])
-    for w, e in enumerate(entries):
-        superops[w, :e.n_outcomes] = e._superops
-        prob_funcs[w, :e.n_outcomes] = e.prob_ops.reshape(e.n_outcomes, -1)
-        deltas[w, :e.n_outcomes] = e.deltas
-    return superops, prob_funcs, deltas, n_out
 
 
 def _hermitian_basis(d: int) -> np.ndarray:
@@ -381,6 +361,8 @@ def _run_threaded(run_range, cfg: TrajectoryConfig):
     if cfg.n_threads == 1:
         run_range(0, cfg.n_traj)
         return
+    from concurrent.futures import ThreadPoolExecutor
+
     bounds = np.linspace(0, cfg.n_traj, cfg.n_threads + 1).astype(int)
     with ThreadPoolExecutor(max_workers=cfg.n_threads) as pool:
         futures = [pool.submit(run_range, int(a), int(b))

@@ -120,3 +120,22 @@ def test_outcome_stream_continues_the_path_stream(n):
     for seed in (0, 77, 2 ** 40 + 3):
         want = chains.path_stream(seed).random(2 * n + 5)[n + 1:]
         assert np.array_equal(chains.outcome_stream(seed, n).random(n + 4), want)
+
+
+@pytest.mark.parametrize("key", [0, 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64, 2 ** 64 + 1,
+                                 2 ** 127, 2 ** 128 - 1,
+                                 0x0123456789ABCDEF_FEDCBA9876543210])
+def test_streams_are_philox_keyed_by_the_seed(key):
+    """The streams skip Philox's entropy gathering and keep its draws: the
+    key's two 64-bit words must land in the right order."""
+    want = np.random.Generator(np.random.Philox(key=key)).random(16)
+    assert np.array_equal(chains.path_stream(key).random(16), want)
+    assert np.array_equal(chains.outcome_stream(key, 6).random(9), want[7:])
+
+
+@pytest.mark.parametrize("key", [-1, 2 ** 128])
+def test_streams_reject_keys_philox_rejects(key):
+    with pytest.raises(ValueError, match=r"less than 2\*\*128"):
+        chains.path_stream(key)
+    with pytest.raises(ValueError, match=r"less than 2\*\*128"):
+        chains.outcome_stream(key, 3)

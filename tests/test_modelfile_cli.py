@@ -191,6 +191,26 @@ def test_tolerance_names_are_checked_when_the_file_sets_them(tmp_path):
     assert modelfile.load_model(file, tol=DEFAULT).tol == DEFAULT
 
 
+def test_file_tolerances_apply_through_the_cli_under_tol(tmp_path, capsys):
+    """DEFAULT, then the file's tolerances, then --tol."""
+    file = _dump(tmp_path, _set("tolerances", {"peripheral": 0.5})(_base_dict()))
+    assert cli.main(["ess", "--model", file]) == 2
+    assert "error: eigenvalue 1 has multiplicity 2" in capsys.readouterr().err
+    assert cli.main(["ess", "--model", TWO_TEMP, "--tol", "peripheral=0.5"]) == 2
+    capsys.readouterr()
+    assert cli.main(["ess", "--model", file, "--tol", "peripheral=1e-8"]) == 0
+
+
+def test_cli_checks_the_file_tolerance_names(tmp_path, capsys):
+    file = _dump(tmp_path, _set("tolerances", {"gaps": 1e-3})(_base_dict()))
+    assert cli.main(["classify", "--model", file]) == 2
+    assert cli.main(["classify", "--model", file, "--tol", "gap=1e-3"]) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 2
+    assert all(e.startswith("error: $.tolerances: ") and "gaps" in e
+               for e in errors)
+
+
 def test_integral_floats_and_scalar_entries_load_to_the_same_model(tmp_path):
     doc = _base_dict()
     doc["schema_version"] = 1.0
@@ -238,8 +258,7 @@ def test_write_csv_full_precision(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_tolerance_override_parsing():
-    tol = cli._parse_tol(["herm=0.5", "gap=1e-3"])
-    assert tol.herm == 0.5 and tol.gap == 1e-3
+    assert cli._parse_tol(["herm=0.5", "gap=1e-3"]) == {"herm": 0.5, "gap": 1e-3}
     for bad in ("nonsense=1", "herm=abc", "herm", "tp=nan", "gap=inf", "gap=0",
                 "psd=-1e-9"):
         with pytest.raises(SystemExit) as exc:
@@ -401,18 +420,133 @@ def test_console_script_entry_point():
     assert "PASS" in proc.stdout
 
 
-def test_package_imports_without_scipy():
-    """numpy alone does the numerics and the model-file reader is plain
-    Python: importing the package and its CLI loads no scipy module and no
-    JSON-Schema validator (jsonschema, referencing, attrs)."""
+# (arguments, modules it must load, packages it must not load) per process:
+# a bare ``import mris`` loads no submodule ("mris." bans every one), and
+# each subcommand loads only the analysis module it runs.  No process loads
+# scipy or a JSON-Schema validator.
+_NEVER = ("scipy", "jsonschema", "referencing", "attrs", "attr")
+_SAMPLER = ("mris.trajectories", "numpy.random")
+_POOL = ("concurrent.futures",)
+_MODEL_ONLY = _SAMPLER + _POOL + ("mris.fluctuations", "mris.adiabatic")
+FOOTPRINTS = {
+    "import": (None, (), ("mris.",)),
+    "validate": (["--model", TWO_TEMP], (), _MODEL_ONLY),
+    "classify": (["--model", TWO_TEMP], (), _MODEL_ONLY),
+    "ess": (["--model", EQUILIBRIUM], (), _MODEL_ONLY),
+    "simulate": (["--model", TWO_TEMP, "--steps", "20", "--traj", "8"],
+                 _SAMPLER, _POOL + ("mris.fluctuations", "mris.adiabatic")),
+    "cumulant": (["--model", EQUILIBRIUM, "--grid-points", "3"],
+                 ("mris.fluctuations",), _POOL + ("mris.trajectories", "mris.adiabatic")),
+    "ratefn": (["--model", TWO_TEMP, "--points", "3"],
+               ("mris.fluctuations",), _POOL + ("mris.trajectories", "mris.adiabatic")),
+    "linresp": (["--model", EQUILIBRIUM],
+                ("mris.fluctuations",), _POOL + ("mris.trajectories", "mris.adiabatic")),
+    "adiabatic": (["--model", TWO_TEMP, "--p-end", "[[0.2, 0.8], [0.5, 0.5]]",
+                   "--steps", "8,16"],
+                  ("mris.adiabatic",),
+                  _SAMPLER + _POOL + ("mris.fluctuations",)),
+}
+_FOOTPRINT_SCRIPT = """\
+import contextlib, io, sys
+sys.path.insert(0, {src!r})
+import mris
+argv = {argv!r}
+if argv:
+    from mris import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+print(" ".join(sorted(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("case", list(FOOTPRINTS))
+def test_import_footprint(case):
+    """A fresh process that runs one subcommand through cli.main (or only
+    imports the package) loads what it runs and none of what it does not."""
+    args, needed, banned = FOOTPRINTS[case]
+    argv = None if args is None else [case] + args
     src = str(Path(cli.__file__).resolve().parent.parent)
-    code = ("import sys; sys.path.insert(0, %r); import mris, mris.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
-            "('scipy', 'jsonschema', 'referencing', 'attrs', 'attr')))" % src)
-    proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT_SCRIPT.format(src=src, argv=argv)],
+        capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    loaded = set(proc.stdout.split())
+    assert {"mris", *needed} | ({"mris.cli"} if argv else set()) <= loaded
+    hits = sorted(m for m in loaded for b in _NEVER + banned
+                  if m == b or m.startswith(b if b.endswith(".") else b + "."))
+    assert hits == []
+
+
+# the public names of the package, by defining module, as they were when
+# ``mris/__init__.py`` imported every submodule eagerly
+PUBLIC_NAMES = {
+    "adiabatic": "AdiabaticError AdiabaticResult AdiabaticSchedule "
+                 "adiabatic_evolve schedule_generator",
+    "chains": "ChainClassification ChainError MarkovChain classify_chain "
+              "sample_path stationary_vector",
+    "extended": "EssDecomposition ExtendedGenerator ExtendedObservable "
+                "ExtendedState GeneratorClassification GeneratorError "
+                "NotIrreducibleError adjoint_matrix build_generator "
+                "classify_generator deformed_generator ess_decompose evolve "
+                "expectation find_ess initial_extended_state",
+    "fluctuations": "FluctuationError GreenKuboResult KineticMatrix "
+                    "RateFunctionResult SymmetryReport clt_covariance e_of_alpha "
+                    "entropy_rate_function gc_symmetry_report green_kubo "
+                    "kinetic_coefficients rate_function translation_symmetry_report",
+    "modelfile": "ModelFileError load_model model_to_dict parse_model_dict "
+                 "write_model_file",
+    "models": "ModelError MrisModel ProbeSpec TimeReversalData UnravelingEntry "
+              "build_model check_equilibrium check_tri entropy_flux_observable "
+              "flux_extended flux_observable one_step_balance reduced_channel "
+              "temperature_deform unraveling",
+    "quantum": "QuantumChannel QuantumError channel_from_kraus choi_matrix "
+               "choi_verify entropy_vn interaction_kraus_atoms partial_trace_env "
+               "propagator reduced_map relative_entropy spectral_projections "
+               "tensor thermal_state trace_norm",
+    "tolerances": "DEFAULT Tolerances",
+    "trajectories": "AutocorrResult EntropySample ErgodicEstimate "
+                    "ExactDistribution NumericalCorruption RealBasisError "
+                    "TrajectoryConfig TrajectoryError empirical_cumulant "
+                    "enumerate_full_statistics ergodic_average "
+                    "flux_autocorrelation sample_entropy_process simulate_states",
+}
+
+
+def test_public_names_resolve_lazily_to_their_definitions():
+    import mris
+
+    listed = dir(mris)
+    for module, names in PUBLIC_NAMES.items():
+        source = importlib.import_module(f"mris.{module}")
+        assert getattr(mris, module) is source
+        for name in names.split():
+            assert name in listed
+            assert getattr(mris, name) is getattr(source, name)
+    assert sum(len(n.split()) for n in PUBLIC_NAMES.values()) == len(mris.__all__)
+    for module in ("cli", "fixtures", "output"):
+        assert getattr(mris, module) is importlib.import_module(f"mris.{module}")
+    assert mris.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        mris.no_such_name
+
+
+@pytest.mark.parametrize("argv, cause", [
+    (["linresp", "--model", TWO_TEMP],
+     "error: kinetic coefficients are defined at equilibrium"),
+    (["adiabatic", "--model", TWO_TEMP, "--p-end", "[[0, 1], [1, 0]]"],
+     "error: instantaneous generator at s=1.000 is irreducible_periodic"),
+    (["simulate", "--model", TWO_TEMP, "--steps", "5", "--traj", "4",
+      "--seed", "-1"],
+     "error: seed -1 outside [0, 2**128 - n_traj]"),
+], ids=["FluctuationError", "AdiabaticError", "TrajectoryError"])
+def test_errors_of_handler_imported_modules_exit_2(argv, cause):
+    """The analysis modules are imported by their handlers, after main set
+    up its error handling; their typed errors still exit 2."""
+    proc = subprocess.run([sys.executable, "-m", "mris.cli"] + argv,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(cause)
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.skipif(

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -50,6 +51,36 @@ def test_build_model_rejects_wrong_coupling_shape(canonical):
     with pytest.raises(models.ModelError, match="shape"):
         models.build_model(canonical.h_sys, canonical.chain, probes,
                            canonical.rho_init)
+
+
+def _rebuild(model, rho_init=None, w_sys=None, w_env=None):
+    tri = models.TimeReversalData(
+        model.tri.w_sys if w_sys is None else w_sys,
+        {**model.tri.w_env, **(w_env or {})})
+    return models.build_model(model.h_sys, model.chain, model.probes,
+                              {**model.rho_init, **(rho_init or {})}, tri=tri)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"rho_init": {"cold": [[1.0]]}},
+     "rho_init['cold'] has shape (1, 1), expected (2, 2)"),
+    ({"w_sys": np.eye(3)}, "W_S has shape (3, 3), expected (2, 2)"),
+    ({"w_env": {"hot": [[1.0]]}}, "W_E['hot'] has shape (1, 1), expected (2, 2)"),
+], ids=["rho_init", "W_S", "W_E"])
+def test_build_model_rejects_wrong_state_and_reversal_shapes(canonical, change,
+                                                            message):
+    """Each wrongly sized matrix is named at build time, before numpy fails
+    on it inside a sampler or the time-reversal check."""
+    assert _rebuild(canonical).labels == canonical.labels
+    with pytest.raises(models.ModelError, match=re.escape(message)):
+        _rebuild(canonical, **change)
+
+
+def test_build_model_requires_reversal_data_per_label(canonical):
+    tri = models.TimeReversalData(canonical.tri.w_sys, {"hot": np.eye(2)})
+    with pytest.raises(models.ModelError, match="no W_E for chain label 'cold'"):
+        models.build_model(canonical.h_sys, canonical.chain, canonical.probes,
+                           canonical.rho_init, tri=tri)
 
 
 def test_effectively_singular_probe_is_refused():
