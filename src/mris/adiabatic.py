@@ -80,6 +80,9 @@ def schedule_generator(model: MrisModel, schedule: AdiabaticSchedule,
 # so that memory does not grow with the number of steps.
 _SWEEP_BLOCK = 256
 
+# Points of the uniform grid on which the family is checked for primitivity.
+_PRIMITIVITY_POINTS = 20
+
 
 @dataclass
 class AdiabaticResult:
@@ -96,8 +99,7 @@ class AdiabaticResult:
 
 
 def adiabatic_evolve(model: MrisModel, schedule: AdiabaticSchedule,
-                     n_steps: int, r0: extended.ExtendedState = None,
-                     primitivity_points: int = 20) -> AdiabaticResult:
+                     n_steps: int, r0: extended.ExtendedState = None) -> AdiabaticResult:
     """Run R_k = generator(k / N) R_{k-1} for k = 1..N and track the
     trace-norm error sum_w || R_k(w) - R_+(k/N)(w) ||_1.
 
@@ -128,7 +130,7 @@ def adiabatic_evolve(model: MrisModel, schedule: AdiabaticSchedule,
     def generators(s):
         return extended._generator_stack(schedule.transition_matrix(s), superops)
 
-    grid = np.linspace(0.0, 1.0, primitivity_points)
+    grid = np.linspace(0.0, 1.0, _PRIMITIVITY_POINTS)
     gap_min = np.inf
     for s, spectrum in zip(grid, zip(*extended._eig_stack(generators(grid)))):
         cls = extended._classify_spectrum(*spectrum, tol)
@@ -155,9 +157,7 @@ def adiabatic_evolve(model: MrisModel, schedule: AdiabaticSchedule,
             elif v is None:
                 v = extended.big_vec(ess[0])
             states[k - lo] = v
-        lag = states.reshape(hi - lo, m, d, d).transpose(0, 1, 3, 2) - ess
-        norms = np.linalg.svd(lag, compute_uv=False).sum(axis=2)
-        errors[lo:hi] = sum(norms[:, j] for j in range(m))
+        errors[lo:hi] = extended._trace_norm_lag(extended.big_unvec(states, m, d), ess)
         return v
 
     v = None if r0 is None else extended.big_vec(r0.blocks)

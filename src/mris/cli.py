@@ -13,6 +13,7 @@ what its subcommand needs.
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -369,18 +370,25 @@ def _matrix_arg(text: str, n: int) -> np.ndarray:
     return read_matrix(doc, "--p-end", n, real=True)
 
 
-def _step_counts(text: str) -> list:
-    """--steps: comma-separated positive integers, at least two distinct (the
-    verdict compares the tracking error between counts)."""
-    try:
-        steps = sorted({int(s) for s in text.split(",")})
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}") from None
-    if len(steps) < 2 or steps[0] < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected at least two distinct positive step counts, got {text!r}")
-    return steps
+def _checked(convert, ok, expected: str):
+    """Argument type: convert(text) if that succeeds and ok() accepts the
+    value; otherwise a usage error (exit 2) naming the option."""
+    def parse(text: str):
+        try:
+            if ok(value := convert(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return parse
+
+
+_count = _checked(int, lambda n: n >= 1, "an integer >= 1")
+_positive = _checked(float, lambda x: math.isfinite(x) and x > 0, "a finite number > 0")
+# adiabatic --steps: the verdict compares the tracking error between counts
+_step_counts = _checked(lambda text: sorted({int(s) for s in text.split(",")}),
+                        lambda steps: len(steps) >= 2 and steps[0] >= 1,
+                        "at least two distinct positive comma-separated step counts")
 
 
 # ---------------------------------------------------------------------------
@@ -414,30 +422,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="sample the entropy-exchange process")
     common(p)
-    p.add_argument("--steps", type=int, default=1000)
-    p.add_argument("--traj", type=int, default=200)
+    p.add_argument("--steps", type=_count, default=1000)
+    p.add_argument("--traj", type=_checked(int, lambda n: n >= 2, "an integer >= 2"),
+                   default=200, help="at least 2: the verdict needs a standard error")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--chunk", type=int, default=512)
+    p.add_argument("--threads", type=_count, default=1)
+    p.add_argument("--chunk", type=_count, default=512)
     p.add_argument("--stationary", action="store_true",
                    help="start trajectories in the steady ensemble")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("cumulant", help="cumulant function and its symmetry")
     common(p)
-    p.add_argument("--grid-points", type=int, default=61)
+    p.add_argument("--grid-points", type=_count, default=61)
     p.set_defaults(func=cmd_cumulant)
 
     p = sub.add_parser("ratefn", help="entropy-exchange rate function")
     common(p)
-    p.add_argument("--points", type=int, default=21)
-    p.add_argument("--alpha-range", type=float, default=0.45,
+    p.add_argument("--points", type=_count, default=21)
+    p.add_argument("--alpha-range", type=_positive, default=0.45,
                    help="half-width of the tilt grid generating the s values")
     p.set_defaults(func=cmd_ratefn)
 
     p = sub.add_parser("linresp", help="kinetic coefficients at equilibrium")
     common(p)
-    p.add_argument("--zeta-step", type=float, default=1e-3)
+    p.add_argument("--zeta-step", type=_positive, default=1e-3)
     p.set_defaults(func=cmd_linresp)
 
     p = sub.add_parser("adiabatic", help="slow chain driving and tracking error")

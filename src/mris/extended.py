@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import MarkovChain
-from .quantum import QuantumChannel, QuantumError, trace_norm, unvec
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -38,24 +37,22 @@ class NotIrreducibleError(GeneratorError):
 # block families
 # ---------------------------------------------------------------------------
 
-def _coerce_blocks(labels, blocks):
-    labels = tuple(labels)
-    if isinstance(blocks, dict):
-        arr = np.stack([np.asarray(blocks[l], dtype=complex) for l in labels])
-    else:
-        arr = np.asarray(blocks, dtype=complex)
-    if arr.ndim != 3 or arr.shape[0] != len(labels) or arr.shape[1] != arr.shape[2]:
-        raise GeneratorError(f"blocks have shape {arr.shape}, expected ({len(labels)}, d, d)")
-    return labels, arr
-
-
 @dataclass
-class ExtendedState:
+class _BlockFamily:
+    """d x d blocks, one per chain label: extended states and observables."""
     labels: tuple
     blocks: np.ndarray   # shape (m, d, d)
 
     def __post_init__(self):
-        self.labels, self.blocks = _coerce_blocks(self.labels, self.blocks)
+        self.labels = tuple(self.labels)
+        if isinstance(self.blocks, dict):
+            arr = np.stack([np.asarray(self.blocks[l], dtype=complex) for l in self.labels])
+        else:
+            arr = np.asarray(self.blocks, dtype=complex)
+        if arr.ndim != 3 or arr.shape[0] != len(self.labels) or arr.shape[1] != arr.shape[2]:
+            raise GeneratorError(
+                f"blocks have shape {arr.shape}, expected ({len(self.labels)}, d, d)")
+        self.blocks = arr
 
     @property
     def dim(self):
@@ -63,6 +60,18 @@ class ExtendedState:
 
     def block(self, label):
         return self.blocks[self.labels.index(label)]
+
+    def check(self, tol: Tolerances = DEFAULT):
+        herm = np.abs(self.blocks - self.blocks.conj().transpose(0, 2, 1)).max()
+        if herm > tol.herm:
+            # _what, a class attribute of each family, names its blocks
+            raise GeneratorError(f"{self._what} not Hermitian ({herm:.3e})")
+        return self
+
+
+@dataclass
+class ExtendedState(_BlockFamily):
+    _what = "extended state block"
 
     def total_trace(self) -> float:
         return float(np.trace(self.blocks, axis1=1, axis2=2).sum().real)
@@ -72,9 +81,7 @@ class ExtendedState:
         return np.trace(self.blocks, axis1=1, axis2=2).real
 
     def check(self, tol: Tolerances = DEFAULT):
-        herm = np.abs(self.blocks - self.blocks.conj().transpose(0, 2, 1)).max()
-        if herm > tol.herm:
-            raise GeneratorError(f"extended state block not Hermitian ({herm:.3e})")
+        super().check(tol)
         for k in range(self.blocks.shape[0]):
             w = np.linalg.eigvalsh((self.blocks[k] + self.blocks[k].conj().T) / 2)
             if w.min() < -tol.psd:
@@ -86,25 +93,8 @@ class ExtendedState:
 
 
 @dataclass
-class ExtendedObservable:
-    labels: tuple
-    blocks: np.ndarray
-
-    def __post_init__(self):
-        self.labels, self.blocks = _coerce_blocks(self.labels, self.blocks)
-
-    @property
-    def dim(self):
-        return self.blocks.shape[1]
-
-    def block(self, label):
-        return self.blocks[self.labels.index(label)]
-
-    def check(self, tol: Tolerances = DEFAULT):
-        herm = np.abs(self.blocks - self.blocks.conj().transpose(0, 2, 1)).max()
-        if herm > tol.herm:
-            raise GeneratorError(f"observable block not Hermitian ({herm:.3e})")
-        return self
+class ExtendedObservable(_BlockFamily):
+    _what = "observable block"
 
 
 def identity_observable(labels, d: int) -> ExtendedObservable:
@@ -113,13 +103,30 @@ def identity_observable(labels, d: int) -> ExtendedObservable:
 
 
 def big_vec(blocks: np.ndarray) -> np.ndarray:
-    """Stack the column-vectorizations of the blocks into one long vector."""
-    m, d, _ = blocks.shape
-    return blocks.transpose(0, 2, 1).reshape(m * d * d)
+    """Stack the column-vectorizations of the blocks (..., m, d, d) into one
+    long vector (..., m d^2); leading axes index a stack of families."""
+    *lead, m, d, _ = blocks.shape
+    return blocks.swapaxes(-1, -2).reshape(*lead, m * d * d)
 
 
 def big_unvec(v: np.ndarray, m: int, d: int) -> np.ndarray:
-    return np.asarray(v, dtype=complex).reshape(m, d, d).transpose(0, 2, 1)
+    """The blocks (..., m, d, d) of stacked vectors (..., m d^2); the
+    inverse of big_vec."""
+    v = np.asarray(v, dtype=complex)
+    return v.reshape(*v.shape[:-1], m, d, d).swapaxes(-1, -2)
+
+
+def _trace_norm_lag(a: np.ndarray, b: np.ndarray):
+    """sum_w ||a(w) - b(w)||_1 for block families (..., m, d, d): one batched
+    svd, summed label by label like quantum.trace_norm over the blocks."""
+    norms = np.linalg.svd(a - b, compute_uv=False).sum(axis=-1)
+    return sum(norms[..., w] for w in range(norms.shape[-1]))
+
+
+def _lift(P: np.ndarray, weights, states) -> np.ndarray:
+    """The blocks sum_v weights[v] P[v, w] states[v] for every label w,
+    accumulated in label order v."""
+    return sum((weights[v] * P[v])[:, None, None] * s for v, s in enumerate(states))
 
 
 def expectation(r, x) -> float:
@@ -196,15 +203,17 @@ def _eig_stack(mats: np.ndarray):
 
 
 def _generator_stack(P: np.ndarray, superops) -> np.ndarray:
-    """Generator matrices for a stack of transition matrices P (K, m, m):
-    block (w, v) of the k-th matrix is P[k, v, w] * S_v, and exactly zero
-    where P[k, v, w] is."""
+    """Generator matrices for a stack of transition matrices P (K, m, m) and
+    one superoperator family S (m, d^2, d^2) or a stack of them
+    (K, m, d^2, d^2): block (w, v) of the k-th matrix is P[k, v, w] * S[k]_v,
+    and exactly zero where P[k, v, w] is.  Either stack may have K = 1."""
     superops = np.asarray(superops, dtype=complex)
-    K, m, _ = P.shape
-    dd = superops.shape[1]
+    if superops.ndim == 4:
+        superops = superops[:, None]
+    m, dd = P.shape[-1], superops.shape[-1]
     p = P.transpose(0, 2, 1)[..., None, None]
     blocks = np.where(p != 0.0, p * superops, 0.0)
-    return blocks.transpose(0, 1, 3, 2, 4).reshape(K, m * dd, m * dd)
+    return blocks.transpose(0, 1, 3, 2, 4).reshape(-1, m * dd, m * dd)
 
 
 def generator_matrix(chain: MarkovChain, superops) -> np.ndarray:
@@ -229,13 +238,8 @@ def build_generator(chain: MarkovChain, channels: dict, tol: Tolerances = DEFAUL
 
 def initial_extended_state(chain: MarkovChain, rho_init: dict) -> ExtendedState:
     """R0(w) = sum_v pi_v P[v, w] rho_v."""
-    labels = chain.labels
-    d = np.asarray(rho_init[labels[0]]).shape[0]
-    blocks = np.zeros((chain.n, d, d), dtype=complex)
-    for w in range(chain.n):
-        for v in range(chain.n):
-            blocks[w] += chain.pi[v] * chain.P[v, w] * np.asarray(rho_init[labels[v]], dtype=complex)
-    return ExtendedState(tuple(labels), blocks)
+    states = [np.asarray(rho_init[l], dtype=complex) for l in chain.labels]
+    return ExtendedState(tuple(chain.labels), _lift(chain.P, chain.pi, states))
 
 
 def evolve(g: ExtendedGenerator, r: ExtendedState, n: int) -> ExtendedState:
@@ -286,8 +290,7 @@ def _ess_stack(w: np.ndarray, vr: np.ndarray, labels, d: int,
     counts = ones.sum(axis=1)
     if (counts != 1).any():
         raise NotIrreducibleError(int(counts[counts != 1][0]))
-    v = vr[np.arange(K), :, ones.argmax(axis=1)]
-    blocks = v.reshape(K, m, d, d).transpose(0, 1, 3, 2)
+    blocks = big_unvec(vr[np.arange(K), :, ones.argmax(axis=1)], m, d)
     # phase-fix and set total trace 1, in Python complex arithmetic: numpy's
     # vectorised complex division differs in the last bit
     scale = np.empty(K, dtype=complex)
@@ -320,10 +323,7 @@ def find_ess(g: ExtendedGenerator, tol: Tolerances = DEFAULT):
     """
     w, _vl, vr = g.eig()
     state = ExtendedState(g.labels, _ess_stack(w[None], vr[None], g.labels, g.dim, tol)[0])
-    image = big_unvec(g.matrix @ big_vec(state.blocks), g.n_labels, g.dim)
-    residual = float(sum(trace_norm(image[k] - state.blocks[k])
-                         for k in range(g.n_labels)))
-    return state, residual
+    return state, float(_trace_norm_lag(g.apply(state).blocks, state.blocks))
 
 
 @dataclass
@@ -334,14 +334,8 @@ class EssDecomposition:
 
     def reconstruction_residual(self, g: ExtendedGenerator, r_plus: ExtendedState) -> float:
         """max_w | sum_v P[v,w] pi_v rho_v - R_+(w) | (elementwise)."""
-        m, d = g.n_labels, g.dim
-        resid = 0.0
-        for w in range(m):
-            acc = np.zeros((d, d), dtype=complex)
-            for v in range(m):
-                acc += g.chain.P[v, w] * self.pi_plus[v] * self.rho_plus[g.labels[v]]
-            resid = max(resid, float(np.abs(acc - r_plus.blocks[w]).max()))
-        return resid
+        lifted = _lift(g.chain.P, self.pi_plus, [self.rho_plus[l] for l in g.labels])
+        return float(np.abs(lifted - r_plus.blocks).max())
 
 
 def ess_decompose(g: ExtendedGenerator, r_plus: ExtendedState, tol: Tolerances = DEFAULT) -> EssDecomposition:

@@ -99,11 +99,15 @@ def _perron(model: MrisModel, alpha) -> _Perron:
     # it; padded outcomes have zero superoperators and drop out
     tilt = (-deltas) ** np.arange(3)[:, None, None] * np.exp(-alpha[:, None] * deltas)
     blocks = np.einsum("kvx,vxij->kvij", tilt, superops)
-    # cols[k, v]: the block column v of M (k = 0) and its first and second
-    # derivatives in alpha_v; block (w, v) of M is P[v, w] S_v(alpha_v)
-    cols = np.einsum("vw,kvij,vu->kvwiuj", model.chain.P, blocks,
-                     np.eye(m)).reshape(3, m, n, n)
-    gen = cols[0].sum(axis=0)
+    # M and, as cols[k - 1, v], d^k M / d alpha_v^k: the generators of the
+    # family S(alpha) and of the 2m families whose one nonzero superoperator
+    # is the k-th derivative of S_v
+    families = np.zeros((1 + 2 * m,) + blocks.shape[1:], dtype=complex)
+    families[0] = blocks[0]
+    derivs = families[1:].reshape(2, m, *blocks.shape[1:])    # a view
+    derivs[:, range(m), range(m)] = blocks[1:]
+    mats = extended._generator_stack(model.chain.P[None], families)
+    gen, cols = mats[0], mats[1:].reshape(2, m, n, n)
 
     w, vr = np.linalg.eig(gen)
     i = _perron_index(w, alpha)
@@ -114,8 +118,8 @@ def _perron(model: MrisModel, alpha) -> _Perron:
     l = (r.conj() @ b_inv).conj()
     proj = eye - np.outer(r, l.conj())
     return _Perron(lam=lam, matrix=gen, r=r, l=l, q=proj @ b_inv @ proj,
-                   dm_r=(cols[1] @ r).T, l_dm=l.conj() @ cols[1],
-                   l_d2m_r=l.conj() @ cols[2] @ r)
+                   dm_r=(cols[0] @ r).T, l_dm=l.conj() @ cols[0],
+                   l_d2m_r=l.conj() @ cols[1] @ r)
 
 
 def _grad_e(model, alpha) -> np.ndarray:
@@ -140,6 +144,15 @@ class SymmetryReport:
     threshold: float
 
 
+def _symmetry_report(cases, threshold: float) -> SymmetryReport:
+    """The report over (head, e, transformed e) cases: each entry is
+    (*head, transformed e, residual |e - transformed e|)."""
+    entries = [(*head, vb, abs(va - vb)) for head, va, vb in cases]
+    worst = max([0.0] + [entry[-1] for entry in entries])
+    return SymmetryReport(entries=entries, max_residual=worst,
+                          holds=worst <= threshold, threshold=threshold)
+
+
 def _default_alpha_grid(m: int) -> list:
     grid = [lvl * np.ones(m) for lvl in (0.0, 0.25, 0.5, 0.75, 1.0)]
     rng = np.random.default_rng(20240817)
@@ -154,20 +167,16 @@ def gc_symmetry_report(model: MrisModel, alpha_grid=None,
     The symmetry holds exactly for time-reversal invariant models; a maximum
     residual above the threshold certifies its breakdown.
     """
-    m = model.chain.n
     if alpha_grid is None:
-        alpha_grid = _default_alpha_grid(m)
-    entries = []
-    worst = 0.0
-    for a in alpha_grid:
-        a = np.asarray(a, dtype=float)
-        va = e_of_alpha(model, a)
-        vb = e_of_alpha(model, 1.0 - a)
-        r = abs(va - vb)
-        entries.append((a, va, vb, r))
-        worst = max(worst, r)
-    return SymmetryReport(entries=entries, max_residual=worst,
-                          holds=worst <= threshold, threshold=threshold)
+        alpha_grid = _default_alpha_grid(model.chain.n)
+
+    def cases():
+        for a in alpha_grid:
+            a = np.asarray(a, dtype=float)
+            va = e_of_alpha(model, a)
+            yield (a, va), va, e_of_alpha(model, 1.0 - a)
+
+    return _symmetry_report(cases(), threshold)
 
 
 def translation_symmetry_report(model: MrisModel, alphas=None, gammas=None,
@@ -186,18 +195,15 @@ def translation_symmetry_report(model: MrisModel, alphas=None, gammas=None,
             [rng.uniform(-0.5, 1.0, size=m) for _ in range(2)]
     if gammas is None:
         gammas = (0.25, -0.4, 0.9, 1.7)
-    entries = []
-    worst = 0.0
-    for a in alphas:
-        a = np.asarray(a, dtype=float)
-        va = e_of_alpha(model, a)
-        for gam in gammas:
-            vb = e_of_alpha(model, a + gam * beta_inv)
-            r = abs(va - vb)
-            entries.append((a, gam, vb, r))
-            worst = max(worst, r)
-    return SymmetryReport(entries=entries, max_residual=worst,
-                          holds=worst <= threshold, threshold=threshold)
+
+    def cases():
+        for a in alphas:
+            a = np.asarray(a, dtype=float)
+            va = e_of_alpha(model, a)
+            for gam in gammas:
+                yield (a, gam), va, e_of_alpha(model, a + gam * beta_inv)
+
+    return _symmetry_report(cases(), threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +355,8 @@ def kinetic_coefficients(model: MrisModel, zeta_step: float = 1e-3) -> KineticMa
     the exact Hess e(0) / (2 beta_bar^2).  The two are returned together
     with their maximum entrywise discrepancy.
     """
+    if not (math.isfinite(zeta_step) and zeta_step > 0):
+        raise FluctuationError(f"zeta_step must be finite and > 0, got {zeta_step}")
     eq = models.check_equilibrium(model)
     if not eq["is_equilibrium"]:
         raise FluctuationError(

@@ -15,10 +15,10 @@ import numpy as np
 
 from . import extended
 from .chains import MarkovChain
-from .quantum import (QuantumChannel, check_density_matrix, check_hermitian,
-                      choi_verify, entropy_vn, interaction_kraus_atoms,
-                      partial_trace_env, propagator, reduced_map,
-                      relative_entropy, superop_from_kraus, tensor,
+from .quantum import (QuantumChannel, _cluster_spectrum, check_density_matrix,
+                      check_hermitian, choi_verify, entropy_vn,
+                      interaction_kraus_atoms, partial_trace_env, propagator,
+                      reduced_map, relative_entropy, superop_from_kraus, tensor,
                       thermal_state)
 from .tolerances import DEFAULT, Tolerances
 
@@ -133,19 +133,9 @@ def _build_unraveling(label, u, rho_env, h_env, beta, free_energy, d_sys,
                 f"(residual {kms_residual:.3e}); probe state is not thermal for h_env")
 
     # cluster the entropy spectrum (ascending) to width degeneracy_tol
-    order = np.argsort(varsigma_raw)
-    clusters = [[order[0]]]
-    for idx in order[1:]:
-        if varsigma_raw[idx] - varsigma_raw[clusters[-1][-1]] <= tol.degeneracy:
-            clusters[-1].append(idx)
-        else:
-            clusters.append([idx])
-    varsigma = np.array([varsigma_raw[c].mean() for c in clusters])
-    projections = [phi[:, c] @ phi[:, c].conj().T for c in clusters]
-    cluster_of = np.empty(len(p_env), dtype=int)
-    for ci, c in enumerate(clusters):
-        for i in c:
-            cluster_of[i] = ci
+    varsigma, projections, clusters = _cluster_spectrum(
+        varsigma_raw, phi, np.argsort(varsigma_raw), tol.degeneracy)
+    cluster_of = {i: ci for ci, c in enumerate(clusters) for i in c}
 
     atoms, _ = interaction_kraus_atoms(u, rho_env, d_sys, floor=tol.prob_floor)
     grouped = {}
@@ -304,19 +294,6 @@ def _flux_matrix(u, h_env, rho_env, d_sys) -> np.ndarray:
     return j
 
 
-def _entropy_flux_matrix(u, s_env, rho_env, d_sys) -> np.ndarray:
-    """J_S = tr_env( U* [1 (x) S_env, U] (1 (x) rho_env) ); note the reversed
-    commutator relative to the energy flux.  <rho, J_S> is the entropy dumped
-    into the reservoir in one step."""
-    d_env = s_env.shape[0]
-    s_tilde = tensor(np.eye(d_sys), s_env)
-    rho_tilde = tensor(np.eye(d_sys), rho_env)
-    j = partial_trace_env(u.conj().T @ (s_tilde @ u - u @ s_tilde) @ rho_tilde,
-                          d_sys, d_env)
-    j = (j + j.conj().T) / 2
-    return j
-
-
 def flux_observable(model: MrisModel, omega) -> np.ndarray:
     """Energy-flux observable J(omega) on the system."""
     return model.flux[omega]
@@ -331,11 +308,13 @@ def flux_extended(model: MrisModel, nu) -> extended.ExtendedObservable:
 
 
 def entropy_flux_observable(model: MrisModel) -> extended.ExtendedObservable:
-    """Blockwise entropy-flux observable J_S; for thermal probes each block
-    equals -beta_w J(w) (checked in the tests, not assumed here)."""
+    """Blockwise entropy-flux observable J_S = -(the flux formula with S_env
+    for H_env); <rho, J_S> is the entropy dumped into the reservoir in one
+    step.  For thermal probes each block equals -beta_w J(w) (checked in the
+    tests, not assumed here).  0 - J, unlike -J, keeps exact zeros positive."""
     blocks = np.stack([
-        _entropy_flux_matrix(model.u[l], model.unravelings[l].s_env,
-                             model.rho_env[l], model.dim_sys)
+        0.0 - _flux_matrix(model.u[l], model.unravelings[l].s_env,
+                           model.rho_env[l], model.dim_sys)
         for l in model.labels])
     return extended.ExtendedObservable(model.labels, blocks)
 

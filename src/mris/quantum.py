@@ -178,11 +178,11 @@ class QuantumChannel:
         return float(np.abs(acc - np.eye(self.dim)).max())
 
 
-def channel_from_kraus(kraus, tol: Tolerances = DEFAULT, require_tp: bool = True) -> QuantumChannel:
+def channel_from_kraus(kraus, tol: Tolerances = DEFAULT) -> QuantumChannel:
     ks = [as_matrix(k) for k in kraus]
     d = ks[0].shape[0]
     ch = QuantumChannel(dim=d, kraus=ks)
-    if require_tp and ch.tp_residual() > tol.tp:
+    if ch.tp_residual() > tol.tp:
         raise QuantumError(f"Kraus family is not trace preserving (residual {ch.tp_residual():.3e})")
     # cached superoperator must agree with the Kraus action on matrix units
     for i in range(d):
@@ -282,21 +282,29 @@ class SpectralDecomposition:
             raise QuantumError("spectral projections do not sum to the identity")
 
 
-def spectral_projections(h, degeneracy_tol: float = None, tol: Tolerances = DEFAULT) -> SpectralDecomposition:
-    """Eigenvalues of a Hermitian operator clustered to width degeneracy_tol,
-    with the orthogonal projection onto each cluster's eigenspace."""
-    if degeneracy_tol is None:
-        degeneracy_tol = tol.degeneracy
-    hmat = check_hermitian(h, tol.herm)
-    w, v = np.linalg.eigh(hmat)
-    clusters = [[0]]
-    for idx in range(1, len(w)):
-        if w[idx] - w[clusters[-1][-1]] <= degeneracy_tol:
+def _cluster_spectrum(w, v, order, width: float):
+    """Chain-link clusters of eigenvalues w (eigenvectors v as columns),
+    visited in the ascending ``order``: a value joins the current cluster when
+    within ``width`` of its last member.  Returns per cluster the mean
+    value, the projection onto its eigenspace and its indices into w."""
+    clusters = [[order[0]]]
+    for idx in order[1:]:
+        if w[idx] - w[clusters[-1][-1]] <= width:
             clusters[-1].append(idx)
         else:
             clusters.append([idx])
     values = np.array([w[c].mean() for c in clusters])
     projections = [v[:, c] @ v[:, c].conj().T for c in clusters]
+    return values, projections, clusters
+
+
+def spectral_projections(h, degeneracy_tol: float = None, tol: Tolerances = DEFAULT) -> SpectralDecomposition:
+    """Eigenvalues of a Hermitian operator clustered to width degeneracy_tol,
+    with the orthogonal projection onto each cluster's eigenspace."""
+    if degeneracy_tol is None:
+        degeneracy_tol = tol.degeneracy
+    w, v = np.linalg.eigh(check_hermitian(h, tol.herm))
+    values, projections, clusters = _cluster_spectrum(w, v, range(len(w)), degeneracy_tol)
     dec = SpectralDecomposition(values, projections, degeneracy_tol, members=clusters)
     dec.check(tol)
     return dec

@@ -563,9 +563,6 @@ def _autocorr_analytic(model: MrisModel, omega, nu, max_lag) -> AutocorrResult:
         core = unvec(d1[mu] @ vec(state_blocks[mu]), d)
         return np.stack([p_mat[mu, wp] * core for wp in range(model.chain.n)])
 
-    def total_trace(blocks):
-        return float(np.trace(blocks.sum(axis=0)).real)
-
     mean = {mu: float(np.trace(unvec(d1[mu] @ vec(r_plus.blocks[mu]), d)).real)
             for mu in (iw, iv)}
 

@@ -251,3 +251,23 @@ def test_zero_chain_entries_give_exactly_zero_blocks():
         block = mat[v * 4:(v + 1) * 4, v * 4:(v + 1) * 4]
         assert not block.any()
         assert not np.signbit(block.real).any() and not np.signbit(block.imag).any()
+
+
+def test_stacks_of_families_match_one_family_at_a_time(canonical):
+    """big_vec / big_unvec and _generator_stack take leading stack axes; each
+    member of a stack is bitwise what the one-family call gives."""
+    m, d = canonical.chain.n, canonical.dim_sys
+    rng = np.random.default_rng(5)
+    blocks = rng.normal(size=(3, m, d, d)) + 1j * rng.normal(size=(3, m, d, d))
+    vecs = extended.big_vec(blocks)
+    assert vecs.shape == (3, m * d * d)
+    assert extended.big_unvec(vecs, m, d).tobytes() == blocks.tobytes()
+    for k in range(3):
+        assert vecs[k].tobytes() == extended.big_vec(blocks[k]).tobytes()
+    superops = np.stack([[canonical.channels[l].superop * (k + 1) for l in canonical.labels]
+                         for k in range(3)])
+    mats = extended._generator_stack(canonical.chain.P[None], superops)
+    assert mats.shape == (3, m * d * d, m * d * d)
+    for k in range(3):
+        assert mats[k].tobytes() == extended.generator_matrix(canonical.chain,
+                                                              superops[k]).tobytes()

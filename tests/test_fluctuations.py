@@ -177,6 +177,12 @@ def test_kinetic_coefficients_require_equilibrium(canonical):
         fluctuations.kinetic_coefficients(canonical)
 
 
+@pytest.mark.parametrize("step", [0.0, -1e-3, float("nan"), float("inf")])
+def test_kinetic_coefficients_reject_bad_zeta_step(equilibrium, step):
+    with pytest.raises(fluctuations.FluctuationError, match="zeta_step"):
+        fluctuations.kinetic_coefficients(equilibrium, zeta_step=step)
+
+
 def test_kinetic_matrix_properties(equilibrium):
     kin = fluctuations.kinetic_coefficients(equilibrium)
     # Onsager reciprocity

@@ -383,6 +383,27 @@ def test_cli_adiabatic_steps_must_compare_two_counts(steps, capsys):
     assert "argument --steps: expected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["ratefn", "--model", TWO_TEMP, "--points", "0"], "--points"),
+    (["ratefn", "--model", TWO_TEMP, "--alpha-range", "nan"], "--alpha-range"),
+    (["cumulant", "--model", EQUILIBRIUM, "--grid-points", "-3"], "--grid-points"),
+    (["linresp", "--model", EQUILIBRIUM, "--zeta-step", "0"], "--zeta-step"),
+    (["simulate", "--model", TWO_TEMP, "--steps", "5", "--traj", "1"], "--traj"),
+    (["ratefn", "--model", TWO_TEMP, "--alpha-range", "inf"], "--alpha-range"),
+    (["ratefn", "--model", TWO_TEMP, "--points", "2.5"], "--points"),
+], ids=["points", "alpha-range", "grid-points", "zeta-step", "traj", "inf", "not-int"])
+def test_cli_numeric_options_are_usage_errors(argv, option):
+    """An out-of-range number is refused before any analysis runs: exit 2,
+    the option named, no traceback and no numpy warning."""
+    proc = subprocess.run([sys.executable, "-m", "mris.cli"] + argv,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert f"argument {option}: expected" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "Warning" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_cli_simulate_negative_seed_exits_2(capsys):
     assert cli.main(["simulate", "--model", TWO_TEMP, "--steps", "5",
                      "--traj", "4", "--seed", "-1"]) == 2
