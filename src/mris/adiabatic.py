@@ -109,9 +109,10 @@ def adiabatic_evolve(model: MrisModel, schedule: AdiabaticSchedule,
     maximum over k >= N/4, by which point any admissible start has merged into
     the O(1/N) tracking regime.
 
-    The generators, their eigensolves, the steady states R_+(s_k) and the
-    trace norms are taken over stacks of schedule points; only the recursion
-    itself steps one point at a time.
+    The primitivity grid is one batched eigensolve.  The generators, the
+    steady states R_+(s_k) (one bordered solve each, see extended.find_ess;
+    no eigensolve) and the trace norms are taken over stacks of schedule
+    points; only the recursion itself steps one point at a time.
     """
     if n_steps < 4:
         raise AdiabaticError("need at least 4 steps")
@@ -148,8 +149,7 @@ def adiabatic_evolve(model: MrisModel, schedule: AdiabaticSchedule,
         (with R_0, or None for R_+(0), when lo = 0).  A function of its own,
         so that one stack is released before the next is built."""
         mats = generators(s_grid[lo:hi])
-        w, vr = np.linalg.eig(mats)
-        ess = extended._ess_stack(w, vr, labels, d, tol)
+        ess = extended._ess_stack(mats, labels, d, tol)
         states = np.empty((hi - lo, m * d * d), dtype=complex)
         for k in range(lo, hi):
             if k > 0:

@@ -143,6 +143,7 @@ def cmd_ess(args):
     eq = models.check_equilibrium(model, decomp)
     results = {
         "fixed_point_residual": residual,
+        "bordered_condition": extended.bordered_condition(model.generator),
         "pi_plus": decomp.pi_plus,
         "rho_plus": {l: decomp.rho_plus[l] for l in model.labels},
         "reconstruction_residual": decomp.reconstruction_residual(
@@ -274,7 +275,7 @@ def cmd_linresp(args):
     from . import fluctuations
 
     model = _load(args)
-    kin = fluctuations.kinetic_coefficients(model, zeta_step=args.zeta_step)
+    kin = fluctuations.kinetic_coefficients(model)
     cov = fluctuations.clt_covariance(model)
     gk = fluctuations.green_kubo(model)
     fdr = cov / (2 * kin.beta_bar ** 2)
@@ -295,7 +296,7 @@ def cmd_linresp(args):
     }
     report = output.RunReport(
         command="linresp",
-        params={"model": args.model, "zeta_step": args.zeta_step},
+        params={"model": args.model},
         results=results,
         verdicts={
             "onsager_symmetric": float(
@@ -446,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("linresp", help="kinetic coefficients at equilibrium")
     common(p)
-    p.add_argument("--zeta-step", type=_positive, default=1e-3)
     p.set_defaults(func=cmd_linresp)
 
     p = sub.add_parser("adiabatic", help="slow chain driving and tracking error")

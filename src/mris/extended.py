@@ -279,24 +279,51 @@ def _eigenvalue_one_cluster(w: np.ndarray, tol: Tolerances) -> np.ndarray:
     return np.abs(w - 1.0) <= tol.peripheral
 
 
-def _ess_stack(w: np.ndarray, vr: np.ndarray, labels, d: int,
-              tol: Tolerances = DEFAULT) -> np.ndarray:
-    """Repaired steady-state blocks (K, m, d, d) from a stack of spectra
-    w (K, n) and right eigenvectors vr (K, n, n): the eigenvalue-1 vector of
-    each, phase-fixed, Hermitized, clipped and renormalized as find_ess
-    describes."""
-    K, m = w.shape[0], len(labels)
-    ones = _eigenvalue_one_cluster(w, tol)
-    counts = ones.sum(axis=1)
-    if (counts != 1).any():
-        raise NotIrreducibleError(int(counts[counts != 1][0]))
-    blocks = big_unvec(vr[np.arange(K), :, ones.argmax(axis=1)], m, d)
+def _bordered_solve(mats: np.ndarray, m: int, d: int):
+    """Steady states of a stack of generators (K, n, n), one bordered solve
+    each (Paige, Styan and Wachter, J. Stat. Comput. Simul. 1975).
+
+    With u the maximally mixed extended state (tr u = 1) and tr the
+    total-trace functional, A = 1 - M + u tr^T is invertible exactly when
+    eigenvalue 1 of M is simple, and A R = u means (1 - M) R = 0 with
+    tr R = 1.  One batched inverse gives R = A^{-1} u, refined by one step
+    with the same inverse.  A^{-1} also solves A dR = (dM) R, the steady
+    state's sensitivity to a trace-preserving perturbation dM (Golub and
+    Meyer, SIAM J. Alg. Disc. Meth. 1986).  Returns R (K, n), A^{-1}
+    (K, n, n), ||A^{-1}||_1 (K,) and kappa_1 = ||A||_1 ||A^{-1}||_1 (K,);
+    raises LinAlgError when some A is exactly singular.
+    """
+    n = mats.shape[-1]
+    trace = np.tile(np.eye(d).reshape(-1), m)     # vec(1) in every block
+    u = trace / (m * d)
+    a = np.eye(n) - mats + np.outer(u, trace)
+    a_inv = np.linalg.inv(a)
+    x = a_inv @ u
+    x = x + (a_inv @ (u - (a @ x[..., None])[..., 0])[..., None])[..., 0]
+    inv_norm = np.abs(a_inv).sum(axis=-2).max(axis=-1)
+    return x, a_inv, inv_norm, np.abs(a).sum(axis=-2).max(axis=-1) * inv_norm
+
+
+def _ess_stack(mats: np.ndarray, labels, d: int,
+               tol: Tolerances = DEFAULT) -> np.ndarray:
+    """Repaired steady-state blocks (K, m, d, d) of a stack of generators
+    (K, n, n): the bordered solve of each, phase-fixed, Hermitized, clipped
+    and renormalized as find_ess describes."""
+    K, m = mats.shape[0], len(labels)
+    try:
+        x, _a_inv, inv_norm, kappa = _bordered_solve(mats, m, d)
+    except np.linalg.LinAlgError:
+        x, kappa, inv_norm = None, np.full(K, np.inf), np.full(K, np.inf)
+    # an eigenvalue lambda != 1 of M makes ||A^{-1}||_1 >= 1 / |1 - lambda|,
+    # so every eigenvalue-1 cluster of width tol.peripheral is refused
+    refused = ~(inv_norm * tol.peripheral < 1.0)
+    if refused.any():
+        _refuse(mats[refused], inv_norm[refused], kappa[refused], tol)
+    blocks = big_unvec(x, m, d)
     # phase-fix and set total trace 1, in Python complex arithmetic: numpy's
     # vectorised complex division differs in the last bit
     scale = np.empty(K, dtype=complex)
     for k, t in enumerate(np.trace(blocks, axis1=2, axis2=3).sum(axis=1).tolist()):
-        if abs(t) < 1e-14:
-            raise GeneratorError("fixed eigenvector is traceless; cannot normalize")
         scale[k] = t.conjugate() / (abs(t) * abs(t))
     blocks = blocks * scale[:, None, None, None]
     blocks = (blocks + blocks.conj().transpose(0, 1, 3, 2)) / 2
@@ -312,18 +339,44 @@ def _ess_stack(w: np.ndarray, vr: np.ndarray, labels, d: int,
     return repaired
 
 
+def _refuse(mats: np.ndarray, inv_norm: np.ndarray, kappa: np.ndarray,
+            tol: Tolerances):
+    """Raise for generators whose bordered solve was refused: eigenvalue 1
+    with its multiplicity read off the spectrum when that is not 1, the
+    norms of the solve otherwise."""
+    counts = _eigenvalue_one_cluster(np.linalg.eigvals(mats), tol).sum(axis=1)
+    multiple = np.flatnonzero(counts != 1)
+    if multiple.size:
+        raise NotIrreducibleError(int(counts[multiple[0]]))
+    raise GeneratorError(
+        f"steady-state solve refused: ||A^-1||_1 = {inv_norm[0]:.3e} reaches "
+        f"1 / tol.peripheral = {1.0 / tol.peripheral:.3e} (bordered condition "
+        f"number {kappa[0]:.3e})")
+
+
 def find_ess(g: ExtendedGenerator, tol: Tolerances = DEFAULT):
-    """Extended steady state from the eigenvalue-1 eigenvector.
+    """Extended steady state from one bordered solve (see _bordered_solve).
 
     Returns (state, residual) with residual = sum_w ||(L R)(w) - R(w)||_1 of
-    the repaired state.  Raises NotIrreducibleError when eigenvalue 1 is not
-    simple.  Repair: phase-fix, Hermitize, clip round-off negatives in
-    [-psd_tol, 0), renormalize; eigenvalues below -psd_tol abort instead,
-    since they signal a genuinely wrong eigenvector rather than noise.
+    the repaired state.  The solve is refused when ||A^{-1}||_1 reaches
+    1 / tol.peripheral.  Since ||A^{-1}||_1 >= 1 / |1 - lambda| for every
+    other eigenvalue lambda of the generator, that covers each generator
+    whose eigenvalue-1 cluster (width tol.peripheral) holds more than one
+    eigenvalue.  Only then is the spectrum read, to name the failure:
+    NotIrreducibleError when that cluster is not one eigenvalue,
+    GeneratorError naming kappa_1 otherwise.  Repair: phase-fix, Hermitize,
+    clip round-off negatives in [-psd_tol, 0), renormalize; eigenvalues
+    below -psd_tol abort instead, since they signal a genuinely wrong
+    solution rather than noise.
     """
-    w, _vl, vr = g.eig()
-    state = ExtendedState(g.labels, _ess_stack(w[None], vr[None], g.labels, g.dim, tol)[0])
+    state = ExtendedState(g.labels, _ess_stack(g.matrix[None], g.labels, g.dim, tol)[0])
     return state, float(_trace_norm_lag(g.apply(state).blocks, state.blocks))
+
+
+def bordered_condition(g: ExtendedGenerator) -> float:
+    """kappa_1 of the bordered matrix whose solve gives the steady state of
+    g (a numerical-health figure of find_ess)."""
+    return float(_bordered_solve(g.matrix[None], g.n_labels, g.dim)[3][0])
 
 
 @dataclass

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mris import adiabatic, extended, quantum
+from mris import adiabatic, extended, fluctuations, models, quantum
 from mris.modelfile import load_model
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -171,3 +171,33 @@ def test_eigensolve_count_does_not_grow_with_the_step_count(canonical, monkeypat
         counts.append(len(calls))
     assert counts[0] >= 1
     assert counts[0] == counts[1]
+
+
+def test_one_eigensolve_per_sweep_and_no_rebuild_in_linear_response(
+        canonical, equilibrium, monkeypatch):
+    """Regression guard: the tracking grid takes its steady states from the
+    bordered solve, so a sweep runs one general eigensolve (the primitivity
+    stack) whatever its length; the linear response rebuilds no model."""
+    calls = {"eig": 0, "eigvals": 0, "build_model": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(np.linalg, "eig")
+    counting(np.linalg, "eigvals")
+    counting(models, "build_model")
+    sch = adiabatic.AdiabaticSchedule(canonical.chain.P, P_END)
+    for n in (16, 300, 700):
+        calls.update(eig=0, eigvals=0)
+        adiabatic.adiabatic_evolve(canonical, sch, n)
+        assert (calls["eig"], calls["eigvals"]) == (1, 0), n
+    calls.update(eig=0, eigvals=0)
+    extended.find_ess(canonical.generator, canonical.tol)
+    assert (calls["eig"], calls["eigvals"]) == (0, 0)
+    fluctuations.kinetic_coefficients(equilibrium)
+    assert calls["build_model"] == 0

@@ -6,6 +6,7 @@ import pytest
 import oracles
 from conftest import random_density, random_hermitian
 from mris import chains, extended, fixtures, modelfile, models
+from test_trajectories import _sparse_mixed_model
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 PERIOD_TWO = [[0.0, 1.0], [1.0, 0.0]]
@@ -119,6 +120,23 @@ def test_find_ess_refuses_degenerate_fixed_space(decoupled):
     assert err.value.multiplicity > 1
 
 
+def test_refused_solves_name_their_cause(canonical):
+    """An exactly singular bordered matrix (the identity generator fixes
+    every state) reads the multiplicity off the spectrum; a refusal whose
+    eigenvalue-1 cluster is a single eigenvalue names the norms instead."""
+    ident = extended.ExtendedGenerator(("a", "b"), 2, np.eye(8, dtype=complex))
+    with pytest.raises(extended.NotIrreducibleError) as err:
+        extended.find_ess(ident)
+    assert err.value.multiplicity == 8
+    # ||A^-1||_1 = 5.16 and the second eigenvalue is 0.23 from 1
+    tol = canonical.tol.replace(peripheral=0.2)
+    with pytest.raises(extended.GeneratorError,
+                       match=r"refused: \|\|A\^-1\|\|_1 = 5\.155e\+00 reaches "
+                             r"1 / tol\.peripheral = 5\.000e\+00 \(bordered "
+                             r"condition number 6\.589e\+00\)"):
+        extended.find_ess(canonical.generator, tol)
+
+
 def test_classification_canonical_vs_decoupled(canonical, decoupled):
     cls = extended.classify_generator(canonical.generator)
     assert cls.kind == "primitive"
@@ -205,21 +223,40 @@ def test_periodic_driving_gives_periodic_generator():
     assert residual < 1e-10
 
 
-def _blockwise_ess_blocks(g, tol):
+def _repair(blocks, tol):
     """find_ess's repair written one block at a time, with the phase factor
     taken in Python complex arithmetic."""
-    w, _vl, vr = g.eig()
-    (i,) = np.flatnonzero(np.abs(w - 1.0) <= tol.peripheral)
-    blocks = extended.big_unvec(vr[:, i], g.n_labels, g.dim)
     t = complex(np.trace(blocks, axis1=1, axis2=2).sum())
     blocks = blocks * (t.conjugate() / (abs(t) * abs(t)))
     blocks = (blocks + blocks.conj().transpose(0, 2, 1)) / 2
     repaired = np.empty_like(blocks)
     for k in range(blocks.shape[0]):
         ew, ev = np.linalg.eigh(blocks[k])
+        assert ew.min() >= -tol.psd
         repaired[k] = (ev * np.clip(ew, 0.0, None)) @ ev.conj().T
     repaired /= float(np.trace(repaired, axis1=1, axis2=2).sum().real)
     return repaired
+
+
+def _blockwise_ess_blocks(g, tol):
+    """find_ess for one generator: the bordered system
+    (1 - M + u tr^T) x = u, u the maximally mixed extended state, solved by
+    one inverse and one refinement step, then repaired."""
+    m, d = g.n_labels, g.dim
+    trace = np.concatenate([extended.big_vec(np.eye(d)[None])] * m)
+    u = trace / (m * d)
+    a = np.eye(m * d * d) - g.matrix + np.outer(u, trace)
+    a_inv = np.linalg.inv(a)
+    x = a_inv @ u
+    x = x + a_inv @ (u - a @ x)
+    return _repair(extended.big_unvec(x, m, d), tol)
+
+
+def _eigenvector_ess_blocks(g, tol):
+    """The steady state the eigenvalue-1 eigenvector gives, repaired."""
+    w, _vl, vr = g.eig()
+    (i,) = np.flatnonzero(np.abs(w - 1.0) <= tol.peripheral)
+    return _repair(extended.big_unvec(vr[:, i], g.n_labels, g.dim), tol)
 
 
 @pytest.mark.parametrize("name", sorted(IRREDUCIBLE_BUILDS))
@@ -232,13 +269,53 @@ def test_stacked_ess_repair_equals_the_blockwise_repair_bitwise(name):
     P = np.stack([(1 - f) * m.chain.P + f * p_other for f in np.linspace(0.0, 0.9, 5)])
     superops = [m.channels[l].superop for l in m.labels]
     mats = extended._generator_stack(P, superops)
-    w, vr = np.linalg.eig(mats)
-    stacked = extended._ess_stack(w, vr, m.labels, m.dim_sys, m.tol)
+    stacked = extended._ess_stack(mats, m.labels, m.dim_sys, m.tol)
     for k, p in enumerate(P):
         chain = chains.MarkovChain(m.labels, chains.stationary_vector(p)[0], p)
         g = extended.build_generator(chain, m.channels, m.tol)
         assert g.matrix.tobytes() == mats[k].tobytes()
         assert stacked[k].tobytes() == _blockwise_ess_blocks(g, m.tol).tobytes()
+
+
+ESS_BUILDS = {
+    **IRREDUCIBLE_BUILDS,
+    **{f"random_{s}_4": (lambda s=s: fixtures.random_model(s, n_labels=4))
+       for s in (11, 23)},
+    "sparse_mixed": _sparse_mixed_model,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ESS_BUILDS))
+def test_bordered_ess_matches_the_eigenvector_route(name):
+    m = ESS_BUILDS[name]()
+    r_plus, residual = extended.find_ess(m.generator, m.tol)
+    assert np.abs(r_plus.blocks - _eigenvector_ess_blocks(m.generator, m.tol)).max() <= 1e-14
+    assert residual <= 1e-14
+    kappa = extended.bordered_condition(m.generator)
+    assert 1.0 <= kappa < 1e3
+
+
+@pytest.mark.parametrize("c", [1e-3, 1e-4])
+def test_weak_coupling_ess_solves_to_round_off(c):
+    """The gap closes like c^2 (1e-6, then 1.00000007e-8 against the 1e-8
+    eigenvalue-1 cluster), so kappa_1 grows like 1 / c^2; one refinement
+    step keeps the residual at round-off."""
+    m = fixtures.two_temperature_qubit(coupling_strength=c)
+    r_plus, residual = extended.find_ess(m.generator, m.tol)
+    assert residual <= 1e-14
+    r_plus.check(m.tol)
+    assert 1.0 / c ** 2 <= extended.bordered_condition(m.generator) <= 10.0 / c ** 2
+
+
+@pytest.mark.parametrize("c", [3e-5, 1e-6])
+def test_weak_coupling_ess_is_refused_inside_the_eigenvalue_one_cluster(c):
+    """Below c = 1e-4 the second eigenvalue lies within tol.peripheral of 1,
+    so ||A^{-1}||_1 >= 1 / tol.peripheral: the solve is refused as the
+    eigenvector route refused it, and the spectrum names the multiplicity."""
+    m = fixtures.two_temperature_qubit(coupling_strength=c)
+    with pytest.raises(extended.NotIrreducibleError) as err:
+        extended.find_ess(m.generator, m.tol)
+    assert err.value.multiplicity == 2
 
 
 def test_zero_chain_entries_give_exactly_zero_blocks():

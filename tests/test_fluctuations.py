@@ -168,6 +168,22 @@ def test_entropy_rate_function_scalar(canonical):
     assert res.values[2] > 0
 
 
+@pytest.mark.parametrize("m", range(1, 9))
+def test_stored_alpha_points_are_the_seeded_draws(m):
+    """The symmetry reports' alpha points, stored up to six labels and drawn
+    beyond, are bitwise the per-row draws of the seeded generators."""
+    rng = np.random.default_rng(20240817)
+    want = [lvl * np.ones(m) for lvl in (0.0, 0.25, 0.5, 0.75, 1.0)] + \
+        [rng.uniform(-1.0, 2.0, size=m) for _ in range(10)]
+    got = fluctuations._default_alpha_grid(m)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    rng = np.random.default_rng(20240818)
+    want = np.array([rng.uniform(-0.5, 1.0, size=m) for _ in range(2)])
+    got = fluctuations._seeded_draws(fluctuations._TRANSLATION_DRAWS, 20240818,
+                                     -0.5, 1.0, 2 * m).reshape(2, m)
+    assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # kinetic coefficients, fluctuation-dissipation, Green-Kubo
 # ---------------------------------------------------------------------------
@@ -177,10 +193,9 @@ def test_kinetic_coefficients_require_equilibrium(canonical):
         fluctuations.kinetic_coefficients(canonical)
 
 
-@pytest.mark.parametrize("step", [0.0, -1e-3, float("nan"), float("inf")])
-def test_kinetic_coefficients_reject_bad_zeta_step(equilibrium, step):
-    with pytest.raises(fluctuations.FluctuationError, match="zeta_step"):
-        fluctuations.kinetic_coefficients(equilibrium, zeta_step=step)
+def test_kinetic_coefficients_need_a_positive_temperature():
+    with pytest.raises(fluctuations.FluctuationError, match="positive inverse temperature"):
+        fluctuations.kinetic_coefficients(fixtures.equilibrium_qubit(beta=0.0))
 
 
 def test_kinetic_matrix_properties(equilibrium):
@@ -192,6 +207,26 @@ def test_kinetic_matrix_properties(equilibrium):
     # energy conservation kills row and column sums
     assert np.abs(kin.row_sums).max() < 1e-6
     assert np.abs(kin.col_sums).max() < 1e-6
+
+
+@pytest.mark.parametrize("beta, coupling", [(1.0, 0.5), (0.4, 0.9), (2.0, 0.3), (1.3, 0.05)])
+def test_exact_response_matches_the_hessian_route(beta, coupling):
+    """Route (a), one bordered sensitivity solve, and route (b),
+    Hess e(0) / (2 beta^2), agree to round-off."""
+    kin = fluctuations.kinetic_coefficients(
+        fixtures.equilibrium_qubit(beta=beta, coupling_strength=coupling))
+    assert kin.discrepancy <= 1e-12
+    assert np.abs(kin.route_b).max() > 1e-6
+
+
+@pytest.mark.parametrize("alpha", [[1000.0, 0.0], [0.0, -800.0]])
+def test_overflowing_tilt_is_a_typed_error(canonical, alpha):
+    """exp(-alpha . delta) overflows: both spectral routes name alpha
+    instead of handing a non-finite matrix to the eigensolver."""
+    for route in (fluctuations.e_of_alpha, fluctuations._perron):
+        with pytest.raises(fluctuations.FluctuationError,
+                           match=r"not finite at alpha=\["):
+            route(canonical, np.array(alpha))
 
 
 def test_fluctuation_dissipation(equilibrium):
