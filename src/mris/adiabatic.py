@@ -76,7 +76,7 @@ def schedule_generator(model: MrisModel, schedule: AdiabaticSchedule,
     return extended.build_generator(chain_s, model.channels, model.tol)
 
 
-# Schedule steps per eigensolve stack (the first stack also carries s = 0),
+# Schedule steps per stack of generators (the first stack also carries s = 0),
 # so that memory does not grow with the number of steps.
 _SWEEP_BLOCK = 256
 
@@ -109,7 +109,7 @@ def adiabatic_evolve(model: MrisModel, schedule: AdiabaticSchedule,
     maximum over k >= N/4, by which point any admissible start has merged into
     the O(1/N) tracking regime.
 
-    The primitivity grid is one batched eigensolve.  The generators, the
+    The primitivity grid is one batched eigvals call.  The generators, the
     steady states R_+(s_k) (one bordered solve each, see extended.find_ess;
     no eigensolve) and the trace norms are taken over stacks of schedule
     points; only the recursion itself steps one point at a time.
@@ -133,8 +133,8 @@ def adiabatic_evolve(model: MrisModel, schedule: AdiabaticSchedule,
 
     grid = np.linspace(0.0, 1.0, _PRIMITIVITY_POINTS)
     gap_min = np.inf
-    for s, spectrum in zip(grid, zip(*extended._eig_stack(generators(grid)))):
-        cls = extended._classify_spectrum(*spectrum, tol)
+    for s, w in zip(grid, np.linalg.eigvals(generators(grid))):
+        cls = extended._classify_spectrum(w, tol)
         if cls.kind != "primitive":
             raise AdiabaticError(
                 f"instantaneous generator at s={s:.3f} is {cls.kind}; the "

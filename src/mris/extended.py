@@ -148,7 +148,6 @@ class ExtendedGenerator:
     matrix: np.ndarray = field(repr=False)
     chain: MarkovChain = None
     channels: dict = None       # label -> QuantumChannel; None for tilted variants
-    _eig: tuple = field(default=None, repr=False, compare=False)
 
     @property
     def n_labels(self):
@@ -170,36 +169,6 @@ class ExtendedGenerator:
                 if pvw != 0.0:
                     out[w] += pvw * self.channels[self.labels[v]].apply(r.blocks[v])
         return ExtendedState(self.labels, out)
-
-    def eig(self):
-        """Eigenvalues w with unit-norm left (vl) and right (vr) eigenvectors
-        as columns: M vr[:, i] = w[i] vr[:, i], vl[:, i]^H M = w[i] vl[:, i]^H.
-        The left vectors are the rows of vr^{-1}; a defective generator can
-        make vr exactly singular, and then the pseudo-inverse stands in."""
-        if self._eig is None:
-            w, vl, vr = _eig_stack(self.matrix[None])
-            object.__setattr__(self, "_eig", (w[0], vl[0], vr[0]))
-        return self._eig
-
-
-def _inverse(vr):
-    """vr^{-1} for a matrix or a stack; an exactly singular matrix gets its
-    pseudo-inverse instead."""
-    try:
-        return np.linalg.inv(vr)
-    except np.linalg.LinAlgError:
-        if vr.ndim == 2:
-            return np.linalg.pinv(vr)
-        return np.stack([_inverse(x) for x in vr])
-
-
-def _eig_stack(mats: np.ndarray):
-    """ExtendedGenerator.eig for each matrix of a stack (K, n, n): one
-    batched eigensolve and one batched inverse of the right eigenvectors."""
-    w, vr = np.linalg.eig(mats)
-    vl = _inverse(vr).conj().swapaxes(-1, -2)
-    vl /= np.linalg.norm(vl, axis=-2, keepdims=True)
-    return w, vl, vr
 
 
 def _generator_stack(P: np.ndarray, superops) -> np.ndarray:
@@ -271,7 +240,6 @@ class GeneratorClassification:
     peripheral_match_roots: bool
     ess: ExtendedState = None
     ess_faithful: bool = None
-    left_fixed: ExtendedObservable = None
 
 
 def _eigenvalue_one_cluster(w: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -407,18 +375,12 @@ def ess_decompose(g: ExtendedGenerator, r_plus: ExtendedState, tol: Tolerances =
     return EssDecomposition(g.labels, pi_plus, rho_plus)
 
 
-def _classify_spectrum(w: np.ndarray, vl: np.ndarray, vr: np.ndarray,
-                       tol: Tolerances = DEFAULT) -> GeneratorClassification:
+def _classify_spectrum(w: np.ndarray, tol: Tolerances = DEFAULT) -> GeneratorClassification:
     """The kind, period and gap that classify_generator reads off one
-    spectrum (w, vl, vr), without the steady-state fields."""
-    ones = np.flatnonzero(_eigenvalue_one_cluster(w, tol))
-    mult = len(ones)
+    spectrum w, without the steady-state fields.  Eigenvalue 1 counts as
+    simple when exactly one eigenvalue lies in its cluster."""
+    mult = int(_eigenvalue_one_cluster(w, tol).sum())
     simple = mult == 1
-    if simple:
-        i = ones[0]
-        overlap = abs(np.vdot(vl[:, i], vr[:, i])) / (
-            np.linalg.norm(vl[:, i]) * np.linalg.norm(vr[:, i]))
-        simple = overlap >= 1e-8
     on_circle = np.abs(w) >= 1.0 - tol.peripheral
     peripheral = w[on_circle]
     inner = np.abs(w[~on_circle])
@@ -450,16 +412,17 @@ def _classify_spectrum(w: np.ndarray, vl: np.ndarray, vr: np.ndarray,
 def classify_generator(g: ExtendedGenerator, tol: Tolerances = DEFAULT) -> GeneratorClassification:
     """Full-spectrum classification: reducible / irreducible-periodic / primitive.
 
-    Irreducibility is read off the (algebraic) simplicity of eigenvalue 1:
-    exactly one eigenvalue in the 1-cluster and a rank-one spectral projector
-    with |<left, right>| bounded away from zero.  The period is the number of
-    peripheral eigenvalues, cross-checked against the p-th roots of unity.
-    An irreducible aperiodic generator whose sub-peripheral spectrum does not
-    clear the gap threshold is reported as 'irreducible_periodic' with
-    period 1 rather than certified primitive.
+    One eigenvalue solve, no eigenvectors: a trace-preserving positive map
+    has the trace as its left fixed point and a semisimple peripheral
+    spectrum (Wolf, Quantum Channels & Operations, 2012, ch. 6).
+    Irreducibility is exactly one eigenvalue in the 1-cluster; a generator
+    whose steady state cannot be solved still fails in find_ess.  The
+    period is the number of peripheral eigenvalues, cross-checked against
+    the p-th roots of unity.  An irreducible aperiodic generator whose
+    sub-peripheral spectrum does not clear the gap threshold is reported as
+    'irreducible_periodic' with period 1 rather than certified primitive.
     """
-    w, vl, vr = g.eig()
-    cls = _classify_spectrum(w, vl, vr, tol)
+    cls = _classify_spectrum(np.linalg.eigvals(g.matrix), tol)
     if cls.kind != "reducible":
         cls.ess, _resid = find_ess(g, tol)
         pi_plus = cls.ess.marginal()
@@ -468,18 +431,20 @@ def classify_generator(g: ExtendedGenerator, tol: Tolerances = DEFAULT) -> Gener
             if pi_plus[k] > tol.pi_floor:
                 if np.linalg.eigvalsh(cls.ess.blocks[k]).min() <= 0.0:
                     cls.ess_faithful = False
-        lf = big_unvec(vl[:, _eigenvalue_one_cluster(w, tol).argmax()], g.n_labels, g.dim)
-        lf = (lf + lf.conj().transpose(0, 2, 1)) / 2
-        scale = np.trace(lf, axis1=1, axis2=2).sum().real / (g.n_labels * g.dim)
-        if abs(scale) > 1e-14:
-            lf = lf / scale
-        cls.left_fixed = ExtendedObservable(g.labels, lf)
     return cls
 
 
 # ---------------------------------------------------------------------------
 # tilted generators
 # ---------------------------------------------------------------------------
+
+def _tilt_vector(chain: MarkovChain, alpha) -> np.ndarray:
+    """alpha as a float array with one entry per chain label."""
+    alpha = np.asarray(alpha, dtype=float)
+    if alpha.shape != (chain.n,):
+        raise GeneratorError(f"alpha must have one entry per label, got shape {alpha.shape}")
+    return alpha
+
 
 def deformed_generator(model, alpha) -> ExtendedGenerator:
     """The entropy-tilted generator: channel v is replaced by
@@ -491,9 +456,7 @@ def deformed_generator(model, alpha) -> ExtendedGenerator:
     statistics.  At alpha = 0 the matrix equals the plain generator.
     """
     chain = model.chain
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (chain.n,):
-        raise GeneratorError(f"alpha must have one entry per label, got shape {alpha.shape}")
+    alpha = _tilt_vector(chain, alpha)
     superops = [model.unravelings[l].deformed_superop(alpha[k])
                 for k, l in enumerate(chain.labels)]
     mat = generator_matrix(chain, superops)

@@ -88,22 +88,32 @@ class _Perron:
     dm_r: np.ndarray        # (N, m): column v is (dM/dalpha_v) r
     l_dm: np.ndarray        # (m, N): row v is l^H dM/dalpha_v
     l_d2m_r: np.ndarray     # (m,): l^H (d^2 M / dalpha_v^2) r
+    alpha: np.ndarray       # named when a product overflows
 
     def derivatives(self):
         """e = log lam with its exact gradient and Hessian in alpha:
         lam_v = l^H M_v r and lam_uv = delta_uv l^H M_vv r
-        + l^H M_u q M_v r + l^H M_v q M_u r (Kato's second-order formula)."""
-        grad = (self.l_dm @ self.r).real / self.lam
-        cross = (self.l_dm @ self.q @ self.dm_r).real
-        hess = (np.diag(self.l_d2m_r.real) + cross + cross.T) / self.lam
-        return math.log(self.lam), grad, hess - np.outer(grad, grad)
+        + l^H M_u q M_v r + l^H M_v q M_u r (Kato's second-order formula).
+        A tilt whose generator is finite can still overflow these products:
+        then the Hessian (which a non-finite gradient spoils too) is not
+        finite, and alpha is named."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad = (self.l_dm @ self.r).real / self.lam
+            cross = (self.l_dm @ self.q @ self.dm_r).real
+            hess = (np.diag(self.l_d2m_r.real) + cross + cross.T) / self.lam
+            hess = hess - np.outer(grad, grad)
+        if not np.isfinite(hess).all():
+            raise FluctuationError(
+                f"Hessian of e is not finite at alpha={self.alpha}: "
+                "a kernel product overflows")
+        return math.log(self.lam), grad, hess
 
 
 def _perron(model: MrisModel, alpha) -> _Perron:
     """One eigensolve of M(alpha) and one inverse: with r of unit norm,
     B = lam - M + r r^H is invertible, l^H = r^H B^{-1} is the left vector
     already normalized to <l, r> = 1, and q = (1 - r l^H) B^{-1} (1 - r l^H)."""
-    alpha = np.asarray(alpha, dtype=float)
+    alpha = extended._tilt_vector(model.chain, alpha)
     superops, _, deltas, _ = _outcome_tables(model)
     m, n = model.chain.n, model.chain.n * superops.shape[-1]
     # the k-th alpha_v-derivative of exp(-alpha_v delta) is (-delta)^k times
@@ -130,9 +140,10 @@ def _perron(model: MrisModel, alpha) -> _Perron:
     b_inv = np.linalg.inv(lam * eye - gen + np.outer(r, r.conj()))
     l = (r.conj() @ b_inv).conj()
     proj = eye - np.outer(r, l.conj())
-    return _Perron(lam=lam, matrix=gen, r=r, l=l, q=proj @ b_inv @ proj,
-                   dm_r=(cols[0] @ r).T, l_dm=l.conj() @ cols[0],
-                   l_d2m_r=l.conj() @ cols[1] @ r)
+    with np.errstate(over="ignore", invalid="ignore"):    # see derivatives
+        return _Perron(lam=lam, matrix=gen, r=r, l=l, q=proj @ b_inv @ proj,
+                       dm_r=(cols[0] @ r).T, l_dm=l.conj() @ cols[0],
+                       l_d2m_r=l.conj() @ cols[1] @ r, alpha=alpha)
 
 
 def _grad_e(model, alpha) -> np.ndarray:
@@ -360,6 +371,9 @@ def rate_function(model: MrisModel, s_grid) -> RateFunctionResult:
     """Legendre transform I(s) = sup_alpha [alpha . s - e(-alpha)] on a grid
     of entropy-exchange rate vectors, with warm starts along the grid."""
     s_grid = np.atleast_2d(np.asarray(s_grid, dtype=float))
+    if s_grid.ndim != 2 or s_grid.shape[1] != model.chain.n:
+        raise FluctuationError(
+            f"s must have one entry per label, got rows of shape {s_grid.shape[1:]}")
     return _legendre(model, s_grid, np.eye(model.chain.n))
 
 

@@ -156,14 +156,14 @@ def test_start_state_must_match_the_model(canonical):
 def test_eigensolve_count_does_not_grow_with_the_step_count(canonical, monkeypatch):
     """The sweep solves stacks of schedule points, not one point per call."""
     sch = adiabatic.AdiabaticSchedule(canonical.chain.P, P_END)
-    eig = np.linalg.eig
+    eigvals = np.linalg.eigvals
     calls = []
 
-    def counting_eig(a):
+    def counting_eigvals(a):
         calls.append(np.shape(a))
-        return eig(a)
+        return eigvals(a)
 
-    monkeypatch.setattr(np.linalg, "eig", counting_eig)
+    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
     counts = []
     for n in (64, 256):
         calls.clear()
@@ -176,8 +176,9 @@ def test_eigensolve_count_does_not_grow_with_the_step_count(canonical, monkeypat
 def test_one_eigensolve_per_sweep_and_no_rebuild_in_linear_response(
         canonical, equilibrium, monkeypatch):
     """Regression guard: the tracking grid takes its steady states from the
-    bordered solve, so a sweep runs one general eigensolve (the primitivity
-    stack) whatever its length; the linear response rebuilds no model."""
+    bordered solve, so a sweep runs one eigenvalue solve (the primitivity
+    stack) and no eigenvector solve whatever its length, as does one
+    classification; the linear response rebuilds no model."""
     calls = {"eig": 0, "eigvals": 0, "build_model": 0}
 
     def counting(module, name):
@@ -195,9 +196,11 @@ def test_one_eigensolve_per_sweep_and_no_rebuild_in_linear_response(
     for n in (16, 300, 700):
         calls.update(eig=0, eigvals=0)
         adiabatic.adiabatic_evolve(canonical, sch, n)
-        assert (calls["eig"], calls["eigvals"]) == (1, 0), n
+        assert (calls["eig"], calls["eigvals"]) == (0, 1), n
     calls.update(eig=0, eigvals=0)
     extended.find_ess(canonical.generator, canonical.tol)
     assert (calls["eig"], calls["eigvals"]) == (0, 0)
+    extended.classify_generator(canonical.generator, canonical.tol)
+    assert (calls["eig"], calls["eigvals"]) == (0, 1)
     fluctuations.kinetic_coefficients(equilibrium)
     assert calls["build_model"] == 0

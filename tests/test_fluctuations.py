@@ -229,6 +229,29 @@ def test_overflowing_tilt_is_a_typed_error(canonical, alpha):
             route(canonical, np.array(alpha))
 
 
+@pytest.mark.parametrize("t", [255.0, 300.0])
+def test_overflowing_kernel_product_is_a_typed_error(canonical, t):
+    """The tilted generator is still finite at alpha = t (1, 1), but the
+    kernel's products with it overflow: alpha is named, no warning leaks."""
+    kernel = fluctuations._perron(canonical, t * np.ones(2))
+    with pytest.raises(fluctuations.FluctuationError,
+                       match=rf"^Hessian of e is not finite at alpha=\[{t:.0f}\. {t:.0f}\.\]"):
+        kernel.derivatives()
+
+
+def test_kernel_rejects_a_tilt_of_the_wrong_length(canonical):
+    """One entry for two labels would broadcast to alpha = (0.3, 0.3)."""
+    with pytest.raises(extended.GeneratorError,
+                       match=r"alpha must have one entry per label, got shape \(1,\)"):
+        fluctuations._perron(canonical, np.array([0.3]))
+
+
+def test_rate_function_rejects_rows_of_the_wrong_length(canonical):
+    with pytest.raises(fluctuations.FluctuationError,
+                       match=r"s must have one entry per label, got rows of shape \(3,\)"):
+        fluctuations.rate_function(canonical, [[0.1, 0.2, 0.3]])
+
+
 def test_fluctuation_dissipation(equilibrium):
     kin = fluctuations.kinetic_coefficients(equilibrium)
     c = fluctuations.clt_covariance(equilibrium)

@@ -10,7 +10,8 @@ and the symmetry reports.  A refactor that keeps every bit keeps every
 digest.  The ``ess.*`` and ``adiabatic.*`` entries were recorded again when
 the steady state moved from the eigenvalue-1 eigenvector to the bordered
 solve (moves of at most 4e-16 in the state and 3.1e-15 in a tracking
-error).
+error).  The ``classify.*`` entries were recorded while classification
+still computed left eigenvectors; reading the eigenvalues alone keeps them.
 
 The digests depend on LAPACK rounding: they were recorded on x86-64 with
 numpy 2.4 and OpenBLAS, and a different LAPACK (or BLAS kernel) may round
@@ -71,6 +72,14 @@ def _snapshot(model) -> dict:
     out["ess.reconstruction_residual"] = _digest(decomp.reconstruction_residual(g, r_plus))
     out["initial_state"] = _digest(model.initial_state().blocks)
 
+    cls = extended.classify_generator(g, model.tol)
+    out["classify.kind"] = _digest([ord(c) for c in cls.kind])
+    out["classify.period"] = _digest(cls.period)
+    out["classify.gap"] = _digest(cls.gap)
+    out["classify.eigenvalue_one_multiplicity"] = _digest(cls.eigenvalue_one_multiplicity)
+    out["classify.peripheral"] = _digest(cls.peripheral)
+    out["classify.ess_faithful"] = _digest(cls.ess_faithful)
+
     for kind in ("linear", "smoothstep"):
         sched = adiabatic.AdiabaticSchedule(model.chain.P, np.array(P_END[m]), kind=kind)
         for n in (64, 300):
@@ -103,6 +112,12 @@ FROZEN = {
         'adiabatic.linear.64': 'f89dfc025b2e232b',
         'adiabatic.smoothstep.300': '8caeb3c5e4b2b2af',
         'adiabatic.smoothstep.64': 'e822f0a631f196cb',
+        'classify.eigenvalue_one_multiplicity': '6c3c396ed6b5c36d',
+        'classify.ess_faithful': '6c3c396ed6b5c36d',
+        'classify.gap': '2c20cc027f127ee1',
+        'classify.kind': '78c7ae3b61e0f1a3',
+        'classify.period': '6c3c396ed6b5c36d',
+        'classify.peripheral': 'ecbd733a550ee37d',
         'entropy_flux': '56e8ed9083587b33',
         'ess.blocks': 'e80f4951cc0fecdf',
         'ess.reconstruction_residual': '480176fc65506bb4',
@@ -131,6 +146,12 @@ FROZEN = {
         'adiabatic.linear.64': '93688ef3d3b6b06c',
         'adiabatic.smoothstep.300': 'a4bfc2ae696026c5',
         'adiabatic.smoothstep.64': 'f4a6563ada3cb401',
+        'classify.eigenvalue_one_multiplicity': '6c3c396ed6b5c36d',
+        'classify.ess_faithful': '6c3c396ed6b5c36d',
+        'classify.gap': '4aacbc88c15e9e21',
+        'classify.kind': '78c7ae3b61e0f1a3',
+        'classify.period': '6c3c396ed6b5c36d',
+        'classify.peripheral': '166bac70ff1e117b',
         'entropy_flux': '63fd19d206e888b0',
         'ess.blocks': '27e398ea47d6d485',
         'ess.reconstruction_residual': '2c90700cca8fa9fe',
@@ -162,6 +183,12 @@ FROZEN = {
         'adiabatic.linear.64': 'b0580fdd11fd04b0',
         'adiabatic.smoothstep.300': '2654e71a916f22d4',
         'adiabatic.smoothstep.64': 'fd79e8bd37695c0b',
+        'classify.eigenvalue_one_multiplicity': '6c3c396ed6b5c36d',
+        'classify.ess_faithful': '6c3c396ed6b5c36d',
+        'classify.gap': 'ee01ad696dd606ea',
+        'classify.kind': '78c7ae3b61e0f1a3',
+        'classify.period': '6c3c396ed6b5c36d',
+        'classify.peripheral': 'a188fcb999e01efa',
         'entropy_flux': 'd7a980cdf0b8cd11',
         'ess.blocks': 'fc1fc65982e72880',
         'ess.reconstruction_residual': '62f42a9afe3e63e9',
@@ -190,6 +217,12 @@ FROZEN = {
         'adiabatic.linear.64': 'df7ff8599092570c',
         'adiabatic.smoothstep.300': '8b806957193b72c0',
         'adiabatic.smoothstep.64': '95db6501a9f96288',
+        'classify.eigenvalue_one_multiplicity': '6c3c396ed6b5c36d',
+        'classify.ess_faithful': '6c3c396ed6b5c36d',
+        'classify.gap': '4b79c6f8a6d49d83',
+        'classify.kind': '78c7ae3b61e0f1a3',
+        'classify.period': '6c3c396ed6b5c36d',
+        'classify.peripheral': 'd43f95e547112144',
         'entropy_flux': '0ccb1cee99dbd0e8',
         'ess.blocks': 'a9ca3171de7937be',
         'ess.reconstruction_residual': 'ad5b5f55599dd7eb',

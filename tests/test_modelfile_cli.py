@@ -560,7 +560,10 @@ def test_public_names_resolve_lazily_to_their_definitions():
      "error: seed -1 outside [0, 2**128 - n_traj]"),
     (["ratefn", "--model", TWO_TEMP, "--alpha-range", "1000"],
      "error: tilted generator is not finite at alpha=[1000. 1000.]"),
-], ids=["FluctuationError", "AdiabaticError", "TrajectoryError", "overflowing-tilt"])
+    (["ratefn", "--model", TWO_TEMP, "--alpha-range", "300"],
+     "error: Hessian of e is not finite at alpha=[300. 300.]"),
+], ids=["FluctuationError", "AdiabaticError", "TrajectoryError", "overflowing-tilt",
+        "overflowing-kernel-product"])
 def test_errors_of_handler_imported_modules_exit_2(argv, cause):
     """The analysis modules are imported by their handlers, after main set
     up its error handling; their typed errors still exit 2."""
