@@ -438,27 +438,43 @@ def classify_generator(g: ExtendedGenerator, tol: Tolerances = DEFAULT) -> Gener
 # tilted generators
 # ---------------------------------------------------------------------------
 
-def _tilt_vector(chain: MarkovChain, alpha) -> np.ndarray:
-    """alpha as a float array with one entry per chain label."""
+def _tilt_vector(m: int, alpha, error=GeneratorError) -> np.ndarray:
+    """alpha as a float array with one entry for each of m labels; raises
+    ``error`` naming the shape otherwise."""
     alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (chain.n,):
-        raise GeneratorError(f"alpha must have one entry per label, got shape {alpha.shape}")
+    if alpha.shape != (m,):
+        raise error(f"alpha must have one entry per label, got shape {alpha.shape}")
     return alpha
+
+
+def _tilted_stack(model, alpha, derivatives: bool = False) -> np.ndarray:
+    """M(alpha) from the model's outcome table as a stack (1, n, n), or with
+    derivatives (1 + 2m, n, n): M, then d^k M / d alpha_v^k at 1 + (k - 1) m + v.
+    Block column v of M is P[v, .] (x) sum_xi exp(-alpha_v delta_xi) S_{v, xi},
+    so d^k M / d alpha_v^k is that column alone with weights (-delta_xi)^k
+    exp(...); padded outcomes have zero superoperators and drop out.  An
+    overflowing tilt warns and leaves non-finite entries."""
+    alpha = _tilt_vector(model.chain.n, alpha)
+    superops, _, deltas, _ = model.outcome_table
+    m = len(deltas)
+    k = np.arange(3 if derivatives else 1)[:, None, None]
+    blocks = np.einsum("kvx,vxij->kvij",
+                       (-deltas) ** k * np.exp(-alpha[:, None] * deltas), superops)
+    if derivatives:
+        families = np.zeros((1 + 2 * m,) + blocks.shape[1:], dtype=complex)
+        families[0] = blocks[0]
+        derivs = families[1:].reshape(2, m, *blocks.shape[1:])    # a view
+        derivs[:, range(m), range(m)] = blocks[1:]
+        blocks = families
+    return _generator_stack(model.chain.P[None], blocks)
 
 
 def deformed_generator(model, alpha) -> ExtendedGenerator:
     """The entropy-tilted generator: channel v is replaced by
-    sum_xi exp(-alpha_v * delta_xi) L_{v, xi}.
-
-    ``model`` must carry built unravelings (see the models module).  The tilt
-    reuses the unraveling's Kraus atoms -- nothing is re-diagonalized per
-    alpha, so sweeps are cheap and exactly consistent with the measurement
-    statistics.  At alpha = 0 the matrix equals the plain generator.
-    """
+    sum_xi exp(-alpha_v * delta_xi) L_{v, xi}, from the unravelings' Kraus
+    atoms, so nothing is re-diagonalized per alpha.  At alpha = 0 the
+    matrix equals the plain generator."""
     chain = model.chain
-    alpha = _tilt_vector(chain, alpha)
-    superops = [model.unravelings[l].deformed_superop(alpha[k])
-                for k, l in enumerate(chain.labels)]
-    mat = generator_matrix(chain, superops)
     return ExtendedGenerator(labels=tuple(chain.labels), dim=model.dim_sys,
-                             matrix=mat, chain=chain, channels=None)
+                             matrix=_tilted_stack(model, alpha)[0], chain=chain,
+                             channels=None)

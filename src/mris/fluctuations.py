@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import extended, models, quantum
-from .models import MrisModel, _outcome_tables
+from .models import MrisModel
 
 
 class FluctuationError(RuntimeError):
@@ -57,9 +57,9 @@ def e_of_alpha(model: MrisModel, alpha) -> float:
     if key in cache:
         return cache[key]
     with np.errstate(over="ignore", invalid="ignore"):
-        g = extended.deformed_generator(model, alpha)
-    _check_tilt(g.matrix, alpha)
-    w = np.linalg.eigvals(g.matrix)
+        mat = extended.deformed_generator(model, alpha).matrix
+    _check_tilt(mat, alpha)
+    w = np.linalg.eigvals(mat)
     val = math.log(w[_perron_index(w, alpha)].real)
     cache[key] = val
     return val
@@ -75,10 +75,9 @@ class _Perron:
 
     ``lam`` is the Perron root, ``r`` and ``l`` its right and left vectors
     with <l, r> = 1, and ``q`` the reduced resolvent, the group inverse of
-    lam - M: q = (lam - M + r l^H)^{-1} - r l^H.  M(alpha) has block column
-    v equal to P[v, .] (x) sum_xi exp(-alpha_v delta_xi) S_{v, xi}, so
-    dM/dalpha_v keeps only that column with weights -delta_xi exp(...), the
-    second derivative has delta_xi^2, and mixed second derivatives vanish.
+    lam - M: q = (lam - M + r l^H)^{-1} - r l^H.  The derivatives M_v and
+    M_vv of M in alpha_v come from extended._tilted_stack; mixed second
+    derivatives vanish.
     """
     lam: float
     matrix: np.ndarray
@@ -113,23 +112,11 @@ def _perron(model: MrisModel, alpha) -> _Perron:
     """One eigensolve of M(alpha) and one inverse: with r of unit norm,
     B = lam - M + r r^H is invertible, l^H = r^H B^{-1} is the left vector
     already normalized to <l, r> = 1, and q = (1 - r l^H) B^{-1} (1 - r l^H)."""
-    alpha = extended._tilt_vector(model.chain, alpha)
-    superops, _, deltas, _ = _outcome_tables(model)
-    m, n = model.chain.n, model.chain.n * superops.shape[-1]
-    # the k-th alpha_v-derivative of exp(-alpha_v delta) is (-delta)^k times
-    # it; padded outcomes have zero superoperators and drop out
-    # M and, as cols[k - 1, v], d^k M / d alpha_v^k: the generators of the
-    # family S(alpha) and of the 2m families whose one nonzero superoperator
-    # is the k-th derivative of S_v
+    alpha = extended._tilt_vector(model.chain.n, alpha)
     with np.errstate(over="ignore", invalid="ignore"):
-        tilt = (-deltas) ** np.arange(3)[:, None, None] * np.exp(-alpha[:, None] * deltas)
-        blocks = np.einsum("kvx,vxij->kvij", tilt, superops)
-        families = np.zeros((1 + 2 * m,) + blocks.shape[1:], dtype=complex)
-        families[0] = blocks[0]
-        derivs = families[1:].reshape(2, m, *blocks.shape[1:])    # a view
-        derivs[:, range(m), range(m)] = blocks[1:]
-        mats = extended._generator_stack(model.chain.P[None], families)
+        mats = extended._tilted_stack(model, alpha, derivatives=True)
     _check_tilt(mats, alpha)
+    m, n = model.chain.n, mats.shape[-1]
     gen, cols = mats[0], mats[1:].reshape(2, m, n, n)
 
     w, vr = np.linalg.eig(gen)

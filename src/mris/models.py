@@ -5,7 +5,8 @@ A model is a system Hamiltonian, a driving Markov chain over probe labels,
 one thermal probe specification per label, and initial system states.  All
 derived objects (probe states, propagators U_w, reduced channels L_w,
 two-time-measurement unravelings, flux observables) are built eagerly and
-cached on the model, which is immutable afterwards.
+cached on the model, which is immutable afterwards.  The read-only outcome
+table of the unravelings is taken on first use, once per model.
 """
 
 import math
@@ -105,10 +106,6 @@ class UnravelingEntry:
     def outcome_probabilities(self, rho) -> np.ndarray:
         return np.einsum("xij,ji->x", self._prob_ops, np.asarray(rho, dtype=complex)).real
 
-    def deformed_superop(self, a: float) -> np.ndarray:
-        """sum_xi exp(-a * delta_xi) S_xi, reusing the frozen Kraus atoms."""
-        return np.einsum("x,xij->ij", np.exp(-a * self.deltas), self._superops)
-
     def completeness_residual(self, channel: QuantumChannel) -> float:
         return float(np.abs(self._superops.sum(axis=0) - channel.superop).max())
 
@@ -198,6 +195,30 @@ class MrisModel:
             self.caches["generator"] = extended.build_generator(
                 self.chain, self.channels, self.tol)
         return self.caches["generator"]
+
+    @property
+    def outcome_table(self) -> tuple:
+        """Per-(label, outcome) tables of the two-time measurement, built on
+        first use and read-only: outcome superoperators (m, n_max, d^2, d^2),
+        probability functionals G.reshape(-1) (m, n_max, d^2), increments
+        (m, n_max) and outcome counts (m,).  Labels with fewer outcomes are
+        zero-padded to the widest label."""
+        if "outcome_table" not in self.caches:
+            entries = [self.unravelings[l] for l in self.labels]
+            n_out = np.array([e.n_outcomes for e in entries])
+            shape = (len(entries), n_out.max(), self.dim_sys ** 2)
+            superops = np.zeros(shape + shape[-1:], dtype=complex)
+            prob_funcs = np.zeros(shape, dtype=complex)
+            deltas = np.zeros(shape[:2])
+            for w, e in enumerate(entries):
+                superops[w, :e.n_outcomes] = e._superops
+                prob_funcs[w, :e.n_outcomes] = e.prob_ops.reshape(e.n_outcomes, -1)
+                deltas[w, :e.n_outcomes] = e.deltas
+            table = (superops, prob_funcs, deltas, n_out)
+            for a in table:
+                a.flags.writeable = False
+            self.caches["outcome_table"] = table
+        return self.caches["outcome_table"]
 
     def ess(self):
         """(R_+, residual), cached."""
@@ -321,25 +342,6 @@ def entropy_flux_observable(model: MrisModel) -> extended.ExtendedObservable:
 
 def unraveling(model: MrisModel, omega) -> UnravelingEntry:
     return model.unravelings[omega]
-
-
-def _outcome_tables(model: MrisModel):
-    """Per-(label, outcome) tables of the two-time measurement: outcome
-    superoperators (m, n_max, d^2, d^2), probability functionals G.reshape(-1)
-    (m, n_max, d^2), increments (m, n_max) and outcome counts (m,).  Labels
-    with fewer outcomes are zero-padded to the widest label.
-    """
-    entries = [model.unravelings[l] for l in model.labels]
-    n_out = np.array([e.n_outcomes for e in entries])
-    shape = (len(entries), n_out.max(), model.dim_sys ** 2)
-    superops = np.zeros(shape + shape[-1:], dtype=complex)
-    prob_funcs = np.zeros(shape, dtype=complex)
-    deltas = np.zeros(shape[:2])
-    for w, e in enumerate(entries):
-        superops[w, :e.n_outcomes] = e._superops
-        prob_funcs[w, :e.n_outcomes] = e.prob_ops.reshape(e.n_outcomes, -1)
-        deltas[w, :e.n_outcomes] = e.deltas
-    return superops, prob_funcs, deltas, n_out
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,8 @@ import numpy as np
 
 from . import extended
 from .chains import outcome_stream, path_stream
-from .models import MrisModel, _outcome_tables
-from .quantum import unvec, vec
+from .models import MrisModel
+from .quantum import vec
 
 ENUMERATION_GUARD = 10_000_000
 _BLOCK = 128          # steps of uniforms streamed per trajectory at a time
@@ -407,7 +407,7 @@ def sample_entropy_process(model: MrisModel, cfg: TrajectoryConfig) -> EntropySa
     the outcome decomposition of the step channel), updates the conditional
     system state, and accumulates the entropy increment of that probe.
     """
-    superops, prob_funcs, deltas, n_out = _outcome_tables(model)
+    superops, prob_funcs, deltas, n_out = model.outcome_table
     table = _step_table(model, prob_funcs, superops, "probability functionals")
     width, m = deltas.shape[1], model.chain.n
     deltas = deltas.ravel()
@@ -452,7 +452,7 @@ class ExactDistribution:
 
     def deformed_expectation(self, alpha) -> float:
         """E[exp(-alpha . S)] over the exact law."""
-        alpha = np.asarray(alpha, dtype=float)
+        alpha = extended._tilt_vector(len(self.labels), alpha, TrajectoryError)
         return math.fsum(self.probs * np.exp(-self.svecs @ alpha))
 
     def total_probability(self) -> float:
@@ -467,7 +467,7 @@ def enumerate_full_statistics(model: MrisModel, n: int,
     extended state, matching the sampled process and the duality pairing.
     """
     m = model.chain.n
-    superops, _, deltas, n_out = _outcome_tables(model)
+    superops, _, deltas, n_out = model.outcome_table
     total = m * (m * superops.shape[1]) ** n
     if total > ENUMERATION_GUARD:
         raise TrajectoryError(
@@ -515,7 +515,7 @@ def enumerate_full_statistics(model: MrisModel, n: int,
 def empirical_cumulant(sample: EntropySample, alpha) -> float:
     """Per-step empirical cumulant (1/n) log E_hat[exp(-alpha . S_n)],
     evaluated stably through a log-sum-exp."""
-    alpha = np.asarray(alpha, dtype=float)
+    alpha = extended._tilt_vector(len(sample.labels), alpha, TrajectoryError)
     x = -sample.svec @ alpha
     top = x.max()
     lse = top + math.log(np.exp(x - top).sum())
@@ -540,48 +540,40 @@ def flux_autocorrelation(source, omega, nu, max_lag: int = 5) -> AutocorrResult:
     with ``keep_increments=True`` for the empirical estimate with standard
     errors across trajectories.
     """
+    if not isinstance(source, (MrisModel, EntropySample)):
+        raise TrajectoryError(f"cannot compute autocorrelation from {type(source)!r}")
+    for label in (omega, nu):
+        if label not in source.labels:
+            raise TrajectoryError(f"unknown label {label!r}; labels are {source.labels}")
+    n_steps = source.n_steps if isinstance(source, EntropySample) else math.inf
+    if not (isinstance(max_lag, (int, np.integer)) and 0 <= max_lag < n_steps):
+        raise TrajectoryError(
+            f"max_lag must be an integer in [0, {n_steps}), got {max_lag!r}")
     if isinstance(source, MrisModel):
         return _autocorr_analytic(source, omega, nu, max_lag)
-    if isinstance(source, EntropySample):
-        return _autocorr_empirical(source, omega, nu, max_lag)
-    raise TrajectoryError(f"cannot compute autocorrelation from {type(source)!r}")
+    return _autocorr_empirical(source, omega, nu, max_lag)
 
 
 def _autocorr_analytic(model: MrisModel, omega, nu, max_lag) -> AutocorrResult:
-    g = model.generator
-    r_plus, _ = model.ess()
-    d = model.dim_sys
+    """c(0) = delta_wv l^H M_ww r - <J_w><J_v> and, for k >= 1,
+    c(k) = l^H M_w G^{k-1} M_v r - <J_w><J_v>, with G the generator, r and l
+    its Perron pair and M_v, M_vv the alpha-derivatives of the tilted
+    generator at 0 (see fluctuations._perron); <J_v> = -l^H M_v r."""
+    from .fluctuations import _perron
+
+    p = _perron(model, np.zeros(model.chain.n))
     iw, iv = model.chain.index(omega), model.chain.index(nu)
-    # sum_xi delta^k S_xi: the alpha-derivatives of the deformed blocks at 0
-    superops, _, deltas, _ = _outcome_tables(model)
-    d1 = np.einsum("wx,wxij->wij", deltas, superops)
-    d2 = np.einsum("wx,wxij->wij", deltas ** 2, superops)
-    p_mat = model.chain.P
-
-    def apply_d(mu, state_blocks):
-        """(D_mu R)(w') = P[mu, w'] * unvec(D1_mu vec(R(mu)))."""
-        core = unvec(d1[mu] @ vec(state_blocks[mu]), d)
-        return np.stack([p_mat[mu, wp] * core for wp in range(model.chain.n)])
-
-    mean = {mu: float(np.trace(unvec(d1[mu] @ vec(r_plus.blocks[mu]), d)).real)
-            for mu in (iw, iv)}
-
-    lags = np.arange(max_lag + 1)
+    mean = (p.l_dm @ p.r).real          # -<J_v>
+    row, col = p.l_dm[iw], p.dm_r[:, iv]
     values = np.empty(max_lag + 1)
-    if iw == iv:
-        raw0 = float(np.trace(unvec(d2[iw] @ vec(r_plus.blocks[iw]), d)).real)
-    else:
-        raw0 = 0.0          # a step's increment belongs to exactly one probe
-    values[0] = raw0 - mean[iw] * mean[iv]
-
-    v_state = extended.ExtendedState(model.labels, apply_d(iv, r_plus.blocks))
+    # a step's increment belongs to exactly one probe
+    values[0] = p.l_d2m_r[iw].real if iw == iv else 0.0
     for k in range(1, max_lag + 1):
-        if k > 1:
-            v_state = g.apply(v_state)
-        raw = float(np.trace(unvec(d1[iw] @ vec(v_state.blocks[iw]), d)).real)
-        values[k] = raw - mean[iw] * mean[iv]
-    return AutocorrResult(omega=omega, nu=nu, lags=lags, values=values,
-                          stderr=None, mode="analytic")
+        values[k] = (row @ col).real
+        col = p.matrix @ col
+    values -= mean[iw] * mean[iv]
+    return AutocorrResult(omega=omega, nu=nu, lags=np.arange(max_lag + 1),
+                          values=values, stderr=None, mode="analytic")
 
 
 def _autocorr_empirical(sample: EntropySample, omega, nu, max_lag) -> AutocorrResult:
@@ -607,7 +599,8 @@ def _autocorr_empirical(sample: EntropySample, omega, nu, max_lag) -> AutocorrRe
         per_traj = (f_w[:, k:] * f_v[:, :n - k]).mean(axis=1)
         t = per_traj.shape[0]
         values[k] = math.fsum(per_traj) / t
-        var = math.fsum((v - values[k]) ** 2 for v in per_traj) / (t - 1)
+        var = (math.fsum((v - values[k]) ** 2 for v in per_traj) / (t - 1)
+               if t > 1 else math.inf)       # as ergodic_average: no spread
         stderr[k] = math.sqrt(var / t)
     return AutocorrResult(omega=omega, nu=nu, lags=lags, values=values,
                           stderr=stderr, mode="empirical")

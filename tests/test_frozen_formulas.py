@@ -12,6 +12,8 @@ the steady state moved from the eigenvalue-1 eigenvector to the bordered
 solve (moves of at most 4e-16 in the state and 3.1e-15 in a tracking
 error).  The ``classify.*`` entries were recorded while classification
 still computed left eigenvectors; reading the eigenvalues alone keeps them.
+The ``enum.*`` entries pin the exact three-step law (probabilities,
+increments and words) of enumerate_full_statistics.
 
 The digests depend on LAPACK rounding: they were recorded on x86-64 with
 numpy 2.4 and OpenBLAS, and a different LAPACK (or BLAS kernel) may round
@@ -24,7 +26,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mris import adiabatic, extended, fluctuations, modelfile, models, quantum
+from mris import (adiabatic, extended, fixtures, fluctuations, modelfile,
+                  models, quantum, trajectories)
 from test_trajectories import _sparse_mixed_model
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -88,6 +91,11 @@ def _snapshot(model) -> dict:
 
     out["entropy_flux"] = _digest(models.entropy_flux_observable(model).blocks)
 
+    law = trajectories.enumerate_full_statistics(model, 3)
+    out["enum.probs"] = _digest(law.probs)
+    out["enum.svecs"] = _digest(law.svecs)
+    out["enum.words"] = _digest(law.words)
+
     for label in model.labels:
         u = model.unravelings[label]
         out[f"unraveling.{label}"] = _digest(u.varsigma, *u.projections)
@@ -118,6 +126,9 @@ FROZEN = {
         'classify.kind': '78c7ae3b61e0f1a3',
         'classify.period': '6c3c396ed6b5c36d',
         'classify.peripheral': 'ecbd733a550ee37d',
+        'enum.probs': 'ac23f8153509d310',
+        'enum.svecs': '0908e7b3eb7fabdc',
+        'enum.words': 'edd438497ba7ef6b',
         'entropy_flux': '56e8ed9083587b33',
         'ess.blocks': 'e80f4951cc0fecdf',
         'ess.reconstruction_residual': '480176fc65506bb4',
@@ -152,6 +163,9 @@ FROZEN = {
         'classify.kind': '78c7ae3b61e0f1a3',
         'classify.period': '6c3c396ed6b5c36d',
         'classify.peripheral': '166bac70ff1e117b',
+        'enum.probs': '3aa489e2152fac25',
+        'enum.svecs': 'b197cae2d134451a',
+        'enum.words': '48dcd595f5308859',
         'entropy_flux': '63fd19d206e888b0',
         'ess.blocks': '27e398ea47d6d485',
         'ess.reconstruction_residual': '2c90700cca8fa9fe',
@@ -189,6 +203,9 @@ FROZEN = {
         'classify.kind': '78c7ae3b61e0f1a3',
         'classify.period': '6c3c396ed6b5c36d',
         'classify.peripheral': 'a188fcb999e01efa',
+        'enum.probs': 'efb0f90dfff0cfaa',
+        'enum.svecs': '13cbedb9f15f4871',
+        'enum.words': 'edd438497ba7ef6b',
         'entropy_flux': 'd7a980cdf0b8cd11',
         'ess.blocks': 'fc1fc65982e72880',
         'ess.reconstruction_residual': '62f42a9afe3e63e9',
@@ -223,6 +240,9 @@ FROZEN = {
         'classify.kind': '78c7ae3b61e0f1a3',
         'classify.period': '6c3c396ed6b5c36d',
         'classify.peripheral': 'd43f95e547112144',
+        'enum.probs': 'e720a57d8f9d5ec6',
+        'enum.svecs': '13cbedb9f15f4871',
+        'enum.words': 'edd438497ba7ef6b',
         'entropy_flux': '0ccb1cee99dbd0e8',
         'ess.blocks': 'a9ca3171de7937be',
         'ess.reconstruction_residual': 'ad5b5f55599dd7eb',
@@ -255,3 +275,14 @@ def test_formulas_match_frozen_digests(name):
     want = FROZEN[name]
     assert sorted(got) == sorted(want)
     assert {k: v for k, v in got.items() if v != want[k]} == {}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_MODELS) + ["random_11"])
+def test_tilted_generator_is_the_kernel_matrix(name):
+    """deformed_generator and the perturbation kernel build the same M(alpha),
+    bit for bit, also on padded labels (sparse_mixed has 4/9/4 outcomes)."""
+    model = (fixtures.random_model(11, n_labels=3) if name == "random_11"
+             else FROZEN_MODELS[name]())
+    for a in _alphas(model.chain.n):
+        assert (extended.deformed_generator(model, a).matrix.tobytes()
+                == fluctuations._perron(model, a).matrix.tobytes())

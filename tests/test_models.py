@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from conftest import random_density
-from mris import extended, fixtures, models
+from mris import extended, fixtures, fluctuations, models, trajectories
 from mris.chains import MarkovChain
 from mris.quantum import tensor, thermal_state
 
@@ -169,10 +169,22 @@ def test_entropy_flux_is_minus_beta_times_energy_flux(canonical):
         np.testing.assert_allclose(js.blocks[k], -beta * j, atol=1e-12)
 
 
+def _tilted_superop(model, label, a):
+    """The superoperator that deformed_generator puts in place of channel v
+    at alpha_v = a: its block (w, v) divided by P[v, w], at the w with the
+    largest P[v, w]."""
+    v = model.chain.index(label)
+    w = int(np.argmax(model.chain.P[v]))
+    alpha = np.zeros(model.chain.n)
+    alpha[v] = a
+    dd = model.dim_sys ** 2
+    mat = extended.deformed_generator(model, alpha).matrix
+    return mat[w * dd:(w + 1) * dd, v * dd:(v + 1) * dd] / model.chain.P[v, w]
+
+
 def test_deformed_superop_interpolates_the_two_time_weighting(canonical, rng):
     """sum_xi e^(-a delta) S_xi == superop of  rho -> tr_E[(1 (x) rho_E^a) U (rho (x) rho_E^(1-a)) U*]."""
     label = "hot"
-    entry = models.unraveling(canonical, label)
     u = canonical.u[label]
     re = canonical.rho_env[label]
     w, phi = np.linalg.eigh(re)
@@ -187,14 +199,37 @@ def test_deformed_superop_interpolates_the_two_time_weighting(canonical, rng):
             weighted = tensor(np.eye(2), pa) @ big
             red = weighted.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
             direct[:, col] = red.reshape(-1, order="F")
-        np.testing.assert_allclose(entry.deformed_superop(a), direct, atol=1e-11)
+        np.testing.assert_allclose(_tilted_superop(canonical, label, a), direct,
+                                   atol=1e-11)
 
 
 def test_deformed_superop_at_zero_is_the_channel(canonical):
     for label in canonical.labels:
-        entry = models.unraveling(canonical, label)
-        np.testing.assert_allclose(entry.deformed_superop(0.0),
+        np.testing.assert_allclose(_tilted_superop(canonical, label, 0.0),
                                    canonical.channels[label].superop, atol=1e-12)
+
+
+def test_outcome_table_is_built_once_and_read_only(monkeypatch):
+    """The tilted generator, the perturbation kernel, the sampler and the
+    exact enumeration all read one table per model, which cannot be written."""
+    reads, prob_ops = [], models.UnravelingEntry.prob_ops
+
+    def counting(entry):
+        reads.append(entry.label)        # one read per label per build
+        return prob_ops.fget(entry)
+
+    monkeypatch.setattr(models.UnravelingEntry, "prob_ops", property(counting))
+    m = fixtures.two_temperature_qubit()
+    fluctuations.e_of_alpha(m, np.array([0.3, -0.2]))
+    fluctuations._perron(m, np.array([0.1, 0.4]))
+    trajectories.sample_entropy_process(
+        m, trajectories.TrajectoryConfig(n_steps=5, n_traj=3, seed=0))
+    trajectories.enumerate_full_statistics(m, 2)
+    assert reads == list(m.labels)
+    table = m.outcome_table
+    for a in table:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -237,17 +238,20 @@ def test_corruption_names_the_first_bad_step_and_trajectory(label, fault, chunk,
 
 
 def test_non_hermiticity_preserving_map_is_an_error_not_dropped():
-    m = fixtures.two_temperature_qubit()
     cfg = TrajectoryConfig(n_steps=5, n_traj=3, seed=0)
-    entry = m.unravelings["hot"]
-    plain = entry._superops
+
+    def with_phase(phase):
+        # a fresh model: its outcome table is taken on first use
+        m = fixtures.two_temperature_qubit()
+        entry = m.unravelings["hot"]
+        entry._superops = entry._superops * np.exp(phase)
+        return m
+
     # a phase of round-off size is accepted, one above it is not
-    entry._superops = plain * np.exp(1e-15j)
-    trajectories.sample_entropy_process(m, cfg)
-    entry._superops = plain * np.exp(1e-6j)
+    trajectories.sample_entropy_process(with_phase(1e-15j), cfg)
     with pytest.raises(trajectories.RealBasisError,
                        match="superoperators not real in the Hermitian basis"):
-        trajectories.sample_entropy_process(m, cfg)
+        trajectories.sample_entropy_process(with_phase(1e-6j), cfg)
 
 
 def test_tolerated_anti_hermitian_part_of_a_start_state_is_dropped():
@@ -424,6 +428,85 @@ def test_autocorrelation_empirical_matches_analytic(canonical):
 def test_autocorrelation_decays(canonical):
     exact = trajectories.flux_autocorrelation(canonical, "hot", "hot", max_lag=40)
     assert abs(exact.values[40]) < 1e-3 * abs(exact.values[0])
+
+
+@pytest.mark.parametrize("which", ["canonical", "random_11"])
+def test_analytic_autocorrelation_matches_block_evolution(canonical, which):
+    """The kernel's lags equal the stationary block recursion: c(0) =
+    delta_wv tr(D2_w R_+(w)) - mu_w mu_v and c(k) = tr(D1_w X_k(w)) - mu_w mu_v,
+    where X_1(w') = P[v, w'] D1_v R_+(v), X_{k+1} = L X_k and
+    Dk_v = sum_xi delta_xi^k S_{v, xi}, mu_v = tr(D1_v R_+(v))."""
+    model = canonical if which == "canonical" else fixtures.random_model(11, n_labels=3)
+    m, d = model.chain.n, model.dim_sys
+    r_plus = model.ess()[0].blocks
+    dk = [[np.einsum("x,xij->ij", e.deltas ** k, e._superops)
+           for e in (model.unravelings[l] for l in model.labels)] for k in (1, 2)]
+
+    def traced(op, block):
+        return np.trace((op @ block.reshape(-1, order="F")).reshape(d, d, order="F")).real
+
+    mu = [traced(dk[0][v], r_plus[v]) for v in range(m)]
+    for w, omega in enumerate(model.labels):
+        for v, nu in enumerate(model.labels):
+            got = trajectories.flux_autocorrelation(model, omega, nu, max_lag=30).values
+            want = [(traced(dk[1][w], r_plus[w]) if w == v else 0.0) - mu[w] * mu[v]]
+            core = (dk[0][v] @ r_plus[v].reshape(-1, order="F")).reshape(d, d, order="F")
+            x = extended.ExtendedState(model.labels, model.chain.P[v][:, None, None] * core)
+            for k in range(1, 31):
+                want.append(traced(dk[0][w], x.blocks[w]) - mu[w] * mu[v])
+                x = model.generator.apply(x)
+            assert np.abs(got - np.array(want)).max() <= 1e-14, (omega, nu)
+
+
+@pytest.fixture(scope="module")
+def short_sample(canonical):
+    return trajectories.sample_entropy_process(
+        canonical, TrajectoryConfig(n_steps=5, n_traj=4, seed=1, keep_increments=True))
+
+
+def test_autocorrelation_lag_must_lie_inside_the_sample(short_sample):
+    with pytest.raises(trajectories.TrajectoryError,
+                       match=re.escape("max_lag must be an integer in [0, 5), got 5")):
+        trajectories.flux_autocorrelation(short_sample, "hot", "cold", max_lag=5)
+    assert np.isfinite(trajectories.flux_autocorrelation(
+        short_sample, "hot", "cold", max_lag=4).values).all()
+
+
+def test_autocorrelation_of_one_trajectory_has_no_standard_error(canonical):
+    """Like ergodic_average, one trajectory gives estimates with an infinite
+    standard error rather than a division by zero."""
+    sample = trajectories.sample_entropy_process(
+        canonical, TrajectoryConfig(n_steps=20, n_traj=1, seed=0, keep_increments=True))
+    emp = trajectories.flux_autocorrelation(sample, "hot", "cold", max_lag=3)
+    assert np.isfinite(emp.values).all() and np.isinf(emp.stderr).all()
+
+
+@pytest.mark.parametrize("lag", [-1, 2.5])
+@pytest.mark.parametrize("which", ["model", "sample"])
+def test_autocorrelation_rejects_a_negative_or_fractional_lag(canonical, short_sample,
+                                                              which, lag):
+    source = canonical if which == "model" else short_sample
+    bound = "inf" if which == "model" else "5"
+    with pytest.raises(trajectories.TrajectoryError, match=re.escape(
+            f"max_lag must be an integer in [0, {bound}), got {lag}")):
+        trajectories.flux_autocorrelation(source, "hot", "cold", max_lag=lag)
+
+
+@pytest.mark.parametrize("which", ["model", "sample"])
+def test_autocorrelation_rejects_an_unknown_label(canonical, short_sample, which):
+    source = canonical if which == "model" else short_sample
+    with pytest.raises(trajectories.TrajectoryError, match="unknown label 'warm'"):
+        trajectories.flux_autocorrelation(source, "warm", "cold")
+
+
+@pytest.mark.parametrize("alpha", [np.zeros(3), 0.5, np.zeros((2, 2))])
+def test_cumulants_reject_alpha_of_the_wrong_length(canonical, short_sample, alpha):
+    dist = trajectories.enumerate_full_statistics(canonical, 2)
+    shape = re.escape(f"got shape {np.shape(alpha)}")
+    with pytest.raises(trajectories.TrajectoryError, match=shape):
+        trajectories.empirical_cumulant(short_sample, alpha)
+    with pytest.raises(trajectories.TrajectoryError, match=shape):
+        dist.deformed_expectation(alpha)
 
 
 def _recursive_enumeration(model, n):
