@@ -84,6 +84,28 @@ _SWEEP_BLOCK = 256
 _PRIMITIVITY_POINTS = 20
 
 
+def _path_gap_min(model: MrisModel, schedule: AdiabaticSchedule, generators) -> float:
+    """The smallest gap of the instantaneous family on the primitivity grid,
+    from one batched eigvals call; raises when some point is not primitive.
+    A path is checked once per model: the gap is kept in model.caches,
+    keyed by the schedule's kind and endpoint matrices (a failing path
+    keeps nothing, so it raises on every call)."""
+    key = (schedule.kind, schedule.p_start.tobytes(), schedule.p_end.tobytes())
+    cache = model.caches.setdefault("adiabatic_gap_min", {})
+    if key not in cache:
+        grid = np.linspace(0.0, 1.0, _PRIMITIVITY_POINTS)
+        gap_min = np.inf
+        for s, w in zip(grid, np.linalg.eigvals(generators(grid))):
+            cls = extended._classify_spectrum(w, model.tol)
+            if cls.kind != "primitive":
+                raise AdiabaticError(
+                    f"instantaneous generator at s={s:.3f} is {cls.kind}; the "
+                    "tracking bound needs a primitive family")
+            gap_min = min(gap_min, cls.gap)
+        cache[key] = gap_min
+    return cache[key]
+
+
 @dataclass
 class AdiabaticResult:
     n_steps: int
@@ -109,7 +131,8 @@ def adiabatic_evolve(model: MrisModel, schedule: AdiabaticSchedule,
     maximum over k >= N/4, by which point any admissible start has merged into
     the O(1/N) tracking regime.
 
-    The primitivity grid is one batched eigvals call.  The generators, the
+    The primitivity grid is one batched eigvals call, made once per path
+    and model (see _path_gap_min).  The generators, the
     steady states R_+(s_k) (one bordered solve each, see extended.find_ess;
     no eigensolve) and the trace norms are taken over stacks of schedule
     points; only the recursion itself steps one point at a time.
@@ -131,16 +154,7 @@ def adiabatic_evolve(model: MrisModel, schedule: AdiabaticSchedule,
     def generators(s):
         return extended._generator_stack(schedule.transition_matrix(s), superops)
 
-    grid = np.linspace(0.0, 1.0, _PRIMITIVITY_POINTS)
-    gap_min = np.inf
-    for s, w in zip(grid, np.linalg.eigvals(generators(grid))):
-        cls = extended._classify_spectrum(w, tol)
-        if cls.kind != "primitive":
-            raise AdiabaticError(
-                f"instantaneous generator at s={s:.3f} is {cls.kind}; the "
-                "tracking bound needs a primitive family")
-        gap_min = min(gap_min, cls.gap)
-
+    gap_min = _path_gap_min(model, schedule, generators)
     s_grid = np.arange(n_steps + 1) / n_steps
     errors = np.empty(n_steps + 1)
 

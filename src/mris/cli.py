@@ -207,8 +207,7 @@ def cmd_cumulant(args):
     gc = fluctuations.gc_symmetry_report(model)
     e0 = fluctuations.e_of_alpha(model, np.zeros(model.chain.n))
     ray = np.linspace(-1.0, 2.0, args.grid_points)
-    ray_vals = [fluctuations.e_of_alpha(model, a * np.ones(model.chain.n))
-                for a in ray]
+    ray_vals = fluctuations._e_stack(model, ray[:, None] * np.ones(model.chain.n))
     results = {
         "e_at_zero": e0,
         "gc_symmetry": {
@@ -241,9 +240,9 @@ def cmd_ratefn(args):
     model = _load(args)
     ones = np.ones(model.chain.n)
     a_grid = np.linspace(-args.alpha_range, args.alpha_range, args.points)
-    # s = -ebar'(-a) with ebar(b) = e(b 1), from the exact gradient
-    s_grid = np.array([-ones @ fluctuations._grad_e(model, -a * ones)
-                       for a in a_grid])
+    # s = -ebar'(-a) with ebar(b) = e(b 1), from the exact gradients
+    grads = fluctuations._perron(model, -a_grid[:, None] * ones).derivatives()[1]
+    s_grid = np.array([-ones @ g for g in grads])
     order = np.argsort(s_grid)
     s_grid = s_grid[order]
     res = fluctuations.entropy_rate_function(model, s_grid)

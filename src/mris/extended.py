@@ -438,43 +438,61 @@ def classify_generator(g: ExtendedGenerator, tol: Tolerances = DEFAULT) -> Gener
 # tilted generators
 # ---------------------------------------------------------------------------
 
-def _tilt_vector(m: int, alpha, error=GeneratorError) -> np.ndarray:
-    """alpha as a float array with one entry for each of m labels; raises
-    ``error`` naming the shape otherwise."""
+def _tilt_vector(m: int, alpha, error=GeneratorError, stack: bool = False) -> np.ndarray:
+    """alpha as a float array with one entry for each of m labels (or, with
+    ``stack``, also a stack (K, m) of such tilts); raises ``error`` naming
+    the shape otherwise."""
     alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (m,):
+    if alpha.ndim not in ((1, 2) if stack else (1,)) or alpha.shape[-1:] != (m,):
         raise error(f"alpha must have one entry per label, got shape {alpha.shape}")
     return alpha
 
 
-def _tilted_stack(model, alpha, derivatives: bool = False) -> np.ndarray:
-    """M(alpha) from the model's outcome table as a stack (1, n, n), or with
-    derivatives (1 + 2m, n, n): M, then d^k M / d alpha_v^k at 1 + (k - 1) m + v.
+def _tilted_stack(model, alpha, derivatives: bool = False,
+                  error=GeneratorError) -> np.ndarray:
+    """M(alpha) (n, n) from the model's outcome table, or with derivatives
+    (1 + 2m, n, n): M, then d^k M / d alpha_v^k at 1 + (k - 1) m + v.  A
+    stack of tilts alpha (K, m) gives these with a leading K axis, each item
+    bitwise equal to its own call.
     Block column v of M is P[v, .] (x) sum_xi exp(-alpha_v delta_xi) S_{v, xi},
     so d^k M / d alpha_v^k is that column alone with weights (-delta_xi)^k
-    exp(...); padded outcomes have zero superoperators and drop out.  An
-    overflowing tilt warns and leaves non-finite entries."""
-    alpha = _tilt_vector(model.chain.n, alpha)
+    exp(...); padded outcomes have zero superoperators and drop out.  A tilt
+    whose exp(-alpha_v delta) overflows leaves no matrix to read: ``error``
+    is raised naming the first such alpha, and no warning is left."""
+    alpha = _tilt_vector(model.chain.n, alpha, stack=True)
     superops, _, deltas, _ = model.outcome_table
     m = len(deltas)
-    k = np.arange(3 if derivatives else 1)[:, None, None]
-    blocks = np.einsum("kvx,vxij->kvij",
-                       (-deltas) ** k * np.exp(-alpha[:, None] * deltas), superops)
-    if derivatives:
-        families = np.zeros((1 + 2 * m,) + blocks.shape[1:], dtype=complex)
-        families[0] = blocks[0]
-        derivs = families[1:].reshape(2, m, *blocks.shape[1:])    # a view
-        derivs[:, range(m), range(m)] = blocks[1:]
-        blocks = families
-    return _generator_stack(model.chain.P[None], blocks)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = np.exp(-alpha[..., None, :, None] * deltas)
+        if derivatives:
+            weights = (-deltas) ** np.arange(3)[:, None, None] * weights
+        blocks = np.einsum("...kvx,vxij->...kvij", weights, superops)
+        if derivatives:
+            families = np.zeros(blocks.shape[:-4] + (1 + 2 * m,) + blocks.shape[-3:],
+                                dtype=complex)
+            families[..., 0, :, :, :] = blocks[..., 0, :, :, :]
+            derivs = families[..., 1:, :, :, :].reshape(
+                blocks.shape[:-4] + (2, m) + blocks.shape[-3:])    # a view
+            derivs[..., range(m), range(m), :, :] = blocks[..., 1:, :, :, :]
+            blocks = families
+        mats = _generator_stack(model.chain.P[None], blocks.reshape(-1, *blocks.shape[-3:]))
+    mats = mats.reshape(blocks.shape[:-3 if derivatives else -4] + mats.shape[-2:])
+    if not np.isfinite(mats).all():
+        alphas = alpha.reshape(-1, m)
+        finite = np.isfinite(mats.reshape(len(alphas), -1)).all(axis=1)
+        raise error(f"tilted generator is not finite at alpha={alphas[np.argmin(finite)]}: "
+                    "exp(-alpha . delta) overflows")
+    return mats
 
 
 def deformed_generator(model, alpha) -> ExtendedGenerator:
     """The entropy-tilted generator: channel v is replaced by
     sum_xi exp(-alpha_v * delta_xi) L_{v, xi}, from the unravelings' Kraus
     atoms, so nothing is re-diagonalized per alpha.  At alpha = 0 the
-    matrix equals the plain generator."""
+    matrix equals the plain generator; a tilt that overflows raises
+    GeneratorError naming alpha."""
     chain = model.chain
+    alpha = _tilt_vector(chain.n, alpha)
     return ExtendedGenerator(labels=tuple(chain.labels), dim=model.dim_sys,
-                             matrix=_tilted_stack(model, alpha)[0], chain=chain,
+                             matrix=_tilted_stack(model, alpha), chain=chain,
                              channels=None)

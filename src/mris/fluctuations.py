@@ -21,30 +21,47 @@ class FluctuationError(RuntimeError):
 # the cumulant generating function e(alpha) = log spr(deformed generator)
 # ---------------------------------------------------------------------------
 
-def _perron_index(w: np.ndarray, alpha) -> int:
-    """Index of the Perron root among the eigenvalues w of a deformed
-    generator: of those whose modulus is within a relative 1e-12 of the
-    spectral radius, the one with the largest real part (on a periodic chain
-    -lambda and the other roots of unity times lambda share the radius up to
-    round-off)."""
+def _perron_index(w: np.ndarray, alpha) -> np.ndarray:
+    """Index of the Perron root among the eigenvalues w (..., n) of deformed
+    generators at the tilts alpha (..., m): of those whose modulus is within
+    a relative 1e-12 of the spectral radius, the one with the largest real
+    part (on a periodic chain -lambda and the other roots of unity times
+    lambda share the radius up to round-off).  The first tilt whose root is
+    not real positive is named."""
     mod = np.abs(w)
-    top = np.flatnonzero(mod >= (1.0 - 1e-12) * mod.max())
-    i = top[np.argmax(w[top].real)]
-    lam = w[i]
-    if lam.real <= 0.0 or abs(lam.imag) > 1e-10 * max(1.0, abs(lam.real)):
-        raise FluctuationError(
-            f"dominant deformed eigenvalue is not real positive at "
-            f"alpha={alpha}: {lam}")
+    top = mod >= (1.0 - 1e-12) * mod.max(axis=-1, keepdims=True)
+    i = np.where(top, w.real, -np.inf).argmax(axis=-1)
+    roots = w.reshape(-1, w.shape[-1])
+    for k, j in enumerate(i.reshape(-1).tolist()):
+        lam = roots[k, j]
+        if lam.real <= 0.0 or abs(lam.imag) > 1e-10 * max(1.0, abs(lam.real)):
+            raise FluctuationError(
+                f"dominant deformed eigenvalue is not real positive at "
+                f"alpha={np.reshape(alpha, (len(roots), -1))[k]}: {lam}")
     return i
 
 
-def _check_tilt(mats: np.ndarray, alpha):
-    """A tilt large enough to overflow exp(-alpha_v delta) leaves no
-    spectrum to read: name alpha instead."""
-    if not np.isfinite(mats).all():
-        raise FluctuationError(
-            f"tilted generator is not finite at alpha={alpha}: "
-            "exp(-alpha . delta) overflows")
+def _e_stack(model: MrisModel, alphas) -> list:
+    """e at each row of alphas (K, m), through the cache of e_of_alpha; the
+    misses take one stacked tilt and one batched eigvals, and each value is
+    bitwise that of its own e_of_alpha call."""
+    if len(alphas) == 0:
+        return []
+    alphas = extended._tilt_vector(model.chain.n, np.atleast_2d(alphas), stack=True)
+    keys = list(map(tuple, np.round(alphas, 12)))
+    cache = model.caches.setdefault("cumulant_values", {})
+    missing = {}
+    for key, a in zip(keys, alphas):
+        if key not in cache:
+            missing.setdefault(key, a)
+    if missing:
+        tilts = np.array(list(missing.values()))
+        w = np.linalg.eigvals(extended._tilted_stack(model, tilts,
+                                                     error=FluctuationError))
+        lam = w[range(len(w)), _perron_index(w, tilts)].real
+        for key, value in zip(missing, lam.tolist()):
+            cache[key] = math.log(value)
+    return [cache[key] for key in keys]
 
 
 def e_of_alpha(model: MrisModel, alpha) -> float:
@@ -56,10 +73,7 @@ def e_of_alpha(model: MrisModel, alpha) -> float:
     cache = model.caches.setdefault("cumulant_values", {})
     if key in cache:
         return cache[key]
-    with np.errstate(over="ignore", invalid="ignore"):
-        mat = extended.deformed_generator(model, alpha).matrix
-    _check_tilt(mat, alpha)
-    w = np.linalg.eigvals(mat)
+    w = np.linalg.eigvals(extended._tilted_stack(model, alpha, error=FluctuationError))
     val = math.log(w[_perron_index(w, alpha)].real)
     cache[key] = val
     return val
@@ -71,7 +85,8 @@ def e_of_alpha(model: MrisModel, alpha) -> float:
 
 @dataclass
 class _Perron:
-    """Perron data of the deformed generator M(alpha).
+    """Perron data of the deformed generator M(alpha), or of a stack of
+    them (every field then has a leading K axis).
 
     ``lam`` is the Perron root, ``r`` and ``l`` its right and left vectors
     with <l, r> = 1, and ``q`` the reduced resolvent, the group inverse of
@@ -95,42 +110,62 @@ class _Perron:
         + l^H M_u q M_v r + l^H M_v q M_u r (Kato's second-order formula).
         A tilt whose generator is finite can still overflow these products:
         then the Hessian (which a non-finite gradient spoils too) is not
-        finite, and alpha is named."""
+        finite, and alpha (the first such one of a stack) is named."""
+        lam = np.asarray(self.lam)[..., None]
+        m = self.l_d2m_r.shape[-1]
         with np.errstate(over="ignore", invalid="ignore"):
-            grad = (self.l_dm @ self.r).real / self.lam
+            grad = (self.l_dm @ self.r[..., None])[..., 0].real / lam
             cross = (self.l_dm @ self.q @ self.dm_r).real
-            hess = (np.diag(self.l_d2m_r.real) + cross + cross.T) / self.lam
-            hess = hess - np.outer(grad, grad)
-        if not np.isfinite(hess).all():
+            diag = np.zeros(cross.shape)
+            diag[..., range(m), range(m)] = self.l_d2m_r.real
+            hess = (diag + cross + cross.swapaxes(-1, -2)) / lam[..., None]
+            hess = hess - grad[..., :, None] * grad[..., None, :]
+        finite = np.isfinite(hess).all(axis=(-2, -1))
+        if not finite.all():
+            alpha = self.alpha if finite.ndim == 0 else self.alpha[np.argmin(finite)]
             raise FluctuationError(
-                f"Hessian of e is not finite at alpha={self.alpha}: "
+                f"Hessian of e is not finite at alpha={alpha}: "
                 "a kernel product overflows")
-        return math.log(self.lam), grad, hess
+        if finite.ndim == 0:
+            return math.log(self.lam), grad, hess
+        return np.array([math.log(v) for v in self.lam.tolist()]), grad, hess
 
 
 def _perron(model: MrisModel, alpha) -> _Perron:
     """One eigensolve of M(alpha) and one inverse: with r of unit norm,
     B = lam - M + r r^H is invertible, l^H = r^H B^{-1} is the left vector
-    already normalized to <l, r> = 1, and q = (1 - r l^H) B^{-1} (1 - r l^H)."""
-    alpha = extended._tilt_vector(model.chain.n, alpha)
-    with np.errstate(over="ignore", invalid="ignore"):
-        mats = extended._tilted_stack(model, alpha, derivatives=True)
-    _check_tilt(mats, alpha)
-    m, n = model.chain.n, mats.shape[-1]
-    gen, cols = mats[0], mats[1:].reshape(2, m, n, n)
+    already normalized to <l, r> = 1, and q = (1 - r l^H) B^{-1} (1 - r l^H).
+    A stack of tilts alpha (K, m) takes one batched eig, one batched inverse
+    and batched products, each item bitwise equal to its own call."""
+    alpha = extended._tilt_vector(model.chain.n, alpha, stack=True)
+    alphas = np.atleast_2d(alpha)
+    mats = extended._tilted_stack(model, alphas, derivatives=True,
+                                  error=FluctuationError)
+    K, m, n = len(alphas), model.chain.n, mats.shape[-1]
+    gen, cols = mats[:, 0], mats[:, 1:].reshape(K, 2, m, n, n)
 
     w, vr = np.linalg.eig(gen)
-    i = _perron_index(w, alpha)
-    lam = w[i].real
-    r = vr[:, i]
+    i = _perron_index(w, alphas)
+    items = np.arange(K)
+    lam = w[items, i].real
+    r = vr[items, :, i]
     eye = np.eye(n)
-    b_inv = np.linalg.inv(lam * eye - gen + np.outer(r, r.conj()))
-    l = (r.conj() @ b_inv).conj()
-    proj = eye - np.outer(r, l.conj())
+    b_inv = np.linalg.inv(lam[:, None, None] * eye - gen
+                          + r[:, :, None] * r.conj()[:, None, :])
+    l = (r.conj()[:, None, :] @ b_inv)[:, 0].conj()
+    proj = eye - r[:, :, None] * l.conj()[:, None, :]
     with np.errstate(over="ignore", invalid="ignore"):    # see derivatives
-        return _Perron(lam=lam, matrix=gen, r=r, l=l, q=proj @ b_inv @ proj,
-                       dm_r=(cols[0] @ r).T, l_dm=l.conj() @ cols[0],
-                       l_d2m_r=l.conj() @ cols[1] @ r, alpha=alpha)
+        l_dm = (l.conj()[:, None, None, :] @ cols[:, 0])[:, :, 0]
+        kernel = _Perron(
+            lam=lam, matrix=gen, r=r, l=l, q=proj @ b_inv @ proj,
+            dm_r=(cols[:, 0] @ r[:, None, :, None])[..., 0].swapaxes(1, 2),
+            l_dm=l_dm, alpha=alpha,
+            l_d2m_r=((l.conj()[:, None, None, :] @ cols[:, 1])[:, :, 0]
+                     @ r[:, :, None])[..., 0])
+    if alpha.ndim == 1:
+        for name in ("lam", "matrix", "r", "l", "q", "dm_r", "l_dm", "l_d2m_r"):
+            setattr(kernel, name, getattr(kernel, name)[0])
+    return kernel
 
 
 def _grad_e(model, alpha) -> np.ndarray:
@@ -221,14 +256,10 @@ def gc_symmetry_report(model: MrisModel, alpha_grid=None,
     """
     if alpha_grid is None:
         alpha_grid = _default_alpha_grid(model.chain.n)
-
-    def cases():
-        for a in alpha_grid:
-            a = np.asarray(a, dtype=float)
-            va = e_of_alpha(model, a)
-            yield (a, va), va, e_of_alpha(model, 1.0 - a)
-
-    return _symmetry_report(cases(), threshold)
+    alphas = [np.asarray(a, dtype=float) for a in alpha_grid]
+    values = _e_stack(model, [b for a in alphas for b in (a, 1.0 - a)])
+    return _symmetry_report((((a, va), va, vb) for a, va, vb
+                             in zip(alphas, values[::2], values[1::2])), threshold)
 
 
 def translation_symmetry_report(model: MrisModel, alphas=None, gammas=None,
@@ -246,15 +277,14 @@ def translation_symmetry_report(model: MrisModel, alphas=None, gammas=None,
             _TRANSLATION_DRAWS, 20240818, -0.5, 1.0, 2 * m).reshape(2, m)]
     if gammas is None:
         gammas = (0.25, -0.4, 0.9, 1.7)
-
-    def cases():
-        for a in alphas:
-            a = np.asarray(a, dtype=float)
-            va = e_of_alpha(model, a)
-            for gam in gammas:
-                yield (a, gam), va, e_of_alpha(model, a + gam * beta_inv)
-
-    return _symmetry_report(cases(), threshold)
+    alphas = [np.asarray(a, dtype=float) for a in alphas]
+    values = iter(_e_stack(model, [b for a in alphas for b in
+                                   (a, *(a + gam * beta_inv for gam in gammas))]))
+    cases = []
+    for a in alphas:
+        va = next(values)
+        cases += [((a, gam), va, next(values)) for gam in gammas]
+    return _symmetry_report(cases, threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -285,78 +315,102 @@ class RateFunctionResult:
     box: float = 50.0
 
 
-def _ascend(model, s, basis, x0, box: float):
-    """Damped Newton ascent of phi(x) = x . s - e(-basis x) over the box
-    [-box, box]^k, with the exact gradient and Hessian of e.
+def _ascend(model, s_grid, basis, x, box: float):
+    """Damped Newton ascents of phi_p(x) = x . s_p - e(-basis x) over the box
+    [-box, box]^k, one for each row s_p of s_grid, starting at the rows of
+    x, with the exact gradient and Hessian of e.  The ascents run in
+    lockstep: each iteration, and each round of step-halving, is one
+    stacked kernel call over the points still moving.
 
     The Hessian of e is near-singular along conserved combinations of the
-    currents, so the Newton step is a least-squares solve in its
+    currents, so each Newton step is a least-squares solve in its
     eigenbasis: curvatures within 1e-10 of zero (relative to max(1, the
     largest)) count as flat.  Along flat directions phi is linear: a slope
     there above GRAD_TOL is followed straight to the box, one below it is
-    left alone.  Steps are halved until phi increases (or, at round-off
-    level, until the gradient norm falls), iterates are clamped to the box,
-    and the ascent stops once the gradient off the flat directions is below
-    GRAD_TOL / 100.  Returns the maximizer, the value, the final gradient
-    and whether the sup escaped the box.
+    left alone.  Steps are halved (down to 1e-12) until phi increases (or,
+    at round-off level, until the gradient norm falls), iterates are
+    clamped to the box, and a point stops once its gradient off the flat
+    directions is below GRAD_TOL / 100, or once no step moves it.  Returns
+    the maximizers, the values and the final gradients.
     """
-    def evaluate(x):
-        e, g, h = _perron(model, -basis @ x).derivatives()
-        return float(x @ s) - e, s + basis.T @ g, basis.T @ h @ basis
+    def evaluate(pts, x):
+        e, g, h = _perron(model, -(x @ basis.T)).derivatives()
+        return (np.einsum("pk,pk->p", x, s_grid[pts]) - e,
+                s_grid[pts] + g @ basis, basis.T @ h @ basis)
 
-    x = np.clip(np.asarray(x0, dtype=float), -box, box)
-    f, g, h = evaluate(x)
+    x = np.clip(x, -box, box)
+    f, g, h = evaluate(np.arange(len(x)), x)
+    moving = np.ones(len(x), dtype=bool)
     for _ in range(100):                # Newton needs a handful
-        curv, vecs = np.linalg.eigh(h)
-        coef = vecs.T @ g
-        flat = np.abs(curv) <= 1e-10 * max(1.0, np.abs(curv).max())
-        step = vecs[:, ~flat] @ (coef[~flat] / curv[~flat])
-        slope = vecs[:, flat] @ coef[flat]
-        if np.abs(slope).max(initial=0.0) > GRAD_TOL:
-            step = step + slope * (2 * box / np.abs(slope).max())
-        elif np.linalg.norm(coef[~flat]) <= GRAD_TOL / 100:
+        pts = np.flatnonzero(moving)
+        if pts.size == 0:
             break
-        t = 1.0
-        while t > 1e-12:
-            cand = np.clip(x + t * step, -box, box)
-            fc, gc, hc = evaluate(cand)
-            if fc > f or (fc >= f - 1e-13 * max(1.0, abs(f))
-                          and np.linalg.norm(gc) < np.linalg.norm(g)):
-                break
-            t /= 2
-        else:
-            break
-        if np.array_equal(cand, x):
-            break
-        x, f, g, h = cand, fc, gc, hc
-    clamped_out = np.any((np.abs(x) >= box) & (g * np.sign(x) > GRAD_TOL))
-    return x, f, g, bool(clamped_out)
+        curv, vecs = np.linalg.eigh(h[pts])
+        coef = np.einsum("pji,pj->pi", vecs, g[pts])
+        flat = np.abs(curv) <= 1e-10 * np.maximum(1.0, np.abs(curv).max(axis=1))[:, None]
+        sharp = np.where(flat, 0.0, coef)
+        step = np.einsum("pij,pj->pi", vecs, sharp / np.where(flat, 1.0, curv))
+        slope = np.einsum("pij,pj->pi", vecs, coef - sharp)
+        steep = np.abs(slope).max(axis=1)
+        follow = steep > GRAD_TOL
+        step[follow] += slope[follow] * (2 * box / steep[follow])[:, None]
+        done = ~follow & (np.linalg.norm(sharp, axis=1) <= GRAD_TOL / 100)
+        moving[pts[done]] = False
+        pts, step = pts[~done], step[~done]
+        t = np.ones(len(pts))
+        while pts.size:                 # one round of step-halving
+            cand = np.clip(x[pts] + t[:, None] * step, -box, box)
+            fc, gc, hc = evaluate(pts, cand)
+            fp = f[pts]
+            ok = (fc > fp) | ((fc >= fp - 1e-13 * np.maximum(1.0, np.abs(fp)))
+                              & (np.linalg.norm(gc, axis=1)
+                                 < np.linalg.norm(g[pts], axis=1)))
+            stalled = ok & (cand == x[pts]).all(axis=1)
+            moving[pts[stalled]] = False
+            took = ok & ~stalled
+            x[pts[took]], f[pts[took]], g[pts[took]], h[pts[took]] = (
+                cand[took], fc[took], gc[took], hc[took])
+            t = t[~ok] / 2
+            moving[pts[~ok][t <= 1e-12]] = False
+            keep = t > 1e-12
+            pts, step, t = pts[~ok][keep], step[~ok][keep], t[keep]
+    return x, f, g
 
 
 def _legendre(model: MrisModel, s_grid, basis) -> RateFunctionResult:
-    """sup_x [x . s - e(-basis x)] at each row s of s_grid, warm-starting
-    each ascent at the previous converged maximizer."""
-    n_pts, box = s_grid.shape[0], 50.0
-    res = RateFunctionResult(
-        s=s_grid, values=np.empty(n_pts), maximizers=np.empty((n_pts, basis.shape[1])),
-        unbounded=np.zeros(n_pts, dtype=bool), converged=np.zeros(n_pts, dtype=bool),
-        grad_norm=np.empty(n_pts), box=box)
-    warm = np.zeros(basis.shape[1])
-    for p, s in enumerate(s_grid):
-        x, f, g, clamped = _ascend(model, s, basis, warm, box)
-        norm = np.linalg.norm(g)
-        converged = not clamped and norm <= GRAD_TOL
-        res.values[p] = math.inf if clamped else f if converged else math.nan
-        res.maximizers[p], res.unbounded[p] = x, clamped
-        res.converged[p], res.grad_norm[p] = converged, norm
-        if converged:
-            warm = x
-    return res
+    """sup_x [x . s - e(-basis x)] at each row s of s_grid: every point is
+    ascended from x = 0 (see _ascend).  Where the gradient can only be
+    resolved near GRAD_TOL (large tilts), whether an ascent ends converged
+    depends on where it enters that region, so a point that neither
+    converged nor escaped is ascended once more, from the maximizer of the
+    last converged point before it on the grid.  A point is unbounded when
+    its sup escaped the box and converged when its final gradient norm is
+    at most GRAD_TOL."""
+    box = 50.0
+
+    def verdicts(x, g):
+        unbounded = np.any((np.abs(x) >= box) & (g * np.sign(x) > GRAD_TOL), axis=1)
+        return unbounded, ~unbounded & (np.linalg.norm(g, axis=1) <= GRAD_TOL)
+
+    x, f, g = _ascend(model, s_grid, basis, np.zeros((len(s_grid), basis.shape[1])), box)
+    unbounded, converged = verdicts(x, g)
+    # the last converged point before each point, -1 where there is none
+    prev = np.maximum.accumulate(np.where(converged, np.arange(len(x)), -1))
+    prev = np.concatenate([[-1], prev[:-1]])
+    retry = np.flatnonzero(~converged & ~unbounded & (prev >= 0))
+    if retry.size:
+        x[retry], f[retry], g[retry] = _ascend(model, s_grid[retry], basis,
+                                               x[prev[retry]], box)
+        unbounded, converged = verdicts(x, g)
+    return RateFunctionResult(
+        s=s_grid, values=np.where(unbounded, math.inf, np.where(converged, f, math.nan)),
+        maximizers=x, unbounded=unbounded, converged=converged,
+        grad_norm=np.linalg.norm(g, axis=1), box=box)
 
 
 def rate_function(model: MrisModel, s_grid) -> RateFunctionResult:
     """Legendre transform I(s) = sup_alpha [alpha . s - e(-alpha)] on a grid
-    of entropy-exchange rate vectors, with warm starts along the grid."""
+    of entropy-exchange rate vectors, all points ascended in lockstep."""
     s_grid = np.atleast_2d(np.asarray(s_grid, dtype=float))
     if s_grid.ndim != 2 or s_grid.shape[1] != model.chain.n:
         raise FluctuationError(

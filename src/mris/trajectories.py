@@ -148,6 +148,18 @@ def _step_table(model: MrisModel, funcs, superops, what: str) -> np.ndarray:
                           axis=2).reshape(-1, d2)
 
 
+def _entropy_step_table(model: MrisModel) -> np.ndarray:
+    """The entropy sampler's step table over the model's outcome table,
+    folded on first use and kept read-only in model.caches beside it.  A
+    table that is not real raises, and is not kept, so every call raises."""
+    if "entropy_step_table" not in model.caches:
+        superops, prob_funcs, _, _ = model.outcome_table
+        table = _step_table(model, prob_funcs, superops, "probability functionals")
+        table.flags.writeable = False
+        model.caches["entropy_step_table"] = table
+    return model.caches["entropy_step_table"]
+
+
 # ---------------------------------------------------------------------------
 # the stepping engine shared by both samplers
 # ---------------------------------------------------------------------------
@@ -407,8 +419,8 @@ def sample_entropy_process(model: MrisModel, cfg: TrajectoryConfig) -> EntropySa
     the outcome decomposition of the step channel), updates the conditional
     system state, and accumulates the entropy increment of that probe.
     """
-    superops, prob_funcs, deltas, n_out = model.outcome_table
-    table = _step_table(model, prob_funcs, superops, "probability functionals")
+    _, _, deltas, n_out = model.outcome_table
+    table = _entropy_step_table(model)
     width, m = deltas.shape[1], model.chain.n
     deltas = deltas.ravel()
     svec = np.zeros((m, cfg.n_traj))

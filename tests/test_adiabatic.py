@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mris import adiabatic, extended, fluctuations, models, quantum
+from mris import adiabatic, extended, fixtures, fluctuations, models, quantum
 from mris.modelfile import load_model
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -63,6 +63,25 @@ def test_path_must_stay_primitive(canonical):
     sch = adiabatic.AdiabaticSchedule(canonical.chain.P, two_cycle)
     with pytest.raises(adiabatic.AdiabaticError, match="primitive"):
         adiabatic.adiabatic_evolve(canonical, sch, 64)
+
+
+def test_path_check_is_kept_per_schedule_and_a_failing_path_raises_every_time():
+    model = fixtures.two_temperature_qubit()
+    two_cycle = adiabatic.AdiabaticSchedule(model.chain.P, [[0.0, 1.0], [1.0, 0.0]])
+    for _ in range(2):
+        with pytest.raises(adiabatic.AdiabaticError, match="primitive"):
+            adiabatic.adiabatic_evolve(model, two_cycle, 16)
+    assert model.caches.get("adiabatic_gap_min", {}) == {}
+    first = {}
+    for kind in ("linear", "smoothstep"):
+        sch = adiabatic.AdiabaticSchedule(model.chain.P, P_END, kind=kind)
+        first[kind] = adiabatic.adiabatic_evolve(model, sch, 32)
+    assert len(model.caches["adiabatic_gap_min"]) == 2
+    for kind, res in first.items():
+        again = adiabatic.adiabatic_evolve(
+            model, adiabatic.AdiabaticSchedule(model.chain.P, P_END, kind=kind), 32)
+        assert again.instantaneous_gap_min == res.instantaneous_gap_min
+        assert again.errors.tobytes() == res.errors.tobytes()
 
 
 def test_default_start_has_no_initial_error(canonical):
@@ -154,8 +173,11 @@ def test_start_state_must_match_the_model(canonical):
 
 
 def test_eigensolve_count_does_not_grow_with_the_step_count(canonical, monkeypatch):
-    """The sweep solves stacks of schedule points, not one point per call."""
-    sch = adiabatic.AdiabaticSchedule(canonical.chain.P, P_END)
+    """The sweep solves stacks of schedule points, not one point per call,
+    and a path is checked for primitivity once: one eigvals call on the
+    first sweep of a schedule, none on later sweeps of any length."""
+    # a schedule of this test's own: canonical (and its caches) is shared
+    sch = adiabatic.AdiabaticSchedule(canonical.chain.P, [[0.25, 0.75], [0.55, 0.45]])
     eigvals = np.linalg.eigvals
     calls = []
 
@@ -165,20 +187,20 @@ def test_eigensolve_count_does_not_grow_with_the_step_count(canonical, monkeypat
 
     monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
     counts = []
-    for n in (64, 256):
+    for n in (64, 256, 64):
         calls.clear()
         adiabatic.adiabatic_evolve(canonical, sch, n)
         counts.append(len(calls))
-    assert counts[0] >= 1
-    assert counts[0] == counts[1]
+    assert counts == [1, 0, 0]
 
 
 def test_one_eigensolve_per_sweep_and_no_rebuild_in_linear_response(
         canonical, equilibrium, monkeypatch):
     """Regression guard: the tracking grid takes its steady states from the
-    bordered solve, so a sweep runs one eigenvalue solve (the primitivity
-    stack) and no eigenvector solve whatever its length, as does one
-    classification; the linear response rebuilds no model."""
+    bordered solve, so a sweep runs no eigenvector solve whatever its
+    length, and one eigenvalue solve (the primitivity stack) on the first
+    sweep of a path only, as does one classification; the linear response
+    rebuilds no model."""
     calls = {"eig": 0, "eigvals": 0, "build_model": 0}
 
     def counting(module, name):
@@ -192,11 +214,13 @@ def test_one_eigensolve_per_sweep_and_no_rebuild_in_linear_response(
     counting(np.linalg, "eig")
     counting(np.linalg, "eigvals")
     counting(models, "build_model")
-    sch = adiabatic.AdiabaticSchedule(canonical.chain.P, P_END)
-    for n in (16, 300, 700):
+    # a schedule of this test's own: canonical (and its caches) is shared
+    sch = adiabatic.AdiabaticSchedule(canonical.chain.P, [[0.3, 0.7], [0.45, 0.55]],
+                                      kind="smoothstep")
+    for n, solves in ((16, 1), (300, 0), (700, 0)):
         calls.update(eig=0, eigvals=0)
         adiabatic.adiabatic_evolve(canonical, sch, n)
-        assert (calls["eig"], calls["eigvals"]) == (0, 1), n
+        assert (calls["eig"], calls["eigvals"]) == (0, solves), n
     calls.update(eig=0, eigvals=0)
     extended.find_ess(canonical.generator, canonical.tol)
     assert (calls["eig"], calls["eigvals"]) == (0, 0)

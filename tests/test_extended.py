@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +178,21 @@ def test_defective_generator_classifies_without_raising():
 def test_deformed_generator_at_zero_is_the_generator(canonical):
     g0 = extended.deformed_generator(canonical, np.zeros(2))
     np.testing.assert_allclose(g0.matrix, canonical.generator.matrix, atol=1e-13)
+
+
+def test_deformed_generator_names_an_overflowing_tilt(canonical):
+    """exp(-alpha . delta) overflows at alpha = (1000, 1000): no matrix of
+    inf/NaN entries and no RuntimeWarning, but a GeneratorError naming
+    alpha."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(extended.GeneratorError,
+                           match=r"^tilted generator is not finite at alpha=\[1000\. 1000\.\]"):
+            extended.deformed_generator(fixtures.two_temperature_qubit(),
+                                        np.array([1000.0, 1000.0]))
+    # one tilt only: a stack of them is not one generator
+    with pytest.raises(extended.GeneratorError, match=r"got shape \(3, 2\)"):
+        extended.deformed_generator(canonical, np.zeros((3, 2)))
 
 
 def test_deformed_generator_shrinks_spectral_radius_inside_gc_interval(canonical):

@@ -13,7 +13,9 @@ solve (moves of at most 4e-16 in the state and 3.1e-15 in a tracking
 error).  The ``classify.*`` entries were recorded while classification
 still computed left eigenvectors; reading the eigenvalues alone keeps them.
 The ``enum.*`` entries pin the exact three-step law (probabilities,
-increments and words) of enumerate_full_statistics.
+increments and words) of enumerate_full_statistics.  The ``ratefn.*``
+entries pin the values, maximizers and flags of a scalar and a vector rate
+function as the lockstep ascent computes them; they were recorded with it.
 
 The digests depend on LAPACK rounding: they were recorded on x86-64 with
 numpy 2.4 and OpenBLAS, and a different LAPACK (or BLAS kernel) may round
@@ -105,6 +107,16 @@ def _snapshot(model) -> dict:
     dec = quantum.spectral_projections(model.h_sys)
     out["spectral.h_sys"] = _digest(dec.eigenvalues, *dec.projections)
 
+    ones = np.ones(m)
+    scalar = fluctuations.entropy_rate_function(model, np.sort(
+        [-ones @ fluctuations._grad_e(model, -a * ones) for a in np.linspace(-0.45, 0.45, 21)]))
+    vector = fluctuations.rate_function(
+        model, [-fluctuations._grad_e(model, -a) for a in _alphas(m)])
+    out["ratefn.values"] = _digest(scalar.values, vector.values)
+    out["ratefn.maximizers"] = _digest(scalar.maximizers, vector.maximizers)
+    out["ratefn.flags"] = _digest(scalar.converged, scalar.unbounded,
+                                  vector.converged, vector.unbounded)
+
     gc = fluctuations.gc_symmetry_report(model)
     out["gc"] = _digest(*[np.hstack([a, va, vb, r]) for a, va, vb, r in gc.entries],
                         gc.max_residual)
@@ -143,6 +155,9 @@ FROZEN = {
         'perron.matrix': 'd07db8d6e9f949b3',
         'perron.q': 'a08454e2fe60de80',
         'perron.r': '83d7f0b80faa7e82',
+        'ratefn.flags': '701b77d55a69cd5b',
+        'ratefn.maximizers': '343b5edff7bddf02',
+        'ratefn.values': '0df25ff0b5b3796d',
         'spectral.h_env.cold': '02ca1916dede82df',
         'spectral.h_env.hot': '02ca1916dede82df',
         'spectral.h_sys': '02ca1916dede82df',
@@ -180,6 +195,9 @@ FROZEN = {
         'perron.matrix': 'ac12c7ccc68e829d',
         'perron.q': '7e5558ae4482bc7d',
         'perron.r': '3926e17c1efb019a',
+        'ratefn.flags': '701b77d55a69cd5b',
+        'ratefn.maximizers': 'efd9008f5003e67e',
+        'ratefn.values': '093ddde577a13a3e',
         'spectral.h_env.w0': '02ca1916dede82df',
         'spectral.h_env.w1': 'c2d38df7f8a9f1bc',
         'spectral.h_env.w2': '02ca1916dede82df',
@@ -220,6 +238,9 @@ FROZEN = {
         'perron.matrix': '7148a5ec5d395fa1',
         'perron.q': '85daf9a039ce6cb9',
         'perron.r': '7997e64751c8d33b',
+        'ratefn.flags': '701b77d55a69cd5b',
+        'ratefn.maximizers': '6b60f5dea2d034a9',
+        'ratefn.values': '09e9b9a2373853d3',
         'spectral.h_env.cold': '02ca1916dede82df',
         'spectral.h_env.hot': '02ca1916dede82df',
         'spectral.h_sys': '02ca1916dede82df',
@@ -257,6 +278,9 @@ FROZEN = {
         'perron.matrix': '19adc5e5eed300f6',
         'perron.q': '422ca472202f0c1a',
         'perron.r': 'b01ed6fa637e68fc',
+        'ratefn.flags': '701b77d55a69cd5b',
+        'ratefn.maximizers': '156199ca9b003c7d',
+        'ratefn.values': '7556478e245b7a1e',
         'spectral.h_env.cold': '02ca1916dede82df',
         'spectral.h_env.hot': '02ca1916dede82df',
         'spectral.h_sys': '02ca1916dede82df',

@@ -254,6 +254,31 @@ def test_non_hermiticity_preserving_map_is_an_error_not_dropped():
         trajectories.sample_entropy_process(with_phase(1e-6j), cfg)
 
 
+def test_entropy_step_table_is_folded_once_and_kept_read_only(monkeypatch):
+    m = fixtures.two_temperature_qubit()
+    cfg = TrajectoryConfig(n_steps=40, n_traj=16, seed=3)
+    first = trajectories.sample_entropy_process(m, cfg)
+    table = m.caches["entropy_step_table"]
+    assert not table.flags.writeable
+    folds = []
+    step_table = trajectories._step_table
+    monkeypatch.setattr(trajectories, "_step_table",
+                        lambda *a: folds.append(1) or step_table(*a))
+    again = trajectories.sample_entropy_process(m, cfg)
+    assert folds == [] and m.caches["entropy_step_table"] is table
+    assert np.array_equal(first.svec, again.svec)
+
+
+def test_a_map_that_is_not_hermiticity_preserving_raises_on_every_call():
+    m = fixtures.two_temperature_qubit()
+    entry = m.unravelings["hot"]
+    entry._superops = entry._superops * np.exp(1e-6j)
+    for _ in range(2):
+        with pytest.raises(trajectories.RealBasisError, match="not real in the Hermitian basis"):
+            trajectories.sample_entropy_process(m, TrajectoryConfig(n_steps=5, n_traj=3, seed=0))
+    assert "entropy_step_table" not in m.caches
+
+
 def test_tolerated_anti_hermitian_part_of_a_start_state_is_dropped():
     """Within the model's Hermiticity tolerance a start state may carry an
     anti-Hermitian part; it reaches no outcome probability, so the sample is
