@@ -20,7 +20,8 @@ _EXPORTS = {
                "classify_chain", "sample_path", "stationary_vector"),
     "extended": ("EssDecomposition", "ExtendedGenerator", "ExtendedObservable",
                  "ExtendedState", "GeneratorClassification", "GeneratorError",
-                 "NotIrreducibleError", "adjoint_matrix", "build_generator",
+                 "NotIrreducibleError", "RealBasisError", "adjoint_matrix",
+                 "build_generator",
                  "classify_generator", "deformed_generator", "ess_decompose",
                  "evolve", "expectation", "find_ess", "initial_extended_state"),
     "fluctuations": ("FluctuationError", "GreenKuboResult", "KineticMatrix",
@@ -43,7 +44,7 @@ _EXPORTS = {
     "tolerances": ("DEFAULT", "Tolerances"),
     "trajectories": ("AutocorrResult", "EntropySample", "ErgodicEstimate",
                      "ExactDistribution", "NumericalCorruption",
-                     "RealBasisError", "TrajectoryConfig", "TrajectoryError",
+                     "TrajectoryConfig", "TrajectoryError",
                      "empirical_cumulant", "enumerate_full_statistics",
                      "ergodic_average", "flux_autocorrelation",
                      "sample_entropy_process", "simulate_states"),

@@ -115,10 +115,6 @@ class AdiabaticResult:
     plateau_error: float            # max over the final three quarters
     instantaneous_gap_min: float
 
-    @property
-    def epsilon(self):
-        return 1.0 / self.n_steps
-
 
 def adiabatic_evolve(model: MrisModel, schedule: AdiabaticSchedule,
                      n_steps: int, r0: extended.ExtendedState = None) -> AdiabaticResult:

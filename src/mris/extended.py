@@ -10,18 +10,44 @@ and is represented as an (m d^2) x (m d^2) matrix over the stacked
 column-vectorizations of the blocks.  The duality <R, X> = sum_w tr(R(w)* X(w))
 is then the plain inner product of stacked vectors, so the adjoint map on
 observables is the conjugate transpose of the generator matrix.
+
+The tilted generators of the fluctuation theory live in a real basis.  With
+U the unitary that takes vec(rho) to the coordinates tr(E_a rho) of rho in
+an orthonormal Hermitian basis E_a (_hermitian_basis), and T = 1_m (x) U,
+every Hermiticity-preserving map has a real matrix T M T^H.  The tilted
+generator is linear in fixed per-model pieces,
+
+    M(alpha) = sum_{v, xi} exp(-alpha_v delta_{v xi}) A_{v, xi},
+
+where A_{v, xi} is block column v, P[v, .] (x) S_{v, xi}, of the outcome
+superoperator S_{v, xi} of label v.  The pieces are folded into the real
+basis once per model (an imaginary part beyond round-off raises
+RealBasisError), so e(alpha) and its derivatives run real LAPACK on real
+matrices; deformed_generator writes M(alpha) back as T^H M T.  The plain
+generator, the steady state and the classification keep the complex
+layout above.
 """
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .chains import MarkovChain
+from .quantum import vec
 from .tolerances import DEFAULT, Tolerances
+
+_IMAG_TOL = 1e-12     # largest imaginary part of a real-basis table, relative
 
 
 class GeneratorError(ValueError):
     pass
+
+
+class RealBasisError(GeneratorError):
+    """A model table has an imaginary part in the Hermitian basis: its map
+    does not preserve Hermiticity."""
 
 
 class NotIrreducibleError(GeneratorError):
@@ -156,19 +182,6 @@ class ExtendedGenerator:
     def apply(self, r: ExtendedState) -> ExtendedState:
         v = self.matrix @ big_vec(r.blocks)
         return ExtendedState(self.labels, big_unvec(v, self.n_labels, self.dim))
-
-    def apply_blockwise(self, r: ExtendedState) -> ExtendedState:
-        """Direct blockwise action; cross-checks the assembled matrix."""
-        if self.channels is None:
-            raise GeneratorError("blockwise action needs the channel family")
-        m, d = self.n_labels, self.dim
-        out = np.zeros((m, d, d), dtype=complex)
-        for w in range(m):
-            for v in range(m):
-                pvw = self.chain.P[v, w]
-                if pvw != 0.0:
-                    out[w] += pvw * self.channels[self.labels[v]].apply(r.blocks[v])
-        return ExtendedState(self.labels, out)
 
 
 def _generator_stack(P: np.ndarray, superops) -> np.ndarray:
@@ -435,8 +448,53 @@ def classify_generator(g: ExtendedGenerator, tol: Tolerances = DEFAULT) -> Gener
 
 
 # ---------------------------------------------------------------------------
-# tilted generators
+# tilted generators, in the real Hermitian basis
 # ---------------------------------------------------------------------------
+
+def _hermitian_basis(d: int) -> np.ndarray:
+    """The unitary U whose row a maps vec(rho) to tr(E_a rho), the coordinate
+    of rho in the orthonormal Hermitian basis E_a: |j><j|, then
+    (|j><k| + |k><j|)/sqrt(2) and i(|j><k| - |k><j|)/sqrt(2) for j < k.
+    Hermitian matrices have real coordinates x, and vec(rho) = U^H x."""
+    s = math.sqrt(0.5)
+    units = np.eye(d)
+    basis = [np.outer(u, u) for u in units]
+    for j, k in itertools.combinations(range(d), 2):
+        e = s * np.outer(units[j], units[k])
+        basis += [e + e.T, 1j * (e - e.T)]
+    return np.stack([vec(e.T) for e in basis])
+
+
+def _real(table: np.ndarray, what: str, tol: float = _IMAG_TOL) -> np.ndarray:
+    """The real part of a table written in the Hermitian basis.  An imaginary
+    part above tol (relative to the table's scale) means the map does not
+    preserve Hermiticity; it is an error, never dropped.  (A NaN table
+    passes, so that the outcome-law check names the step where it bites.)"""
+    imag = float(np.abs(table.imag).max())
+    if imag > tol * max(1.0, float(np.abs(table.real).max())):
+        raise RealBasisError(
+            f"{what} not real in the Hermitian basis (imaginary part "
+            f"{imag:.3e}); the map does not preserve Hermiticity")
+    return np.ascontiguousarray(table.real)
+
+
+def _tilt_pieces(model) -> np.ndarray:
+    """The pieces A_{v, xi} of the tilted generator, M(alpha) =
+    sum_{v, xi} exp(-alpha_v delta_{v xi}) A_{v, xi}, built on first use and
+    kept read-only in model.caches beside the outcome table.  A_{v, xi} is
+    nonzero only in block column v, P[v, .] (x) S_{v, xi}, and
+    pieces[w, v, xi] (m, m, n_max, d^2, d^2) is its block (w, v) in the real
+    coordinates T = 1_m (x) U (U from _hermitian_basis).  A model whose map
+    does not preserve Hermiticity raises RealBasisError and keeps nothing."""
+    if "tilt_pieces" not in model.caches:
+        superops = model.outcome_table[0]
+        u = _hermitian_basis(model.dim_sys)
+        real = _real(u @ superops @ u.conj().T, "superoperators")
+        pieces = model.chain.P.T[:, :, None, None, None] * real
+        pieces.flags.writeable = False
+        model.caches["tilt_pieces"] = pieces
+    return model.caches["tilt_pieces"]
+
 
 def _tilt_vector(m: int, alpha, error=GeneratorError, stack: bool = False) -> np.ndarray:
     """alpha as a float array with one entry for each of m labels (or, with
@@ -450,49 +508,53 @@ def _tilt_vector(m: int, alpha, error=GeneratorError, stack: bool = False) -> np
 
 def _tilted_stack(model, alpha, derivatives: bool = False,
                   error=GeneratorError) -> np.ndarray:
-    """M(alpha) (n, n) from the model's outcome table, or with derivatives
-    (1 + 2m, n, n): M, then d^k M / d alpha_v^k at 1 + (k - 1) m + v.  A
-    stack of tilts alpha (K, m) gives these with a leading K axis, each item
-    bitwise equal to its own call.
-    Block column v of M is P[v, .] (x) sum_xi exp(-alpha_v delta_xi) S_{v, xi},
-    so d^k M / d alpha_v^k is that column alone with weights (-delta_xi)^k
-    exp(...); padded outcomes have zero superoperators and drop out.  A tilt
-    whose exp(-alpha_v delta) overflows leaves no matrix to read: ``error``
-    is raised naming the first such alpha, and no warning is left."""
+    """The real M(alpha) (n, n) = sum exp(-alpha_v delta_{v xi}) A_{v, xi}
+    over the model's tilt pieces, one exp and one einsum.  With derivatives,
+    (3, n, n): D_k = sum_v d^k M / d alpha_v^k for k = 0, 1, 2 (so D_0 = M),
+    whose weights are (-delta)^k exp(-alpha_v delta).  The v-th term of D_k
+    lives in block column v alone, so block column v of D_k is that of the
+    k-th derivative in alpha_v, and mixed derivatives vanish.  A stack of
+    tilts alpha (K, m) gives these with a leading K axis, each item bitwise
+    equal to its own call.  Padded outcomes have zero pieces and drop out.
+    A tilt whose exp(-alpha_v delta) overflows leaves no matrix to read:
+    ``error`` is raised naming the first such alpha, and no warning is
+    left."""
     alpha = _tilt_vector(model.chain.n, alpha, stack=True)
-    superops, _, deltas, _ = model.outcome_table
-    m = len(deltas)
+    deltas = model.outcome_table[2]
+    pieces = _tilt_pieces(model)
     with np.errstate(over="ignore", invalid="ignore"):
-        weights = np.exp(-alpha[..., None, :, None] * deltas)
+        weights = np.exp(-alpha[..., :, None] * deltas)
         if derivatives:
-            weights = (-deltas) ** np.arange(3)[:, None, None] * weights
-        blocks = np.einsum("...kvx,vxij->...kvij", weights, superops)
-        if derivatives:
-            families = np.zeros(blocks.shape[:-4] + (1 + 2 * m,) + blocks.shape[-3:],
-                                dtype=complex)
-            families[..., 0, :, :, :] = blocks[..., 0, :, :, :]
-            derivs = families[..., 1:, :, :, :].reshape(
-                blocks.shape[:-4] + (2, m) + blocks.shape[-3:])    # a view
-            derivs[..., range(m), range(m), :, :] = blocks[..., 1:, :, :, :]
-            blocks = families
-        mats = _generator_stack(model.chain.P[None], blocks.reshape(-1, *blocks.shape[-3:]))
-    mats = mats.reshape(blocks.shape[:-3 if derivatives else -4] + mats.shape[-2:])
-    if not np.isfinite(mats).all():
-        alphas = alpha.reshape(-1, m)
-        finite = np.isfinite(mats.reshape(len(alphas), -1)).all(axis=1)
+            weights = (-deltas) ** np.arange(3)[:, None, None] * weights[..., None, :, :]
+        blocks = np.einsum("...vx,wvxij->...wivj", weights, pieces)
+    if not np.isfinite(blocks).all():
+        alphas = alpha.reshape(-1, len(deltas))
+        finite = np.isfinite(blocks.reshape(len(alphas), -1)).all(axis=1)
         raise error(f"tilted generator is not finite at alpha={alphas[np.argmin(finite)]}: "
                     "exp(-alpha . delta) overflows")
-    return mats
+    n = blocks.shape[-1] * blocks.shape[-2]
+    return blocks.reshape(blocks.shape[:-4] + (n, n))
+
+
+def _complex_generator(mats: np.ndarray, d: int) -> np.ndarray:
+    """T^H M T: generator matrices (..., n, n) in the real coordinates back
+    in the stacked vec(rho) layout of the blocks."""
+    u = _hermitian_basis(d)
+    m = mats.shape[-1] // (d * d)
+    blocks = mats.reshape(mats.shape[:-2] + (m, d * d, m, d * d))
+    out = np.einsum("ai,...wavb,bj->...wivj", u.conj(), blocks, u)
+    return out.reshape(mats.shape)
 
 
 def deformed_generator(model, alpha) -> ExtendedGenerator:
     """The entropy-tilted generator: channel v is replaced by
     sum_xi exp(-alpha_v * delta_xi) L_{v, xi}, from the unravelings' Kraus
-    atoms, so nothing is re-diagonalized per alpha.  At alpha = 0 the
-    matrix equals the plain generator; a tilt that overflows raises
-    GeneratorError naming alpha."""
+    atoms, so nothing is re-diagonalized per alpha.  The matrix is T^H M T,
+    the real M(alpha) of the tilt kernel (see _tilted_stack) written in the
+    layout of the plain generator, which it equals at alpha = 0 up to
+    round-off; a tilt that overflows raises GeneratorError naming alpha."""
     chain = model.chain
     alpha = _tilt_vector(chain.n, alpha)
+    mat = _complex_generator(_tilted_stack(model, alpha), model.dim_sys)
     return ExtendedGenerator(labels=tuple(chain.labels), dim=model.dim_sys,
-                             matrix=_tilted_stack(model, alpha), chain=chain,
-                             channels=None)
+                             matrix=mat, chain=chain, channels=None)

@@ -85,14 +85,14 @@ def e_of_alpha(model: MrisModel, alpha) -> float:
 
 @dataclass
 class _Perron:
-    """Perron data of the deformed generator M(alpha), or of a stack of
-    them (every field then has a leading K axis).
+    """Perron data of the real deformed generator M(alpha), or of a stack
+    of them (every field then has a leading K axis).
 
     ``lam`` is the Perron root, ``r`` and ``l`` its right and left vectors
     with <l, r> = 1, and ``q`` the reduced resolvent, the group inverse of
-    lam - M: q = (lam - M + r l^H)^{-1} - r l^H.  The derivatives M_v and
-    M_vv of M in alpha_v come from extended._tilted_stack; mixed second
-    derivatives vanish.
+    lam - M: q = (1 - r l^T) B^{-1} (1 - r l^T) for any bordered B (see
+    _perron).  The derivatives M_v and M_vv of M in alpha_v come from
+    extended._tilted_stack; mixed second derivatives vanish.
     """
     lam: float
     matrix: np.ndarray
@@ -100,24 +100,24 @@ class _Perron:
     l: np.ndarray
     q: np.ndarray
     dm_r: np.ndarray        # (N, m): column v is (dM/dalpha_v) r
-    l_dm: np.ndarray        # (m, N): row v is l^H dM/dalpha_v
-    l_d2m_r: np.ndarray     # (m,): l^H (d^2 M / dalpha_v^2) r
+    l_dm: np.ndarray        # (m, N): row v is l^T dM/dalpha_v
+    l_d2m_r: np.ndarray     # (m,): l^T (d^2 M / dalpha_v^2) r
     alpha: np.ndarray       # named when a product overflows
 
     def derivatives(self):
         """e = log lam with its exact gradient and Hessian in alpha:
-        lam_v = l^H M_v r and lam_uv = delta_uv l^H M_vv r
-        + l^H M_u q M_v r + l^H M_v q M_u r (Kato's second-order formula).
+        lam_v = l^T M_v r and lam_uv = delta_uv l^T M_vv r
+        + l^T M_u q M_v r + l^T M_v q M_u r (Kato's second-order formula).
         A tilt whose generator is finite can still overflow these products:
         then the Hessian (which a non-finite gradient spoils too) is not
         finite, and alpha (the first such one of a stack) is named."""
         lam = np.asarray(self.lam)[..., None]
         m = self.l_d2m_r.shape[-1]
         with np.errstate(over="ignore", invalid="ignore"):
-            grad = (self.l_dm @ self.r[..., None])[..., 0].real / lam
-            cross = (self.l_dm @ self.q @ self.dm_r).real
+            grad = (self.l_dm @ self.r[..., None])[..., 0] / lam
+            cross = self.l_dm @ self.q @ self.dm_r
             diag = np.zeros(cross.shape)
-            diag[..., range(m), range(m)] = self.l_d2m_r.real
+            diag[..., range(m), range(m)] = self.l_d2m_r
             hess = (diag + cross + cross.swapaxes(-1, -2)) / lam[..., None]
             hess = hess - grad[..., :, None] * grad[..., None, :]
         finite = np.isfinite(hess).all(axis=(-2, -1))
@@ -132,36 +132,43 @@ class _Perron:
 
 
 def _perron(model: MrisModel, alpha) -> _Perron:
-    """One eigensolve of M(alpha) and one inverse: with r of unit norm,
-    B = lam - M + r r^H is invertible, l^H = r^H B^{-1} is the left vector
-    already normalized to <l, r> = 1, and q = (1 - r l^H) B^{-1} (1 - r l^H).
-    A stack of tilts alpha (K, m) takes one batched eig, one batched inverse
-    and batched products, each item bitwise equal to its own call."""
+    """One real eigensolve of M(alpha) and one inverse, bordered at the
+    scale of lam (Golub and Meyer, SIAM J. Alg. Disc. Meth. 1986): with r
+    the unit-norm Perron column of eig, B = lam (1 + r r^T) - M is
+    invertible, l = lam (r^T B^{-1})^T is the left vector already
+    normalized to <l, r> = 1, and q = (1 - r l^T) B^{-1} (1 - r l^T).  The
+    border weight lam keeps every eigenvalue of B at the scale of lam, so
+    B stays well conditioned however large the tilt makes lam.  A stack of
+    tilts alpha (K, m) takes one batched eig, one batched inverse and
+    batched products, each item bitwise equal to its own call."""
     alpha = extended._tilt_vector(model.chain.n, alpha, stack=True)
     alphas = np.atleast_2d(alpha)
     mats = extended._tilted_stack(model, alphas, derivatives=True,
                                   error=FluctuationError)
     K, m, n = len(alphas), model.chain.n, mats.shape[-1]
-    gen, cols = mats[:, 0], mats[:, 1:].reshape(K, 2, m, n, n)
+    gen = mats[:, 0]
+    d1, d2 = mats[:, 1].reshape(K, n, m, -1), mats[:, 2].reshape(K, n, m, -1)
 
     w, vr = np.linalg.eig(gen)
     i = _perron_index(w, alphas)
     items = np.arange(K)
     lam = w[items, i].real
-    r = vr[items, :, i]
+    r = vr[items, :, i].real
     eye = np.eye(n)
-    b_inv = np.linalg.inv(lam[:, None, None] * eye - gen
-                          + r[:, :, None] * r.conj()[:, None, :])
-    l = (r.conj()[:, None, :] @ b_inv)[:, 0].conj()
-    proj = eye - r[:, :, None] * l.conj()[:, None, :]
+    b_inv = np.linalg.inv(lam[:, None, None] * (eye + r[:, :, None] * r[:, None, :]) - gen)
+    l = lam[:, None] * (r[:, None, :] @ b_inv)[:, 0]
+    proj = eye - r[:, :, None] * l[:, None, :]
+    r_blocks = r.reshape(K, m, -1)
     with np.errstate(over="ignore", invalid="ignore"):    # see derivatives
-        l_dm = (l.conj()[:, None, None, :] @ cols[:, 0])[:, :, 0]
+        # block column v of D_k is that of the k-th derivative in alpha_v
+        l_dm = np.zeros((K, m, m, n // m))
+        l_dm[:, range(m), range(m)] = np.einsum("ki,kivj->kvj", l, d1)
         kernel = _Perron(
             lam=lam, matrix=gen, r=r, l=l, q=proj @ b_inv @ proj,
-            dm_r=(cols[:, 0] @ r[:, None, :, None])[..., 0].swapaxes(1, 2),
-            l_dm=l_dm, alpha=alpha,
-            l_d2m_r=((l.conj()[:, None, None, :] @ cols[:, 1])[:, :, 0]
-                     @ r[:, :, None])[..., 0])
+            dm_r=np.einsum("kivj,kvj->kiv", d1, r_blocks),
+            l_dm=l_dm.reshape(K, m, n), alpha=alpha,
+            l_d2m_r=np.einsum("kvj,kvj->kv", np.einsum("ki,kivj->kvj", l, d2),
+                              r_blocks))
     if alpha.ndim == 1:
         for name in ("lam", "matrix", "r", "l", "q", "dm_r", "l_dm", "l_d2m_r"):
             setattr(kernel, name, getattr(kernel, name)[0])
@@ -324,14 +331,21 @@ def _ascend(model, s_grid, basis, x, box: float):
 
     The Hessian of e is near-singular along conserved combinations of the
     currents, so each Newton step is a least-squares solve in its
-    eigenbasis: curvatures within 1e-10 of zero (relative to max(1, the
-    largest)) count as flat.  Along flat directions phi is linear: a slope
-    there above GRAD_TOL is followed straight to the box, one below it is
-    left alone.  Steps are halved (down to 1e-12) until phi increases (or,
-    at round-off level, until the gradient norm falls), iterates are
-    clamped to the box, and a point stops once its gradient off the flat
-    directions is below GRAD_TOL / 100, or once no step moves it.  Returns
-    the maximizers, the values and the final gradients.
+    eigenbasis: curvatures within 1e-12 of zero (relative to max(1, the
+    largest)) count as flat, above the kernel's curvature noise along a
+    conserved combination (2e-15 relative for |alpha| <= 3, 2e-12 at 12).
+    Along flat directions phi is linear: a slope there above GRAD_TOL is
+    followed straight to the box, one below it is left alone.  Steps are
+    halved (down to 1e-12) until phi increases (or, at round-off level,
+    until the gradient norm falls), iterates are clamped to the box, and a
+    point stops once no step moves it, or once its gradient off the flat
+    directions is below GRAD_TOL / 100 and the gain the Newton step
+    predicts, sum coef^2 / curv, is below 1e-13 max(1, |phi|).  The gain
+    test matters where the sup is approached in an exponential tail
+    (s at the edge of the reachable range), where gradient and curvature
+    shrink together and the gradient test alone stops at a value short of
+    the sup by about the last gradient.  Returns the maximizers, the values
+    and the final gradients.
     """
     def evaluate(pts, x):
         e, g, h = _perron(model, -(x @ basis.T)).derivatives()
@@ -347,14 +361,16 @@ def _ascend(model, s_grid, basis, x, box: float):
             break
         curv, vecs = np.linalg.eigh(h[pts])
         coef = np.einsum("pji,pj->pi", vecs, g[pts])
-        flat = np.abs(curv) <= 1e-10 * np.maximum(1.0, np.abs(curv).max(axis=1))[:, None]
+        flat = np.abs(curv) <= 1e-12 * np.maximum(1.0, np.abs(curv).max(axis=1))[:, None]
         sharp = np.where(flat, 0.0, coef)
         step = np.einsum("pij,pj->pi", vecs, sharp / np.where(flat, 1.0, curv))
         slope = np.einsum("pij,pj->pi", vecs, coef - sharp)
         steep = np.abs(slope).max(axis=1)
         follow = steep > GRAD_TOL
         step[follow] += slope[follow] * (2 * box / steep[follow])[:, None]
-        done = ~follow & (np.linalg.norm(sharp, axis=1) <= GRAD_TOL / 100)
+        gain = (sharp ** 2 / np.where(flat, 1.0, np.abs(curv))).sum(axis=1)
+        done = ~follow & (np.linalg.norm(sharp, axis=1) <= GRAD_TOL / 100) & (
+            gain <= 1e-13 * np.maximum(1.0, np.abs(f[pts])))
         moving[pts[done]] = False
         pts, step = pts[~done], step[~done]
         t = np.ones(len(pts))
@@ -379,29 +395,13 @@ def _ascend(model, s_grid, basis, x, box: float):
 
 def _legendre(model: MrisModel, s_grid, basis) -> RateFunctionResult:
     """sup_x [x . s - e(-basis x)] at each row s of s_grid: every point is
-    ascended from x = 0 (see _ascend).  Where the gradient can only be
-    resolved near GRAD_TOL (large tilts), whether an ascent ends converged
-    depends on where it enters that region, so a point that neither
-    converged nor escaped is ascended once more, from the maximizer of the
-    last converged point before it on the grid.  A point is unbounded when
-    its sup escaped the box and converged when its final gradient norm is
-    at most GRAD_TOL."""
+    ascended from x = 0 (see _ascend).  A point is unbounded when its sup
+    escaped the box and converged when its final gradient norm is at most
+    GRAD_TOL."""
     box = 50.0
-
-    def verdicts(x, g):
-        unbounded = np.any((np.abs(x) >= box) & (g * np.sign(x) > GRAD_TOL), axis=1)
-        return unbounded, ~unbounded & (np.linalg.norm(g, axis=1) <= GRAD_TOL)
-
     x, f, g = _ascend(model, s_grid, basis, np.zeros((len(s_grid), basis.shape[1])), box)
-    unbounded, converged = verdicts(x, g)
-    # the last converged point before each point, -1 where there is none
-    prev = np.maximum.accumulate(np.where(converged, np.arange(len(x)), -1))
-    prev = np.concatenate([[-1], prev[:-1]])
-    retry = np.flatnonzero(~converged & ~unbounded & (prev >= 0))
-    if retry.size:
-        x[retry], f[retry], g[retry] = _ascend(model, s_grid[retry], basis,
-                                               x[prev[retry]], box)
-        unbounded, converged = verdicts(x, g)
+    unbounded = np.any((np.abs(x) >= box) & (g * np.sign(x) > GRAD_TOL), axis=1)
+    converged = ~unbounded & (np.linalg.norm(g, axis=1) <= GRAD_TOL)
     return RateFunctionResult(
         s=s_grid, values=np.where(unbounded, math.inf, np.where(converged, f, math.nan)),
         maximizers=x, unbounded=unbounded, converged=converged,
@@ -533,21 +533,21 @@ def green_kubo(model: MrisModel, epsilon_list=(0.05, 0.025, 0.0125)) -> GreenKub
 
     in closed form.  With G the plain generator, R_+ = r and l the Perron
     pair at 0 and M_v the alpha-derivatives of the deformed generator, the
-    lag-n correlation is c_{wv}(n) = l^H M_w (G^{n-1} - r l^H) M_v r, so with
-    z = e^{-eps} the lag sum is l^H M_w z (1 - z G)^{-1} (1 - r l^H) M_v r.
+    lag-n correlation is c_{wv}(n) = l^T M_w (G^{n-1} - r l^T) M_v r, so with
+    z = e^{-eps} the lag sum is l^T M_w z (1 - z G)^{-1} (1 - r l^T) M_v r.
     At eps -> 0 the resolvent becomes the group inverse of 1 - G, the
     fundamental matrix of perturbation theory, and the limit is exact."""
     beta_bar = float(np.mean([model.probes[l].beta for l in model.labels]))
     p = _perron(model, np.zeros(model.chain.n))
-    mean = (p.l_dm @ p.r).real
-    c0 = np.diag(p.l_d2m_r.real) - np.outer(mean, mean)
+    mean = p.l_dm @ p.r
+    c0 = np.diag(p.l_d2m_r) - np.outer(mean, mean)
     eye = np.eye(len(p.r))
-    proj = eye - np.outer(p.r, p.l.conj())
+    proj = eye - np.outer(p.r, p.l)
 
     def regularized(z):
-        # z (1 - z G)^{-1} (1 - r l^H), which is q at z = 1
+        # z (1 - z G)^{-1} (1 - r l^T), which is q at z = 1
         res = p.q if z == 1.0 else z * np.linalg.solve(eye - z * p.matrix, proj)
-        lags = (p.l_dm @ res @ p.dm_r).real
+        lags = p.l_dm @ res @ p.dm_r
         return (c0 + lags + lags.T) / (2 * beta_bar ** 2)
 
     eps_list = sorted((float(e) for e in epsilon_list), reverse=True)

@@ -103,9 +103,6 @@ class UnravelingEntry:
     def prob_ops(self):
         return self._prob_ops
 
-    def outcome_probabilities(self, rho) -> np.ndarray:
-        return np.einsum("xij,ji->x", self._prob_ops, np.asarray(rho, dtype=complex)).real
-
     def completeness_residual(self, channel: QuantumChannel) -> float:
         return float(np.abs(self._superops.sum(axis=0) - channel.superop).max())
 

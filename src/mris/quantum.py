@@ -163,14 +163,6 @@ class QuantumChannel:
             out += k @ rho @ k.conj().T
         return out
 
-    def dual_apply(self, x) -> np.ndarray:
-        """Heisenberg-picture action sum K^dagger X K."""
-        x = as_matrix(x)
-        out = np.zeros_like(x)
-        for k in self.kraus:
-            out += k.conj().T @ x @ k
-        return out
-
     def tp_residual(self) -> float:
         acc = np.zeros((self.dim, self.dim), dtype=complex)
         for k in self.kraus:

@@ -23,7 +23,6 @@ the last index.  Results are therefore bitwise identical however
 trajectories are batched or split across threads.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -31,12 +30,13 @@ import numpy as np
 
 from . import extended
 from .chains import outcome_stream, path_stream
+# RealBasisError is defined with the basis helpers and stays importable here
+from .extended import RealBasisError, _hermitian_basis, _real  # noqa: F401
 from .models import MrisModel
 from .quantum import vec
 
 ENUMERATION_GUARD = 10_000_000
 _BLOCK = 128          # steps of uniforms streamed per trajectory at a time
-_IMAG_TOL = 1e-12     # largest imaginary part of a real-basis table, relative
 
 
 class NumericalCorruption(RuntimeError):
@@ -46,11 +46,6 @@ class NumericalCorruption(RuntimeError):
 
 class TrajectoryError(ValueError):
     pass
-
-
-class RealBasisError(TrajectoryError):
-    """A model table has an imaginary part in the Hermitian basis: its map
-    does not preserve Hermiticity."""
 
 
 @dataclass(frozen=True)
@@ -105,33 +100,6 @@ def _stationary_decomposition(model: MrisModel) -> extended.EssDecomposition:
         model.caches["ess_decomposition"] = extended.ess_decompose(
             model.generator, r_plus, model.tol)
     return model.caches["ess_decomposition"]
-
-
-def _hermitian_basis(d: int) -> np.ndarray:
-    """The unitary U whose row a maps vec(rho) to tr(E_a rho), the coordinate
-    of rho in the orthonormal Hermitian basis E_a: |j><j|, then
-    (|j><k| + |k><j|)/sqrt(2) and i(|j><k| - |k><j|)/sqrt(2) for j < k.
-    Hermitian matrices have real coordinates x, and vec(rho) = U^H x."""
-    s = math.sqrt(0.5)
-    units = np.eye(d)
-    basis = [np.outer(u, u) for u in units]
-    for j, k in itertools.combinations(range(d), 2):
-        e = s * np.outer(units[j], units[k])
-        basis += [e + e.T, 1j * (e - e.T)]
-    return np.stack([vec(e.T) for e in basis])
-
-
-def _real(table: np.ndarray, what: str, tol: float = _IMAG_TOL) -> np.ndarray:
-    """The real part of a table written in the Hermitian basis.  An imaginary
-    part above tol (relative to the table's scale) means the map does not
-    preserve Hermiticity; it is an error, never dropped.  (A NaN table
-    passes, so that the outcome-law check names the step where it bites.)"""
-    imag = float(np.abs(table.imag).max())
-    if imag > tol * max(1.0, float(np.abs(table.real).max())):
-        raise RealBasisError(
-            f"{what} not real in the Hermitian basis (imaginary part "
-            f"{imag:.3e}); the map does not preserve Hermiticity")
-    return np.ascontiguousarray(table.real)
 
 
 def _step_table(model: MrisModel, funcs, superops, what: str) -> np.ndarray:
@@ -567,21 +535,21 @@ def flux_autocorrelation(source, omega, nu, max_lag: int = 5) -> AutocorrResult:
 
 
 def _autocorr_analytic(model: MrisModel, omega, nu, max_lag) -> AutocorrResult:
-    """c(0) = delta_wv l^H M_ww r - <J_w><J_v> and, for k >= 1,
-    c(k) = l^H M_w G^{k-1} M_v r - <J_w><J_v>, with G the generator, r and l
+    """c(0) = delta_wv l^T M_ww r - <J_w><J_v> and, for k >= 1,
+    c(k) = l^T M_w G^{k-1} M_v r - <J_w><J_v>, with G the generator, r and l
     its Perron pair and M_v, M_vv the alpha-derivatives of the tilted
-    generator at 0 (see fluctuations._perron); <J_v> = -l^H M_v r."""
+    generator at 0, all real (see fluctuations._perron); <J_v> = -l^T M_v r."""
     from .fluctuations import _perron
 
     p = _perron(model, np.zeros(model.chain.n))
     iw, iv = model.chain.index(omega), model.chain.index(nu)
-    mean = (p.l_dm @ p.r).real          # -<J_v>
+    mean = p.l_dm @ p.r                 # -<J_v>
     row, col = p.l_dm[iw], p.dm_r[:, iv]
     values = np.empty(max_lag + 1)
     # a step's increment belongs to exactly one probe
-    values[0] = p.l_d2m_r[iw].real if iw == iv else 0.0
+    values[0] = p.l_d2m_r[iw] if iw == iv else 0.0
     for k in range(1, max_lag + 1):
-        values[k] = (row @ col).real
+        values[k] = row @ col
         col = p.matrix @ col
     values -= mean[iw] * mean[iv]
     return AutocorrResult(omega=omega, nu=nu, lags=np.arange(max_lag + 1),

@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -32,11 +33,14 @@ def test_cumulant_on_a_period_two_chain():
 
 
 def test_cumulant_on_primitive_models_is_the_largest_modulus_root(canonical, tri_broken):
+    """Bitwise against the one real matrix that e_of_alpha reads, and the
+    math.log it takes (np.log differs from it in the last bit on some
+    values)."""
     for model in (canonical, tri_broken):
         for alpha in ([0.0, 0.0], [0.3, -0.1], [-0.8, 1.2]):
-            w = np.linalg.eigvals(extended.deformed_generator(model, alpha).matrix)
+            w = np.linalg.eigvals(extended._tilted_stack(model, alpha))
             lam = w[np.argmax(np.abs(w))]
-            assert fluctuations.e_of_alpha(model, alpha) == np.log(lam.real)
+            assert fluctuations.e_of_alpha(model, alpha) == math.log(lam.real)
 
 
 def test_gradient_at_zero_is_beta_weighted_steady_flux(canonical):
@@ -229,14 +233,31 @@ def test_overflowing_tilt_is_a_typed_error(canonical, alpha):
             route(canonical, np.array(alpha))
 
 
-@pytest.mark.parametrize("t", [255.0, 300.0])
-def test_overflowing_kernel_product_is_a_typed_error(canonical, t):
-    """The tilted generator is still finite at alpha = t (1, 1), but the
-    kernel's products with it overflow: alpha is named, no warning leaks."""
-    kernel = fluctuations._perron(canonical, t * np.ones(2))
+def test_overflowing_kernel_product_is_a_typed_error(canonical):
+    """The tilted generator is still finite at alpha = (124, 62), with
+    entries up to 3e52 against lam = 1, but the kernel's products with it
+    overflow: alpha is named, no warning leaks."""
+    kernel = fluctuations._perron(canonical, np.array([124.0, 62.0]))
     with pytest.raises(fluctuations.FluctuationError,
-                       match=rf"^Hessian of e is not finite at alpha=\[{t:.0f}\. {t:.0f}\.\]"):
+                       match=r"^Hessian of e is not finite at alpha=\[124\.  62\.\]"):
         kernel.derivatives()
+
+
+# e at t (1, 1) from a 400-digit (t = 255) and a 700-digit (t = 300)
+# mpmath eigensolve of the float pieces
+E_REFERENCE = {255.0: 123.7494400098487279849087, 300.0: 146.2494400098487279849087}
+
+
+@pytest.mark.parametrize("t", [255.0, 300.0])
+def test_kernel_products_at_large_diagonal_tilts_are_finite(canonical, t):
+    """Bordered at the scale of lam, the kernel's products at alpha = t (1, 1)
+    stay finite (bordered by r r^H they overflowed), and e keeps its digits.
+    Only e is checked: M(alpha) is graded over 600 orders of magnitude here,
+    and its derivatives are not resolved."""
+    e, grad, hess = fluctuations._perron(canonical, t * np.ones(2)).derivatives()
+    assert np.isfinite(grad).all() and np.isfinite(hess).all()
+    assert abs(e - E_REFERENCE[t]) <= 1e-13 * E_REFERENCE[t]
+    assert fluctuations.e_of_alpha(canonical, t * np.ones(2)) == e
 
 
 def test_kernel_rejects_a_tilt_of_the_wrong_length(canonical):

@@ -16,6 +16,14 @@ The ``enum.*`` entries pin the exact three-step law (probabilities,
 increments and words) of enumerate_full_statistics.  The ``ratefn.*``
 entries pin the values, maximizers and flags of a scalar and a vector rate
 function as the lockstep ascent computes them; they were recorded with it.
+The ``perron.*``, ``gc``, ``translation`` and ``ratefn.*`` entries were
+recorded again when the tilt kernel moved to real pieces in the Hermitian
+basis, real LAPACK and the border at the scale of lambda, and the ascent to
+its gain stop.  The largest moves, with r, l and the derivative products
+of the complex kernel written in the real basis (and r's phase matched):
+lam 3.9e-15, matrix 2.2e-16, r 9.0e-16, l 5.0e-15, q 4.2e-14, dm_r 2.6e-16,
+l_dm 7.8e-16, l_d2m_r 1.3e-15; gc 1.0e-14, translation 5.9e-15; ratefn
+values 1.2e-14, maximizers 4.9e-14 (no flag moved).
 
 The digests depend on LAPACK rounding: they were recorded on x86-64 with
 numpy 2.4 and OpenBLAS, and a different LAPACK (or BLAS kernel) may round
@@ -145,25 +153,25 @@ FROZEN = {
         'ess.blocks': 'e80f4951cc0fecdf',
         'ess.reconstruction_residual': '480176fc65506bb4',
         'ess.residual': '773b5de0530c6b6a',
-        'gc': '59d67aaa2169ad8a',
+        'gc': 'a75a1542ce274c06',
         'initial_state': '24749c899b9b8565',
-        'perron.dm_r': '492c3c7a132da874',
-        'perron.l': '104efefd466deacb',
-        'perron.l_d2m_r': '20195b952b4df4e4',
-        'perron.l_dm': 'cc5761ad55e9a6bd',
-        'perron.lam': '8719b9155c180df0',
-        'perron.matrix': 'd07db8d6e9f949b3',
-        'perron.q': 'a08454e2fe60de80',
-        'perron.r': '83d7f0b80faa7e82',
+        'perron.dm_r': 'c3d1109258aedbdb',
+        'perron.l': '41864b8f600ea131',
+        'perron.l_d2m_r': 'baff07f69a1658ff',
+        'perron.l_dm': 'f2fde6e137c13d23',
+        'perron.lam': '4bb8b918eee5081f',
+        'perron.matrix': 'bac1ded0d813c5df',
+        'perron.q': 'c95848169c4d0915',
+        'perron.r': '6cfe14067f6ca071',
         'ratefn.flags': '701b77d55a69cd5b',
-        'ratefn.maximizers': '343b5edff7bddf02',
-        'ratefn.values': '0df25ff0b5b3796d',
+        'ratefn.maximizers': 'f6a08cc2b16d31c8',
+        'ratefn.values': '1932372500c5cdac',
         'spectral.h_env.cold': '02ca1916dede82df',
         'spectral.h_env.hot': '02ca1916dede82df',
         'spectral.h_sys': '02ca1916dede82df',
         'spectral.s_env.cold': '82ee7744411569d9',
         'spectral.s_env.hot': '82ee7744411569d9',
-        'translation': '65440b529448d01e',
+        'translation': '35888f83c4fc89d0',
         'unraveling.cold': '82ee7744411569d9',
         'unraveling.hot': '82ee7744411569d9',
     },
@@ -185,19 +193,19 @@ FROZEN = {
         'ess.blocks': '27e398ea47d6d485',
         'ess.reconstruction_residual': '2c90700cca8fa9fe',
         'ess.residual': '81d75406d0f18a55',
-        'gc': 'd585d02aa23cd65f',
+        'gc': '9b72ff6e6ada6c7a',
         'initial_state': '03449031af52c020',
-        'perron.dm_r': 'bb88437f12203195',
-        'perron.l': 'c66e0f7bee2a2897',
-        'perron.l_d2m_r': 'a7b32a5756bdc747',
-        'perron.l_dm': '45cc6f0726e90f5a',
-        'perron.lam': '57b415fd15253895',
-        'perron.matrix': 'ac12c7ccc68e829d',
-        'perron.q': '7e5558ae4482bc7d',
-        'perron.r': '3926e17c1efb019a',
+        'perron.dm_r': 'e7ab47e49d80d7e5',
+        'perron.l': 'afe19b3b7339b58f',
+        'perron.l_d2m_r': 'b1fbc6ab949ff2fb',
+        'perron.l_dm': '83f4a933eb693962',
+        'perron.lam': 'f546fd19781599f5',
+        'perron.matrix': 'da20b593dbed2daf',
+        'perron.q': '9a754481f9310a30',
+        'perron.r': 'b992d98b72f5bee1',
         'ratefn.flags': '701b77d55a69cd5b',
-        'ratefn.maximizers': 'efd9008f5003e67e',
-        'ratefn.values': '093ddde577a13a3e',
+        'ratefn.maximizers': 'f5f135ad227f33f0',
+        'ratefn.values': 'e0b6b89cced885f9',
         'spectral.h_env.w0': '02ca1916dede82df',
         'spectral.h_env.w1': 'c2d38df7f8a9f1bc',
         'spectral.h_env.w2': '02ca1916dede82df',
@@ -205,7 +213,7 @@ FROZEN = {
         'spectral.s_env.w0': '48ff7771466c1bb3',
         'spectral.s_env.w1': '7720f34f379f911e',
         'spectral.s_env.w2': '075f13473794e0e6',
-        'translation': '0f1b7801faafc211',
+        'translation': '06ce379fb335da29',
         'unraveling.w0': '48ff7771466c1bb3',
         'unraveling.w1': '7720f34f379f911e',
         'unraveling.w2': '075f13473794e0e6',
@@ -228,25 +236,25 @@ FROZEN = {
         'ess.blocks': 'fc1fc65982e72880',
         'ess.reconstruction_residual': '62f42a9afe3e63e9',
         'ess.residual': '6780da5561624bea',
-        'gc': '58158f4ec9367c39',
+        'gc': 'bf228bc18b93beda',
         'initial_state': '24749c899b9b8565',
-        'perron.dm_r': 'b71f02ca57c15b20',
-        'perron.l': '334de332d5de73ad',
-        'perron.l_d2m_r': '4824b439f9725cc4',
-        'perron.l_dm': '245a261fe57a9c38',
-        'perron.lam': '625f2477aff6cfa1',
-        'perron.matrix': '7148a5ec5d395fa1',
-        'perron.q': '85daf9a039ce6cb9',
-        'perron.r': '7997e64751c8d33b',
+        'perron.dm_r': '34f3d34f660c3d21',
+        'perron.l': 'abee94d36fc58ab4',
+        'perron.l_d2m_r': 'f62c20170ce6f71b',
+        'perron.l_dm': '998e6b4ec20da9e9',
+        'perron.lam': 'c135ca0108d6f4ff',
+        'perron.matrix': '17824c24079b241f',
+        'perron.q': '1f83b84dcf4b8575',
+        'perron.r': 'd6cc6a92eef0b186',
         'ratefn.flags': '701b77d55a69cd5b',
-        'ratefn.maximizers': '6b60f5dea2d034a9',
-        'ratefn.values': '09e9b9a2373853d3',
+        'ratefn.maximizers': '2e059e7dead11fe7',
+        'ratefn.values': 'e9a0390b5ca823e6',
         'spectral.h_env.cold': '02ca1916dede82df',
         'spectral.h_env.hot': '02ca1916dede82df',
         'spectral.h_sys': '02ca1916dede82df',
         'spectral.s_env.cold': '2454a61930296ab5',
         'spectral.s_env.hot': '82ee7744411569d9',
-        'translation': '468a9fbd3a825cf3',
+        'translation': '49e5eeb5934ccf82',
         'unraveling.cold': '2454a61930296ab5',
         'unraveling.hot': '82ee7744411569d9',
     },
@@ -268,25 +276,25 @@ FROZEN = {
         'ess.blocks': 'a9ca3171de7937be',
         'ess.reconstruction_residual': 'ad5b5f55599dd7eb',
         'ess.residual': '6d605a71fbf11d12',
-        'gc': '16b6bfe37ebf8656',
+        'gc': '744f1ce582671aa5',
         'initial_state': '24749c899b9b8565',
-        'perron.dm_r': 'd52460dbe4209d1a',
-        'perron.l': '65eea497b45411ca',
-        'perron.l_d2m_r': 'e18f77168581f6a8',
-        'perron.l_dm': '93775763feec1524',
-        'perron.lam': 'f0704a69e5374fa0',
-        'perron.matrix': '19adc5e5eed300f6',
-        'perron.q': '422ca472202f0c1a',
-        'perron.r': 'b01ed6fa637e68fc',
+        'perron.dm_r': '3738a537f94b4f9f',
+        'perron.l': 'cbf7524820ba53d7',
+        'perron.l_d2m_r': '382d360a562667fd',
+        'perron.l_dm': 'f54820da706528c3',
+        'perron.lam': '7f59d21087f39329',
+        'perron.matrix': '3f66d9185c5d735b',
+        'perron.q': 'cca2a7539edd4e43',
+        'perron.r': 'f7c29bfd4df7efcf',
         'ratefn.flags': '701b77d55a69cd5b',
-        'ratefn.maximizers': '156199ca9b003c7d',
-        'ratefn.values': '7556478e245b7a1e',
+        'ratefn.maximizers': '5b05bf04821459ca',
+        'ratefn.values': '2788198546444128',
         'spectral.h_env.cold': '02ca1916dede82df',
         'spectral.h_env.hot': '02ca1916dede82df',
         'spectral.h_sys': '02ca1916dede82df',
         'spectral.s_env.cold': '2454a61930296ab5',
         'spectral.s_env.hot': '82ee7744411569d9',
-        'translation': '820aebe7fa3b80cf',
+        'translation': '2373f68408e963a2',
         'unraveling.cold': '2454a61930296ab5',
         'unraveling.hot': '82ee7744411569d9',
     },
@@ -303,10 +311,15 @@ def test_formulas_match_frozen_digests(name):
 
 @pytest.mark.parametrize("name", sorted(FROZEN_MODELS) + ["random_11"])
 def test_tilted_generator_is_the_kernel_matrix(name):
-    """deformed_generator and the perturbation kernel build the same M(alpha),
-    bit for bit, also on padded labels (sparse_mixed has 4/9/4 outcomes)."""
+    """deformed_generator and the perturbation kernel read the one real
+    M(alpha), bit for bit, also on padded labels (sparse_mixed has 4/9/4
+    outcomes): the kernel's matrix is _tilted_stack's, and deformed_generator
+    writes that matrix back in the vec(rho) layout."""
     model = (fixtures.random_model(11, n_labels=3) if name == "random_11"
              else FROZEN_MODELS[name]())
     for a in _alphas(model.chain.n):
+        real = fluctuations._perron(model, a).matrix
+        assert real.dtype == np.float64
+        assert real.tobytes() == extended._tilted_stack(model, a).tobytes()
         assert (extended.deformed_generator(model, a).matrix.tobytes()
-                == fluctuations._perron(model, a).matrix.tobytes())
+                == extended._complex_generator(real, model.dim_sys).tobytes())

@@ -120,7 +120,7 @@ def test_unraveling_structure(canonical):
 def test_outcome_probabilities_form_a_distribution(canonical, rng):
     entry = models.unraveling(canonical, "cold")
     rho = random_density(rng, 2)
-    p = entry.outcome_probabilities(rho)
+    p = np.einsum("xij,ji->x", entry.prob_ops, rho).real     # tr(G_x rho)
     assert p.min() > -1e-14
     assert abs(p.sum() - 1.0) < 1e-12
 

