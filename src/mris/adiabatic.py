@@ -77,32 +77,30 @@ def schedule_generator(model: MrisModel, schedule: AdiabaticSchedule,
 
 
 # Schedule steps per stack of generators (the first stack also carries s = 0),
-# so that memory does not grow with the number of steps.
+# so that memory does not grow with the number of steps; only a sweep that
+# fits in one stack keeps its steady states.
 _SWEEP_BLOCK = 256
 
 # Points of the uniform grid on which the family is checked for primitivity.
 _PRIMITIVITY_POINTS = 20
 
 
-def _path_gap_min(model: MrisModel, schedule: AdiabaticSchedule, generators) -> float:
+def _path_gap_min(model: MrisModel, key, generators) -> float:
     """The smallest gap of the instantaneous family on the primitivity grid,
-    from one batched eigvals call; raises when some point is not primitive.
-    A path is checked once per model: the gap is kept in model.caches,
-    keyed by the schedule's kind and endpoint matrices (a failing path
+    from one batched eigvals call classified in one pass; raises naming the
+    first point that is not primitive.  A path is checked once per model:
+    the gap is kept in model.caches under the schedule's key (a failing path
     keeps nothing, so it raises on every call)."""
-    key = (schedule.kind, schedule.p_start.tobytes(), schedule.p_end.tobytes())
     cache = model.caches.setdefault("adiabatic_gap_min", {})
     if key not in cache:
         grid = np.linspace(0.0, 1.0, _PRIMITIVITY_POINTS)
-        gap_min = np.inf
-        for s, w in zip(grid, np.linalg.eigvals(generators(grid))):
-            cls = extended._classify_spectrum(w, model.tol)
-            if cls.kind != "primitive":
-                raise AdiabaticError(
-                    f"instantaneous generator at s={s:.3f} is {cls.kind}; the "
-                    "tracking bound needs a primitive family")
-            gap_min = min(gap_min, cls.gap)
-        cache[key] = gap_min
+        kind, gap, _, _ = extended._spectrum_kinds(np.linalg.eigvals(generators(grid)), model.tol)
+        bad = np.flatnonzero(kind != "primitive")
+        if bad.size:
+            raise AdiabaticError(
+                f"instantaneous generator at s={grid[bad[0]]:.3f} is {kind[bad[0]]}; "
+                "the tracking bound needs a primitive family")
+        cache[key] = float(gap.min())
     return cache[key]
 
 
@@ -122,16 +120,19 @@ def adiabatic_evolve(model: MrisModel, schedule: AdiabaticSchedule,
     trace-norm error sum_w || R_k(w) - R_+(k/N)(w) ||_1.
 
     The instantaneous family must be primitive along the whole path (checked
-    on a uniform grid); r0 defaults to the initial steady state R_+(0), so the
-    reported error is pure lag, not transient decay.  The plateau error is the
-    maximum over k >= N/4, by which point any admissible start has merged into
-    the O(1/N) tracking regime.
+    on a uniform grid); r0, an extended state of the model, defaults to the
+    initial steady state R_+(0), so the reported error is pure lag, not
+    transient decay.  The plateau error is the maximum over k >= N/4, by
+    which point any admissible start has merged into the O(1/N) tracking
+    regime.
 
-    The primitivity grid is one batched eigvals call, made once per path
-    and model (see _path_gap_min).  The generators, the
-    steady states R_+(s_k) (one bordered solve each, see extended.find_ess;
-    no eigensolve) and the trace norms are taken over stacks of schedule
-    points; only the recursion itself steps one point at a time.
+    Everything is real, in the coordinates of extended._real_superops.  The
+    primitivity grid is checked once per path and model (_path_gap_min); the
+    generators, the steady states R_+(s_k) (one bordered solve each, no
+    eigensolve) and the trace norms are taken over stacks of schedule
+    points, and only the recursion steps one point at a time.  A sweep of at
+    most _SWEEP_BLOCK steps keeps its steady states in model.caches, per
+    path and float s, so nested sweeps (N, 2N, 4N) solve each point once.
     """
     if n_steps < 4:
         raise AdiabaticError("need at least 4 steps")
@@ -140,17 +141,24 @@ def adiabatic_evolve(model: MrisModel, schedule: AdiabaticSchedule,
     labels, m, d = model.labels, model.chain.n, model.dim_sys
     if r0 is not None:
         if r0.labels != labels:
-            raise AdiabaticError(
-                f"r0 has labels {r0.labels}, the model has {labels}")
+            raise AdiabaticError(f"r0 has labels {r0.labels}, the model has {labels}")
         if r0.blocks.shape != (m, d, d):
             raise AdiabaticError(
                 f"r0 blocks have shape {r0.blocks.shape}, the model needs {(m, d, d)}")
-    superops = [model.channels[l].superop for l in labels]
+        try:
+            r0.check(tol)
+        except extended.GeneratorError as err:
+            raise AdiabaticError(f"r0 is not an extended state: {err}") from err
+    superops = extended._real_superops(model)
 
     def generators(s):
         return extended._generator_stack(schedule.transition_matrix(s), superops)
 
-    gap_min = _path_gap_min(model, schedule, generators)
+    key = (schedule.kind, schedule.p_start.tobytes(), schedule.p_end.tobytes())
+    gap_min = _path_gap_min(model, key, generators)
+    keep = n_steps <= _SWEEP_BLOCK
+    points = model.caches.setdefault("adiabatic_ess", {})
+    points = points.setdefault(key, {}) if keep else points.get(key, {})
     s_grid = np.arange(n_steps + 1) / n_steps
     errors = np.empty(n_steps + 1)
 
@@ -158,19 +166,24 @@ def adiabatic_evolve(model: MrisModel, schedule: AdiabaticSchedule,
         """Fill errors[lo:hi] and return R_{hi-1}, entering with R_{lo-1}
         (with R_0, or None for R_+(0), when lo = 0).  A function of its own,
         so that one stack is released before the next is built."""
-        mats = generators(s_grid[lo:hi])
-        ess = extended._ess_stack(mats, labels, d, tol)
-        states = np.empty((hi - lo, m * d * d), dtype=complex)
-        for k in range(lo, hi):
+        mats, s = generators(s_grid[lo:hi]), s_grid[lo:hi].tolist()
+        known = [points.get(t) for t in s]
+        todo = [k for k, x in enumerate(known) if x is None]
+        kept = points if keep else {}
+        for k, x in zip(todo, extended._ess_stack(mats[todo], labels, d, tol) if todo else ()):
+            known[k] = kept[s[k]] = x
+        ess = np.array(known)
+        states = np.empty(ess.shape)
+        for k, mat in enumerate(mats, lo):
             if k > 0:
-                v = mats[k - lo] @ v
+                v = mat.dot(v)          # bitwise mat @ v, with less call overhead
             elif v is None:
-                v = extended.big_vec(ess[0])
+                v = ess[0]
             states[k - lo] = v
-        errors[lo:hi] = extended._trace_norm_lag(extended.big_unvec(states, m, d), ess)
+        errors[lo:hi] = extended._trace_norm(states - ess, m, d)
         return v
 
-    v = None if r0 is None else extended.big_vec(r0.blocks)
+    v = None if r0 is None else extended._coords(r0.blocks)
     bounds = [0, *range(_SWEEP_BLOCK + 1, n_steps + 1, _SWEEP_BLOCK), n_steps + 1]
     for lo, hi in zip(bounds, bounds[1:]):
         v = track(lo, hi, v)

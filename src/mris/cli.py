@@ -111,20 +111,10 @@ def cmd_classify(args):
     chain_cls = classify_chain(model.chain, model.tol)
     gen_cls = extended.classify_generator(model.generator, model.tol)
     results = {
-        "chain": {
-            "irreducible": chain_cls.irreducible,
-            "period": chain_cls.period,
-            "primitive": chain_cls.primitive,
-            "stationary": chain_cls.stationary,
-            "detailed_balance": chain_cls.detailed_balance,
-        },
-        "generator": {
-            "kind": gen_cls.kind,
-            "period": gen_cls.period,
-            "gap": gen_cls.gap,
-            "eigenvalue_one_multiplicity": gen_cls.eigenvalue_one_multiplicity,
-            "peripheral": gen_cls.peripheral,
-        },
+        "chain": {k: getattr(chain_cls, k) for k in (
+            "irreducible", "period", "primitive", "stationary", "detailed_balance")},
+        "generator": {k: getattr(gen_cls, k) for k in (
+            "kind", "period", "gap", "eigenvalue_one_multiplicity", "peripheral")},
     }
     # an irreducible extended generator needs an irreducible driving chain
     consistent = gen_cls.kind == "reducible" or chain_cls.irreducible
@@ -308,11 +298,8 @@ def cmd_linresp(args):
             "col_sums_vanish": float(np.abs(kin.col_sums).max()) <= 1e-6,
         })
     if args.out:
-        rows = []
-        for a, la in enumerate(model.labels):
-            for b, lb in enumerate(model.labels):
-                rows.append([str(la), str(lb), kin.matrix[a, b],
-                             kin.route_b[a, b], fdr[a, b], gk.matrix[a, b]])
+        rows = [[str(la), str(lb), kin.matrix[a, b], kin.route_b[a, b], fdr[a, b], gk.matrix[a, b]]
+                for a, la in enumerate(model.labels) for b, lb in enumerate(model.labels)]
         output.write_csv(args.out + ".csv",
                          ["omega", "nu", "kinetic", "route_b", "fdr", "green_kubo"],
                          rows)
@@ -328,9 +315,7 @@ def cmd_adiabatic(args):
     sched = adiabatic.AdiabaticSchedule(p_start=model.chain.P, p_end=p_end,
                                         kind=args.kind)
     steps = args.steps
-    runs = {}
-    for n in steps:
-        runs[n] = adiabatic.adiabatic_evolve(model, sched, n)
+    runs = {n: adiabatic.adiabatic_evolve(model, sched, n) for n in steps}
     plateaus = [runs[n].plateau_error for n in steps]
     ratios = [plateaus[i] / plateaus[i + 1] for i in range(len(steps) - 1)]
     results = {
@@ -402,26 +387,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "interaction systems.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def add(name, help_text, func):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--model", required=True, help="model JSON file")
         p.add_argument("--out", help="output prefix (writes PREFIX.json etc.)")
         p.add_argument("--tol", action="append", metavar="NAME=VALUE",
                        help="tolerance override, repeatable")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("validate", help="certify channels and unravelings")
-    common(p)
-    p.set_defaults(func=cmd_validate)
+    add("validate", "certify channels and unravelings", cmd_validate)
+    add("classify", "chain and generator classification", cmd_classify)
+    add("ess", "steady state, fluxes, entropy production", cmd_ess)
 
-    p = sub.add_parser("classify", help="chain and generator classification")
-    common(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("ess", help="steady state, fluxes, entropy production")
-    common(p)
-    p.set_defaults(func=cmd_ess)
-
-    p = sub.add_parser("simulate", help="sample the entropy-exchange process")
-    common(p)
+    p = add("simulate", "sample the entropy-exchange process", cmd_simulate)
     p.add_argument("--steps", type=_count, default=1000)
     p.add_argument("--traj", type=_checked(int, lambda n: n >= 2, "an integer >= 2"),
                    default=200, help="at least 2: the verdict needs a standard error")
@@ -430,32 +409,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chunk", type=_count, default=512)
     p.add_argument("--stationary", action="store_true",
                    help="start trajectories in the steady ensemble")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("cumulant", help="cumulant function and its symmetry")
-    common(p)
+    p = add("cumulant", "cumulant function and its symmetry", cmd_cumulant)
     p.add_argument("--grid-points", type=_count, default=61)
-    p.set_defaults(func=cmd_cumulant)
 
-    p = sub.add_parser("ratefn", help="entropy-exchange rate function")
-    common(p)
+    p = add("ratefn", "entropy-exchange rate function", cmd_ratefn)
     p.add_argument("--points", type=_count, default=21)
     p.add_argument("--alpha-range", type=_positive, default=0.45,
                    help="half-width of the tilt grid generating the s values")
-    p.set_defaults(func=cmd_ratefn)
 
-    p = sub.add_parser("linresp", help="kinetic coefficients at equilibrium")
-    common(p)
-    p.set_defaults(func=cmd_linresp)
+    add("linresp", "kinetic coefficients at equilibrium", cmd_linresp)
 
-    p = sub.add_parser("adiabatic", help="slow chain driving and tracking error")
-    common(p)
+    p = add("adiabatic", "slow chain driving and tracking error", cmd_adiabatic)
     p.add_argument("--p-end", required=True,
                    help="target transition matrix: inline JSON or @file")
     p.add_argument("--kind", choices=("linear", "smoothstep"), default="linear")
     p.add_argument("--steps", type=_step_counts, default="64,128,256",
                    help="comma-separated step counts, at least two distinct")
-    p.set_defaults(func=cmd_adiabatic)
 
     return parser
 

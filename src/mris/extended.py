@@ -11,23 +11,23 @@ column-vectorizations of the blocks.  The duality <R, X> = sum_w tr(R(w)* X(w))
 is then the plain inner product of stacked vectors, so the adjoint map on
 observables is the conjugate transpose of the generator matrix.
 
-The tilted generators of the fluctuation theory live in a real basis.  With
-U the unitary that takes vec(rho) to the coordinates tr(E_a rho) of rho in
-an orthonormal Hermitian basis E_a (_hermitian_basis), and T = 1_m (x) U,
-every Hermiticity-preserving map has a real matrix T M T^H.  The tilted
-generator is linear in fixed per-model pieces,
+The numerics run in a real basis.  With U the unitary that takes vec(rho)
+to the coordinates tr(E_a rho) of rho in an orthonormal Hermitian basis E_a
+(_hermitian_basis), and T = 1_m (x) U, every Hermiticity-preserving map has
+a real matrix T M T^H.  Steady states and their sensitivities are solved
+there, from the channel superoperators U S_v U^H (_real_superops), and so is
+the tilted generator, linear in fixed per-model pieces,
 
     M(alpha) = sum_{v, xi} exp(-alpha_v delta_{v xi}) A_{v, xi},
 
 where A_{v, xi} is block column v, P[v, .] (x) S_{v, xi}, of the outcome
-superoperator S_{v, xi} of label v.  The pieces are folded into the real
-basis once per model (an imaginary part beyond round-off raises
-RealBasisError), so e(alpha) and its derivatives run real LAPACK on real
-matrices; deformed_generator writes M(alpha) back as T^H M T.  The plain
-generator, the steady state and the classification keep the complex
-layout above.
+superoperator S_{v, xi} of label v.  Both are folded once per model (an
+imaginary part beyond round-off raises RealBasisError), so LAPACK runs on
+real matrices; deformed_generator writes M(alpha) back as T^H M T.  The
+plain generator and the classification keep the complex layout above.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -108,11 +108,11 @@ class ExtendedState(_BlockFamily):
 
     def check(self, tol: Tolerances = DEFAULT):
         super().check(tol)
-        for k in range(self.blocks.shape[0]):
-            w = np.linalg.eigvalsh((self.blocks[k] + self.blocks[k].conj().T) / 2)
-            if w.min() < -tol.psd:
-                raise GeneratorError(
-                    f"block {self.labels[k]} has negative eigenvalue {w.min():.3e}")
+        low = np.linalg.eigvalsh((self.blocks + self.blocks.conj().transpose(0, 2, 1)) / 2)[:, 0]
+        bad = np.flatnonzero(low < -tol.psd)
+        if bad.size:
+            raise GeneratorError(
+                f"block {self.labels[bad[0]]} has negative eigenvalue {low[bad[0]]:.3e}")
         if abs(self.total_trace() - 1.0) > tol.trace:
             raise GeneratorError(f"total trace {self.total_trace()} != 1")
         return self
@@ -142,11 +142,11 @@ def big_unvec(v: np.ndarray, m: int, d: int) -> np.ndarray:
     return v.reshape(*v.shape[:-1], m, d, d).swapaxes(-1, -2)
 
 
-def _trace_norm_lag(a: np.ndarray, b: np.ndarray):
-    """sum_w ||a(w) - b(w)||_1 for block families (..., m, d, d): one batched
-    svd, summed label by label like quantum.trace_norm over the blocks."""
-    norms = np.linalg.svd(a - b, compute_uv=False).sum(axis=-1)
-    return sum(norms[..., w] for w in range(norms.shape[-1]))
+def _trace_norm(x: np.ndarray, m: int, d: int):
+    """sum_w ||X(w)||_1 for families in the real coordinates (..., m d^2):
+    one batched eigvalsh of the Hermitian blocks, summed label by label."""
+    norms = np.abs(np.linalg.eigvalsh(_blocks(x, m, d))).sum(axis=-1)
+    return sum(norms[..., w] for w in range(m))
 
 
 def _lift(P: np.ndarray, weights, states) -> np.ndarray:
@@ -188,8 +188,9 @@ def _generator_stack(P: np.ndarray, superops) -> np.ndarray:
     """Generator matrices for a stack of transition matrices P (K, m, m) and
     one superoperator family S (m, d^2, d^2) or a stack of them
     (K, m, d^2, d^2): block (w, v) of the k-th matrix is P[k, v, w] * S[k]_v,
-    and exactly zero where P[k, v, w] is.  Either stack may have K = 1."""
-    superops = np.asarray(superops, dtype=complex)
+    and exactly zero where P[k, v, w] is.  Either stack may have K = 1.  The
+    matrices take the dtype of S: the real U S_v U^H give T M T^H."""
+    superops = np.asarray(superops)
     if superops.ndim == 4:
         superops = superops[:, None]
     m, dd = P.shape[-1], superops.shape[-1]
@@ -227,10 +228,9 @@ def initial_extended_state(chain: MarkovChain, rho_init: dict) -> ExtendedState:
 def evolve(g: ExtendedGenerator, r: ExtendedState, n: int) -> ExtendedState:
     if r.labels != g.labels or r.dim != g.dim:
         raise GeneratorError("state does not match generator layout")
-    v = big_vec(r.blocks)
     for _ in range(n):
-        v = g.matrix @ v
-    return ExtendedState(g.labels, big_unvec(v, g.n_labels, g.dim))
+        r = g.apply(r)
+    return r
 
 
 def adjoint_matrix(g: ExtendedGenerator) -> np.ndarray:
@@ -261,35 +261,37 @@ def _eigenvalue_one_cluster(w: np.ndarray, tol: Tolerances) -> np.ndarray:
 
 
 def _bordered_solve(mats: np.ndarray, m: int, d: int):
-    """Steady states of a stack of generators (K, n, n), one bordered solve
-    each (Paige, Styan and Wachter, J. Stat. Comput. Simul. 1975).
+    """Steady states of a stack of real generators T M T^H (K, n, n), one
+    bordered solve each (Paige, Styan and Wachter, J. Stat. Comput. Simul.
+    1975).
 
-    With u the maximally mixed extended state (tr u = 1) and tr the
-    total-trace functional, A = 1 - M + u tr^T is invertible exactly when
-    eigenvalue 1 of M is simple, and A R = u means (1 - M) R = 0 with
-    tr R = 1.  One batched inverse gives R = A^{-1} u, refined by one step
-    with the same inverse.  A^{-1} also solves A dR = (dM) R, the steady
-    state's sensitivity to a trace-preserving perturbation dM (Golub and
-    Meyer, SIAM J. Alg. Disc. Meth. 1986).  Returns R (K, n), A^{-1}
-    (K, n, n), ||A^{-1}||_1 (K,) and kappa_1 = ||A||_1 ||A^{-1}||_1 (K,);
-    raises LinAlgError when some A is exactly singular.
+    With u the maximally mixed extended state and tr the total-trace
+    functional (the indicator of each block's d diagonal coordinates),
+    A = 1 - M + u tr^T is invertible exactly when eigenvalue 1 of M is
+    simple, and A R = u means (1 - M) R = 0 with tr R = 1.  One batched
+    inverse gives R = A^{-1} u, refined by one step with the same inverse.
+    A^{-1} also solves A dR = (dM) R, the steady state's sensitivity to a
+    trace-preserving perturbation dM (Golub and Meyer, SIAM J. Alg. Disc.
+    Meth. 1986).  Returns R (K, n), A^{-1} (K, n, n), ||A^{-1}||_1 (K,) and
+    kappa_1 = ||A||_1 ||A^{-1}||_1 (K,); raises LinAlgError when some A is
+    exactly singular.
     """
     n = mats.shape[-1]
-    trace = np.tile(np.eye(d).reshape(-1), m)     # vec(1) in every block
+    trace = np.tile((np.arange(d * d) < d).astype(float), m)
     u = trace / (m * d)
     a = np.eye(n) - mats + np.outer(u, trace)
     a_inv = np.linalg.inv(a)
     x = a_inv @ u
     x = x + (a_inv @ (u - (a @ x[..., None])[..., 0])[..., None])[..., 0]
-    inv_norm = np.abs(a_inv).sum(axis=-2).max(axis=-1)
-    return x, a_inv, inv_norm, np.abs(a).sum(axis=-2).max(axis=-1) * inv_norm
+    # column sums by einsum: numpy's sum over a short middle axis is slower
+    inv_norm = np.einsum("...ij->...j", np.abs(a_inv)).max(axis=-1)
+    return x, a_inv, inv_norm, np.einsum("...ij->...j", np.abs(a)).max(axis=-1) * inv_norm
 
 
 def _ess_stack(mats: np.ndarray, labels, d: int,
                tol: Tolerances = DEFAULT) -> np.ndarray:
-    """Repaired steady-state blocks (K, m, d, d) of a stack of generators
-    (K, n, n): the bordered solve of each, phase-fixed, Hermitized, clipped
-    and renormalized as find_ess describes."""
+    """Repaired steady states (K, n) of a stack of real generators (K, n, n):
+    the bordered solve of each, clipped and renormalized (see find_ess)."""
     K, m = mats.shape[0], len(labels)
     try:
         x, _a_inv, inv_norm, kappa = _bordered_solve(mats, m, d)
@@ -300,24 +302,20 @@ def _ess_stack(mats: np.ndarray, labels, d: int,
     refused = ~(inv_norm * tol.peripheral < 1.0)
     if refused.any():
         _refuse(mats[refused], inv_norm[refused], kappa[refused], tol)
-    blocks = big_unvec(x, m, d)
-    # phase-fix and set total trace 1, in Python complex arithmetic: numpy's
-    # vectorised complex division differs in the last bit
-    scale = np.empty(K, dtype=complex)
-    for k, t in enumerate(np.trace(blocks, axis1=2, axis2=3).sum(axis=1).tolist()):
-        scale[k] = t.conjugate() / (abs(t) * abs(t))
-    blocks = blocks * scale[:, None, None, None]
-    blocks = (blocks + blocks.conj().transpose(0, 1, 3, 2)) / 2
-    ew, ev = np.linalg.eigh(blocks)
-    low = ew.min(axis=2)
+    blocks = _blocks(x, m, d)
+    low = np.linalg.eigvalsh(blocks)[..., 0]
     if (low < -tol.psd).any():
         k, j = np.argwhere(low < -tol.psd)[0]
         raise GeneratorError(
             f"fixed-point block {labels[j]} has eigenvalue {low[k, j]:.3e} "
             "beyond the round-off repair window")
-    repaired = (ev * np.clip(ew, 0.0, None)[..., None, :]) @ ev.conj().transpose(0, 1, 3, 2)
-    repaired /= np.trace(repaired, axis1=2, axis2=3).sum(axis=1).real[:, None, None, None]
-    return repaired
+    coords = x.reshape(K, m, d * d)
+    neg = low < 0.0
+    if neg.any():
+        ew, ev = np.linalg.eigh(blocks[neg])
+        clipped = (ev * np.clip(ew, 0.0, None)[..., None, :]) @ ev.conj().swapaxes(-1, -2)
+        coords[neg] = _coords(clipped[:, None])
+    return x / coords[..., :d].sum(axis=(1, 2))[:, None]
 
 
 def _refuse(mats: np.ndarray, inv_norm: np.ndarray, kappa: np.ndarray,
@@ -336,7 +334,8 @@ def _refuse(mats: np.ndarray, inv_norm: np.ndarray, kappa: np.ndarray,
 
 
 def find_ess(g: ExtendedGenerator, tol: Tolerances = DEFAULT):
-    """Extended steady state from one bordered solve (see _bordered_solve).
+    """Extended steady state from one bordered solve (see _bordered_solve)
+    of the generator in the real coordinates.
 
     Returns (state, residual) with residual = sum_w ||(L R)(w) - R(w)||_1 of
     the repaired state.  The solve is refused when ||A^{-1}||_1 reaches
@@ -345,19 +344,21 @@ def find_ess(g: ExtendedGenerator, tol: Tolerances = DEFAULT):
     whose eigenvalue-1 cluster (width tol.peripheral) holds more than one
     eigenvalue.  Only then is the spectrum read, to name the failure:
     NotIrreducibleError when that cluster is not one eigenvalue,
-    GeneratorError naming kappa_1 otherwise.  Repair: phase-fix, Hermitize,
-    clip round-off negatives in [-psd_tol, 0), renormalize; eigenvalues
-    below -psd_tol abort instead, since they signal a genuinely wrong
-    solution rather than noise.
+    GeneratorError naming kappa_1 otherwise.  The blocks are Hermitian by
+    construction; repair clips round-off negatives in [-psd_tol, 0) and
+    renormalizes, and eigenvalues below -psd_tol abort: they signal a wrong
+    solution, not noise.
     """
-    state = ExtendedState(g.labels, _ess_stack(g.matrix[None], g.labels, g.dim, tol)[0])
-    return state, float(_trace_norm_lag(g.apply(state).blocks, state.blocks))
+    mat = _real_generator(g)
+    x = _ess_stack(mat[None], g.labels, g.dim, tol)[0]
+    return (ExtendedState(g.labels, np.ascontiguousarray(_blocks(x, g.n_labels, g.dim))),
+            float(_trace_norm(mat @ x - x, g.n_labels, g.dim)))
 
 
 def bordered_condition(g: ExtendedGenerator) -> float:
     """kappa_1 of the bordered matrix whose solve gives the steady state of
     g (a numerical-health figure of find_ess)."""
-    return float(_bordered_solve(g.matrix[None], g.n_labels, g.dim)[3][0])
+    return float(_bordered_solve(_real_generator(g)[None], g.n_labels, g.dim)[3][0])
 
 
 @dataclass
@@ -377,49 +378,23 @@ def ess_decompose(g: ExtendedGenerator, r_plus: ExtendedState, tol: Tolerances =
     rho_+w = L_w R_+(w) / pi_+w (maximally mixed placeholder off the support)."""
     if g.channels is None:
         raise GeneratorError("decomposition needs the channel family")
-    pi_plus = r_plus.marginal()
-    rho_plus = {}
-    d = g.dim
-    for k, label in enumerate(g.labels):
-        if pi_plus[k] > tol.pi_floor:
-            rho_plus[label] = g.channels[label].apply(r_plus.blocks[k]) / pi_plus[k]
-        else:
-            rho_plus[label] = np.eye(d, dtype=complex) / d
+    pi_plus, d = r_plus.marginal(), g.dim
+    rho_plus = {l: g.channels[l].apply(r_plus.blocks[k]) / pi_plus[k] if pi_plus[k] > tol.pi_floor
+                else np.eye(d, dtype=complex) / d for k, l in enumerate(g.labels)}
     return EssDecomposition(g.labels, pi_plus, rho_plus)
 
 
-def _classify_spectrum(w: np.ndarray, tol: Tolerances = DEFAULT) -> GeneratorClassification:
-    """The kind, period and gap that classify_generator reads off one
-    spectrum w, without the steady-state fields.  Eigenvalue 1 counts as
-    simple when exactly one eigenvalue lies in its cluster."""
-    mult = int(_eigenvalue_one_cluster(w, tol).sum())
-    simple = mult == 1
+def _spectrum_kinds(w: np.ndarray, tol: Tolerances = DEFAULT):
+    """Kind, gap and eigenvalue-1 multiplicity of each spectrum of a stack
+    w (K, n), with the mask of its peripheral eigenvalues, in one pass.
+    Eigenvalue 1 is simple when exactly one eigenvalue lies in its cluster."""
+    mult = _eigenvalue_one_cluster(w, tol).sum(axis=-1)
     on_circle = np.abs(w) >= 1.0 - tol.peripheral
-    peripheral = w[on_circle]
-    inner = np.abs(w[~on_circle])
-    gap = float("inf") if inner.size == 0 else float(-np.log(max(inner.max(), 1e-300)))
-    p = len(peripheral)
-    match = False
-    if simple and p >= 1:
-        roots = np.exp(2j * np.pi * np.arange(p) / p)
-        match = all(np.abs(peripheral - r).min() <= 1e-6 for r in roots)
-
-    if not simple:
-        kind = "reducible"
-    elif p == 1 and gap > tol.gap:
-        kind = "primitive"
-    else:
-        kind = "irreducible_periodic"
-
-    return GeneratorClassification(
-        kind=kind,
-        period=p if simple else 0,
-        gap=gap,
-        dominant_eigenvalue=float(np.abs(w).max()),
-        eigenvalue_one_multiplicity=mult,
-        peripheral=peripheral,
-        peripheral_match_roots=match,
-    )
+    inner = np.where(on_circle, -np.inf, np.abs(w)).max(axis=-1)
+    gap = np.where(on_circle.all(axis=-1), np.inf, -np.log(np.maximum(inner, 1e-300)))
+    kind = np.where(mult != 1, "reducible", np.where(
+        (on_circle.sum(axis=-1) == 1) & (gap > tol.gap), "primitive", "irreducible_periodic"))
+    return kind, gap, mult, on_circle
 
 
 def classify_generator(g: ExtendedGenerator, tol: Tolerances = DEFAULT) -> GeneratorClassification:
@@ -435,34 +410,56 @@ def classify_generator(g: ExtendedGenerator, tol: Tolerances = DEFAULT) -> Gener
     sub-peripheral spectrum does not clear the gap threshold is reported as
     'irreducible_periodic' with period 1 rather than certified primitive.
     """
-    cls = _classify_spectrum(np.linalg.eigvals(g.matrix), tol)
+    w = np.linalg.eigvals(g.matrix)
+    kind, gap, mult, on_circle = (a[0] for a in _spectrum_kinds(w[None], tol))
+    peripheral = w[on_circle]
+    p = len(peripheral) if mult == 1 else 0
+    roots = np.exp(2j * np.pi * np.arange(p) / max(p, 1))
+    cls = GeneratorClassification(
+        kind=str(kind), period=p, gap=float(gap), dominant_eigenvalue=float(np.abs(w).max()),
+        eigenvalue_one_multiplicity=int(mult), peripheral=peripheral,
+        peripheral_match_roots=p >= 1 and all(np.abs(peripheral - r).min() <= 1e-6 for r in roots))
     if cls.kind != "reducible":
         cls.ess, _resid = find_ess(g, tol)
-        pi_plus = cls.ess.marginal()
-        cls.ess_faithful = True
-        for k in range(g.n_labels):
-            if pi_plus[k] > tol.pi_floor:
-                if np.linalg.eigvalsh(cls.ess.blocks[k]).min() <= 0.0:
-                    cls.ess_faithful = False
+        low = np.linalg.eigvalsh(cls.ess.blocks).min(axis=1)
+        cls.ess_faithful = bool((low[cls.ess.marginal() > tol.pi_floor] > 0.0).all())
     return cls
 
 
 # ---------------------------------------------------------------------------
-# tilted generators, in the real Hermitian basis
+# the real Hermitian basis, and the tilted generators in it
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _hermitian_basis(d: int) -> np.ndarray:
-    """The unitary U whose row a maps vec(rho) to tr(E_a rho), the coordinate
-    of rho in the orthonormal Hermitian basis E_a: |j><j|, then
-    (|j><k| + |k><j|)/sqrt(2) and i(|j><k| - |k><j|)/sqrt(2) for j < k.
-    Hermitian matrices have real coordinates x, and vec(rho) = U^H x."""
+    """The unitary U (read-only, one per d) whose row a maps vec(rho) to
+    tr(E_a rho), the coordinate of rho in the orthonormal Hermitian basis
+    E_a: |j><j|, then (|j><k| + |k><j|)/sqrt(2) and i(|j><k| - |k><j|)/sqrt(2)
+    for j < k.  Hermitian matrices have real coordinates x = U vec(rho)."""
     s = math.sqrt(0.5)
     units = np.eye(d)
     basis = [np.outer(u, u) for u in units]
     for j, k in itertools.combinations(range(d), 2):
         e = s * np.outer(units[j], units[k])
         basis += [e + e.T, 1j * (e - e.T)]
-    return np.stack([vec(e.T) for e in basis])
+    u = np.stack([vec(e.T) for e in basis])
+    u.flags.writeable = False
+    return u
+
+
+def _blocks(x: np.ndarray, m: int, d: int) -> np.ndarray:
+    """The Hermitian blocks (..., m, d, d) of families in the real
+    coordinates (..., m d^2): vec(X(w)) = U^H x(w)."""
+    v = x.reshape(x.shape[:-1] + (m, d * d)) @ _hermitian_basis(d).conj()
+    return big_unvec(v.reshape(x.shape), m, d)
+
+
+def _coords(blocks: np.ndarray) -> np.ndarray:
+    """The real coordinates (..., m d^2) of Hermitian blocks (..., m, d, d),
+    the inverse of _blocks (an anti-Hermitian part would be dropped)."""
+    v = big_vec(blocks)
+    d = blocks.shape[-1]
+    return (v.reshape(v.shape[:-1] + (-1, d * d)) @ _hermitian_basis(d).T).real.reshape(v.shape)
 
 
 def _real(table: np.ndarray, what: str, tol: float = _IMAG_TOL) -> np.ndarray:
@@ -478,22 +475,52 @@ def _real(table: np.ndarray, what: str, tol: float = _IMAG_TOL) -> np.ndarray:
     return np.ascontiguousarray(table.real)
 
 
+def _fold(superops: np.ndarray, what: str = "superoperators") -> np.ndarray:
+    """U S U^H: superoperators (..., d^2, d^2) in the Hermitian basis (_real)."""
+    u = _hermitian_basis(math.isqrt(superops.shape[-1]))
+    return _real(u @ superops @ u.conj().T, what)
+
+
+def _rebase(mats: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left M_wv right for every d^2 x d^2 block (w, v) of matrices (..., n, n)."""
+    dd = left.shape[0]
+    m = mats.shape[-1] // dd
+    blocks = mats.reshape(mats.shape[:-2] + (m, dd, m, dd)).swapaxes(-2, -3)
+    return (left @ blocks @ right).swapaxes(-2, -3).reshape(mats.shape)
+
+
+def _real_generator(g: ExtendedGenerator) -> np.ndarray:
+    """T M T^H, the generator matrix of g in the real coordinates; a
+    generator that does not preserve Hermiticity raises RealBasisError."""
+    u = _hermitian_basis(g.dim)
+    return _real(_rebase(g.matrix, u, u.conj().T), "generator")
+
+
+def _kept(model, key: str, build) -> np.ndarray:
+    """model.caches[key], built on first use and read-only (a build that
+    raises keeps nothing)."""
+    if key not in model.caches:
+        table = build()
+        table.flags.writeable = False
+        model.caches[key] = table
+    return model.caches[key]
+
+
+def _real_superops(model) -> np.ndarray:
+    """The channel superoperators U S_v U^H (m, d^2, d^2), kept beside the
+    tilt pieces: _generator_stack assembles the real generators from them."""
+    return _kept(model, "real_superops", lambda: _fold(
+        np.stack([model.channels[l].superop for l in model.labels])))
+
+
 def _tilt_pieces(model) -> np.ndarray:
-    """The pieces A_{v, xi} of the tilted generator, M(alpha) =
-    sum_{v, xi} exp(-alpha_v delta_{v xi}) A_{v, xi}, built on first use and
-    kept read-only in model.caches beside the outcome table.  A_{v, xi} is
-    nonzero only in block column v, P[v, .] (x) S_{v, xi}, and
-    pieces[w, v, xi] (m, m, n_max, d^2, d^2) is its block (w, v) in the real
-    coordinates T = 1_m (x) U (U from _hermitian_basis).  A model whose map
-    does not preserve Hermiticity raises RealBasisError and keeps nothing."""
-    if "tilt_pieces" not in model.caches:
-        superops = model.outcome_table[0]
-        u = _hermitian_basis(model.dim_sys)
-        real = _real(u @ superops @ u.conj().T, "superoperators")
-        pieces = model.chain.P.T[:, :, None, None, None] * real
-        pieces.flags.writeable = False
-        model.caches["tilt_pieces"] = pieces
-    return model.caches["tilt_pieces"]
+    """The pieces A_{v, xi} of the tilted generator M(alpha), kept beside the
+    outcome table: pieces[w, v, xi] (m, m, n_max, d^2, d^2) is block (w, v)
+    of A_{v, xi} = P[v, .] (x) S_{v, xi} (nonzero in block column v only) in
+    the real coordinates.  A map that does not preserve Hermiticity raises
+    RealBasisError."""
+    return _kept(model, "tilt_pieces", lambda: model.chain.P.T[:, :, None, None, None]
+                 * _fold(model.outcome_table[0]))
 
 
 def _tilt_vector(m: int, alpha, error=GeneratorError, stack: bool = False) -> np.ndarray:
@@ -510,15 +537,13 @@ def _tilted_stack(model, alpha, derivatives: bool = False,
                   error=GeneratorError) -> np.ndarray:
     """The real M(alpha) (n, n) = sum exp(-alpha_v delta_{v xi}) A_{v, xi}
     over the model's tilt pieces, one exp and one einsum.  With derivatives,
-    (3, n, n): D_k = sum_v d^k M / d alpha_v^k for k = 0, 1, 2 (so D_0 = M),
-    whose weights are (-delta)^k exp(-alpha_v delta).  The v-th term of D_k
-    lives in block column v alone, so block column v of D_k is that of the
-    k-th derivative in alpha_v, and mixed derivatives vanish.  A stack of
-    tilts alpha (K, m) gives these with a leading K axis, each item bitwise
-    equal to its own call.  Padded outcomes have zero pieces and drop out.
-    A tilt whose exp(-alpha_v delta) overflows leaves no matrix to read:
-    ``error`` is raised naming the first such alpha, and no warning is
-    left."""
+    (3, n, n): D_k = sum_v d^k M / d alpha_v^k for k = 0, 1, 2 (D_0 = M),
+    with weights (-delta)^k exp(-alpha_v delta); block column v of D_k is
+    that of the k-th derivative in alpha_v, and mixed derivatives vanish.  A
+    stack of tilts (K, m) adds a leading K axis, each item bitwise its own
+    call; padded outcomes have zero pieces.  Where the weights overflow,
+    ``error`` names the first such alpha and the first of M, D_1, D_2 that
+    overflows, with no warning left."""
     alpha = _tilt_vector(model.chain.n, alpha, stack=True)
     deltas = model.outcome_table[2]
     pieces = _tilt_pieces(model)
@@ -529,9 +554,11 @@ def _tilted_stack(model, alpha, derivatives: bool = False,
         blocks = np.einsum("...vx,wvxij->...wivj", weights, pieces)
     if not np.isfinite(blocks).all():
         alphas = alpha.reshape(-1, len(deltas))
-        finite = np.isfinite(blocks.reshape(len(alphas), -1)).all(axis=1)
-        raise error(f"tilted generator is not finite at alpha={alphas[np.argmin(finite)]}: "
-                    "exp(-alpha . delta) overflows")
+        finite = np.isfinite(blocks.reshape(len(alphas), 3 if derivatives else 1, -1))
+        a, k = np.argwhere(~finite.all(axis=2))[0]
+        what = f"derivative D_{k} of the tilted generator" if k else "tilted generator"
+        raise error(f"{what} is not finite at alpha={alphas[a]}: "
+                    f"{f'(-delta)^{k} ' if k else ''}exp(-alpha . delta) overflows")
     n = blocks.shape[-1] * blocks.shape[-2]
     return blocks.reshape(blocks.shape[:-4] + (n, n))
 
@@ -540,10 +567,7 @@ def _complex_generator(mats: np.ndarray, d: int) -> np.ndarray:
     """T^H M T: generator matrices (..., n, n) in the real coordinates back
     in the stacked vec(rho) layout of the blocks."""
     u = _hermitian_basis(d)
-    m = mats.shape[-1] // (d * d)
-    blocks = mats.reshape(mats.shape[:-2] + (m, d * d, m, d * d))
-    out = np.einsum("ai,...wavb,bj->...wivj", u.conj(), blocks, u)
-    return out.reshape(mats.shape)
+    return _rebase(mats, u.conj().T, u)
 
 
 def deformed_generator(model, alpha) -> ExtendedGenerator:

@@ -473,10 +473,10 @@ def kinetic_coefficients(model: MrisModel) -> KineticMatrix:
     """Linear response of the steady fluxes to probe-temperature deformations
     around an equilibrium model.
 
-    Route (a) is exact and rebuilds nothing: with A the bordered matrix of
-    the steady-state solve (see extended._bordered_solve) and dM_v the
-    generator of the family whose one nonzero superoperator is dS_v/dzeta_v,
-    dR_v = A^{-1} dM_v R_+ and
+    Route (a) is exact, rebuilds nothing and runs in the real coordinates:
+    with A the bordered matrix of the steady-state solve (see
+    extended._bordered_solve) and dM_v the generator of the family whose one
+    nonzero superoperator is dS_v/dzeta_v, dR_v = A^{-1} dM_v R_+ and
     dJ_w/dzeta_v = <F_w, dR_v> + delta_wv <dF_v/dzeta_v, R_+>.
     Route (b) is the exact Hess e(0) / (2 beta_bar^2).  The two are returned
     together with their maximum entrywise discrepancy.
@@ -494,19 +494,20 @@ def kinetic_coefficients(model: MrisModel) -> KineticMatrix:
         raise FluctuationError(
             f"kinetic coefficients need a positive inverse temperature, got {beta_bar}")
 
-    m, d = model.chain.n, model.dim_sys
-    families = np.zeros((m, m, d * d, d * d), dtype=complex)
-    d_flux = np.zeros((m, d, d), dtype=complex)
-    for v, label in enumerate(model.labels):
-        families[v, v], d_flux[v] = _zeta_derivatives(model, label)
-    d_gens = extended._generator_stack(model.chain.P[None], families)
-    r, a_inv, _, _ = extended._bordered_solve(model.generator.matrix[None], m, d)
-    d_r = extended.big_unvec((a_inv[0] @ (d_gens @ r[0]).T).T, m, d)  # [v]: dR_v
-    # F_w lives in block w alone, so <F_w, dR_v> = tr(F_w^* dR_v(w))
-    flux = np.stack([model.flux[l] for l in model.labels])
-    mat = np.einsum("wij,vwij->wv", flux.conj(), d_r).real
-    mat[range(m), range(m)] += np.einsum("vij,vij->v", d_flux.conj(),
-                                         extended.big_unvec(r[0], m, d)).real
+    m, d, P = model.chain.n, model.dim_sys, model.chain.P
+    d_super, d_flux = map(np.stack, zip(*(_zeta_derivatives(model, l) for l in model.labels)))
+    r, a_inv, _, _ = extended._bordered_solve(
+        extended._generator_stack(P[None], extended._real_superops(model)), m, d)
+    r = r[0].reshape(m, -1)
+    # dM_v R_+ lives in block column v: its block w is P[v, w] dS_v R_+(v)
+    d_mr = P[:, :, None] * (extended._fold(d_super, "superoperator derivatives")
+                            @ r[..., None])[:, None, :, 0]
+    d_r = (a_inv[0] @ d_mr.reshape(m, -1).T).T.reshape(m, m, -1)    # [v, w]: dR_v(w)
+    # F_w lives in block w alone, and <X, Y> of Hermitian blocks is the real
+    # dot product of their coordinates: <F_w, dR_v> = f_w . dR_v(w)
+    flux = extended._coords(np.stack([model.flux[l] for l in model.labels])).reshape(m, -1)
+    mat = np.einsum("wa,vwa->wv", flux, d_r)
+    mat[range(m), range(m)] += np.einsum("va,va->v", extended._coords(d_flux).reshape(m, -1), r)
     route_b = _hessian_e(model) / (2 * beta_bar ** 2)
     disc = float(np.abs(mat - route_b).max())
     return KineticMatrix(matrix=mat, route_b=route_b, discrepancy=disc,

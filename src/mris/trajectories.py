@@ -4,9 +4,9 @@ process, plus trajectory-based estimators.
 Both samplers share one engine.  A state is its d^2 real coordinates
 tr(E_a rho) in an orthonormal Hermitian basis E_a, and a chunk of B
 trajectories is held trajectory-minor, as one (d^2, B) array X.  The
-probability functionals, every (label, outcome) superoperator (or, for the
-ergodic sampler, the observable blocks and channels) are folded once per
-call into one real table, so each step is a single GEMM ``table @ X``
+probability functionals and every (label, outcome) superoperator (or, for
+the ergodic sampler, the observable blocks and the channels, folded once
+per model) make one real table, so each step is a single GEMM ``table @ X``
 followed by flat takes of every trajectory's outcome law and drawn image.
 Uniforms are streamed in blocks of ``_BLOCK`` steps per trajectory, so
 memory does not grow with the number of steps; labels, increments and
@@ -102,30 +102,23 @@ def _stationary_decomposition(model: MrisModel) -> extended.EssDecomposition:
     return model.caches["ess_decomposition"]
 
 
-def _step_table(model: MrisModel, funcs, superops, what: str) -> np.ndarray:
+def _step_table(model: MrisModel, funcs, real_superops, what: str) -> np.ndarray:
     """The one real table of a step, for states X (d^2, B) in the Hermitian
     basis.  Each (label w, outcome x) owns d^2 + 1 adjacent rows of
     ``table @ X``: the functional funcs[w, x] at every state, then the image
-    of every state under superops[w, x].  funcs is (m, n, d^2) in the
-    vec(rho) layout, superops (m, n, d^2, d^2)."""
-    u = _hermitian_basis(model.dim_sys)
-    uh = u.conj().T
-    d2 = uh.shape[0]
-    return np.concatenate([_real(funcs @ uh, what)[:, :, None],
-                           _real(u @ superops @ uh, "superoperators")],
-                          axis=2).reshape(-1, d2)
+    of every state under real_superops[w, x].  funcs is (m, n, d^2) in the
+    vec(rho) layout, real_superops (m, n, d^2, d^2) in the Hermitian basis."""
+    uh = _hermitian_basis(model.dim_sys).conj().T
+    return np.concatenate([_real(funcs @ uh, what)[:, :, None], real_superops],
+                          axis=2).reshape(-1, uh.shape[0])
 
 
 def _entropy_step_table(model: MrisModel) -> np.ndarray:
     """The entropy sampler's step table over the model's outcome table,
-    folded on first use and kept read-only in model.caches beside it.  A
-    table that is not real raises, and is not kept, so every call raises."""
-    if "entropy_step_table" not in model.caches:
-        superops, prob_funcs, _, _ = model.outcome_table
-        table = _step_table(model, prob_funcs, superops, "probability functionals")
-        table.flags.writeable = False
-        model.caches["entropy_step_table"] = table
-    return model.caches["entropy_step_table"]
+    kept read-only in model.caches beside it (see extended._kept)."""
+    superops, prob_funcs, _, _ = model.outcome_table
+    return extended._kept(model, "entropy_step_table", lambda: _step_table(
+        model, prob_funcs, extended._fold(superops), "probability functionals"))
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +302,11 @@ def ergodic_average(model: MrisModel, x: extended.ExtendedObservable,
     entering that interaction, matching the pairing <R, X> of the extended
     process: for a flux block this is the energy exchanged during step k.
     """
-    superops = np.stack([model.channels[l].superop for l in model.labels])[:, None]
     # Re tr(rho X) = tr(rho H) with H the Hermitian part of X
     blocks = np.stack([x.block(l) for l in model.labels])
     herm = (blocks + blocks.conj().transpose(0, 2, 1)) / 2
-    table = _step_table(model, herm.reshape(len(blocks), 1, -1), superops,
-                        "observable blocks")
+    table = _step_table(model, herm.reshape(len(blocks), 1, -1),
+                        extended._real_superops(model)[:, None], "observable blocks")
     acc = np.zeros(cfg.n_traj)
 
     def run_range(t0, t1):

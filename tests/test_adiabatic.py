@@ -6,6 +6,7 @@ import pytest
 
 from mris import adiabatic, extended, fixtures, fluctuations, models, quantum
 from mris.modelfile import load_model
+from test_extended import _blockwise_ess_coords
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 MODEL_FILES = ("equilibrium_qubit", "two_temperature_qubit", "tri_broken_qubit")
@@ -112,26 +113,49 @@ def test_lagged_start_merges_into_the_plateau(canonical, rng):
     assert res.plateau_error < 3 * ref.plateau_error + 1e-9
 
 
+def _reference_classification(w, tol):
+    """Kind, gap and eigenvalue-1 multiplicity of one spectrum, read one
+    point at a time as the classification read them before it took stacks."""
+    mult = int((np.abs(w - 1.0) <= tol.peripheral).sum())
+    on_circle = np.abs(w) >= 1.0 - tol.peripheral
+    inner = np.abs(w[~on_circle])
+    gap = float("inf") if inner.size == 0 else float(-np.log(max(inner.max(), 1e-300)))
+    if mult != 1:
+        kind = "reducible"
+    elif on_circle.sum() == 1 and gap > tol.gap:
+        kind = "primitive"
+    else:
+        kind = "irreducible_periodic"
+    return kind, gap, mult
+
+
+def _real_generator_at(model, sch, s):
+    """The real generator T M(s) T^H assembled block by block: block (w, v)
+    is P(s)[v, w] U S_v U^H."""
+    p, real = sch.transition_matrix(s), extended._real_superops(model)
+    return np.block([[p[v, w] * real[v] if p[v, w] != 0.0 else np.zeros_like(real[v])
+                      for v in range(len(p))] for w in range(len(p))])
+
+
 def _stepwise_reference(model, sch, n_steps, r0=None):
-    """adiabatic_evolve one generator, one eigensolve and one trace norm per
-    schedule point, through the public single-matrix functions."""
+    """adiabatic_evolve one generator, one eigensolve, one steady state and
+    one trace norm per schedule point, in the real coordinates."""
     tol = model.tol
+    m, d = model.chain.n, model.dim_sys
     gap_min = np.inf
     for s in np.linspace(0.0, 1.0, 20):
-        cls = extended.classify_generator(adiabatic.schedule_generator(model, sch, s), tol)
-        assert cls.kind == "primitive"
-        gap_min = min(gap_min, cls.gap)
-    r = r0
-    if r is None:
-        r, _ = extended.find_ess(adiabatic.schedule_generator(model, sch, 0.0), tol)
+        kind, gap, _ = _reference_classification(
+            np.linalg.eigvals(_real_generator_at(model, sch, s)), tol)
+        assert kind == "primitive"
+        gap_min = min(gap_min, gap)
+    x = None if r0 is None else extended._coords(r0.blocks)
     errors = []
     for k, s in enumerate(np.arange(n_steps + 1) / n_steps):
-        g = adiabatic.schedule_generator(model, sch, s)
-        if k > 0:
-            r = g.apply(r)
-        ess, _ = extended.find_ess(g, tol)
-        errors.append(sum(quantum.trace_norm(r.blocks[j] - ess.blocks[j])
-                          for j in range(model.chain.n)))
+        mat = _real_generator_at(model, sch, s)
+        ess = _blockwise_ess_coords(mat, m, d, tol)
+        x = ess if x is None else (mat @ x if k > 0 else x)
+        blocks = extended._blocks(x - ess, m, d)
+        errors.append(sum(np.abs(np.linalg.eigvalsh(b)).sum() for b in blocks))
     return np.array(errors), gap_min
 
 
@@ -152,6 +176,129 @@ def test_batched_sweep_equals_stepwise_reference_bitwise(name):
     assert res.errors.tobytes() == errors.tobytes()
 
 
+def _complex_sweep(model, sch, n_steps):
+    """The sweep as it ran in the complex vec(rho) layout: the complex
+    generators, their eigenvalues, the bordered solve with the trace
+    functional vec(1), the steady state phase-fixed, Hermitized, clipped and
+    renormalized, and svd trace norms."""
+    tol = model.tol
+    m, d = model.chain.n, model.dim_sys
+    gens = [adiabatic.schedule_generator(model, sch, s).matrix
+            for s in np.arange(n_steps + 1) / n_steps]
+    gap_min = min(extended.classify_generator(adiabatic.schedule_generator(model, sch, s),
+                                              tol).gap for s in np.linspace(0.0, 1.0, 20))
+    trace = np.tile(np.eye(d).reshape(-1), m)
+    u = trace / (m * d)
+    r, errors = None, []
+    for k, g in enumerate(gens):
+        a = np.eye(len(g)) - g + np.outer(u, trace)
+        a_inv = np.linalg.inv(a)
+        x = a_inv @ u
+        ess = extended.big_unvec(x + a_inv @ (u - a @ x), m, d)
+        t = complex(np.trace(ess, axis1=1, axis2=2).sum())
+        ess = ess * (t.conjugate() / (abs(t) * abs(t)))
+        ess = (ess + ess.conj().transpose(0, 2, 1)) / 2
+        ew, ev = np.linalg.eigh(ess)
+        ess = (ev * np.clip(ew, 0.0, None)[:, None, :]) @ ev.conj().transpose(0, 2, 1)
+        ess /= np.trace(ess, axis1=1, axis2=2).sum().real
+        r = ess if r is None else extended.big_unvec(g @ extended.big_vec(r), m, d)
+        errors.append(np.linalg.svd(r - ess, compute_uv=False).sum())
+    return np.array(errors), gap_min
+
+
+@pytest.mark.parametrize("name", MODEL_FILES)
+def test_real_sweep_matches_the_complex_sweep(name):
+    model = load_model(str(MODELS / f"{name}.json"))
+    for kind in ("linear", "smoothstep"):
+        sch = adiabatic.AdiabaticSchedule(model.chain.P, P_END, kind=kind)
+        res = adiabatic.adiabatic_evolve(model, sch, 64)
+        errors, gap_min = _complex_sweep(model, sch, 64)
+        assert np.abs(res.errors - errors).max() <= 1e-14
+        assert abs(res.instantaneous_gap_min - gap_min) <= 1e-14
+
+
+HARNESS_STEPS = (64, 128, 256)
+
+
+def _cached_points(model):
+    return sum(len(p) for p in model.caches.get("adiabatic_ess", {}).values())
+
+
+def test_nested_sweeps_reuse_steady_states_bitwise():
+    """s = k / 64 and k / 128 are points of the 256-step grid, as floats, so
+    the nested sweeps solve each point once; the 256-step sweep that reads
+    them equals a cold one on a fresh model byte for byte."""
+    warm = fixtures.two_temperature_qubit()
+    for kind in ("linear", "smoothstep"):
+        sch = adiabatic.AdiabaticSchedule(warm.chain.P, P_END, kind=kind)
+        for n in HARNESS_STEPS:
+            res = adiabatic.adiabatic_evolve(warm, sch, n)
+        cold = adiabatic.adiabatic_evolve(fixtures.two_temperature_qubit(), sch, 256)
+        assert res.errors.tobytes() == cold.errors.tobytes()
+        assert res.instantaneous_gap_min == cold.instantaneous_gap_min
+    assert _cached_points(warm) == 2 * 257
+
+
+def test_steady_states_solved_over_the_nested_sweeps(monkeypatch):
+    """The 64/128/256 triple solves 257 steady states per schedule (65 + 129
+    + 257 = 451 without the cache), and repeating it solves none."""
+    ess_stack = extended._ess_stack
+    solved = []
+
+    def counting(mats, *args):
+        solved.append(len(mats))
+        return ess_stack(mats, *args)
+
+    monkeypatch.setattr(extended, "_ess_stack", counting)
+    model = fixtures.two_temperature_qubit()
+    for kind in ("linear", "smoothstep"):
+        sch = adiabatic.AdiabaticSchedule(model.chain.P, P_END, kind=kind)
+        for repeat in (257, 0):
+            solved.clear()
+            for n in HARNESS_STEPS:
+                adiabatic.adiabatic_evolve(model, sch, n)
+            assert sum(solved) == repeat, kind
+
+
+def test_a_sweep_longer_than_one_stack_keeps_nothing():
+    model = fixtures.two_temperature_qubit()
+    sch = adiabatic.AdiabaticSchedule(model.chain.P, P_END)
+    adiabatic.adiabatic_evolve(model, sch, 300)
+    assert _cached_points(model) == 0
+    adiabatic.adiabatic_evolve(model, sch, 64)
+    first = adiabatic.adiabatic_evolve(model, sch, 512)
+    assert _cached_points(model) == 65
+    # the long sweep reads the kept points, with the same bits
+    again = adiabatic.adiabatic_evolve(fixtures.two_temperature_qubit(), sch, 512)
+    assert first.errors.tobytes() == again.errors.tobytes()
+
+
+def test_vectorized_grid_classification_equals_the_per_point_one(canonical):
+    """The primitivity grid towards the two-cycle ends in a periodic
+    generator; with an identity generator added, every kind occurs."""
+    sch = adiabatic.AdiabaticSchedule(canonical.chain.P, [[0.0, 1.0], [1.0, 0.0]])
+    mats = extended._generator_stack(sch.transition_matrix(np.linspace(0.0, 1.0, 20)),
+                                     extended._real_superops(canonical))
+    w = np.linalg.eigvals(np.concatenate([mats, np.eye(8)[None]]))
+    kind, gap, mult, _ = extended._spectrum_kinds(w, canonical.tol)
+    assert set(kind) == {"primitive", "irreducible_periodic", "reducible"}
+    for k in range(len(w)):
+        assert (kind[k], gap[k], mult[k]) == _reference_classification(w[k], canonical.tol)
+    # an aperiodic spectrum whose gap does not clear tol.gap is not primitive
+    slow = canonical.tol.replace(gap=1e-3)
+    w = np.array([[1.0, 0.9999, 0.5, 0.1], [1.0, 0.99, 0.5, 0.1]])
+    kind, gap, mult, _ = extended._spectrum_kinds(w, slow)
+    assert list(kind) == ["irreducible_periodic", "primitive"]
+    for k in range(len(w)):
+        assert (kind[k], gap[k], mult[k]) == _reference_classification(w[k], slow)
+    # classify_generator reads its one spectrum as a stack of one
+    end = extended.ExtendedGenerator(canonical.labels, 2, extended._complex_generator(mats[-1], 2))
+    cls = extended.classify_generator(end, canonical.tol)
+    want = _reference_classification(np.linalg.eigvals(end.matrix), canonical.tol)
+    assert (cls.kind, cls.gap, cls.eigenvalue_one_multiplicity) == want
+    assert cls.period == 2 and cls.peripheral_match_roots
+
+
 def test_two_cycle_rejection_names_the_failing_point(canonical):
     two_cycle = np.array([[0.0, 1.0], [1.0, 0.0]])
     sch = adiabatic.AdiabaticSchedule(canonical.chain.P, two_cycle)
@@ -159,6 +306,21 @@ def test_two_cycle_rejection_names_the_failing_point(canonical):
            "tracking bound needs a primitive family")
     with pytest.raises(adiabatic.AdiabaticError, match=re.escape(msg) + "$"):
         adiabatic.adiabatic_evolve(canonical, sch, 64)
+
+
+def test_start_state_must_be_an_extended_state(canonical):
+    """The sweep runs in the real coordinates, which would drop an
+    anti-Hermitian part of r0 without a word: r0 is checked first."""
+    sch = adiabatic.AdiabaticSchedule(canonical.chain.P, P_END)
+    blocks = canonical.initial_state().blocks
+    skew = blocks.copy()
+    skew[0, 0, 1] += 0.3j
+    heavy = 5.0 * blocks
+    for bad, cause in ((skew, "not Hermitian"), (heavy, "total trace")):
+        with pytest.raises(adiabatic.AdiabaticError,
+                           match=f"^r0 is not an extended state: .*{cause}"):
+            adiabatic.adiabatic_evolve(canonical, sch, 16,
+                                       r0=extended.ExtendedState(canonical.labels, bad))
 
 
 def test_start_state_must_match_the_model(canonical):

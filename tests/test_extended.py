@@ -7,6 +7,7 @@ import pytest
 import oracles
 from conftest import random_density, random_hermitian
 from mris import chains, extended, fixtures, modelfile, models
+from mris.tolerances import DEFAULT
 from test_trajectories import _sparse_mixed_model
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -140,8 +141,19 @@ def test_refused_solves_name_their_cause(canonical):
     with pytest.raises(extended.GeneratorError,
                        match=r"refused: \|\|A\^-1\|\|_1 = 5\.155e\+00 reaches "
                              r"1 / tol\.peripheral = 5\.000e\+00 \(bordered "
-                             r"condition number 6\.589e\+00\)"):
+                             r"condition number 8\.473e\+00\)"):
         extended.find_ess(canonical.generator, tol)
+
+
+def test_a_generator_that_does_not_preserve_hermiticity_is_refused(canonical):
+    """The steady state is solved in the Hermitian basis, where such a
+    generator has no real matrix: it raises instead of losing a part."""
+    rng = np.random.default_rng(3)
+    skew = canonical.generator.matrix + 1e-3j * rng.normal(size=(8, 8))
+    g = extended.ExtendedGenerator(canonical.labels, 2, skew)
+    for solve in (extended.find_ess, extended.bordered_condition):
+        with pytest.raises(extended.RealBasisError, match="^generator not real"):
+            solve(g)
 
 
 def test_classification_canonical_vs_decoupled(canonical, decoupled):
@@ -231,40 +243,50 @@ def test_periodic_driving_gives_periodic_generator():
     assert residual < 1e-10
 
 
-def _repair(blocks, tol):
-    """find_ess's repair written one block at a time, with the phase factor
-    taken in Python complex arithmetic."""
-    t = complex(np.trace(blocks, axis1=1, axis2=2).sum())
-    blocks = blocks * (t.conjugate() / (abs(t) * abs(t)))
-    blocks = (blocks + blocks.conj().transpose(0, 2, 1)) / 2
-    repaired = np.empty_like(blocks)
-    for k in range(blocks.shape[0]):
-        ew, ev = np.linalg.eigh(blocks[k])
+def _repair(x, m, d, tol):
+    """find_ess's repair written one block at a time in the real
+    coordinates: a block with a negative eigenvalue is clipped, then the
+    total trace, the sum of the diagonal coordinates, is set to 1."""
+    u = extended._hermitian_basis(d)
+    coords = x.reshape(m, d * d).copy()
+    for k in range(m):
+        block = (coords[k] @ u.conj()).reshape(d, d).T
+        ew = np.linalg.eigvalsh(block)
         assert ew.min() >= -tol.psd
-        repaired[k] = (ev * np.clip(ew, 0.0, None)) @ ev.conj().T
-    repaired /= float(np.trace(repaired, axis1=1, axis2=2).sum().real)
-    return repaired
+        if ew.min() < 0.0:
+            ew, ev = np.linalg.eigh(block)
+            clipped = (ev * np.clip(ew, 0.0, None)) @ ev.conj().T
+            coords[k] = (clipped.T.reshape(-1) @ u.T).real
+    return (coords / coords[:, :d].sum()).reshape(-1)
 
 
-def _blockwise_ess_blocks(g, tol):
-    """find_ess for one generator: the bordered system
-    (1 - M + u tr^T) x = u, u the maximally mixed extended state, solved by
-    one inverse and one refinement step, then repaired."""
-    m, d = g.n_labels, g.dim
-    trace = np.concatenate([extended.big_vec(np.eye(d)[None])] * m)
+def _blockwise_ess_coords(mat, m, d, tol):
+    """find_ess for one real generator T M T^H: the bordered system
+    (1 - M + u tr^T) x = u, tr the indicator of the diagonal coordinates and
+    u = tr / (m d) the maximally mixed extended state, solved by one inverse
+    and one refinement step, then repaired."""
+    trace = np.concatenate([[1.0] * d + [0.0] * (d * d - d)] * m)
     u = trace / (m * d)
-    a = np.eye(m * d * d) - g.matrix + np.outer(u, trace)
+    a = np.eye(m * d * d) - mat + np.outer(u, trace)
     a_inv = np.linalg.inv(a)
     x = a_inv @ u
     x = x + a_inv @ (u - a @ x)
-    return _repair(extended.big_unvec(x, m, d), tol)
+    return _repair(x, m, d, tol)
+
+
+def _blockwise_ess_blocks(g, tol):
+    x = _blockwise_ess_coords(extended._real_generator(g), g.n_labels, g.dim, tol)
+    return extended._blocks(x, g.n_labels, g.dim)
 
 
 def _eigenvector_ess_blocks(g, tol):
-    """The steady state the eigenvalue-1 eigenvector gives, repaired."""
+    """The steady state the eigenvalue-1 eigenvector gives, phase-fixed,
+    Hermitized and normalized to total trace 1."""
     w, vr = np.linalg.eig(g.matrix)
     (i,) = np.flatnonzero(np.abs(w - 1.0) <= tol.peripheral)
-    return _repair(extended.big_unvec(vr[:, i], g.n_labels, g.dim), tol)
+    blocks = extended.big_unvec(vr[:, i], g.n_labels, g.dim)
+    blocks = blocks / np.trace(blocks, axis1=1, axis2=2).sum()
+    return (blocks + blocks.conj().transpose(0, 2, 1)) / 2
 
 
 @pytest.mark.parametrize("name", sorted(IRREDUCIBLE_BUILDS))
@@ -275,14 +297,42 @@ def test_stacked_ess_repair_equals_the_blockwise_repair_bitwise(name):
     # a stack of generators along a path of chains, solved in one call
     p_other = np.full((m.chain.n, m.chain.n), 1.0 / m.chain.n)
     P = np.stack([(1 - f) * m.chain.P + f * p_other for f in np.linspace(0.0, 0.9, 5)])
-    superops = [m.channels[l].superop for l in m.labels]
-    mats = extended._generator_stack(P, superops)
+    real = extended._real_superops(m)
+    mats = extended._generator_stack(P, real)
+    assert mats.dtype == np.float64
     stacked = extended._ess_stack(mats, m.labels, m.dim_sys, m.tol)
     for k, p in enumerate(P):
         chain = chains.MarkovChain(m.labels, chains.stationary_vector(p)[0], p)
         g = extended.build_generator(chain, m.channels, m.tol)
-        assert g.matrix.tobytes() == mats[k].tobytes()
-        assert stacked[k].tobytes() == _blockwise_ess_blocks(g, m.tol).tobytes()
+        assert np.abs(extended._real_generator(g) - mats[k]).max() <= 1e-15
+        assert extended._generator_stack(p[None], real)[0].tobytes() == mats[k].tobytes()
+        assert stacked[k].tobytes() == _blockwise_ess_coords(
+            mats[k], m.chain.n, m.dim_sys, m.tol).tobytes()
+
+
+def _pure_fixed_point_generator():
+    """Amplitude damping towards a pure state that is not diagonal, on two
+    labels: the steady blocks have rank one, and the bordered solve leaves
+    their zero eigenvalues at about -7e-16, so both are clipped."""
+    rng = np.random.default_rng(1)
+    q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    kraus = [q @ k @ q.conj().T for k in (np.diag([1.0, np.sqrt(0.7)]),
+                                          np.sqrt(0.3) * np.eye(2, k=1))]
+    superop = sum(np.kron(k.conj(), k) for k in kraus)
+    chain = chains.MarkovChain(("a", "b"), np.array([0.5, 0.5]), np.full((2, 2), 0.5))
+    return extended.ExtendedGenerator(("a", "b"), 2,
+                                      extended.generator_matrix(chain, [superop, superop]))
+
+
+def test_round_off_negatives_are_clipped_as_the_blockwise_repair_clips_them():
+    g = _pure_fixed_point_generator()
+    tol = DEFAULT
+    x = extended._bordered_solve(extended._real_generator(g)[None], 2, 2)[0][0]
+    assert (np.linalg.eigvalsh(extended._blocks(x, 2, 2)).min(axis=1) < 0.0).all()
+    r_plus, residual = extended.find_ess(g, tol)
+    assert r_plus.blocks.tobytes() == _blockwise_ess_blocks(g, tol).tobytes()
+    r_plus.check(tol)
+    assert residual <= 1e-14
 
 
 ESS_BUILDS = {

@@ -233,6 +233,20 @@ def test_overflowing_tilt_is_a_typed_error(canonical, alpha):
             route(canonical, np.array(alpha))
 
 
+def test_an_overflowing_derivative_is_named_apart_from_the_generator():
+    """At alpha = 354.4 (1, 1) M(alpha) is finite, so e is read off it, but
+    the (-delta)^2 weights of the second derivative overflow: the kernel
+    names D_2, not the generator."""
+    model = fixtures.two_temperature_qubit()
+    alpha = 354.4 * np.ones(2)
+    assert np.isfinite(fluctuations.e_of_alpha(model, alpha))
+    with pytest.raises(fluctuations.FluctuationError,
+                       match=r"^derivative D_2 of the tilted generator is not finite at "
+                             r"alpha=\[354\.4 354\.4\]: \(-delta\)\^2 exp\(-alpha \. delta\) "
+                             r"overflows$"):
+        fluctuations._perron(model, alpha)
+
+
 def test_overflowing_kernel_product_is_a_typed_error(canonical):
     """The tilted generator is still finite at alpha = (124, 62), with
     entries up to 3e52 against lam = 1, but the kernel's products with it

@@ -410,6 +410,32 @@ def test_ergodic_average_bitwise_deterministic_across_chunks_and_threads(canonic
         assert np.array_equal(got.per_traj, ref.per_traj)
 
 
+def test_ergodic_average_reads_the_cached_real_superoperators(monkeypatch):
+    """The channel superoperators are folded into the Hermitian basis once
+    per model (bitwise the fold the ergodic table made on every call); a
+    later average folds only its observable."""
+    model = fixtures.two_temperature_qubit()
+    x = models.flux_extended(model, "hot")
+    cfg = TrajectoryConfig(n_steps=20, n_traj=4, seed=3)
+    first = trajectories.ergodic_average(model, x, cfg)
+    u = extended._hermitian_basis(model.dim_sys)
+    superops = np.stack([model.channels[l].superop for l in model.labels])[:, None]
+    assert (extended._real_superops(model)[:, None].tobytes()
+            == extended._real(u @ superops @ u.conj().T, "superoperators").tobytes())
+    folded = []
+    real = trajectories._real
+
+    def counting(table, what, *args):
+        folded.append(what)
+        return real(table, what, *args)
+
+    monkeypatch.setattr(trajectories, "_real", counting)
+    monkeypatch.setattr(extended, "_real", counting)
+    again = trajectories.ergodic_average(model, x, cfg)
+    assert "superoperators" not in folded and "observable blocks" in folded
+    assert again.per_traj.tobytes() == first.per_traj.tobytes()
+
+
 def test_ergodic_average_pairs_observable_with_entering_state(canonical):
     """One step, one trajectory: the estimate must be tr(rho_0 X(w_1)), i.e.
     the state entering the interaction, not the one leaving it."""
