@@ -134,6 +134,8 @@ def adiabatic_evolve(model: MrisModel, schedule: AdiabaticSchedule,
     most _SWEEP_BLOCK steps keeps its steady states in model.caches, per
     path and float s, so nested sweeps (N, 2N, 4N) solve each point once.
     """
+    if not isinstance(n_steps, (int, np.integer)):
+        raise AdiabaticError(f"n_steps must be an integer, got {n_steps!r}")
     if n_steps < 4:
         raise AdiabaticError("need at least 4 steps")
     _check_states(model, schedule)

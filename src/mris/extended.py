@@ -16,15 +16,16 @@ to the coordinates tr(E_a rho) of rho in an orthonormal Hermitian basis E_a
 (_hermitian_basis), and T = 1_m (x) U, every Hermiticity-preserving map has
 a real matrix T M T^H.  Steady states and their sensitivities are solved
 there, from the channel superoperators U S_v U^H (_real_superops), and so is
-the tilted generator, linear in fixed per-model pieces,
+the tilted generator, whose block (w, v) is
 
-    M(alpha) = sum_{v, xi} exp(-alpha_v delta_{v xi}) A_{v, xi},
+    M(alpha)_wv = sum_xi exp(-alpha_v delta_{v xi}) P[v, w] U S_{v xi} U^H,
 
-where A_{v, xi} is block column v, P[v, .] (x) S_{v, xi}, of the outcome
-superoperator S_{v, xi} of label v.  Both are folded once per model (an
-imaginary part beyond round-off raises RealBasisError), so LAPACK runs on
-real matrices; deformed_generator writes M(alpha) back as T^H M T.  The
-plain generator and the classification keep the complex layout above.
+read from the real outcome table of the model (MrisModel.outcome_table)
+with the chain folded into the weights.  Both tables are folded once per
+model (an imaginary part beyond round-off raises RealBasisError), so LAPACK
+runs on real matrices; deformed_generator writes M(alpha) back as
+T^H M T.  The plain generator and the classification keep the complex
+layout above.
 """
 
 import functools
@@ -136,10 +137,10 @@ def big_vec(blocks: np.ndarray) -> np.ndarray:
 
 
 def big_unvec(v: np.ndarray, m: int, d: int) -> np.ndarray:
-    """The blocks (..., m, d, d) of stacked vectors (..., m d^2); the
-    inverse of big_vec."""
+    """The blocks (..., m, d, d) of stacked vectors (..., m d^2), C-ordered;
+    the inverse of big_vec."""
     v = np.asarray(v, dtype=complex)
-    return v.reshape(*v.shape[:-1], m, d, d).swapaxes(-1, -2)
+    return np.ascontiguousarray(v.reshape(*v.shape[:-1], m, d, d).swapaxes(-1, -2))
 
 
 def _trace_norm(x: np.ndarray, m: int, d: int):
@@ -351,7 +352,7 @@ def find_ess(g: ExtendedGenerator, tol: Tolerances = DEFAULT):
     """
     mat = _real_generator(g)
     x = _ess_stack(mat[None], g.labels, g.dim, tol)[0]
-    return (ExtendedState(g.labels, np.ascontiguousarray(_blocks(x, g.n_labels, g.dim))),
+    return (ExtendedState(g.labels, _blocks(x, g.n_labels, g.dim)),
             float(_trace_norm(mat @ x - x, g.n_labels, g.dim)))
 
 
@@ -508,50 +509,46 @@ def _kept(model, key: str, build) -> np.ndarray:
 
 def _real_superops(model) -> np.ndarray:
     """The channel superoperators U S_v U^H (m, d^2, d^2), kept beside the
-    tilt pieces: _generator_stack assembles the real generators from them."""
+    outcome table: _generator_stack assembles the real generators from them."""
     return _kept(model, "real_superops", lambda: _fold(
         np.stack([model.channels[l].superop for l in model.labels])))
-
-
-def _tilt_pieces(model) -> np.ndarray:
-    """The pieces A_{v, xi} of the tilted generator M(alpha), kept beside the
-    outcome table: pieces[w, v, xi] (m, m, n_max, d^2, d^2) is block (w, v)
-    of A_{v, xi} = P[v, .] (x) S_{v, xi} (nonzero in block column v only) in
-    the real coordinates.  A map that does not preserve Hermiticity raises
-    RealBasisError."""
-    return _kept(model, "tilt_pieces", lambda: model.chain.P.T[:, :, None, None, None]
-                 * _fold(model.outcome_table[0]))
 
 
 def _tilt_vector(m: int, alpha, error=GeneratorError, stack: bool = False) -> np.ndarray:
     """alpha as a float array with one entry for each of m labels (or, with
     ``stack``, also a stack (K, m) of such tilts); raises ``error`` naming
-    the shape otherwise."""
+    the shape, or the first tilt with a non-finite entry, otherwise."""
     alpha = np.asarray(alpha, dtype=float)
     if alpha.ndim not in ((1, 2) if stack else (1,)) or alpha.shape[-1:] != (m,):
         raise error(f"alpha must have one entry per label, got shape {alpha.shape}")
+    if not np.isfinite(alpha).all():
+        rows = alpha.reshape(-1, m)
+        bad = rows[~np.isfinite(rows).all(axis=1)][0]
+        raise error(f"alpha has a non-finite entry: alpha={bad}")
     return alpha
 
 
 def _tilted_stack(model, alpha, derivatives: bool = False,
                   error=GeneratorError) -> np.ndarray:
-    """The real M(alpha) (n, n) = sum exp(-alpha_v delta_{v xi}) A_{v, xi}
-    over the model's tilt pieces, one exp and one einsum.  With derivatives,
-    (3, n, n): D_k = sum_v d^k M / d alpha_v^k for k = 0, 1, 2 (D_0 = M),
-    with weights (-delta)^k exp(-alpha_v delta); block column v of D_k is
-    that of the k-th derivative in alpha_v, and mixed derivatives vanish.  A
-    stack of tilts (K, m) adds a leading K axis, each item bitwise its own
-    call; padded outcomes have zero pieces.  Where the weights overflow,
-    ``error`` names the first such alpha and the first of M, D_1, D_2 that
-    overflows, with no warning left."""
-    alpha = _tilt_vector(model.chain.n, alpha, stack=True)
-    deltas = model.outcome_table[2]
-    pieces = _tilt_pieces(model)
+    """The real M(alpha) (n, n), whose block (w, v) is
+    sum_xi exp(-alpha_v delta_{v xi}) P[v, w] U S_{v xi} U^H, from the
+    model's outcome table: one exp, the chain folded into the weights, and
+    one einsum.  With derivatives, (3, n, n): D_k = sum_v d^k M / d alpha_v^k
+    for k = 0, 1, 2 (D_0 = M), with weights (-delta)^k exp(-alpha_v delta);
+    block column v of D_k is that of the k-th derivative in alpha_v, and
+    mixed derivatives vanish.  A stack of tilts (K, m) adds a leading K
+    axis, each item bitwise its own call; padded outcomes have zero maps.
+    Callers check alpha with _tilt_vector first.  Where the weights
+    overflow, ``error`` names the first such alpha and the first of M, D_1,
+    D_2 that overflows, with no warning left."""
+    alpha = np.asarray(alpha, dtype=float)
+    superops, _, deltas, _ = model.outcome_table
     with np.errstate(over="ignore", invalid="ignore"):
         weights = np.exp(-alpha[..., :, None] * deltas)
         if derivatives:
             weights = (-deltas) ** np.arange(3)[:, None, None] * weights[..., None, :, :]
-        blocks = np.einsum("...vx,wvxij->...wivj", weights, pieces)
+        weights = weights[..., :, None, :] * model.chain.P[:, :, None]
+        blocks = np.einsum("...vwx,vxij->...wivj", weights, superops)
     if not np.isfinite(blocks).all():
         alphas = alpha.reshape(-1, len(deltas))
         finite = np.isfinite(blocks.reshape(len(alphas), 3 if derivatives else 1, -1))

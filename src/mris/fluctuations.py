@@ -68,7 +68,7 @@ def e_of_alpha(model: MrisModel, alpha) -> float:
     """Per-step cumulant generating function of the entropy-exchange vector,
     lim (1/n) log E[exp(-alpha . S_n)], from the deformed generator's spectral
     radius.  Values are cached per model (alpha quantized to 12 digits)."""
-    alpha = np.asarray(alpha, dtype=float)
+    alpha = extended._tilt_vector(model.chain.n, alpha)
     key = tuple(np.round(alpha, 12))
     cache = model.caches.setdefault("cumulant_values", {})
     if key in cache:
@@ -155,7 +155,11 @@ def _perron(model: MrisModel, alpha) -> _Perron:
     lam = w[items, i].real
     r = vr[items, :, i].real
     eye = np.eye(n)
-    b_inv = np.linalg.inv(lam[:, None, None] * (eye + r[:, :, None] * r[:, None, :]) - gen)
+    border = lam[:, None, None] * (eye + r[:, :, None] * r[:, None, :]) - gen
+    try:
+        b_inv = np.linalg.inv(border)
+    except np.linalg.LinAlgError:
+        _singular_border(border, alphas)
     l = lam[:, None] * (r[:, None, :] @ b_inv)[:, 0]
     proj = eye - r[:, :, None] * l[:, None, :]
     r_blocks = r.reshape(K, m, -1)
@@ -175,14 +179,22 @@ def _perron(model: MrisModel, alpha) -> _Perron:
     return kernel
 
 
+def _singular_border(border: np.ndarray, alphas: np.ndarray):
+    """Raise for the first bordered matrix of a stack whose inverse failed,
+    found item by item (this runs on the error path only)."""
+    for b, a in zip(border, alphas):
+        try:
+            np.linalg.inv(b)
+        except np.linalg.LinAlgError:
+            break
+    raise FluctuationError(
+        f"bordered matrix lam (1 + r r^T) - M is singular at alpha={a}: "
+        "the Perron root is not resolved")
+
+
 def _grad_e(model, alpha) -> np.ndarray:
     """Exact gradient of e at alpha."""
     return _perron(model, alpha).derivatives()[1]
-
-
-def _hessian_e(model: MrisModel) -> np.ndarray:
-    """Exact Hessian of e at 0."""
-    return _perron(model, np.zeros(model.chain.n)).derivatives()[2]
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +312,7 @@ def translation_symmetry_report(model: MrisModel, alphas=None, gammas=None,
 
 def clt_covariance(model: MrisModel) -> np.ndarray:
     """Asymptotic covariance of S_n / sqrt(n): C = Hess e(0), exactly."""
-    return _hessian_e(model)
+    return _perron(model, np.zeros(model.chain.n)).derivatives()[2]
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +409,10 @@ def _legendre(model: MrisModel, s_grid, basis) -> RateFunctionResult:
     """sup_x [x . s - e(-basis x)] at each row s of s_grid: every point is
     ascended from x = 0 (see _ascend).  A point is unbounded when its sup
     escaped the box and converged when its final gradient norm is at most
-    GRAD_TOL."""
+    GRAD_TOL.  A row of s_grid that is not finite is named."""
+    bad = np.flatnonzero(~np.isfinite(s_grid).all(axis=1))
+    if bad.size:
+        raise FluctuationError(f"s is not finite at row {bad[0]}: {s_grid[bad[0]]}")
     box = 50.0
     x, f, g = _ascend(model, s_grid, basis, np.zeros((len(s_grid), basis.shape[1])), box)
     unbounded = np.any((np.abs(x) >= box) & (g * np.sign(x) > GRAD_TOL), axis=1)
@@ -508,7 +523,7 @@ def kinetic_coefficients(model: MrisModel) -> KineticMatrix:
     flux = extended._coords(np.stack([model.flux[l] for l in model.labels])).reshape(m, -1)
     mat = np.einsum("wa,vwa->wv", flux, d_r)
     mat[range(m), range(m)] += np.einsum("va,va->v", extended._coords(d_flux).reshape(m, -1), r)
-    route_b = _hessian_e(model) / (2 * beta_bar ** 2)
+    route_b = _perron(model, np.zeros(m)).derivatives()[2] / (2 * beta_bar ** 2)
     disc = float(np.abs(mat - route_b).max())
     return KineticMatrix(matrix=mat, route_b=route_b, discrepancy=disc,
                          beta_bar=beta_bar)
@@ -538,6 +553,12 @@ def green_kubo(model: MrisModel, epsilon_list=(0.05, 0.025, 0.0125)) -> GreenKub
     z = e^{-eps} the lag sum is l^T M_w z (1 - z G)^{-1} (1 - r l^T) M_v r.
     At eps -> 0 the resolvent becomes the group inverse of 1 - G, the
     fundamental matrix of perturbation theory, and the limit is exact."""
+    eps_list = sorted((float(e) for e in epsilon_list), reverse=True)
+    bad = [e for e in eps_list if not 0.0 <= e < math.inf]
+    if bad:
+        raise FluctuationError(
+            f"epsilon must be finite and >= 0 (the lag series diverges for "
+            f"epsilon < 0), got {bad[0]}")
     beta_bar = float(np.mean([model.probes[l].beta for l in model.labels]))
     p = _perron(model, np.zeros(model.chain.n))
     mean = p.l_dm @ p.r
@@ -551,7 +572,6 @@ def green_kubo(model: MrisModel, epsilon_list=(0.05, 0.025, 0.0125)) -> GreenKub
         lags = p.l_dm @ res @ p.dm_r
         return (c0 + lags + lags.T) / (2 * beta_bar ** 2)
 
-    eps_list = sorted((float(e) for e in epsilon_list), reverse=True)
     return GreenKuboResult(
         matrix=regularized(1.0), epsilon_list=tuple(eps_list), beta_bar=beta_bar,
         per_epsilon={eps: regularized(math.exp(-eps)) for eps in eps_list})

@@ -196,10 +196,15 @@ class MrisModel:
     @property
     def outcome_table(self) -> tuple:
         """Per-(label, outcome) tables of the two-time measurement, built on
-        first use and read-only: outcome superoperators (m, n_max, d^2, d^2),
-        probability functionals G.reshape(-1) (m, n_max, d^2), increments
-        (m, n_max) and outcome counts (m,).  Labels with fewer outcomes are
-        zero-padded to the widest label."""
+        first use and read-only, in the real Hermitian basis of
+        extended._hermitian_basis (U): outcome superoperators U S U^H
+        (m, n_max, d^2, d^2), probability functionals G.reshape(-1) U^H
+        (m, n_max, d^2), so that p = funcs @ x for a state with coordinates x,
+        increments (m, n_max) and outcome counts (m,).  Labels with fewer
+        outcomes are zero-padded to the widest label.  The tilt kernel, the
+        entropy sampler and the exact enumeration all read this one table; a
+        map that does not preserve Hermiticity raises RealBasisError and
+        keeps no table."""
         if "outcome_table" not in self.caches:
             entries = [self.unravelings[l] for l in self.labels]
             n_out = np.array([e.n_outcomes for e in entries])
@@ -211,7 +216,10 @@ class MrisModel:
                 superops[w, :e.n_outcomes] = e._superops
                 prob_funcs[w, :e.n_outcomes] = e.prob_ops.reshape(e.n_outcomes, -1)
                 deltas[w, :e.n_outcomes] = e.deltas
-            table = (superops, prob_funcs, deltas, n_out)
+            uh = extended._hermitian_basis(self.dim_sys).conj().T
+            table = (extended._fold(superops),
+                     extended._real(prob_funcs @ uh, "probability functionals"),
+                     deltas, n_out)
             for a in table:
                 a.flags.writeable = False
             self.caches["outcome_table"] = table

@@ -4,10 +4,13 @@ process, plus trajectory-based estimators.
 Both samplers share one engine.  A state is its d^2 real coordinates
 tr(E_a rho) in an orthonormal Hermitian basis E_a, and a chunk of B
 trajectories is held trajectory-minor, as one (d^2, B) array X.  The
-probability functionals and every (label, outcome) superoperator (or, for
-the ergodic sampler, the observable blocks and the channels, folded once
-per model) make one real table, so each step is a single GEMM ``table @ X``
-followed by flat takes of every trajectory's outcome law and drawn image.
+probability functionals and every (label, outcome) superoperator, read as
+they are from the model's real outcome table (or, for the ergodic sampler,
+the observable blocks, folded per call, and the channels, folded once per
+model), are laid out as one table, so each step is a single GEMM
+``table @ X`` followed by flat takes of every trajectory's outcome law and
+drawn image.  The exact enumeration runs in the same coordinates, on the
+same outcome table.
 Uniforms are streamed in blocks of ``_BLOCK`` steps per trajectory, so
 memory does not grow with the number of steps; labels, increments and
 totals are handled block by block and summed in step order.
@@ -102,23 +105,23 @@ def _stationary_decomposition(model: MrisModel) -> extended.EssDecomposition:
     return model.caches["ess_decomposition"]
 
 
-def _step_table(model: MrisModel, funcs, real_superops, what: str) -> np.ndarray:
+def _step_table(funcs, superops) -> np.ndarray:
     """The one real table of a step, for states X (d^2, B) in the Hermitian
     basis.  Each (label w, outcome x) owns d^2 + 1 adjacent rows of
     ``table @ X``: the functional funcs[w, x] at every state, then the image
-    of every state under real_superops[w, x].  funcs is (m, n, d^2) in the
-    vec(rho) layout, real_superops (m, n, d^2, d^2) in the Hermitian basis."""
-    uh = _hermitian_basis(model.dim_sys).conj().T
-    return np.concatenate([_real(funcs @ uh, what)[:, :, None], real_superops],
-                          axis=2).reshape(-1, uh.shape[0])
+    of every state under superops[w, x].  funcs is (m, n, d^2) and superops
+    (m, n, d^2, d^2), both real in the Hermitian basis; this only lays them
+    out."""
+    return np.concatenate([funcs[:, :, None], superops],
+                          axis=2).reshape(-1, superops.shape[-1])
 
 
 def _entropy_step_table(model: MrisModel) -> np.ndarray:
     """The entropy sampler's step table over the model's outcome table,
     kept read-only in model.caches beside it (see extended._kept)."""
     superops, prob_funcs, _, _ = model.outcome_table
-    return extended._kept(model, "entropy_step_table", lambda: _step_table(
-        model, prob_funcs, extended._fold(superops), "probability functionals"))
+    return extended._kept(model, "entropy_step_table",
+                          lambda: _step_table(prob_funcs, superops))
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +308,9 @@ def ergodic_average(model: MrisModel, x: extended.ExtendedObservable,
     # Re tr(rho X) = tr(rho H) with H the Hermitian part of X
     blocks = np.stack([x.block(l) for l in model.labels])
     herm = (blocks + blocks.conj().transpose(0, 2, 1)) / 2
-    table = _step_table(model, herm.reshape(len(blocks), 1, -1),
-                        extended._real_superops(model)[:, None], "observable blocks")
+    uh = _hermitian_basis(model.dim_sys).conj().T
+    table = _step_table(_real(herm.reshape(len(blocks), 1, -1) @ uh, "observable blocks"),
+                        extended._real_superops(model)[:, None])
     acc = np.zeros(cfg.n_traj)
 
     def run_range(t0, t1):
@@ -452,9 +456,9 @@ def enumerate_full_statistics(model: MrisModel, n: int,
     p_mat = model.chain.P
     valid = np.arange(superops.shape[1]) < n_out[:, None]        # (m, n_max)
     # level 1: each (w, x) acts on the initial block of w, which carries the
-    # chain factors up to the first step
-    v0 = np.stack([vec(b) for b in model.initial_state().blocks])
-    states = np.einsum("wxij,wj->wxi", superops, v0)[valid]
+    # chain factors up to the first step; states are real coordinates
+    x0 = extended._coords(model.initial_state().blocks).reshape(m, -1)
+    states = np.einsum("wxij,wj->wxi", superops, x0)[valid]
     lab, out = np.nonzero(valid)
     svecs = np.zeros((len(lab), m))
     svecs[np.arange(len(lab)), lab] = deltas[lab, out]
@@ -473,8 +477,9 @@ def enumerate_full_statistics(model: MrisModel, n: int,
             step = np.stack([w_new, out], axis=1)[:, None].astype(np.int16)
             words = np.concatenate([words[parent], step], axis=1)
         lab = w_new
-    # trace of the unnormalized block = branch probability
-    probs = states[:, ::d + 1].sum(axis=1).real
+    # trace of the unnormalized block (the sum of its d diagonal
+    # coordinates) = branch probability
+    probs = states[:, :d].sum(axis=1)
     return ExactDistribution(
         labels=model.labels, n_steps=n, probs=probs, svecs=svecs,
         words=words if keep_words else None)

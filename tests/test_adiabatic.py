@@ -38,6 +38,13 @@ def test_schedule_interpolates():
         sch.fraction(1.2)
 
 
+def test_step_count_must_be_an_integer():
+    model = fixtures.two_temperature_qubit()
+    sched = adiabatic.AdiabaticSchedule(model.chain.P, P_END)
+    with pytest.raises(adiabatic.AdiabaticError, match="n_steps must be an integer, got 4.5$"):
+        adiabatic.adiabatic_evolve(model, sched, 4.5)
+
+
 def test_smoothstep_fraction():
     sch = adiabatic.AdiabaticSchedule(P_START, P_END, kind="smoothstep")
     assert sch.fraction(0.0) == 0.0

@@ -56,6 +56,15 @@ def test_generator_apply_agrees_with_blockwise_action(canonical, rng):
     np.testing.assert_allclose(fast.blocks, slow, atol=1e-13)
 
 
+def test_states_come_back_as_c_contiguous_blocks(canonical):
+    """apply, evolve and find_ess return C-ordered blocks, so the channel
+    maps applied to them downstream run on contiguous arrays."""
+    g = canonical.generator
+    r = canonical.initial_state()
+    for state in (g.apply(r), extended.evolve(g, r, 3), extended.find_ess(g)[0]):
+        assert state.blocks.flags.c_contiguous
+
+
 def test_duality_against_recursive_path_sum(canonical, rng):
     """<L^n R0, X> equals the exhaustive average over probe words."""
     rinit, us, renvs = _oracle_inputs(canonical)

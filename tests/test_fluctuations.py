@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -110,8 +111,7 @@ def test_clt_covariance_equals_autocovariance_lag_sum(canonical):
             acc[i, j] = r.values[0] + r.values[1:].sum()
             c0[i, j] = r.values[0]
     lag_sum = acc + acc.T - c0
-    assert np.abs(fluctuations._hessian_e(canonical) - lag_sum).max() < 1e-6
-    assert np.abs(fluctuations.clt_covariance(canonical) - lag_sum).max() < 1e-5
+    assert np.abs(fluctuations.clt_covariance(canonical) - lag_sum).max() < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -248,13 +248,28 @@ def test_an_overflowing_derivative_is_named_apart_from_the_generator():
 
 
 def test_overflowing_kernel_product_is_a_typed_error(canonical):
-    """The tilted generator is still finite at alpha = (124, 62), with
-    entries up to 3e52 against lam = 1, but the kernel's products with it
+    """The tilted generator is still finite at alpha = (175, 87.5), with
+    entries up to 4e74 against lam = 1, but the kernel's products with it
     overflow: alpha is named, no warning leaks."""
-    kernel = fluctuations._perron(canonical, np.array([124.0, 62.0]))
+    kernel = fluctuations._perron(canonical, np.array([175.0, 87.5]))
     with pytest.raises(fluctuations.FluctuationError,
-                       match=r"^Hessian of e is not finite at alpha=\[124\.  62\.\]"):
+                       match=r"^Hessian of e is not finite at alpha=\[175\.   87\.5\]"):
         kernel.derivatives()
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_a_singular_bordered_matrix_is_a_typed_error(canonical, stacked):
+    """At alpha = (168, 84) M(alpha) is graded over so many orders of
+    magnitude that lam (1 + r r^T) - M is exactly singular in floating
+    point: the kernel names that tilt, alone and after two regular ones,
+    instead of letting LinAlgError escape."""
+    alpha = np.array([168.0, 84.0])
+    if stacked:
+        alpha = np.array([[0.2, 0.1], [30.0, 15.0], alpha])
+    with pytest.raises(fluctuations.FluctuationError,
+                       match=r"^bordered matrix lam \(1 \+ r r\^T\) - M is singular at "
+                             r"alpha=\[168\.  84\.\]"):
+        fluctuations._perron(canonical, alpha)
 
 
 # e at t (1, 1) from a 400-digit (t = 255) and a 700-digit (t = 300)
@@ -285,6 +300,46 @@ def test_rate_function_rejects_rows_of_the_wrong_length(canonical):
     with pytest.raises(fluctuations.FluctuationError,
                        match=r"s must have one entry per label, got rows of shape \(3,\)"):
         fluctuations.rate_function(canonical, [[0.1, 0.2, 0.3]])
+
+
+@pytest.mark.parametrize("alpha", [0.5, np.zeros((3, 2))])
+def test_e_of_alpha_checks_the_tilt_before_its_cache_key(canonical, alpha):
+    """A scalar or a stack has no cache key: the shape is named, where the
+    key built first raised an untyped TypeError."""
+    with pytest.raises(extended.GeneratorError, match=re.escape(
+            f"alpha must have one entry per label, got shape {np.shape(alpha)}")):
+        fluctuations.e_of_alpha(canonical, alpha)
+
+
+def test_a_non_finite_tilt_is_named(canonical):
+    """A NaN entry is named, not reported as an overflow; in a stack, the
+    first such tilt is named."""
+    msg = r"alpha has a non-finite entry: alpha=\[nan  0\.\]"
+    for route in (fluctuations.e_of_alpha, fluctuations._perron):
+        with pytest.raises(extended.GeneratorError, match=msg):
+            route(canonical, np.array([np.nan, 0.0]))
+    with pytest.raises(extended.GeneratorError,
+                       match=r"non-finite entry: alpha=\[ 0\. inf\]"):
+        fluctuations._e_stack(canonical, [[0.1, 0.2], [0.0, np.inf], [np.nan, 0.0]])
+
+
+@pytest.mark.parametrize("route, s, row", [
+    ("rate_function", [[0.1, 0.2], [np.nan, np.nan]], "1: [nan nan]"),
+    ("entropy_rate_function", [0.1, 0.2, np.nan], "2: [nan]"),
+])
+def test_rate_function_names_a_non_finite_row_of_s(canonical, route, s, row):
+    """A NaN s is named, not reported as an overflow at alpha = NaN."""
+    with pytest.raises(fluctuations.FluctuationError,
+                       match=re.escape(f"s is not finite at row {row}")):
+        getattr(fluctuations, route)(canonical, s)
+
+
+@pytest.mark.parametrize("eps", [-0.1, math.nan, math.inf])
+def test_green_kubo_rejects_an_epsilon_outside_its_domain(equilibrium, eps):
+    """The Abel-regularized lag series diverges for eps < 0."""
+    with pytest.raises(fluctuations.FluctuationError,
+                       match=f"epsilon must be finite and >= 0 .*, got {eps}$"):
+        fluctuations.green_kubo(equilibrium, (0.05, eps))
 
 
 def test_fluctuation_dissipation(equilibrium):

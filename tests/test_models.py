@@ -211,14 +211,17 @@ def test_deformed_superop_at_zero_is_the_channel(canonical):
 
 def test_outcome_table_is_built_once_and_read_only(monkeypatch):
     """The tilted generator, the perturbation kernel, the sampler and the
-    exact enumeration all read one table per model, which cannot be written."""
+    exact enumeration all read one real table per model, folded into the
+    Hermitian basis once, which cannot be written."""
     reads, prob_ops = [], models.UnravelingEntry.prob_ops
+    folds, fold = [], extended._fold
 
     def counting(entry):
         reads.append(entry.label)        # one read per label per build
         return prob_ops.fget(entry)
 
     monkeypatch.setattr(models.UnravelingEntry, "prob_ops", property(counting))
+    monkeypatch.setattr(extended, "_fold", lambda *a: folds.append(a[0].shape) or fold(*a))
     m = fixtures.two_temperature_qubit()
     fluctuations.e_of_alpha(m, np.array([0.3, -0.2]))
     fluctuations._perron(m, np.array([0.1, 0.4]))
@@ -226,7 +229,9 @@ def test_outcome_table_is_built_once_and_read_only(monkeypatch):
         m, trajectories.TrajectoryConfig(n_steps=5, n_traj=3, seed=0))
     trajectories.enumerate_full_statistics(m, 2)
     assert reads == list(m.labels)
+    assert folds == [m.outcome_table[0].shape]
     table = m.outcome_table
+    assert table[0].dtype == table[1].dtype == np.float64
     for a in table:
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 1.0

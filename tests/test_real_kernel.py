@@ -1,10 +1,11 @@
-"""The real tilt kernel: M(alpha) from real per-model pieces in the
-Hermitian basis, real LAPACK, and the border at the scale of lambda.
+"""The real tilt kernel: M(alpha) from the model's real outcome table in
+the Hermitian basis, real LAPACK, and the border at the scale of lambda.
 
 The complex assembly and kernel that the real ones replaced are kept below
-as the reference; gradients at large tilts are checked against values from
-a 40-digit eigensolve of the same float matrices (mpmath, computed once and
-stored as literals).
+as the reference, read from the complex outcome maps of the unravelings;
+gradients at large tilts are checked against values from a 40-digit
+eigensolve of the same float matrices (mpmath, computed once and stored as
+literals).
 """
 
 import math
@@ -15,6 +16,7 @@ import pytest
 
 from mris import cli, extended, fixtures, fluctuations, modelfile
 from test_frozen_formulas import FROZEN_MODELS, _alphas
+from test_trajectories import _complex_outcome_superops
 
 MODEL_DIR = Path(__file__).resolve().parent.parent / "models"
 EQUILIBRIUM = str(MODEL_DIR / "equilibrium_qubit.json")
@@ -34,7 +36,7 @@ def _complex_tilted_stack(model, alpha):
     """M(alpha), then d^k M / d alpha_v^k at 1 + (k - 1) m + v, (1 + 2m, n, n),
     assembled in the stacked vec(rho) layout from the complex outcome
     superoperators."""
-    superops, _, deltas, _ = model.outcome_table
+    superops, deltas = _complex_outcome_superops(model), model.outcome_table[2]
     m = len(deltas)
     weights = (-deltas) ** np.arange(3)[:, None, None] * np.exp(-alpha[:, None] * deltas)
     blocks = np.einsum("kvx,vxij->kvij", weights, superops)
@@ -102,22 +104,27 @@ RANDOM_MODELS = [(seed, 2 + seed % 3) for seed in range(20)]
     *[lambda s=s, k=k: fixtures.random_model(s, n_labels=k) for s, k in RANDOM_MODELS],
 ], ids=["two_temperature", "equilibrium", "tri_broken",
         *[f"random_{s}_{k}" for s, k in RANDOM_MODELS]])
-def test_every_tilt_piece_is_real(build):
-    """Every (label, outcome) superoperator is real in the Hermitian basis
-    before its imaginary part is dropped, and the pieces are kept read-only,
-    built once per model."""
+def test_the_outcome_table_is_real_and_read_only(build):
+    """Every (label, outcome) superoperator and probability functional is
+    real in the Hermitian basis before its imaginary part is dropped, and
+    the model keeps the folded table read-only, built once."""
     model = build()
-    superops = model.outcome_table[0]
+    superops, prob_funcs = model.outcome_table[:2]
+    assert model.outcome_table[0] is superops
     u = extended._hermitian_basis(model.dim_sys)
-    folded = u @ superops @ u.conj().T
+    folded = u @ _complex_outcome_superops(model) @ u.conj().T
     assert np.abs(folded.imag).max() <= 1e-15 * max(1.0, np.abs(folded.real).max())
-    pieces = extended._tilt_pieces(model)
-    assert pieces.dtype == np.float64 and not pieces.flags.writeable
-    assert extended._tilt_pieces(model) is pieces
-    m = model.chain.n
-    for w in range(m):
-        for v in range(m):
-            assert pieces[w, v].tobytes() == (model.chain.P[v, w] * folded.real[v]).tobytes()
+    assert superops.tobytes() == folded.real.tobytes()
+    for table in (superops, prob_funcs):
+        assert table.dtype == np.float64 and not table.flags.writeable
+    # tr(G rho) = prob_funcs . x for a Hermitian rho with coordinates x
+    off = np.triu(np.full((model.dim_sys,) * 2, 0.1 - 0.2j), 1)
+    rho = np.eye(model.dim_sys) + off + off.conj().T
+    x = extended._coords(rho[None])
+    for w, label in enumerate(model.labels):
+        entry = model.unravelings[label]
+        want = np.einsum("xij,ji->x", entry.prob_ops, rho).real
+        assert np.abs(prob_funcs[w, :entry.n_outcomes] @ x - want).max() <= 1e-15
 
 
 def _with_phase(phase):
@@ -131,7 +138,7 @@ def _with_phase(phase):
 
 def test_a_map_that_is_not_hermiticity_preserving_is_a_typed_kernel_error():
     """e_of_alpha and _perron raise RealBasisError on every call and keep no
-    pieces; a phase of round-off size is accepted."""
+    outcome table; a phase of round-off size is accepted."""
     fluctuations.e_of_alpha(_with_phase(1e-15j), np.array([0.2, 0.1]))
     model = _with_phase(1e-6j)
     for _ in range(2):
@@ -139,7 +146,7 @@ def test_a_map_that_is_not_hermiticity_preserving_is_a_typed_kernel_error():
             with pytest.raises(extended.RealBasisError,
                                match="superoperators not real in the Hermitian basis"):
                 route(model, np.array([0.2, 0.1]))
-    assert "tilt_pieces" not in model.caches
+    assert "outcome_table" not in model.caches
 
 
 def test_mris_cumulant_on_a_map_that_is_not_hermiticity_preserving_exits_2(

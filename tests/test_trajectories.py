@@ -2,13 +2,14 @@ import hashlib
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
 from conftest import random_density
-from mris import chains, extended, fixtures, models, trajectories
+from mris import chains, extended, fixtures, modelfile, models, trajectories
 from mris.chains import MarkovChain
 from mris.tolerances import DEFAULT
 from mris.trajectories import TrajectoryConfig
@@ -270,13 +271,17 @@ def test_entropy_step_table_is_folded_once_and_kept_read_only(monkeypatch):
 
 
 def test_a_map_that_is_not_hermiticity_preserving_raises_on_every_call():
+    """The sampler and the exact enumeration both raise, and the model keeps
+    no outcome table and no step table."""
     m = fixtures.two_temperature_qubit()
     entry = m.unravelings["hot"]
     entry._superops = entry._superops * np.exp(1e-6j)
     for _ in range(2):
         with pytest.raises(trajectories.RealBasisError, match="not real in the Hermitian basis"):
             trajectories.sample_entropy_process(m, TrajectoryConfig(n_steps=5, n_traj=3, seed=0))
-    assert "entropy_step_table" not in m.caches
+        with pytest.raises(trajectories.RealBasisError, match="not real in the Hermitian basis"):
+            trajectories.enumerate_full_statistics(m, 2)
+    assert "entropy_step_table" not in m.caches and "outcome_table" not in m.caches
 
 
 def test_tolerated_anti_hermitian_part_of_a_start_state_is_dropped():
@@ -560,6 +565,16 @@ def test_cumulants_reject_alpha_of_the_wrong_length(canonical, short_sample, alp
         dist.deformed_expectation(alpha)
 
 
+def test_cumulants_name_a_non_finite_alpha(canonical, short_sample):
+    """A NaN tilt is named, where the empirical cumulant returned nan."""
+    dist = trajectories.enumerate_full_statistics(canonical, 2)
+    msg = re.escape("alpha has a non-finite entry: alpha=[nan  0.]")
+    with pytest.raises(trajectories.TrajectoryError, match=msg):
+        trajectories.empirical_cumulant(short_sample, [np.nan, 0.0])
+    with pytest.raises(trajectories.TrajectoryError, match=msg):
+        dist.deformed_expectation([np.nan, 0.0])
+
+
 def _recursive_enumeration(model, n):
     """Depth-first reference: (probs, svecs, words) leaf by leaf."""
     m, d = model.chain.n, model.dim_sys
@@ -589,6 +604,66 @@ def _recursive_enumeration(model, n):
             recurse(1, w1, entries[w1]._superops[x] @ v0, s, [(w1, x)])
     probs, svecs, words = zip(*leaves)
     return np.array(probs), np.array(svecs), np.array(words)
+
+
+def _complex_outcome_superops(model):
+    """The complex outcome superoperators (m, n_max, d^2, d^2) of the
+    unravelings, zero-padded to the widest label as the outcome table is."""
+    superops = np.zeros(model.outcome_table[0].shape, dtype=complex)
+    for w, label in enumerate(model.labels):
+        entry = model.unravelings[label]
+        superops[w, :entry.n_outcomes] = entry._superops
+    return superops
+
+
+def _complex_enumeration(model, n):
+    """The batched enumeration on the complex outcome maps in the vec(rho)
+    layout, as it ran before it moved to the real coordinates:
+    (probs, svecs, words)."""
+    m, d, p_mat = model.chain.n, model.dim_sys, model.chain.P
+    superops = _complex_outcome_superops(model)
+    _, _, deltas, n_out = model.outcome_table
+    valid = np.arange(superops.shape[1]) < n_out[:, None]
+    v0 = np.stack([b.T.reshape(-1) for b in model.initial_state().blocks])
+    states = np.einsum("wxij,wj->wxi", superops, v0)[valid]
+    lab, out = np.nonzero(valid)
+    svecs = np.zeros((len(lab), m))
+    svecs[np.arange(len(lab)), lab] = deltas[lab, out]
+    words = np.stack([lab, out], axis=1)[:, None].astype(np.int16)
+    for _ in range(n - 1):
+        keep = (p_mat[lab] > model.tol.edge)[:, :, None] & valid
+        parent, w_new, out = np.nonzero(keep)
+        children = np.einsum("wxij,bj->bwxi", superops, states)[keep]
+        states = p_mat[lab[parent], w_new][:, None] * children
+        svecs = svecs[parent]
+        svecs[np.arange(len(parent)), w_new] += deltas[w_new, out]
+        step = np.stack([w_new, out], axis=1)[:, None].astype(np.int16)
+        words = np.concatenate([words[parent], step], axis=1)
+        lab = w_new
+    return states[:, ::d + 1].sum(axis=1).real, svecs, words
+
+
+MODEL_DIR = Path(__file__).resolve().parent.parent / "models"
+
+
+@pytest.mark.parametrize("name", ["two_temperature_qubit", "equilibrium_qubit",
+                                  "tri_broken_qubit", "random_11", "sparse_mixed"])
+def test_real_enumeration_matches_the_complex_one(name):
+    """In the real coordinates the law keeps its words and increments bit
+    for bit, and its probabilities to 1e-15."""
+    if name == "random_11":
+        model = fixtures.random_model(11, n_labels=3)
+    elif name == "sparse_mixed":
+        model = _sparse_mixed_model()
+    else:
+        model = modelfile.load_model(MODEL_DIR / f"{name}.json")
+    for n in (1, 2, 3):
+        dist = trajectories.enumerate_full_statistics(model, n)
+        probs, svecs, words = _complex_enumeration(model, n)
+        assert np.array_equal(dist.words, words)
+        assert dist.svecs.tobytes() == svecs.tobytes()
+        assert dist.probs.dtype == np.float64
+        assert np.abs(dist.probs - probs).max() <= 1e-15
 
 
 def _sparse_mixed_model():
