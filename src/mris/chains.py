@@ -31,6 +31,9 @@ class MarkovChain:
         m = len(self.labels)
         if self.pi.shape != (m,) or self.P.shape != (m, m):
             raise ChainError(f"chain shapes inconsistent with {m} labels")
+        for name in ("pi", "P"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ChainError(f"{name} has a non-finite entry")
         if self.pi.min() < -1e-12 or abs(self.pi.sum() - 1.0) > 1e-12:
             raise ChainError("pi is not a probability vector")
         if self.P.min() < -1e-12:

@@ -41,42 +41,18 @@ def _perron_index(w: np.ndarray, alpha) -> np.ndarray:
     return i
 
 
-def _e_stack(model: MrisModel, alphas) -> list:
-    """e at each row of alphas (K, m), through the cache of e_of_alpha; the
-    misses take one stacked tilt and one batched eigvals, and each value is
-    bitwise that of its own e_of_alpha call."""
-    if len(alphas) == 0:
-        return []
-    alphas = extended._tilt_vector(model.chain.n, np.atleast_2d(alphas), stack=True)
-    keys = list(map(tuple, np.round(alphas, 12)))
-    cache = model.caches.setdefault("cumulant_values", {})
-    missing = {}
-    for key, a in zip(keys, alphas):
-        if key not in cache:
-            missing.setdefault(key, a)
-    if missing:
-        tilts = np.array(list(missing.values()))
-        w = np.linalg.eigvals(extended._tilted_stack(model, tilts,
-                                                     error=FluctuationError))
-        lam = w[range(len(w)), _perron_index(w, tilts)].real
-        for key, value in zip(missing, lam.tolist()):
-            cache[key] = math.log(value)
-    return [cache[key] for key in keys]
-
-
-def e_of_alpha(model: MrisModel, alpha) -> float:
+def e_of_alpha(model: MrisModel, alpha):
     """Per-step cumulant generating function of the entropy-exchange vector,
     lim (1/n) log E[exp(-alpha . S_n)], from the deformed generator's spectral
-    radius.  Values are cached per model (alpha quantized to 12 digits)."""
-    alpha = extended._tilt_vector(model.chain.n, alpha)
-    key = tuple(np.round(alpha, 12))
-    cache = model.caches.setdefault("cumulant_values", {})
-    if key in cache:
-        return cache[key]
-    w = np.linalg.eigvals(extended._tilted_stack(model, alpha, error=FluctuationError))
-    val = math.log(w[_perron_index(w, alpha)].real)
-    cache[key] = val
-    return val
+    radius.  A tilt alpha (m,) gives a float; a stack of tilts (K, m) gives a
+    list of K floats from one stacked tilt and one batched eigvals, each
+    bitwise that of its own call."""
+    alpha = extended._tilt_vector(model.chain.n, alpha, stack=True)
+    alphas = np.atleast_2d(alpha)
+    w = np.linalg.eigvals(extended._tilted_stack(model, alphas, error=FluctuationError))
+    lam = w[range(len(w)), _perron_index(w, alphas)].real
+    values = [math.log(v) for v in lam.tolist()]
+    return values if alpha.ndim == 2 else values[0]
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +185,14 @@ class SymmetryReport:
     threshold: float
 
 
+def _nonempty(**grids):
+    """Raise for the first empty grid: a symmetry check over no point tests
+    nothing."""
+    for name, grid in grids.items():
+        if len(grid) == 0:
+            raise FluctuationError(f"{name} is empty: the symmetry check would test nothing")
+
+
 def _symmetry_report(cases, threshold: float) -> SymmetryReport:
     """The report over (head, e, transformed e) cases: each entry is
     (*head, transformed e, residual |e - transformed e|)."""
@@ -276,7 +260,8 @@ def gc_symmetry_report(model: MrisModel, alpha_grid=None,
     if alpha_grid is None:
         alpha_grid = _default_alpha_grid(model.chain.n)
     alphas = [np.asarray(a, dtype=float) for a in alpha_grid]
-    values = _e_stack(model, [b for a in alphas for b in (a, 1.0 - a)])
+    _nonempty(alpha_grid=alphas)
+    values = e_of_alpha(model, [b for a in alphas for b in (a, 1.0 - a)])
     return _symmetry_report((((a, va), va, vb) for a, va, vb
                              in zip(alphas, values[::2], values[1::2])), threshold)
 
@@ -297,8 +282,9 @@ def translation_symmetry_report(model: MrisModel, alphas=None, gammas=None,
     if gammas is None:
         gammas = (0.25, -0.4, 0.9, 1.7)
     alphas = [np.asarray(a, dtype=float) for a in alphas]
-    values = iter(_e_stack(model, [b for a in alphas for b in
-                                   (a, *(a + gam * beta_inv for gam in gammas))]))
+    _nonempty(alphas=alphas, gammas=gammas)
+    values = iter(e_of_alpha(model, [b for a in alphas for b in
+                                     (a, *(a + gam * beta_inv for gam in gammas))]))
     cases = []
     for a in alphas:
         va = next(values)

@@ -40,10 +40,12 @@ class ProbeSpec:
     def __post_init__(self):
         object.__setattr__(self, "h_env", np.asarray(self.h_env, dtype=complex))
         object.__setattr__(self, "coupling", np.asarray(self.coupling, dtype=complex))
-        if self.beta < 0:
-            raise ModelError(f"negative inverse temperature {self.beta}")
-        if self.tau <= 0:
-            raise ModelError(f"interaction duration must be positive, got {self.tau}")
+        # written so that NaN fails them too
+        if not 0 <= self.beta < math.inf:
+            raise ModelError(f"inverse temperature must be finite and >= 0, got {self.beta}")
+        if not 0 < self.tau < math.inf:
+            raise ModelError(
+                f"interaction duration must be finite and positive, got {self.tau}")
 
 
 @dataclass(frozen=True)

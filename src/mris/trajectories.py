@@ -442,6 +442,8 @@ def enumerate_full_statistics(model: MrisModel, n: int,
     The chain factors up to the first step are folded into the initial
     extended state, matching the sampled process and the duality pairing.
     """
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+        raise TrajectoryError(f"n must be an integer >= 1, got {n!r}")
     m = model.chain.n
     superops, _, deltas, n_out = model.outcome_table
     total = m * (m * superops.shape[1]) ** n
@@ -449,8 +451,6 @@ def enumerate_full_statistics(model: MrisModel, n: int,
         raise TrajectoryError(
             f"enumeration would visit ~{total:.3g} branches "
             f"(guard {ENUMERATION_GUARD:.0g}); reduce n")
-    if n < 1:
-        raise TrajectoryError("n must be at least 1")
 
     d = model.dim_sys
     p_mat = model.chain.P

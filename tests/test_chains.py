@@ -34,6 +34,19 @@ def test_chain_validation():
                            P=np.array([[1.0, 0.0]]))
 
 
+@pytest.mark.parametrize("pi, p, name", [
+    ([np.nan, 0.5], PRIMITIVE, "pi"),
+    ([0.5, np.inf], PRIMITIVE, "pi"),
+    ([0.5, 0.5], [[np.nan, 0.3], [0.4, 0.6]], "P"),
+    ([0.5, 0.5], [[0.7, 0.3], [np.nan, np.nan]], "P"),
+])
+def test_chain_rejects_non_finite_entries(pi, p, name):
+    """Every comparison with NaN is false, so the range checks alone let it
+    through."""
+    with pytest.raises(chains.ChainError, match=f"^{name} has a non-finite entry$"):
+        make(p, pi=pi)
+
+
 @pytest.mark.parametrize("p", [PRIMITIVE, TWO_CYCLE, REDUCIBLE,
                                [[0.2, 0.8, 0.0], [0.0, 0.1, 0.9], [0.5, 0.0, 0.5]],
                                [[0, 1, 0], [0, 0, 1], [1, 0, 0]]])

@@ -13,14 +13,35 @@ def test_cumulant_vanishes_at_origin(canonical, equilibrium):
     assert abs(fluctuations.e_of_alpha(equilibrium, np.zeros(2))) < 1e-12
 
 
-def test_cumulant_values_are_cached(canonical):
-    alpha = np.array([0.37, -0.11])
-    v1 = fluctuations.e_of_alpha(canonical, alpha)
-    cache = canonical.caches["cumulant_values"]
-    size = len(cache)
-    v2 = fluctuations.e_of_alpha(canonical, alpha)
-    assert v1 == v2
-    assert len(cache) == size
+def test_cumulant_does_not_depend_on_the_call_history():
+    """e at a tilt 4e-13 from one asked before is that of a fresh model (a
+    value memo keyed on 12 rounded digits returned the earlier tilt's e),
+    and a repeated call returns the same bits."""
+    alpha = np.array([0.3 + 4e-13, -0.1])
+    fresh = fluctuations.e_of_alpha(fixtures.two_temperature_qubit(), alpha)
+    model = fixtures.two_temperature_qubit()
+    near = fluctuations.e_of_alpha(model, np.array([0.3, -0.1]))
+    assert fluctuations.e_of_alpha(model, alpha) == fresh != near
+    assert fluctuations.e_of_alpha(model, alpha) == fresh
+
+
+def test_cumulant_keeps_nothing_per_tilt():
+    """No model cache grows with the number of tilts evaluated."""
+    model = fixtures.two_temperature_qubit()
+    fluctuations.e_of_alpha(model, np.zeros(2))
+
+    def sizes():
+        return {key: len(v) if isinstance(v, dict) else None
+                for key, v in model.caches.items()}
+
+    before = sizes()
+    rng = np.random.default_rng(3)
+    for a in rng.uniform(-1.0, 2.0, size=(20, 2)):
+        fluctuations.e_of_alpha(model, a)
+    fluctuations.e_of_alpha(model, rng.uniform(-1.0, 2.0, size=(30, 2)))
+    fluctuations.gc_symmetry_report(model)
+    fluctuations.translation_symmetry_report(model)
+    assert sizes() == before
 
 
 def test_cumulant_on_a_period_two_chain():
@@ -77,6 +98,18 @@ def test_translation_symmetry_detects_non_equilibrium_origin(tri_broken):
     rep = fluctuations.translation_symmetry_report(tri_broken)
     assert not rep.holds
     assert rep.max_residual > 1e-3
+
+
+@pytest.mark.parametrize("report, grid", [
+    ("gc_symmetry_report", "alpha_grid"),
+    ("translation_symmetry_report", "alphas"),
+    ("translation_symmetry_report", "gammas"),
+])
+def test_symmetry_reports_reject_an_empty_grid(equilibrium, report, grid):
+    """A check over no point would hold having tested nothing."""
+    with pytest.raises(fluctuations.FluctuationError,
+                       match=f"^{grid} is empty: the symmetry check would test nothing$"):
+        getattr(fluctuations, report)(equilibrium, **{grid: []})
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +335,10 @@ def test_rate_function_rejects_rows_of_the_wrong_length(canonical):
         fluctuations.rate_function(canonical, [[0.1, 0.2, 0.3]])
 
 
-@pytest.mark.parametrize("alpha", [0.5, np.zeros((3, 2))])
-def test_e_of_alpha_checks_the_tilt_before_its_cache_key(canonical, alpha):
-    """A scalar or a stack has no cache key: the shape is named, where the
-    key built first raised an untyped TypeError."""
+@pytest.mark.parametrize("alpha", [0.5, np.zeros((3, 3)), np.zeros((2, 3, 2))])
+def test_e_of_alpha_names_a_tilt_of_the_wrong_shape(canonical, alpha):
+    """A scalar, a stack of tilts of the wrong length and a stack of stacks
+    are not tilts: the shape is named."""
     with pytest.raises(extended.GeneratorError, match=re.escape(
             f"alpha must have one entry per label, got shape {np.shape(alpha)}")):
         fluctuations.e_of_alpha(canonical, alpha)
@@ -320,7 +353,7 @@ def test_a_non_finite_tilt_is_named(canonical):
             route(canonical, np.array([np.nan, 0.0]))
     with pytest.raises(extended.GeneratorError,
                        match=r"non-finite entry: alpha=\[ 0\. inf\]"):
-        fluctuations._e_stack(canonical, [[0.1, 0.2], [0.0, np.inf], [np.nan, 0.0]])
+        fluctuations.e_of_alpha(canonical, [[0.1, 0.2], [0.0, np.inf], [np.nan, 0.0]])
 
 
 @pytest.mark.parametrize("route, s, row", [

@@ -38,6 +38,10 @@ l 1.9e-15, q 7.1e-15, dm_r 1.4e-16, l_dm 4.2e-16, l_d2m_r 1.1e-15;
 gc 2.9e-15, translation 3.2e-15; ratefn values 3.1e-15, maximizers
 4.9e-14 (no flag moved); enum probabilities 6.9e-18 (the words and the
 increments kept every bit).
+The ``cumulant.ray`` entry pins e(0) and the 61-point diagonal ray
+a = -1 ... 2 of the cumulant command.  It was recorded while e(alpha) still
+kept its values in a per-model memo (the command asked for e(0) and the ray
+after the GC symmetry report), and evaluating every tilt afresh keeps it.
 
 The digests depend on LAPACK rounding: they were recorded on x86-64 with
 numpy 2.4 and OpenBLAS, and a different LAPACK (or BLAS kernel) may round
@@ -145,6 +149,9 @@ def _snapshot(model) -> dict:
     tr = fluctuations.translation_symmetry_report(model)
     out["translation"] = _digest(*[np.hstack([a, gam, vb, r]) for a, gam, vb, r in tr.entries],
                                  tr.max_residual)
+    ray = np.linspace(-1.0, 2.0, 61)
+    out["cumulant.ray"] = _digest(fluctuations.e_of_alpha(model, np.append(0.0, ray)[:, None]
+                                                          * np.ones(m)))
     return out
 
 
@@ -160,6 +167,7 @@ FROZEN = {
         'classify.kind': '78c7ae3b61e0f1a3',
         'classify.period': '6c3c396ed6b5c36d',
         'classify.peripheral': 'ecbd733a550ee37d',
+        'cumulant.ray': '1f64e2bd9db11d47',
         'enum.probs': 'ac23f8153509d310',
         'enum.svecs': '0908e7b3eb7fabdc',
         'enum.words': 'edd438497ba7ef6b',
@@ -200,6 +208,7 @@ FROZEN = {
         'classify.kind': '78c7ae3b61e0f1a3',
         'classify.period': '6c3c396ed6b5c36d',
         'classify.peripheral': '166bac70ff1e117b',
+        'cumulant.ray': '4d3644020360836b',
         'enum.probs': '6215e2a27a01b08f',
         'enum.svecs': 'b197cae2d134451a',
         'enum.words': '48dcd595f5308859',
@@ -243,6 +252,7 @@ FROZEN = {
         'classify.kind': '78c7ae3b61e0f1a3',
         'classify.period': '6c3c396ed6b5c36d',
         'classify.peripheral': 'a188fcb999e01efa',
+        'cumulant.ray': '6d64df3670d1ed37',
         'enum.probs': '231d9ae0e069af99',
         'enum.svecs': '13cbedb9f15f4871',
         'enum.words': 'edd438497ba7ef6b',
@@ -283,6 +293,7 @@ FROZEN = {
         'classify.kind': '78c7ae3b61e0f1a3',
         'classify.period': '6c3c396ed6b5c36d',
         'classify.peripheral': 'd43f95e547112144',
+        'cumulant.ray': '1af9fcd14b7dd6ae',
         'enum.probs': 'e720a57d8f9d5ec6',
         'enum.svecs': '13cbedb9f15f4871',
         'enum.words': 'edd438497ba7ef6b',

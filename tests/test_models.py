@@ -35,6 +35,18 @@ def test_probe_spec_rejects_bad_parameters():
         models.ProbeSpec(h_env=h, beta=1.0, tau=0.0, coupling=np.eye(4))
 
 
+@pytest.mark.parametrize("beta, tau, what", [
+    (math.nan, 1.0, "inverse temperature"), (math.inf, 1.0, "inverse temperature"),
+    (1.0, math.nan, "interaction duration"), (1.0, math.inf, "interaction duration"),
+])
+def test_probe_spec_rejects_non_finite_parameters(beta, tau, what):
+    """A NaN beta or tau used to pass and fail later in build_model with an
+    untyped LinAlgError."""
+    with pytest.raises(models.ModelError, match=f"^{what} must be finite"):
+        models.ProbeSpec(h_env=np.diag([0.0, 1.0]), beta=beta, tau=tau,
+                         coupling=np.eye(4))
+
+
 def test_build_model_requires_a_probe_per_label(canonical):
     probes = dict(canonical.probes)
     del probes["cold"]

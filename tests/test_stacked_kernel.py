@@ -39,8 +39,8 @@ def test_stacked_kernel_is_bitwise_the_scalar_kernel(name, K):
     with_derivs = extended._tilted_stack(model, alphas, derivatives=True)
     kernel = fluctuations._perron(model, alphas)
     e, grad, hess = kernel.derivatives()
-    values = fluctuations._e_stack(model, alphas)
-    model.caches.clear()
+    values = fluctuations.e_of_alpha(model, alphas)
+    assert len(values) == K and all(type(v) is float for v in values)
     for k, a in enumerate(alphas):
         assert tilted[k].tobytes() == extended._tilted_stack(model, a).tobytes()
         assert (with_derivs[k].tobytes()
@@ -56,23 +56,21 @@ def test_stacked_kernel_is_bitwise_the_scalar_kernel(name, K):
         assert values[k] == fluctuations.e_of_alpha(model, a)
 
 
-def test_e_stack_fills_and_reads_the_cache(canonical):
-    """Repeated and cached tilts are not solved again."""
+def test_e_of_alpha_on_repeated_and_empty_stacks(canonical):
+    """Duplicate rows of a stack, and repeated calls, give equal values; an
+    empty stack gives none."""
     alphas = np.array([[0.11, -0.4], [0.7, 0.2], [0.11, -0.4]])
-    cached = fluctuations.e_of_alpha(canonical, alphas[1])
-    cache = canonical.caches["cumulant_values"]
-    size = len(cache)
-    values = fluctuations._e_stack(canonical, alphas)
-    assert len(cache) == size + 1
-    assert values[1] == cached and values[0] == values[2]
-    assert fluctuations._e_stack(canonical, []) == []
+    values = fluctuations.e_of_alpha(canonical, alphas)
+    assert values[0] == values[2] != values[1]
+    assert fluctuations.e_of_alpha(canonical, alphas) == values
+    assert fluctuations.e_of_alpha(canonical, np.zeros((0, 2))) == []
 
 
 def test_an_overflowing_point_in_a_stack_names_its_own_alpha(canonical):
     alphas = np.array([[0.1, 0.2], [0.3, -0.1], [0.0, -800.0], [1000.0, 0.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for route in (fluctuations._perron, fluctuations._e_stack):
+        for route in (fluctuations._perron, fluctuations.e_of_alpha):
             with pytest.raises(fluctuations.FluctuationError,
                                match=r"^tilted generator is not finite at alpha=\[   0\. -800\.\]"):
                 route(canonical, alphas)

@@ -96,6 +96,13 @@ def test_enumeration_guard_trips():
         trajectories.enumerate_full_statistics(m, 9)
 
 
+@pytest.mark.parametrize("n", [2.5, True, 0, -1, "3"])
+def test_enumeration_step_count_must_be_a_positive_integer(canonical, n):
+    with pytest.raises(trajectories.TrajectoryError,
+                       match=re.escape(f"n must be an integer >= 1, got {n!r}")):
+        trajectories.enumerate_full_statistics(canonical, n)
+
+
 def test_enumeration_word_bookkeeping(canonical):
     dist = trajectories.enumerate_full_statistics(canonical, 2)
     assert dist.words.shape == (len(dist.probs), 2, 2)
