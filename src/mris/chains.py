@@ -29,6 +29,8 @@ class MarkovChain:
         object.__setattr__(self, "pi", np.asarray(self.pi, dtype=float))
         object.__setattr__(self, "P", np.asarray(self.P, dtype=float))
         m = len(self.labels)
+        if m == 0:
+            raise ChainError("a chain needs at least one label")
         if self.pi.shape != (m,) or self.P.shape != (m, m):
             raise ChainError(f"chain shapes inconsistent with {m} labels")
         for name in ("pi", "P"):

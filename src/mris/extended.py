@@ -517,8 +517,13 @@ def _real_superops(model) -> np.ndarray:
 def _tilt_vector(m: int, alpha, error=GeneratorError, stack: bool = False) -> np.ndarray:
     """alpha as a float array with one entry for each of m labels (or, with
     ``stack``, also a stack (K, m) of such tilts); raises ``error`` naming
-    the shape, or the first tilt with a non-finite entry, otherwise."""
-    alpha = np.asarray(alpha, dtype=float)
+    the shape, the first row of a ragged stack that is not m entries long,
+    or the first tilt with a non-finite entry, otherwise."""
+    try:
+        alpha = np.asarray(alpha, dtype=float)
+    except (TypeError, ValueError) as exc:
+        # only an alpha that does not convert pays for the search
+        raise error(_unconverted_tilt(m, alpha, exc)) from None
     if alpha.ndim not in ((1, 2) if stack else (1,)) or alpha.shape[-1:] != (m,):
         raise error(f"alpha must have one entry per label, got shape {alpha.shape}")
     if not np.isfinite(alpha).all():
@@ -526,6 +531,16 @@ def _tilt_vector(m: int, alpha, error=GeneratorError, stack: bool = False) -> np
         bad = rows[~np.isfinite(rows).all(axis=1)][0]
         raise error(f"alpha has a non-finite entry: alpha={bad}")
     return alpha
+
+
+def _unconverted_tilt(m: int, alpha, exc: Exception) -> str:
+    """Why alpha is no float array: the first row of a ragged stack that is
+    not m entries long, or the conversion's own message."""
+    for i, row in enumerate(alpha if isinstance(alpha, (list, tuple)) else ()):
+        sized = isinstance(row, (list, tuple)) or getattr(row, "ndim", 0) >= 1
+        if sized and len(row) != m:
+            return f"alpha row {i} has length {len(row)}, not one entry per label ({m})"
+    return f"alpha is not an array of numbers: {exc}"
 
 
 def _tilted_stack(model, alpha, derivatives: bool = False,

@@ -193,6 +193,18 @@ def _nonempty(**grids):
             raise FluctuationError(f"{name} is empty: the symmetry check would test nothing")
 
 
+def _tilt_grid(m: int, name: str, grid) -> np.ndarray:
+    """The tilts of a symmetry check as a (K, m) array; raises
+    FluctuationError for an empty grid, naming the first ill-formed row of
+    a ragged one, or otherwise naming the shape or a non-finite tilt."""
+    grid = list(grid)
+    _nonempty(**{name: grid})
+    alphas = extended._tilt_vector(m, grid, FluctuationError, stack=True)
+    if alphas.ndim != 2:
+        raise FluctuationError(f"{name} must be a sequence of tilts, got shape {alphas.shape}")
+    return alphas
+
+
 def _symmetry_report(cases, threshold: float) -> SymmetryReport:
     """The report over (head, e, transformed e) cases: each entry is
     (*head, transformed e, residual |e - transformed e|)."""
@@ -259,8 +271,7 @@ def gc_symmetry_report(model: MrisModel, alpha_grid=None,
     """
     if alpha_grid is None:
         alpha_grid = _default_alpha_grid(model.chain.n)
-    alphas = [np.asarray(a, dtype=float) for a in alpha_grid]
-    _nonempty(alpha_grid=alphas)
+    alphas = _tilt_grid(model.chain.n, "alpha_grid", alpha_grid)
     values = e_of_alpha(model, [b for a in alphas for b in (a, 1.0 - a)])
     return _symmetry_report((((a, va), va, vb) for a, va, vb
                              in zip(alphas, values[::2], values[1::2])), threshold)
@@ -281,8 +292,8 @@ def translation_symmetry_report(model: MrisModel, alphas=None, gammas=None,
             _TRANSLATION_DRAWS, 20240818, -0.5, 1.0, 2 * m).reshape(2, m)]
     if gammas is None:
         gammas = (0.25, -0.4, 0.9, 1.7)
-    alphas = [np.asarray(a, dtype=float) for a in alphas]
-    _nonempty(alphas=alphas, gammas=gammas)
+    alphas = _tilt_grid(m, "alphas", alphas)
+    _nonempty(gammas=gammas)
     values = iter(e_of_alpha(model, [b for a in alphas for b in
                                      (a, *(a + gam * beta_inv for gam in gammas))]))
     cases = []

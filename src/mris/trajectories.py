@@ -40,6 +40,7 @@ from .quantum import vec
 
 ENUMERATION_GUARD = 10_000_000
 _BLOCK = 128          # steps of uniforms streamed per trajectory at a time
+_CORR_BLOCK = 1 << 14  # elements of the empirical lag products formed at a time
 
 
 class NumericalCorruption(RuntimeError):
@@ -357,14 +358,16 @@ class EntropySample:
 
     ``svec[t, v]`` is the accumulated two-time measurement increment of probe
     v over trajectory t; when requested, ``increments``/``step_labels`` keep
-    the per-step series for autocorrelation estimates.
+    the per-step series for autocorrelation estimates.  The label indices
+    are stored in the smallest signed integer type that holds n_labels - 1
+    (int8 up to 128 labels).
     """
     labels: tuple
     config: TrajectoryConfig
     svec: np.ndarray                      # (n_traj, n_labels)
     floored: int
     increments: np.ndarray = None         # (n_traj, n_steps) or None
-    step_labels: np.ndarray = None        # (n_traj, n_steps) int8 or None
+    step_labels: np.ndarray = None        # (n_traj, n_steps) signed int or None
 
     @property
     def n_traj(self):
@@ -391,7 +394,7 @@ def sample_entropy_process(model: MrisModel, cfg: TrajectoryConfig) -> EntropySa
     increments = step_labels = None
     if cfg.keep_increments:
         increments = np.zeros((cfg.n_traj, cfg.n_steps))
-        step_labels = np.zeros((cfg.n_traj, cfg.n_steps), dtype=np.int8)
+        step_labels = np.zeros((cfg.n_traj, cfg.n_steps), dtype=_label_dtype(m))
     floored_counts = np.zeros(cfg.n_traj, dtype=np.int64)
 
     def run_range(t0, t1):
@@ -412,6 +415,12 @@ def sample_entropy_process(model: MrisModel, cfg: TrajectoryConfig) -> EntropySa
                          svec=np.ascontiguousarray(svec.T),
                          floored=int(floored_counts.sum()),
                          increments=increments, step_labels=step_labels)
+
+
+def _label_dtype(m: int):
+    """The smallest signed integer type that holds the label indices 0..m-1."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                if np.iinfo(t).max >= m - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +524,12 @@ def flux_autocorrelation(source, omega, nu, max_lag: int = 5) -> AutocorrResult:
 
     Pass a model for the exact spectral evaluation, or an EntropySample built
     with ``keep_increments=True`` for the empirical estimate with standard
-    errors across trajectories.
+    errors across trajectories.  The estimate centers with the global means
+    of the two probes' increments.  Besides the sample it holds one
+    full-size array, the late probe's centered increments, and forms its
+    lag products in row blocks of at most ``_CORR_BLOCK`` elements; its
+    values and standard errors are bitwise those of the whole-array form
+    (see _autocorr_empirical).
     """
     if not isinstance(source, (MrisModel, EntropySample)):
         raise TrajectoryError(f"cannot compute autocorrelation from {type(source)!r}")
@@ -554,29 +568,46 @@ def _autocorr_analytic(model: MrisModel, omega, nu, max_lag) -> AutocorrResult:
 
 
 def _autocorr_empirical(sample: EntropySample, omega, nu, max_lag) -> AutocorrResult:
+    """c(k) as the mean over trajectories of the per-trajectory means of
+    f_w[:, k:] * f_v[:, :n - k], with f the masked increments of a probe
+    centered with their global mean (per-trajectory centering would give the
+    cross pairs a lag-0 estimator whose bias dwarfs its vanishing spread);
+    the per-trajectory scatter of the centered products then carries an
+    honest standard error for every pair.
+
+    Besides the sample it holds one full-size array, f_w, centered in
+    place; the early probe's mean comes from a transient masked copy, and
+    f_v and the lag products are formed for blocks of rows of at most
+    ``_CORR_BLOCK`` elements (one row at least).  Each per-trajectory mean
+    is the same row reduction of the same products, and both global means
+    are np.mean of the same full arrays, so values and stderr are bitwise
+    those of the whole-array form."""
     if sample.increments is None:
         raise TrajectoryError(
             "sample was built without keep_increments; rerun with "
             "TrajectoryConfig(keep_increments=True)")
     iw = sample.labels.index(omega)
     iv = sample.labels.index(nu)
-    x_w = sample.increments * (sample.step_labels == iw)
-    x_v = sample.increments * (sample.step_labels == iv)
-    n = sample.n_steps
-    # center with the global means (per-trajectory centering would give the
-    # cross pairs a lag-0 estimator whose bias dwarfs its vanishing spread);
-    # the per-trajectory scatter of the centered products then carries an
-    # honest standard error for every pair
-    f_w = x_w - x_w.mean()
-    f_v = x_v - x_v.mean()
+    inc, labs = sample.increments, sample.step_labels
+    t, n = inc.shape
+    # multiply, not where, so that the zeros of other labels keep their signs
+    mean_v = np.multiply(inc, labs == iv).mean()
+    f_w = np.multiply(inc, labs == iw)
+    f_w -= f_w.mean()
+    per_traj = np.empty((max_lag + 1, t))
+    rows = max(1, _CORR_BLOCK // n)
+    for r0 in range(0, t, rows):
+        block = slice(r0, r0 + rows)
+        f_v = np.multiply(inc[block], labs[block] == iv)
+        f_v -= mean_v
+        for k in range(max_lag + 1):
+            per_traj[k, block] = (f_w[block, k:] * f_v[:, :n - k]).mean(axis=1)
     lags = np.arange(max_lag + 1)
     values = np.empty(max_lag + 1)
     stderr = np.empty(max_lag + 1)
     for k in range(max_lag + 1):
-        per_traj = (f_w[:, k:] * f_v[:, :n - k]).mean(axis=1)
-        t = per_traj.shape[0]
-        values[k] = math.fsum(per_traj) / t
-        var = (math.fsum((v - values[k]) ** 2 for v in per_traj) / (t - 1)
+        values[k] = math.fsum(per_traj[k]) / t
+        var = (math.fsum((v - values[k]) ** 2 for v in per_traj[k]) / (t - 1)
                if t > 1 else math.inf)       # as ergodic_average: no spread
         stderr[k] = math.sqrt(var / t)
     return AutocorrResult(omega=omega, nu=nu, lags=lags, values=values,

@@ -47,6 +47,13 @@ def test_chain_rejects_non_finite_entries(pi, p, name):
         make(p, pi=pi)
 
 
+def test_chain_rejects_an_empty_label_set():
+    """An empty label set passes the shape check and would die in the range
+    checks."""
+    with pytest.raises(chains.ChainError, match="^a chain needs at least one label$"):
+        chains.MarkovChain(labels=(), pi=np.zeros(0), P=np.zeros((0, 0)))
+
+
 @pytest.mark.parametrize("p", [PRIMITIVE, TWO_CYCLE, REDUCIBLE,
                                [[0.2, 0.8, 0.0], [0.0, 0.1, 0.9], [0.5, 0.0, 0.5]],
                                [[0, 1, 0], [0, 0, 1], [1, 0, 0]]])

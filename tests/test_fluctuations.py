@@ -112,6 +112,21 @@ def test_symmetry_reports_reject_an_empty_grid(equilibrium, report, grid):
         getattr(fluctuations, report)(equilibrium, **{grid: []})
 
 
+@pytest.mark.parametrize("report, grid", [
+    ("gc_symmetry_report", "alpha_grid"),
+    ("translation_symmetry_report", "alphas"),
+])
+def test_symmetry_reports_name_a_ragged_row(canonical, report, grid):
+    """A row of the wrong length among rows of the right one is named, as
+    is a single tilt passed where a grid of them belongs."""
+    with pytest.raises(fluctuations.FluctuationError, match=re.escape(
+            "alpha row 1 has length 1, not one entry per label (2)")):
+        getattr(fluctuations, report)(canonical, **{grid: [[0.1, 0.2], [0.3]]})
+    with pytest.raises(fluctuations.FluctuationError, match=re.escape(
+            f"{grid} must be a sequence of tilts, got shape (2,)")):
+        getattr(fluctuations, report)(canonical, **{grid: [0.1, 0.2]})
+
+
 # ---------------------------------------------------------------------------
 # central limit covariance
 # ---------------------------------------------------------------------------
@@ -342,6 +357,23 @@ def test_e_of_alpha_names_a_tilt_of_the_wrong_shape(canonical, alpha):
     with pytest.raises(extended.GeneratorError, match=re.escape(
             f"alpha must have one entry per label, got shape {np.shape(alpha)}")):
         fluctuations.e_of_alpha(canonical, alpha)
+
+
+@pytest.mark.parametrize("route", [fluctuations.e_of_alpha, fluctuations._perron])
+@pytest.mark.parametrize("alpha, row, length", [
+    ([[0.1, 0.2], [0.3]], 1, 1),
+    ([np.zeros(2), np.zeros(2), np.zeros(3)], 2, 3),
+])
+def test_a_ragged_stack_of_tilts_names_its_row(canonical, route, alpha, row, length):
+    with pytest.raises(extended.GeneratorError, match=re.escape(
+            f"alpha row {row} has length {length}, not one entry per label (2)")):
+        route(canonical, alpha)
+
+
+def test_a_tilt_that_is_not_numbers_is_named(canonical):
+    with pytest.raises(extended.GeneratorError,
+                       match="alpha is not an array of numbers: could not convert"):
+        fluctuations.e_of_alpha(canonical, ["a", 0.2])
 
 
 def test_a_non_finite_tilt_is_named(canonical):

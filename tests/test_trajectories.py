@@ -544,6 +544,107 @@ def test_autocorrelation_of_one_trajectory_has_no_standard_error(canonical):
     assert np.isfinite(emp.values).all() and np.isinf(emp.stderr).all()
 
 
+def _whole_array_autocorr(sample, omega, nu, max_lag):
+    """The empirical estimator written over whole arrays, as it was before
+    its lag products were formed in row blocks: (values, stderr)."""
+    iw, iv = sample.labels.index(omega), sample.labels.index(nu)
+    x_w = sample.increments * (sample.step_labels == iw)
+    x_v = sample.increments * (sample.step_labels == iv)
+    n = sample.n_steps
+    f_w = x_w - x_w.mean()
+    f_v = x_v - x_v.mean()
+    values = np.empty(max_lag + 1)
+    stderr = np.empty(max_lag + 1)
+    for k in range(max_lag + 1):
+        per_traj = (f_w[:, k:] * f_v[:, :n - k]).mean(axis=1)
+        t = per_traj.shape[0]
+        values[k] = math.fsum(per_traj) / t
+        var = (math.fsum((v - values[k]) ** 2 for v in per_traj) / (t - 1)
+               if t > 1 else math.inf)
+        stderr[k] = math.sqrt(var / t)
+    return values, stderr
+
+
+AUTOCORR_MODELS = {
+    "two_temperature": fixtures.two_temperature_qubit,
+    "random4": lambda: fixtures.random_model(7, n_labels=4),
+    "labels130": lambda: fixtures.random_model(3, n_labels=130),
+}
+
+
+@pytest.fixture(scope="module")
+def labels130():
+    return AUTOCORR_MODELS["labels130"]()
+
+
+@pytest.mark.parametrize("n_traj", [1, 6, 7])
+@pytest.mark.parametrize("name", sorted(AUTOCORR_MODELS))
+def test_row_blocked_autocorrelation_is_bitwise_the_whole_array_form(
+        monkeypatch, labels130, name, n_traj):
+    """Blocks of three rows (n_traj a multiple of them or not), blocks
+    below one row, and the default budget give values and standard errors
+    bitwise those of the whole-array estimator, for a probe with itself and
+    with another (the first and last labels with a non-zero increment in
+    the sample), at lags 0 through n_steps - 1."""
+    model = labels130 if name == "labels130" else AUTOCORR_MODELS[name]()
+    n = 60
+    sample = trajectories.sample_entropy_process(
+        model, TrajectoryConfig(n_steps=n, n_traj=n_traj, seed=11,
+                                initial="stationary", keep_increments=True))
+    seen = np.unique(sample.step_labels[sample.increments != 0.0])
+    first, last = model.labels[seen[0]], model.labels[seen[-1]]
+    assert first != last
+    for budget in (3 * n, n // 2, trajectories._CORR_BLOCK):
+        monkeypatch.setattr(trajectories, "_CORR_BLOCK", budget)
+        for omega, nu in ((first, first), (last, first), (first, last)):
+            for max_lag in (0, 5, n - 1):
+                got = trajectories.flux_autocorrelation(sample, omega, nu, max_lag)
+                values, stderr = _whole_array_autocorr(sample, omega, nu, max_lag)
+                assert np.array_equal(got.values, values, equal_nan=True)
+                assert np.array_equal(got.stderr, stderr, equal_nan=True)
+
+
+def test_empirical_autocorrelation_holds_one_full_size_copy(canonical):
+    """Besides the sample, the estimator's traced peak is one centered copy
+    of the increments, a transient boolean mask and one block budget of lag
+    products; the whole-array form peaked at about five copies."""
+    sample = trajectories.sample_entropy_process(
+        canonical, TrajectoryConfig(n_steps=1000, n_traj=256, seed=3,
+                                    initial="stationary", keep_increments=True))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trajectories.flux_autocorrelation(sample, "hot", "cold", max_lag=5)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    budget = 8 * trajectories._CORR_BLOCK
+    assert peak <= 1.3 * sample.increments.nbytes + budget, peak / sample.increments.nbytes
+
+
+def test_step_labels_hold_more_than_128_labels(labels130):
+    """The labels of a 130-label model do not wrap: the increments taken
+    through them sum, step by step, to every svec column, and the last
+    label's autocorrelation sees its own increments."""
+    sample = trajectories.sample_entropy_process(
+        labels130, TrajectoryConfig(n_steps=400, n_traj=16, seed=3,
+                                    keep_increments=True))
+    assert sample.step_labels.dtype == np.int16
+    assert sample.step_labels.min() >= 0
+    for k in range(130):
+        mine = np.where(sample.step_labels == k, sample.increments, 0.0)
+        assert np.array_equal(np.cumsum(mine, axis=1)[:, -1], sample.svec[:, k]), k
+    assert sample.svec[:, 129].any()
+    ac = trajectories.flux_autocorrelation(sample, "w129", "w129", max_lag=2)
+    assert ac.values[0] > 0.0
+
+
+@pytest.mark.parametrize("m, dtype", [(1, np.int8), (128, np.int8), (129, np.int16),
+                                      (2 ** 15, np.int16), (2 ** 15 + 1, np.int32)])
+def test_step_labels_take_the_smallest_signed_type(m, dtype):
+    assert trajectories._label_dtype(m) is dtype
+
+
 @pytest.mark.parametrize("lag", [-1, 2.5])
 @pytest.mark.parametrize("which", ["model", "sample"])
 def test_autocorrelation_rejects_a_negative_or_fractional_lag(canonical, short_sample,
