@@ -41,6 +41,7 @@ from .quantum import vec
 ENUMERATION_GUARD = 10_000_000
 _BLOCK = 128          # steps of uniforms streamed per trajectory at a time
 _CORR_BLOCK = 1 << 14  # elements of the empirical lag products formed at a time
+_ENUM_BLOCK = 1 << 8   # parents whose children the exact enumeration forms at a time
 
 
 class NumericalCorruption(RuntimeError):
@@ -229,7 +230,11 @@ def _measure_steps(table, x, labs, u, width, last, floor, floored, c0, k0):
         if not (cum[-1].max() <= 1.0 + 1e-8 and cum[-1].min() >= 1.0 - 1e-8
                 and p_min >= -1e-8):
             _check_law(p, cum[-1], k0 + i, c0)
-        if p_min < floor:
+        # the floor acts on nonzero probabilities only: the smallest of them
+        # is below it when more entries are below it than the exact zeros
+        # that are (a positive floor is above every zero)
+        if p_min < floor and (np.count_nonzero(p < floor)
+                              > np.count_nonzero(p == 0.0) * (floor > 0.0)):
             cum = _floor(p, floor, cum, floored, c0)
         xi = (u[i] > cum).sum(axis=0)
         np.minimum(xi, last.take(lab), out=xi)
@@ -266,10 +271,9 @@ def _check_law(p, total, k: int, c0: int):
 def _floor(p, floor: float, cum, floored, c0: int):
     """Leave outcomes below the floor out of the draw: count the nonzero ones
     per trajectory, renormalize the remaining law of every trajectory that
-    lost one, and return its running sum (``cum`` where nothing was lost)."""
+    lost one, and return its running sum (``cum`` where nothing was lost).
+    Called only where some nonzero probability is below the floor."""
     small = (p < floor) & (p != 0.0)
-    if not small.any():
-        return cum
     hit = small.any(axis=0)
     floored[c0 + np.nonzero(hit)[0]] += small[:, hit].sum(axis=0)
     q = np.where(p < floor, 0.0, p)
@@ -436,9 +440,22 @@ class ExactDistribution:
     words: np.ndarray = field(repr=False, default=None)   # (n_branches, n, 2)
 
     def deformed_expectation(self, alpha) -> float:
-        """E[exp(-alpha . S)] over the exact law."""
+        """E[exp(-alpha . S)] over the exact law.
+
+        Atoms of probability exactly zero are left out of the sum: they may
+        carry increments that no possible branch reaches, whose weights
+        overflow.  Raises TrajectoryError naming alpha where the sum
+        overflows."""
         alpha = extended._tilt_vector(len(self.labels), alpha, TrajectoryError)
-        return math.fsum(self.probs * np.exp(-self.svecs @ alpha))
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = (self.probs * np.exp(-self.svecs @ alpha))[self.probs != 0.0]
+        if np.isfinite(terms).all():
+            try:
+                return math.fsum(terms)
+            except OverflowError:       # the exact sum is past the float range
+                pass
+        raise TrajectoryError(
+            f"E[exp(-alpha . S)] overflows at alpha={alpha}")
 
     def total_probability(self) -> float:
         return math.fsum(self.probs)
@@ -450,6 +467,14 @@ def enumerate_full_statistics(model: MrisModel, n: int,
 
     The chain factors up to the first step are folded into the initial
     extended state, matching the sampled process and the duality pairing.
+
+    Each level is sized from its keep mask before it is formed, and the
+    children of at most ``_ENUM_BLOCK`` parents are formed at a time,
+    straight into the level's preallocated arrays, so that besides its
+    outputs the enumeration holds one level of parents and one block.  At
+    the last level only a child's d diagonal coordinates, whose sum is its
+    probability, are formed.  Every child is the same arithmetic on the
+    same operands whatever the block, so the law does not depend on it.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise TrajectoryError(f"n must be an integer >= 1, got {n!r}")
@@ -472,23 +497,48 @@ def enumerate_full_statistics(model: MrisModel, n: int,
     svecs = np.zeros((len(lab), m))
     svecs[np.arange(len(lab)), lab] = deltas[lab, out]
     words = np.stack([lab, out], axis=1)[:, None].astype(np.int16)
-    # each later level expands every branch over every (w, x) at once and
-    # keeps chain edges and real outcomes; boolean indexing orders the
-    # children parent-major, then by (w, x), as the depth-first order would
-    for _ in range(n - 1):
-        keep = (p_mat[lab] > model.tol.edge)[:, :, None] & valid
-        parent, w_new, out = np.nonzero(keep)
-        children = np.einsum("wxij,bj->bwxi", superops, states)[keep]
-        states = p_mat[lab[parent], w_new][:, None] * children
-        svecs = svecs[parent]
-        svecs[np.arange(len(parent)), w_new] += deltas[w_new, out]
-        if keep_words:
-            step = np.stack([w_new, out], axis=1)[:, None].astype(np.int16)
-            words = np.concatenate([words[parent], step], axis=1)
-        lab = w_new
-    # trace of the unnormalized block (the sum of its d diagonal
-    # coordinates) = branch probability
-    probs = states[:, :d].sum(axis=1)
+    # the children (w, x) of a parent of label v: chain edges and real
+    # outcomes; boolean indexing orders them parent-major, then by (w, x),
+    # as the depth-first order would
+    keep = (p_mat > model.tol.edge)[:, :, None] & valid          # (v, w, x)
+    n_kids = keep.sum(axis=(1, 2))
+    # the diagonal coordinates lead the real basis
+    diag_ops = np.ascontiguousarray(superops[:, :, :d])
+    for k in range(2, n + 1):
+        last = k == n
+        size = int(np.bincount(lab, minlength=m) @ n_kids)
+        if last:
+            probs = np.empty(size)
+        else:
+            kid_lab, kid_states = np.empty(size, np.intp), np.empty((size, d * d))
+        kid_svecs = np.empty((size, m))
+        kid_words = np.empty((size, k, 2), np.int16) if keep_words else None
+        stop = 0
+        for a in range(0, len(lab), _ENUM_BLOCK):
+            mask = keep[lab[a:a + _ENUM_BLOCK]]
+            parent, w_new, out = np.nonzero(mask)
+            kids = slice(stop, stop + len(parent))
+            stop = kids.stop
+            parent += a
+            children = np.einsum("wxij,bj->bwxi", diag_ops if last else superops,
+                                 states[a:a + _ENUM_BLOCK])[mask]
+            children *= p_mat[lab[parent], w_new][:, None]
+            if last:
+                probs[kids] = children.sum(axis=1)
+            else:
+                kid_states[kids], kid_lab[kids] = children, w_new
+            block = kid_svecs[kids]
+            block[...] = svecs[parent]
+            block[np.arange(len(parent)), w_new] += deltas[w_new, out]
+            if keep_words:
+                kid_words[kids, :-1] = words[parent]
+                kid_words[kids, -1, 0], kid_words[kids, -1, 1] = w_new, out
+        svecs, words = kid_svecs, kid_words
+        if not last:
+            lab, states = kid_lab, kid_states
+    if n == 1:
+        # trace of the unnormalized block = branch probability
+        probs = states[:, :d].sum(axis=1)
     return ExactDistribution(
         labels=model.labels, n_steps=n, probs=probs, svecs=svecs,
         words=words if keep_words else None)

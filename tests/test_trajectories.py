@@ -213,6 +213,29 @@ def test_sampler_with_active_outcome_floor_is_chunk_independent():
         assert got.floored == runs[0].floored
 
 
+@pytest.mark.parametrize("floor", [0.0, DEFAULT.prob_floor, 1e-3])
+def test_floor_is_called_only_where_a_nonzero_probability_is_below_it(
+        monkeypatch, floor):
+    """Exact zeros are below any positive floor, but they are never drawn
+    and need no floor: _floor runs only on a step with a nonzero outcome
+    probability below the floor, and then floors one at least."""
+    rounds = []
+
+    def floor_spy(p, floor_, cum, floored, c0):
+        rounds.append(((p < floor_) & (p != 0.0)).any())
+        return original(p, floor_, cum, floored, c0)
+
+    original = trajectories._floor
+    monkeypatch.setattr(trajectories, "_floor", floor_spy)
+    m = fixtures.two_temperature_qubit(tol=DEFAULT.replace(prob_floor=floor))
+    sample = trajectories.sample_entropy_process(
+        m, TrajectoryConfig(n_steps=300, n_traj=64, seed=2))
+    assert all(rounds)
+    assert len(rounds) <= sample.floored
+    if floor == 1e-3:
+        assert rounds
+
+
 def test_decoupled_model_exchanges_nothing(decoupled):
     sample = trajectories.sample_entropy_process(
         decoupled, TrajectoryConfig(n_steps=40, n_traj=12, seed=3))
@@ -683,6 +706,35 @@ def test_cumulants_name_a_non_finite_alpha(canonical, short_sample):
         dist.deformed_expectation([np.nan, 0.0])
 
 
+def test_deformed_expectation_leaves_out_exact_zero_atoms():
+    """At n = 3 on two_temperature, 144 of the 512 branches have probability
+    exactly zero and carry increments up to 6 on the cold probe, where the
+    possible branches reach 4: their weights overflow at alpha = (0, -150),
+    which must not turn the finite expectation into 0 * inf = nan.  A finite
+    result keeps the bits of the plain sum."""
+    dist = trajectories.enumerate_full_statistics(fixtures.two_temperature_qubit(), 3)
+    atoms = dist.probs != 0.0
+    assert (~atoms).sum() == 144
+    x = -dist.svecs[atoms] @ np.array([0.0, -150.0])
+    top = x.max()
+    log_ref = top + math.log(math.fsum(dist.probs[atoms] * np.exp(x - top)))
+    got = dist.deformed_expectation([0.0, -150.0])
+    assert math.isfinite(got)
+    assert abs(math.log(got) - log_ref) <= 1e-13 * log_ref
+    assert abs(log_ref - 590.36117359494) < 1e-9
+    alpha = np.array([0.4, -0.3])
+    assert dist.deformed_expectation(alpha) == math.fsum(
+        dist.probs * np.exp(-dist.svecs @ alpha))
+
+
+@pytest.mark.parametrize("alpha", [[400.0, 400.0], [200.0, -200.0]])
+def test_deformed_expectation_names_an_overflowing_tilt(alpha):
+    dist = trajectories.enumerate_full_statistics(fixtures.two_temperature_qubit(), 3)
+    msg = re.escape(f"overflows at alpha={np.array(alpha)}")
+    with pytest.raises(trajectories.TrajectoryError, match=msg):
+        dist.deformed_expectation(alpha)
+
+
 def _recursive_enumeration(model, n):
     """Depth-first reference: (probs, svecs, words) leaf by leaf."""
     m, d = model.chain.n, model.dim_sys
@@ -798,3 +850,66 @@ def test_batched_enumeration_matches_depth_first_recursion(kind, n):
     np.testing.assert_allclose(dist.svecs, svecs, rtol=0, atol=1e-13)
     assert abs(dist.total_probability() - 1.0) < 1e-12
     assert trajectories.enumerate_full_statistics(m, n, keep_words=False).words is None
+
+
+# sha256 prefixes of (probs, svecs, words) at the deepest level up to 5 that
+# the guard admits, recorded before the enumeration was blocked (see
+# test_sampler_matches_frozen_kernel_bitwise for the platform)
+FROZEN_ENUM = {
+    ("two_temperature", 5): ("c02deac3aa3a373b", "0002402bec9b1e0a", "73f5d4c020f1f480"),
+    ("sparse_mixed", 4): ("decb5f7799f981df", "7b67a584469a78f0", "2c5968546a5d0e94"),
+}
+ENUM_MODELS = {"two_temperature": fixtures.two_temperature_qubit,
+               "sparse_mixed": _sparse_mixed_model}
+
+
+@pytest.mark.parametrize("keep_words", [True, False])
+@pytest.mark.parametrize("name,n", sorted(FROZEN_ENUM))
+def test_enumeration_matches_frozen_law_bitwise(name, n, keep_words):
+    dist = trajectories.enumerate_full_statistics(ENUM_MODELS[name](), n,
+                                                  keep_words=keep_words)
+    probs, svecs, words = FROZEN_ENUM[name, n]
+    assert (_digest(dist.probs), _digest(dist.svecs)) == (probs, svecs)
+    if keep_words:
+        assert dist.words.dtype == np.int16 and _digest(dist.words) == words
+    else:
+        assert dist.words is None
+
+
+@pytest.mark.parametrize("name", sorted(ENUM_MODELS))
+def test_blocked_enumeration_is_bitwise_the_whole_level_form(monkeypatch, name):
+    """Blocks of one parent, of five and the default budget give the
+    probabilities, increments and words of whole levels."""
+    model = ENUM_MODELS[name]()
+    default = trajectories._ENUM_BLOCK
+    for n in (1, 2, 3):
+        monkeypatch.setattr(trajectories, "_ENUM_BLOCK", 1 << 30)
+        whole = trajectories.enumerate_full_statistics(model, n)
+        for budget in (1, 5, default):
+            monkeypatch.setattr(trajectories, "_ENUM_BLOCK", budget)
+            for keep_words in (True, False):
+                got = trajectories.enumerate_full_statistics(model, n, keep_words)
+                assert np.array_equal(got.probs, whole.probs)
+                assert np.array_equal(got.svecs, whole.svecs)
+                if keep_words:
+                    assert np.array_equal(got.words, whole.words)
+
+
+@pytest.mark.parametrize("keep_words", [True, False])
+def test_enumeration_holds_its_outputs_one_level_of_parents_and_a_block(keep_words):
+    """At n = 6 the traced peak is within 1.5 times the output bytes and one
+    block's temporaries; forming every level whole peaked at 3.30 (with
+    words) and 5.50 (without) times the output."""
+    model = fixtures.two_temperature_qubit()
+    trajectories.enumerate_full_statistics(model, 2)
+    # four float64 copies of a block's children, all of their coordinates
+    budget = 4 * 8 * trajectories._ENUM_BLOCK * model.outcome_table[0][..., 0].size
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        dist = trajectories.enumerate_full_statistics(model, 6, keep_words)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    out = dist.probs.nbytes + dist.svecs.nbytes + (dist.words.nbytes if keep_words else 0)
+    assert peak <= 1.5 * out + budget, peak / out
