@@ -405,7 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--traj", type=_checked(int, lambda n: n >= 2, "an integer >= 2"),
                    default=200, help="at least 2: the verdict needs a standard error")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=_count, default=1)
+    p.add_argument("--threads", type=_count, default=None,
+                   help="cap on the worker processes (default: every usable core)")
     p.add_argument("--chunk", type=_count, default=512)
     p.add_argument("--stationary", action="store_true",
                    help="start trajectories in the steady ensemble")

@@ -15,7 +15,7 @@ Uniforms are streamed in blocks of ``_BLOCK`` steps per trajectory, so
 memory does not grow with the number of steps; labels, increments and
 totals are handled block by block and summed in step order.
 
-RNG contract (stable across versions, chunk sizes, and thread counts): each
+RNG contract (stable across versions, chunk sizes, and worker counts): each
 trajectory t uses its own ``numpy.random.Generator(Philox(key=seed + t))``
 stream.  The first ``n + 1`` uniforms of the stream drive the probe path
 (initial label, then one transition per step); the next ``n`` uniforms select
@@ -23,10 +23,19 @@ measurement outcomes (read through ``chains.outcome_stream``, the same stream
 advanced past the path draws).  Every categorical draw maps a uniform u
 through the same inverse-CDF arithmetic ``(u > cumsum(p)).sum()``, clipped to
 the last index.  Results are therefore bitwise identical however
-trajectories are batched or split across threads.
+trajectories are batched or split across processes.
+
+A sampler call large enough to pay for a fork (see ``_ranges``) is split into
+one contiguous range of trajectories per usable core (see ``_split``): the
+first range runs in the calling process, each other in a forked worker
+(``mris.workers``) that writes its trajectories' slots of the outputs in
+place, in anonymous shared mappings.
 """
 
 import math
+import os
+import sys
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,11 +51,19 @@ ENUMERATION_GUARD = 10_000_000
 _BLOCK = 128          # steps of uniforms streamed per trajectory at a time
 _CORR_BLOCK = 1 << 14  # elements of the empirical lag products formed at a time
 _ENUM_BLOCK = 1 << 8   # parents whose children the exact enumeration forms at a time
+_SPLIT_WORK = 1 << 17  # trajectory-steps from which a sampler call forks workers
+_PIECE_COST = 400      # per-step overhead of a chunk piece, in trajectories' steps
+_SPLIT_GAIN = 0.85     # largest modeled time ratio, split to one process, that forks
 
 
 class NumericalCorruption(RuntimeError):
     """Outcome probabilities stopped summing to one; the run is aborted
-    rather than silently renormalized."""
+    rather than silently renormalized.  ``step`` and ``trajectory`` locate
+    the defective law."""
+
+    def __init__(self, message, step=None, trajectory=None):
+        super().__init__(message)
+        self.step, self.trajectory = step, trajectory
 
 
 class TrajectoryError(ValueError):
@@ -55,11 +72,19 @@ class TrajectoryError(ValueError):
 
 @dataclass(frozen=True)
 class TrajectoryConfig:
+    """A sampler run: ``n_traj`` trajectories of ``n_steps`` steps, trajectory
+    t keyed ``seed + t``, stepped ``chunk`` trajectories at a time, starting
+    from the model's initial states or the stationary ensemble.
+
+    ``n_threads`` caps the processes a run large enough to pay for a fork
+    is split over (see ``_ranges``): None uses every usable core, 1 keeps
+    one process.  It is a deployment setting; no result depends on it, or
+    on ``chunk``."""
     n_steps: int
     n_traj: int
     seed: int
     chunk: int = 512
-    n_threads: int = 1
+    n_threads: int = None
     initial: str = "model"        # "model": rho_init[w0]; "stationary": rho_+w0
     keep_increments: bool = False
 
@@ -70,7 +95,12 @@ class TrajectoryConfig:
             # trajectory t is keyed seed + t, and a Philox key is < 2**128
             raise TrajectoryError(
                 f"seed {self.seed} outside [0, 2**128 - n_traj]")
-        if self.chunk < 1 or self.n_threads < 1:
+        if self.n_threads is not None and (
+                isinstance(self.n_threads, bool)
+                or not isinstance(self.n_threads, (int, np.integer))):
+            raise TrajectoryError(
+                f"n_threads must be an integer or None, got {self.n_threads!r}")
+        if self.chunk < 1 or (self.n_threads is not None and self.n_threads < 1):
             raise TrajectoryError("chunk and n_threads must be positive")
         if self.initial not in ("model", "stationary"):
             raise TrajectoryError(f"unknown initial mode {self.initial!r}")
@@ -138,16 +168,18 @@ def _uniforms(streams, steps: int) -> np.ndarray:
     return block.T
 
 
-def _step_blocks(model: MrisModel, cfg: TrajectoryConfig, t0: int, t1: int,
-                 table, width: int, n_out=None, floored=None):
-    """Step trajectories t0 <= t < t1, cfg.chunk at a time, and yield
-    ``(c0, k0, labs, val)`` for each block of up to ``_BLOCK`` steps
-    k0 <= k < k0 + L of the chunk of B trajectories that starts at c0: the
-    labels w_k and per-step values, both (L, B).  A block's labels are drawn
-    first (the probe path does not depend on the states), then its states
-    are stepped by ``_observe_steps`` (without ``n_out``) or
-    ``_measure_steps``; ``table`` is a ``_step_table`` of ``width`` row
-    groups per label.
+def _stepper(model: MrisModel, cfg: TrajectoryConfig, table, width: int,
+             n_out=None, floored=None):
+    """The stepping engine of one sampler call, set up once for all of its
+    ranges: returns ``blocks(t0, t1)``, which steps trajectories
+    t0 <= t < t1 in chunks on the global grid of ``cfg.chunk`` (clipped to
+    the range, so no chunk straddles two chunks of an unsplit run) and
+    yields ``(c0, k0, labs, val)`` for each block of up to ``_BLOCK`` steps
+    k0 <= k < k0 + L of the chunk that starts at c0: the labels w_k and
+    per-step values, both (L, B).  A block's labels are drawn first (the
+    probe path does not depend on the states), then its states are stepped
+    by ``_observe_steps`` (without ``n_out``) or ``_measure_steps``;
+    ``table`` is a ``_step_table`` of ``width`` row groups per label.
     """
     m, n = model.chain.n, cfg.n_steps
     if cfg.initial == "stationary":
@@ -163,25 +195,29 @@ def _step_blocks(model: MrisModel, cfg: TrajectoryConfig, t0: int, t1: int,
                  @ np.stack([vec(rho0[l]) for l in model.labels], axis=1),
                  "initial states", model.tol.herm)
     last = None if n_out is None else n_out - 1
-    for c0 in range(t0, t1, cfg.chunk):
-        span = range(c0, min(c0 + cfg.chunk, t1))
-        paths = [path_stream(cfg.seed + t) for t in span]
-        u0 = np.array([stream.random() for stream in paths])
-        lab = np.minimum((u0 > cum0).sum(axis=0), m - 1)
-        x = bank.take(lab, axis=1)
-        if n_out is not None:
-            outs = [outcome_stream(cfg.seed + t, n) for t in span]
-        for k0 in range(1, n + 1, _BLOCK):
-            steps = min(_BLOCK, n + 1 - k0)
-            labs = _label_path(cum_rows, lab, _uniforms(paths, steps))
-            lab = labs[-1]
-            if n_out is None:
-                val, x = _observe_steps(table, x, labs)
-            else:
-                val, x = _measure_steps(table, x, labs, _uniforms(outs, steps),
-                                        width, last, model.tol.prob_floor,
-                                        floored, c0, k0)
-            yield c0, k0, labs, val
+
+    def blocks(t0, t1):
+        for g0 in range(t0 - t0 % cfg.chunk, t1, cfg.chunk):
+            span = range(max(g0, t0), min(g0 + cfg.chunk, t1))
+            c0 = span.start
+            paths = [path_stream(cfg.seed + t) for t in span]
+            u0 = np.array([stream.random() for stream in paths])
+            lab = np.minimum((u0 > cum0).sum(axis=0), m - 1)
+            x = bank.take(lab, axis=1)
+            if n_out is not None:
+                outs = [outcome_stream(cfg.seed + t, n) for t in span]
+            for k0 in range(1, n + 1, _BLOCK):
+                steps = min(_BLOCK, n + 1 - k0)
+                labs = _label_path(cum_rows, lab, _uniforms(paths, steps))
+                lab = labs[-1]
+                if n_out is None:
+                    val, x = _observe_steps(table, x, labs)
+                else:
+                    val, x = _measure_steps(table, x, labs, _uniforms(outs, steps),
+                                            width, last, model.tol.prob_floor,
+                                            floored, c0, k0)
+                yield c0, k0, labs, val
+    return blocks
 
 
 def _label_path(cum_rows, lab, u):
@@ -203,7 +239,7 @@ def _observe_steps(table, x, labs):
     rows = np.arange(group)[:, None] * b + np.arange(b)
     val = np.empty(labs.shape)
     for i, lab in enumerate(labs):
-        g = (table @ x).ravel().take(rows + lab * (group * b))
+        g = _gemm(table, x).ravel().take(rows + lab * (group * b))
         val[i], x = g[0], g[1:]
     return val, x
 
@@ -222,7 +258,7 @@ def _measure_steps(table, x, labs, u, width, last, floor, floored, c0, k0):
     rows = np.arange(group)[:, None] * b + col
     val = np.empty(labs.shape, dtype=np.intp)
     for i, lab in enumerate(labs):
-        y = (table @ x).ravel()
+        y = _gemm(table, x).ravel()
         p = y.take(p_rows + lab * (width * group * b))
         cum = _running_sum(p)
         p_min = p.min()
@@ -242,6 +278,16 @@ def _measure_steps(table, x, labs, u, width, last, floor, floored, c0, k0):
         g = y.take(rows + j * (group * b))
         x = g[1:] / g[0]
     return val, x
+
+
+def _gemm(table, x):
+    """``table @ x`` by a matrix-matrix product, whatever the chunk width:
+    numpy takes a single column by a matrix-vector product, whose sums may
+    round otherwise, so a chunk of one trajectory is stepped beside a copy
+    of itself."""
+    if x.shape[1] > 1:
+        return table @ x
+    return (table @ np.repeat(x, 2, axis=1))[:, :1]
 
 
 def _running_sum(p: np.ndarray) -> np.ndarray:
@@ -265,7 +311,8 @@ def _check_law(p, total, k: int, c0: int):
     r = bad[0]
     raise NumericalCorruption(
         f"outcome law defective at step {k} of trajectory {c0 + r} "
-        f"(sum error {defect[r]:.3e}, min {p[:, r].min():.3e})")
+        f"(sum error {defect[r]:.3e}, min {p[:, r].min():.3e})",
+        step=k, trajectory=c0 + r)
 
 
 def _floor(p, floor: float, cum, floored, c0: int):
@@ -284,8 +331,13 @@ def _floor(p, floor: float, cum, floored, c0: int):
 
 def _add_in_step_order(total, block):
     """total + block[0] + block[1] + ..., added left to right so the sums
-    keep the bits of a step-by-step accumulation."""
-    return np.add.reduce(np.vstack([total, block]), axis=0)
+    keep the bits of a step-by-step accumulation.  A reduction along a
+    contiguous axis (one trajectory) would add pairwise, so a chunk of one
+    trajectory is accumulated."""
+    stack = np.vstack([total, block])
+    if stack.shape[1] == 1:
+        return np.add.accumulate(stack, axis=0)[-1]
+    return np.add.reduce(stack, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -316,14 +368,16 @@ def ergodic_average(model: MrisModel, x: extended.ExtendedObservable,
     uh = _hermitian_basis(model.dim_sys).conj().T
     table = _step_table(_real(herm.reshape(len(blocks), 1, -1) @ uh, "observable blocks"),
                         extended._real_superops(model)[:, None])
-    acc = np.zeros(cfg.n_traj)
+    ranges = _ranges(cfg)
+    acc = _zeros((cfg.n_traj,), np.float64, len(ranges) > 1)
+    stepper = _stepper(model, cfg, table, 1)
 
     def run_range(t0, t1):
-        for c0, _, _, val in _step_blocks(model, cfg, t0, t1, table, 1):
+        for c0, _, _, val in stepper(t0, t1):
             c1 = c0 + val.shape[1]
             acc[c0:c1] = _add_in_step_order(acc[c0:c1], val)
 
-    _run_threaded(run_range, cfg)
+    _split(run_range, ranges, cfg.chunk)
     per_traj = acc / cfg.n_steps
     mean = math.fsum(per_traj) / cfg.n_traj
     if cfg.n_traj > 1:
@@ -335,21 +389,101 @@ def ergodic_average(model: MrisModel, x: extended.ExtendedObservable,
                            n_steps=cfg.n_steps, per_traj=per_traj)
 
 
-def _run_threaded(run_range, cfg: TrajectoryConfig):
-    """Split [0, n_traj) into contiguous ranges, one per thread.  Every write
-    lands at a trajectory-indexed slot, so the result does not depend on the
-    split."""
-    if cfg.n_threads == 1:
-        run_range(0, cfg.n_traj)
-        return
-    from concurrent.futures import ThreadPoolExecutor
+# ---------------------------------------------------------------------------
+# splitting a sampler call over processes
+# ---------------------------------------------------------------------------
 
-    bounds = np.linspace(0, cfg.n_traj, cfg.n_threads + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=cfg.n_threads) as pool:
-        futures = [pool.submit(run_range, int(a), int(b))
-                   for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        for f in futures:
-            f.result()
+def _ranges(cfg: TrajectoryConfig) -> list:
+    """The contiguous trajectory ranges [t0, t1) a sampler call is split
+    into: one per usable core, capped by cfg.n_threads and n_traj, where
+    the call has at least ``_SPLIT_WORK`` trajectory-steps (a fork and reap
+    costs a few milliseconds), a fork is safe, and the modeled step time of
+    the slowest range (see ``_step_cost``) is at most ``_SPLIT_GAIN`` times
+    that of one process (two busy processes each run slower); else
+    [0, n_traj) alone.  The ranges are cut evenly, or at the nearest chunk
+    boundaries where that models faster."""
+    n, c = cfg.n_traj, cfg.chunk
+    k = 1
+    if cfg.n_threads != 1 and n * cfg.n_steps >= _SPLIT_WORK and _fork_is_safe():
+        k = min(len(os.sched_getaffinity(0)), cfg.n_threads or n, n)
+    even = [i * n // k for i in range(k + 1)]
+    grid = [0] + [min(n, round(b / c) * c) for b in even[1:-1]] + [n]
+    cuts = min([b for b in (even, grid) if len(set(b)) == k + 1],
+               key=lambda b: _step_cost(b, c))
+    if _step_cost(cuts, c) > _SPLIT_GAIN * _step_cost([0, n], c):
+        cuts = [0, n]
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def _step_cost(cuts, chunk: int) -> int:
+    """The modeled time of one step of the slowest of the ranges between
+    ``cuts``, in trajectories: each chunk piece a range steps costs
+    ``_PIECE_COST`` plus its width."""
+    return max(_PIECE_COST * (-(-t1 // chunk) - t0 // chunk) + t1 - t0
+               for t0, t1 in zip(cuts[:-1], cuts[1:]))
+
+
+def _fork_is_safe() -> bool:
+    """On Linux, with no other Python thread, and, where os.fork warns of
+    any other OS thread (Python >= 3.12; a BLAS pool's too), with none."""
+    if not sys.platform.startswith("linux") or threading.active_count() > 1:
+        return False
+    return sys.version_info < (3, 12) or len(os.listdir("/proc/self/task")) == 1
+
+
+def _zeros(shape: tuple, dtype, shared: bool) -> np.ndarray:
+    """Zeros of ``shape``, in an anonymous shared mapping when ``shared``, so
+    that forked workers write into the caller's array in place."""
+    if not shared:
+        return np.zeros(shape, dtype)
+    from .workers import shared_zeros
+
+    return shared_zeros(shape, dtype)
+
+
+def _split(run_range, ranges, chunk: int):
+    """Run ``run_range(t0, t1)`` over each of ``ranges``: the first in this
+    process, each other in a forked worker (see ``workers.Worker``).  Every
+    write lands at a trajectory-indexed slot of a shared output, so the
+    results are those of one process.
+
+    So is a failure.  Each range stops at its first, and the one with the
+    smallest (chunk, step, trajectory) is raised, as one process stepping
+    the chunks in order would raise it; a failure that names no step (a
+    worker killed, say) comes first.  If this process's own range fails,
+    the workers are killed and the rest of its failing chunk, which later
+    ranges hold, is stepped here.  Every worker is reaped on every path,
+    and killed first if this process is interrupted."""
+    if len(ranges) == 1:
+        run_range(*ranges[0])
+        return
+    from . import workers
+
+    started = []
+    try:
+        workers.start(run_range, ranges[1:], started)
+        try:
+            run_range(*ranges[0])
+        except NumericalCorruption as exc:
+            for worker in started:
+                worker.stop()
+            failures = [exc]
+            end = min(exc.trajectory // chunk * chunk + chunk, ranges[-1][1])
+            if ranges[0][1] < end:
+                try:
+                    run_range(ranges[0][1], end)
+                except NumericalCorruption as rest:
+                    failures.append(rest)
+        else:
+            failures = [worker.result() for worker in started]
+    finally:
+        for worker in started:
+            worker.stop()
+    failures = [f for f in failures if f is not None]
+    if failures:
+        raise min(failures, key=lambda f: (
+            (f.trajectory // chunk, f.step, f.trajectory)
+            if isinstance(f, NumericalCorruption) else (-1, 0, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -394,16 +528,18 @@ def sample_entropy_process(model: MrisModel, cfg: TrajectoryConfig) -> EntropySa
     table = _entropy_step_table(model)
     width, m = deltas.shape[1], model.chain.n
     deltas = deltas.ravel()
-    svec = np.zeros((m, cfg.n_traj))
+    ranges = _ranges(cfg)
+    shared = len(ranges) > 1
+    svec = _zeros((m, cfg.n_traj), np.float64, shared)
     increments = step_labels = None
     if cfg.keep_increments:
-        increments = np.zeros((cfg.n_traj, cfg.n_steps))
-        step_labels = np.zeros((cfg.n_traj, cfg.n_steps), dtype=_label_dtype(m))
-    floored_counts = np.zeros(cfg.n_traj, dtype=np.int64)
+        increments = _zeros((cfg.n_traj, cfg.n_steps), np.float64, shared)
+        step_labels = _zeros((cfg.n_traj, cfg.n_steps), _label_dtype(m), shared)
+    floored_counts = _zeros((cfg.n_traj,), np.int64, shared)
+    stepper = _stepper(model, cfg, table, width, n_out, floored_counts)
 
     def run_range(t0, t1):
-        for c0, k0, lab, j in _step_blocks(model, cfg, t0, t1, table, width,
-                                           n_out, floored_counts):
+        for c0, k0, lab, j in stepper(t0, t1):
             c1, k1 = c0 + j.shape[1], k0 - 1 + j.shape[0]
             dlt = deltas.take(j)
             # steps of other labels add +0.0, which leaves every bit alone
@@ -414,7 +550,7 @@ def sample_entropy_process(model: MrisModel, cfg: TrajectoryConfig) -> EntropySa
                 increments[c0:c1, k0 - 1:k1] = dlt.T
                 step_labels[c0:c1, k0 - 1:k1] = lab.T
 
-    _run_threaded(run_range, cfg)
+    _split(run_range, ranges, cfg.chunk)
     return EntropySample(labels=model.labels, config=cfg,
                          svec=np.ascontiguousarray(svec.T),
                          floored=int(floored_counts.sum()),
@@ -444,16 +580,25 @@ class ExactDistribution:
 
         Atoms of probability exactly zero are left out of the sum: they may
         carry increments that no possible branch reaches, whose weights
-        overflow.  Raises TrajectoryError naming alpha where the sum
+        overflow.  Where a weight overflows but the sum does not, the sum is
+        taken with the largest exponent factored out; every other result is
+        the plain sum.  Raises TrajectoryError naming alpha where the sum
         overflows."""
         alpha = extended._tilt_vector(len(self.labels), alpha, TrajectoryError)
+        atoms = self.probs != 0.0
+        probs = self.probs[atoms]
         with np.errstate(over="ignore", invalid="ignore"):
-            terms = (self.probs * np.exp(-self.svecs @ alpha))[self.probs != 0.0]
-        if np.isfinite(terms).all():
+            x = -self.svecs[atoms] @ alpha
+            terms = probs * np.exp(x)
             try:
-                return math.fsum(terms)
+                if np.isfinite(terms).all():
+                    return math.fsum(terms)
+                top = x.max()
+                value = math.exp(top + math.log(math.fsum(probs * np.exp(x - top))))
             except OverflowError:       # the exact sum is past the float range
-                pass
+                value = math.inf
+        if math.isfinite(value):
+            return value
         raise TrajectoryError(
             f"E[exp(-alpha . S)] overflows at alpha={alpha}")
 

@@ -52,6 +52,19 @@ def console_scripts(tmp_path_factory):
         yield
 
 
+@pytest.fixture(scope="session", autouse=True)
+def no_child_process_left():
+    """Fail the run if any child process is left at its end, running or
+    not yet reaped: the samplers' workers must not outlive their call."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"child process {pid} was left unreaped" if pid
+                else "a child process is still running")
+
+
 @pytest.fixture(scope="session")
 def canonical():
     """Two-temperature qubit workhorse (hot/cold probes, mixing chain)."""

@@ -305,12 +305,18 @@ def test_cli_classify_and_ess(capsys):
 
 
 def test_cli_simulate_deterministic_across_threads(capsys, tmp_path):
-    argv = ["simulate", "--model", TWO_TEMP, "--steps", "200", "--traj", "60",
+    """204,800 trajectory-steps: by default the run is split over every
+    usable core (on a host with two or more, where a fork is safe), and its
+    totals are those of one process, at any chunk size."""
+    argv = ["simulate", "--model", TWO_TEMP, "--steps", "200", "--traj", "1024",
             "--seed", "7", "--stationary"]
-    a, b = str(tmp_path / "a"), str(tmp_path / "b")
-    assert cli.main(argv + ["--out", a]) == 0
-    assert cli.main(argv + ["--out", b, "--threads", "4", "--chunk", "17"]) == 0
+    a, b, c = (str(tmp_path / x) for x in "abc")
+    assert cli.main(argv + ["--out", a, "--threads", "1"]) == 0
+    assert cli.main(argv + ["--out", b]) == 0
+    assert cli.main(argv + ["--out", c, "--chunk", "17"]) == 0
     assert Path(a + ".csv").read_bytes() == Path(b + ".csv").read_bytes()
+    assert Path(a + ".csv").read_bytes() == Path(c + ".csv").read_bytes()
+    assert json.loads(Path(b + ".json").read_text())["params"]["threads"] is None
 
 
 def test_cli_cumulant_outputs(capsys, tmp_path):
@@ -446,7 +452,7 @@ def test_console_script_entry_point():
 # scipy or a JSON-Schema validator.
 _NEVER = ("scipy", "jsonschema", "referencing", "attrs", "attr")
 _SAMPLER = ("mris.trajectories", "numpy.random")
-_POOL = ("concurrent.futures",)
+_POOL = ("concurrent.futures", "mris.workers", "mmap")
 _MODEL_ONLY = _SAMPLER + _POOL + ("mris.fluctuations", "mris.adiabatic")
 FOOTPRINTS = {
     "import": (None, (), ("mris.",)),

@@ -1,6 +1,8 @@
 import hashlib
 import math
+import os
 import re
+import signal
 import tracemalloc
 from pathlib import Path
 
@@ -15,11 +17,36 @@ from mris.tolerances import DEFAULT
 from mris.trajectories import TrajectoryConfig
 
 
+@pytest.fixture
+def forced_split(monkeypatch):
+    """Split every sampler call with a worker cap: no work threshold, no
+    modeled-gain bound, eight usable cores.  Returns the ranges of each
+    call; where this process may not fork, every call keeps one."""
+    monkeypatch.setattr(trajectories, "_SPLIT_WORK", 0)
+    monkeypatch.setattr(trajectories, "_SPLIT_GAIN", math.inf)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
+                        raising=False)
+    calls = []
+    ranges = trajectories._ranges
+    monkeypatch.setattr(trajectories, "_ranges",
+                        lambda cfg: calls.append(ranges(cfg)) or calls[-1])
+    return calls
+
+
+def _split_into(calls, n_threads):
+    """The last call was split into n_threads ranges, where a fork is safe."""
+    want = n_threads if trajectories._fork_is_safe() else 1
+    assert len(calls[-1]) == want
+
+
 def test_trajectory_config_validation():
     with pytest.raises(trajectories.TrajectoryError):
         TrajectoryConfig(n_steps=0, n_traj=1, seed=0)
     with pytest.raises(trajectories.TrajectoryError):
         TrajectoryConfig(n_steps=1, n_traj=1, seed=0, chunk=0)
+    for bad in (0, 2.5, True):
+        with pytest.raises(trajectories.TrajectoryError, match="n_threads"):
+            TrajectoryConfig(n_steps=1, n_traj=1, seed=0, n_threads=bad)
     with pytest.raises(trajectories.TrajectoryError):
         TrajectoryConfig(n_steps=1, n_traj=1, seed=0, initial="blah")
 
@@ -118,15 +145,57 @@ def test_enumeration_word_bookkeeping(canonical):
 # the sampling engine
 # ---------------------------------------------------------------------------
 
-def test_sampler_bitwise_deterministic_across_chunks_and_threads(canonical):
-    base = TrajectoryConfig(n_steps=60, n_traj=45, seed=99)
+# (chunk, worker cap) pairs for a forced split; chunk 1 steps one trajectory
+SPLITS = ((7, 1), (1, 1), (512, 3), (11, 4), (7, 2), (512, 2), (7, 3), (1, 3))
+
+
+def test_sampler_bitwise_deterministic_across_chunks_and_threads(canonical,
+                                                                 forced_split):
+    base = TrajectoryConfig(n_steps=60, n_traj=45, seed=99, n_threads=1)
     ref = trajectories.sample_entropy_process(canonical, base)
-    for chunk, threads in ((7, 1), (512, 3), (11, 4)):
+    for chunk, threads in SPLITS:
         cfg = TrajectoryConfig(n_steps=60, n_traj=45, seed=99,
                                chunk=chunk, n_threads=threads)
         got = trajectories.sample_entropy_process(canonical, cfg)
+        _split_into(forced_split, threads)
         assert np.array_equal(got.svec, ref.svec)
         assert got.floored == ref.floored
+
+
+def test_split_ranges_cut_on_the_chunk_grid_where_that_models_faster(
+        monkeypatch):
+    """Two ranges of a 1000-trajectory call at chunk 512 are cut at 512 (one
+    chunk piece each, not one and two); at 1500 the even cut leaves two
+    pieces a side, where the nearest chunk boundary, 512, would leave 988
+    trajectories in two pieces on one side."""
+    monkeypatch.setattr(trajectories, "_fork_is_safe", lambda: True)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+
+    def ranges(n_steps, n_traj, **kw):
+        return trajectories._ranges(
+            TrajectoryConfig(n_steps=n_steps, n_traj=n_traj, seed=0, **kw))
+    assert ranges(1000, 1000) == [(0, 512), (512, 1000)]
+    assert ranges(1000, 1500) == [(0, 750), (750, 1500)]
+    assert ranges(5000, 512) == [(0, 256), (256, 512)]
+    assert ranges(1000, 1000, n_threads=1) == [(0, 1000)]
+    # below the work threshold, and where the modeled gain is too small: the
+    # per-step overhead of a chunk piece dwarfs the step of 16 trajectories
+    assert ranges(100, 1000) == [(0, 1000)]
+    assert ranges(8192, 16) == [(0, 16)]
+
+
+def test_a_range_is_stepped_in_chunks_on_the_global_grid(canonical):
+    """A range that starts inside a chunk steps up to the next multiple of
+    the chunk size first, so no piece straddles two chunks of an unsplit
+    run, and a range's first failure is that of its chunks in order."""
+    _, _, deltas, n_out = canonical.outcome_table
+    cfg = TrajectoryConfig(n_steps=3, n_traj=40, seed=0, chunk=7)
+    blocks = trajectories._stepper(
+        canonical, cfg, trajectories._entropy_step_table(canonical),
+        deltas.shape[1], n_out, np.zeros(40, np.int64))
+    pieces = [(c0, j.shape[1]) for c0, _, _, j in blocks(10, 30)]
+    assert pieces == [(10, 4), (14, 7), (21, 7), (28, 2)]
 
 
 def test_sampler_reproduces_exact_law(canonical):
@@ -250,10 +319,11 @@ def test_decoupled_model_exchanges_nothing(decoupled):
     ("cold", "negative", 7, "step 3 of trajectory 5"),
 ])
 def test_corruption_names_the_first_bad_step_and_trajectory(label, fault, chunk,
-                                                            where):
+                                                            where, forced_split):
     """Chunks are stepped one after another, so the error names the first
     bad step of the first chunk that has one, and its first bad trajectory
-    (positions frozen from the complex vec(rho) kernel)."""
+    (positions frozen from the complex vec(rho) kernel).  A split raises
+    the one-process error, message and all."""
     m = fixtures.two_temperature_qubit()
     entry = m.unravelings[label]
     ops = entry._prob_ops * (np.nan if fault == "nan" else 1.0)
@@ -262,10 +332,69 @@ def test_corruption_names_the_first_bad_step_and_trajectory(label, fault, chunk,
         ops[1] -= 0.05 * np.eye(2)
         ops[2] += 0.05 * np.eye(2)
     entry._prob_ops = ops
-    with pytest.raises(trajectories.NumericalCorruption,
-                       match=f"outcome law defective at {where} "):
+    messages = []
+    for threads in (1, 2, 3):
+        with pytest.raises(trajectories.NumericalCorruption,
+                           match=f"outcome law defective at {where} ") as err:
+            trajectories.sample_entropy_process(
+                m, TrajectoryConfig(n_steps=30, n_traj=20, seed=5, chunk=chunk,
+                                    n_threads=threads))
+        _split_into(forced_split, threads)
+        messages.append(str(err.value))
+    assert messages == messages[:1] * 3
+
+
+@pytest.mark.parametrize("fails", [RuntimeError, KeyboardInterrupt])
+def test_a_failing_caller_range_leaves_no_worker(forced_split, monkeypatch,
+                                                 canonical, fails):
+    """The workers are forked before the caller steps its own range; when
+    that raises, or is interrupted, they are killed and reaped."""
+    caller, path_stream = os.getpid(), trajectories.path_stream
+
+    def failing(key):
+        if os.getpid() == caller:
+            raise fails("caller range")
+        return path_stream(key)
+
+    monkeypatch.setattr(trajectories, "path_stream", failing)
+    with pytest.raises(fails, match="caller range"):
         trajectories.sample_entropy_process(
-            m, TrajectoryConfig(n_steps=30, n_traj=20, seed=5, chunk=chunk))
+            canonical, TrajectoryConfig(n_steps=2000, n_traj=64, seed=1,
+                                        n_threads=3))
+    _split_into(forced_split, 3)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("how,error", [
+    ("raise", r"ValueError\('worker range'\)"),
+    ("kill", r"sampler worker for trajectories \[\d+, \d+\) ended with "
+             rf"exit code -{int(signal.SIGKILL)}"),
+])
+def test_a_failing_worker_is_raised(forced_split, monkeypatch, canonical, how,
+                                    error):
+    """A worker's own failure comes back as it was raised; a worker that
+    dies without a word is an error too, never a sample with holes."""
+    if not trajectories._fork_is_safe():
+        pytest.skip("this process may not fork")
+    caller, path_stream = os.getpid(), trajectories.path_stream
+
+    def failing(key):
+        if os.getpid() != caller:
+            if how == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise ValueError("worker range")
+        return path_stream(key)
+
+    monkeypatch.setattr(trajectories, "path_stream", failing)
+    with pytest.raises((ValueError, RuntimeError)) as err:
+        trajectories.ergodic_average(
+            canonical, models.flux_extended(canonical, "hot"),
+            TrajectoryConfig(n_steps=20, n_traj=64, seed=1, n_threads=2))
+    assert re.fullmatch(error, repr(err.value) if how == "raise"
+                        else str(err.value))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_non_hermiticity_preserving_map_is_an_error_not_dropped():
@@ -378,22 +507,32 @@ FROZEN_SVEC = {
 }
 
 
-@pytest.mark.parametrize("chunk", [7, 512])
+# (chunk, worker cap) under a forced split; the ids of one process are the chunk
+FROZEN_SPLITS = pytest.mark.parametrize("chunk,n_threads", [
+    pytest.param(c, n, id=str(c) if n == 1 else f"{c}-cap{n}")
+    for c, n in ((7, 1), (512, 1), (1, 1), (7, 2), (7, 3), (512, 2), (512, 3))])
+
+
+@FROZEN_SPLITS
 @pytest.mark.parametrize("name,initial", sorted(FROZEN_SVEC))
-def test_sampler_matches_frozen_kernel_bitwise(name, initial, chunk):
+def test_sampler_matches_frozen_kernel_bitwise(name, initial, chunk, n_threads,
+                                               forced_split):
     sample = trajectories.sample_entropy_process(
         FROZEN_MODELS[name](),
         TrajectoryConfig(n_steps=150, n_traj=40, seed=31, initial=initial,
-                         chunk=chunk))
+                         chunk=chunk, n_threads=n_threads))
+    _split_into(forced_split, n_threads)
     assert (_digest(sample.svec), sample.floored) == FROZEN_SVEC[name, initial]
 
 
-@pytest.mark.parametrize("chunk", [7, 512])
-def test_kept_increments_match_frozen_kernel_bitwise(chunk):
+@FROZEN_SPLITS
+def test_kept_increments_match_frozen_kernel_bitwise(chunk, n_threads,
+                                                     forced_split):
     sample = trajectories.sample_entropy_process(
         FROZEN_MODELS["random7"](),
         TrajectoryConfig(n_steps=120, n_traj=30, seed=5, initial="stationary",
-                         chunk=chunk, keep_increments=True))
+                         chunk=chunk, keep_increments=True, n_threads=n_threads))
+    _split_into(forced_split, n_threads)
     got = [_digest(a) for a in (sample.svec, sample.increments, sample.step_labels)]
     assert got == ["82a9a5eedddcbb98", "134b01f7927c7600", "14db956e74aa632e"]
     assert sample.floored == 0
@@ -434,14 +573,16 @@ def test_ergodic_average_hits_steady_expectation(canonical):
     assert abs(est.mean - exact) < 4 * est.stderr
 
 
-def test_ergodic_average_bitwise_deterministic_across_chunks_and_threads(canonical):
+def test_ergodic_average_bitwise_deterministic_across_chunks_and_threads(
+        canonical, forced_split):
     x = models.flux_extended(canonical, "hot")
-    base = TrajectoryConfig(n_steps=60, n_traj=45, seed=99)
+    base = TrajectoryConfig(n_steps=60, n_traj=45, seed=99, n_threads=1)
     ref = trajectories.ergodic_average(canonical, x, base)
-    for chunk, threads in ((7, 1), (512, 3), (11, 4)):
+    for chunk, threads in SPLITS:
         cfg = TrajectoryConfig(n_steps=60, n_traj=45, seed=99,
                                chunk=chunk, n_threads=threads)
         got = trajectories.ergodic_average(canonical, x, cfg)
+        _split_into(forced_split, threads)
         assert np.array_equal(got.per_traj, ref.per_traj)
 
 
@@ -715,13 +856,16 @@ def test_deformed_expectation_leaves_out_exact_zero_atoms():
     dist = trajectories.enumerate_full_statistics(fixtures.two_temperature_qubit(), 3)
     atoms = dist.probs != 0.0
     assert (~atoms).sum() == 144
-    x = -dist.svecs[atoms] @ np.array([0.0, -150.0])
-    top = x.max()
-    log_ref = top + math.log(math.fsum(dist.probs[atoms] * np.exp(x - top)))
-    got = dist.deformed_expectation([0.0, -150.0])
-    assert math.isfinite(got)
-    assert abs(math.log(got) - log_ref) <= 1e-13 * log_ref
-    assert abs(log_ref - 590.36117359494) < 1e-9
+    # at -178 a possible branch's weight e^712 overflows too, but the
+    # expectation, e^702.36, does not
+    for cold, log_e in ((-150.0, 590.36117359494), (-178.0, 702.36117359494)):
+        x = -dist.svecs[atoms] @ np.array([0.0, cold])
+        top = x.max()
+        log_ref = top + math.log(math.fsum(dist.probs[atoms] * np.exp(x - top)))
+        got = dist.deformed_expectation([0.0, cold])
+        assert math.isfinite(got)
+        assert abs(math.log(got) - log_ref) <= 1e-13 * log_ref
+        assert abs(log_ref - log_e) < 1e-9
     alpha = np.array([0.4, -0.3])
     assert dist.deformed_expectation(alpha) == math.fsum(
         dist.probs * np.exp(-dist.svecs @ alpha))
