@@ -13,7 +13,11 @@ drawn image.  The exact enumeration runs in the same coordinates, on the
 same outcome table.
 Uniforms are streamed in blocks of ``_BLOCK`` steps per trajectory, so
 memory does not grow with the number of steps; labels, increments and
-totals are handled block by block and summed in step order.
+totals are handled block by block and summed in step order.  The index
+work that depends on a block's labels alone is formed once per block, the
+takes gather into buffers of the block, and an outcome law's totals are
+checked once per block (its smallest entry at its step; see
+``_measure_steps``).
 
 RNG contract (stable across versions, chunk sizes, and worker counts): each
 trajectory t uses its own ``numpy.random.Generator(Philox(key=seed + t))``
@@ -22,8 +26,10 @@ stream.  The first ``n + 1`` uniforms of the stream drive the probe path
 measurement outcomes (read through ``chains.outcome_stream``, the same stream
 advanced past the path draws).  Every categorical draw maps a uniform u
 through the same inverse-CDF arithmetic ``(u > cumsum(p)).sum()``, clipped to
-the last index.  Results are therefore bitwise identical however
-trajectories are batched or split across processes.
+the last index (the count over every cumulative entry but the last, which
+is the same where the entries are nondecreasing).  Results are therefore
+bitwise identical however trajectories are batched or split across
+processes.
 
 A sampler call large enough to pay for a fork (see ``_ranges``) is split into
 one contiguous range of trajectories per usable core (see ``_split``): the
@@ -89,6 +95,12 @@ class TrajectoryConfig:
     keep_increments: bool = False
 
     def __post_init__(self):
+        for name in ("n_steps", "n_traj", "seed", "chunk"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise TrajectoryError(f"{name} must be an integer, got {value!r}")
+            # held as a Python int, so that the keys seed + t are exact
+            object.__setattr__(self, name, int(value))
         if self.n_steps < 1 or self.n_traj < 1:
             raise TrajectoryError("n_steps and n_traj must be positive")
         if not 0 <= self.seed <= 2 ** 128 - self.n_traj:
@@ -194,7 +206,12 @@ def _stepper(model: MrisModel, cfg: TrajectoryConfig, table, width: int,
     bank = _real(_hermitian_basis(model.dim_sys)
                  @ np.stack([vec(rho0[l]) for l in model.labels], axis=1),
                  "initial states", model.tol.herm)
-    last = None if n_out is None else n_out - 1
+    if n_out is not None:
+        floor = model.tol.prob_floor
+        if not floor >= 0.0:
+            raise TrajectoryError(f"prob_floor must be >= 0, got {floor!r}")
+        # a padded label's draw is clipped to its own outcomes
+        last = n_out - 1 if n_out.min() < width else None
 
     def blocks(t0, t1):
         for g0 in range(t0 - t0 % cfg.chunk, t1, cfg.chunk):
@@ -214,69 +231,122 @@ def _stepper(model: MrisModel, cfg: TrajectoryConfig, table, width: int,
                     val, x = _observe_steps(table, x, labs)
                 else:
                     val, x = _measure_steps(table, x, labs, _uniforms(outs, steps),
-                                            width, last, model.tol.prob_floor,
-                                            floored, c0, k0)
+                                            width, last, floor, floored, c0, k0)
                 yield c0, k0, labs, val
     return blocks
 
 
 def _label_path(cum_rows, lab, u):
     """Labels w_k (L, B) of a block of steps, from the labels entering it and
-    the path uniforms u (L, B); cum_rows[j, w] is the cumulative row w of P."""
-    m = cum_rows.shape[0]
+    the path uniforms u (L, B); cum_rows[j, w] is the cumulative row w of P.
+    A label counts the cumulative entries below its uniform over every row
+    but the last: a row's entries are nondecreasing, so that count is the
+    count over all of them clipped to the last label."""
+    rows = cum_rows[:-1]
     labs = np.empty(u.shape, dtype=np.intp)
-    for i, row in enumerate(u):
-        lab = np.minimum((row > cum_rows.take(lab, axis=1)).sum(axis=0), m - 1,
-                         out=labs[i])
+    at = np.empty((rows.shape[0], u.shape[1]))
+    below = np.empty(at.shape, dtype=bool)
+    for row, out in zip(u, labs):
+        lab = np.greater(row, rows.take(lab, axis=1, out=at, mode="clip"),
+                         out=below).sum(axis=0, out=out)
     return labs
 
 
 def _observe_steps(table, x, labs):
     """Ergodic steps over a block: the functional of w_k at the state entering
     step k, (L, B), and the states after the block (the images under the
-    channels of w_k, see ``_step_table``)."""
+    channels of w_k, see ``_step_table``).  Each label's row offset into
+    ``table @ x`` is formed once per block."""
     group, b = x.shape[0] + 1, x.shape[1]
     rows = np.arange(group)[:, None] * b + np.arange(b)
+    offset = labs * (group * b)
     val = np.empty(labs.shape)
-    for i, lab in enumerate(labs):
-        g = _gemm(table, x).ravel().take(rows + lab * (group * b))
+    g, at = np.empty((group, b)), np.empty((group, b), dtype=np.intp)
+    for i in range(len(labs)):
+        _gemm(table, x).ravel().take(np.add(rows, offset[i], out=at), out=g,
+                                     mode="clip")
         val[i], x = g[0], g[1:]
     return val, x
 
 
 def _measure_steps(table, x, labs, u, width, last, floor, floored, c0, k0):
     """Two-time measurement steps over a block.  The functionals of w_k are
-    the outcome probabilities p; each step checks the law, draws xi with the
-    outcome uniforms u (L, B), leaving outcomes below the probability floor
+    the outcome probabilities p.  Each step draws xi with the outcome
+    uniforms u (L, B), leaving outcomes below the probability floor (>= 0)
     out of the draw (counted per trajectory in ``floored``), and moves the
     state to image (w_k, xi) divided by the raw p of xi, so its trace stays
     one.  Returns the flat outcome indices w_k * width + xi (L, B) and the
-    states after the block."""
+    states after the block.
+
+    Every law is checked as ``_check_law`` checks it, and the first defect
+    in step order is raised, with the step and trajectory a check of each
+    law at its step would name.  The smallest entry is checked at its step
+    (the floor test needs it anyway), so a NaN or a negative entry stops
+    the block there; the totals, which every step records, are checked once
+    per block (see ``_check_totals``).  Steps after a defective total run
+    on until that check, under np.errstate, so that no warning escapes
+    before it.
+
+    What depends on the labels alone is formed once per block: the flat
+    outcome index w_k * width, its row offset into ``table @ x`` and the
+    clip ``last`` (n_out - 1 per label, None where no label is padded).  A
+    draw counts the running sums below its uniform over every row but the
+    last: a floor >= 0 leaves every negative entry out of the draw, so the
+    sums drawn from are nondecreasing and that count is the count over all
+    of them clipped to the last outcome."""
     group, b = x.shape[0] + 1, x.shape[1]
     col = np.arange(b)
     p_rows = np.arange(width)[:, None] * (group * b) + col
     rows = np.arange(group)[:, None] * b + col
+    base = labs * width
+    offset = base * (group * b)
+    bound = None if last is None else last.take(labs)
     val = np.empty(labs.shape, dtype=np.intp)
-    for i, lab in enumerate(labs):
-        y = _gemm(table, x).ravel()
-        p = y.take(p_rows + lab * (width * group * b))
-        cum = _running_sum(p)
-        p_min = p.min()
-        # written so that a NaN law fails the check too
-        if not (cum[-1].max() <= 1.0 + 1e-8 and cum[-1].min() >= 1.0 - 1e-8
-                and p_min >= -1e-8):
-            _check_law(p, cum[-1], k0 + i, c0)
-        # the floor acts on nonzero probabilities only: the smallest of them
-        # is below it when more entries are below it than the exact zeros
-        # that are (a positive floor is above every zero)
-        if p_min < floor and (np.count_nonzero(p < floor)
-                              > np.count_nonzero(p == 0.0) * (floor > 0.0)):
-            cum = _floor(p, floor, cum, floored, c0)
-        xi = (u[i] > cum).sum(axis=0)
-        np.minimum(xi, last.take(lab), out=xi)
-        j = np.add(lab * width, xi, out=val[i])
-        g = y.take(rows + j * (group * b))
-        x = g[1:] / g[0]
+    totals = np.empty(labs.shape)
+    p, p_at = np.empty((width, b)), np.empty((width, b), dtype=np.intp)
+    g, g_at = np.empty((group, b)), np.empty((group, b), dtype=np.intp)
+    image, norm, state = g[1:], g[0], np.empty((group - 1, b))
+    below = np.empty((width - 1, b), dtype=bool)
+    xi, j_rows = np.empty(b, dtype=np.intp), np.empty(b, dtype=np.intp)
+    # the running sums overwrite p in place; the last is the law's total
+    sums, cum = list(zip(p[:-1], p[1:])), p[:-1]
+    x0 = x
+
+    def law(s):
+        # the law of step s, from the block's entering states stepped again
+        # with the same labels and uniforms, outside the floored counts
+        x = x0
+        if s:
+            _, x = _measure_steps(table, x0, labs[:s], u[:s], width, last,
+                                  floor, np.zeros(b, np.int64), 0, k0)
+        return _gemm(table, x).ravel().take(p_rows + offset[s])
+
+    with np.errstate(all="ignore"):
+        for i in range(len(labs)):
+            y = _gemm(table, x).ravel()
+            y.take(np.add(p_rows, offset[i], out=p_at), out=p, mode="clip")
+            p_min = p.min()
+            if not p_min >= -1e-8:          # written so that a NaN fails too
+                _check_totals(totals[:i], law, k0, c0)
+                _check_law(p, np.cumsum(p, axis=0)[-1], k0 + i, c0)
+            # the floor acts on nonzero probabilities only: the smallest of
+            # them is below it when more entries are below it than the exact
+            # zeros that are (a positive floor is above every zero)
+            drawn = cum
+            if p_min < floor and (np.count_nonzero(p < floor)
+                                  > np.count_nonzero(p == 0.0) * (floor > 0.0)):
+                drawn = _floor(p, floor, floored, c0)[:-1]
+            for prev, row in sums:
+                np.add(prev, row, out=row)
+            totals[i] = p[-1]
+            np.greater(u[i], drawn, out=below).sum(axis=0, out=xi)
+            if bound is not None:
+                np.minimum(xi, bound[i], out=xi)
+            j = np.add(base[i], xi, out=val[i])
+            y.take(np.add(rows, np.multiply(j, group * b, out=j_rows), out=g_at),
+                   out=g, mode="clip")
+            x = np.divide(image, norm, out=state)
+        _check_totals(totals, law, k0, c0)
     return val, x
 
 
@@ -290,14 +360,17 @@ def _gemm(table, x):
     return (table @ np.repeat(x, 2, axis=1))[:, :1]
 
 
-def _running_sum(p: np.ndarray) -> np.ndarray:
-    """``np.cumsum(p, axis=0)``, bit for bit, in a few row additions: cheaper
-    than the accumulate loop for the short outcome axis."""
-    cum = np.empty_like(p)
-    cum[0] = p[0]
-    for x in range(1, p.shape[0]):
-        np.add(cum[x - 1], p[x], out=cum[x])
-    return cum
+def _check_totals(totals, law, k0: int, c0: int):
+    """Raise for the first of the steps k0, k0 + 1, ... whose law totals, the
+    rows of ``totals`` (B each), include a defective one (see
+    ``_check_law``); ``law(s)`` recovers the law of step k0 + s for the
+    message."""
+    if not totals.size or (totals.max() <= 1.0 + 1e-8
+                           and totals.min() >= 1.0 - 1e-8):
+        return
+    for s, total in enumerate(totals):
+        if not (total.max() <= 1.0 + 1e-8 and total.min() >= 1.0 - 1e-8):
+            _check_law(law(s), total, k0 + s, c0)
 
 
 def _check_law(p, total, k: int, c0: int):
@@ -315,11 +388,12 @@ def _check_law(p, total, k: int, c0: int):
         step=k, trajectory=c0 + r)
 
 
-def _floor(p, floor: float, cum, floored, c0: int):
+def _floor(p, floor: float, floored, c0: int):
     """Leave outcomes below the floor out of the draw: count the nonzero ones
     per trajectory, renormalize the remaining law of every trajectory that
-    lost one, and return its running sum (``cum`` where nothing was lost).
-    Called only where some nonzero probability is below the floor."""
+    lost one, and return the running sum of the floored law of every
+    trajectory.  Called only where some entry of p, nonzero, is below the
+    floor."""
     small = (p < floor) & (p != 0.0)
     hit = small.any(axis=0)
     floored[c0 + np.nonzero(hit)[0]] += small[:, hit].sum(axis=0)

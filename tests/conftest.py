@@ -52,17 +52,35 @@ def console_scripts(tmp_path_factory):
         yield
 
 
+def _child_left():
+    """What a child process of this one is left as, running or not yet
+    reaped (reaping one), or None where there is none."""
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return None
+    return (f"child process {pid} was left unreaped" if pid
+            else "a child process is still running")
+
+
 @pytest.fixture(scope="session", autouse=True)
 def no_child_process_left():
     """Fail the run if any child process is left at its end, running or
     not yet reaped: the samplers' workers must not outlive their call."""
     yield
-    try:
-        pid, _ = os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return
-    pytest.fail(f"child process {pid} was left unreaped" if pid
-                else "a child process is still running")
+    left = _child_left()
+    if left:
+        pytest.fail(left)
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left_by_the_test():
+    """Fail the test after which a child process is left, so that a leak
+    names the test that made it."""
+    yield
+    left = _child_left()
+    if left:
+        pytest.fail(left)
 
 
 @pytest.fixture(scope="session")

@@ -49,6 +49,17 @@ def test_trajectory_config_validation():
             TrajectoryConfig(n_steps=1, n_traj=1, seed=0, n_threads=bad)
     with pytest.raises(trajectories.TrajectoryError):
         TrajectoryConfig(n_steps=1, n_traj=1, seed=0, initial="blah")
+    base = dict(n_steps=1, n_traj=1, seed=0)
+    for name in ("n_steps", "n_traj", "chunk", "seed"):
+        for bad in (2.5, 4.0, True, "3", None):
+            with pytest.raises(trajectories.TrajectoryError, match=re.escape(
+                    f"{name} must be an integer, got {bad!r}")):
+                TrajectoryConfig(**{**base, name: bad})
+    # numpy integers are integers, held as Python ints
+    cfg = TrajectoryConfig(n_steps=np.int32(3), n_traj=np.int64(2),
+                           seed=np.uint64(7), chunk=np.int16(5))
+    assert [(type(v), v) for v in (cfg.n_steps, cfg.n_traj, cfg.seed, cfg.chunk)] \
+        == [(int, 3), (int, 2), (int, 7), (int, 5)]
 
 
 def test_seed_must_key_every_trajectory(canonical):
@@ -290,9 +301,9 @@ def test_floor_is_called_only_where_a_nonzero_probability_is_below_it(
     probability below the floor, and then floors one at least."""
     rounds = []
 
-    def floor_spy(p, floor_, cum, floored, c0):
+    def floor_spy(p, floor_, floored, c0):
         rounds.append(((p < floor_) & (p != 0.0)).any())
-        return original(p, floor_, cum, floored, c0)
+        return original(p, floor_, floored, c0)
 
     original = trajectories._floor
     monkeypatch.setattr(trajectories, "_floor", floor_spy)
@@ -305,6 +316,16 @@ def test_floor_is_called_only_where_a_nonzero_probability_is_below_it(
         assert rounds
 
 
+def test_entropy_sampler_needs_a_floor_of_zero_or_more():
+    """A draw leaves the last running sum out, which needs a law without
+    negative entries: a floor >= 0 leaves every negative entry out."""
+    m = fixtures.two_temperature_qubit(tol=DEFAULT.replace(prob_floor=-1e-9))
+    with pytest.raises(trajectories.TrajectoryError,
+                       match=r"prob_floor must be >= 0, got -1e-09"):
+        trajectories.sample_entropy_process(
+            m, TrajectoryConfig(n_steps=5, n_traj=2, seed=0))
+
+
 def test_decoupled_model_exchanges_nothing(decoupled):
     sample = trajectories.sample_entropy_process(
         decoupled, TrajectoryConfig(n_steps=40, n_traj=12, seed=3))
@@ -312,36 +333,91 @@ def test_decoupled_model_exchanges_nothing(decoupled):
 
 
 @pytest.mark.parametrize("label,fault,chunk,where", [
-    ("hot", "nan", 512, "step 1 of trajectory 1"),
-    ("hot", "negative", 7, "step 3 of trajectory 1"),
-    ("hot", "negative", 512, "step 2 of trajectory 13"),
-    ("cold", "negative", 3, "step 8 of trajectory 0"),
-    ("cold", "negative", 7, "step 3 of trajectory 5"),
+    ("hot", "nan", 512, "step 1 of trajectory 1 (sum error nan, min nan)"),
+    ("hot", "negative", 7,
+     "step 3 of trajectory 1 (sum error 1.113e+00, min -1.056e-01)"),
+    ("hot", "negative", 512,
+     "step 2 of trajectory 13 (sum error 2.220e-16, min -5.000e-02)"),
+    ("cold", "negative", 3,
+     "step 8 of trajectory 0 (sum error 1.110e-16, min -6.841e-03)"),
+    ("cold", "negative", 7,
+     "step 3 of trajectory 5 (sum error 2.220e-16, min -5.000e-02)"),
+    ("hot", "sum", 3, "step 1 of trajectory 1 (sum error 1.000e-02, min 3.122e-02)"),
+    ("hot", "sum", 7, "step 1 of trajectory 1 (sum error 1.000e-02, min 3.122e-02)"),
+    ("hot", "sum", 512, "step 1 of trajectory 1 (sum error 1.000e-02, min 3.122e-02)"),
+    ("cold", "sum", 7, "step 1 of trajectory 0 (sum error 1.000e-02, min 1.384e-02)"),
 ])
 def test_corruption_names_the_first_bad_step_and_trajectory(label, fault, chunk,
                                                             where, forced_split):
     """Chunks are stepped one after another, so the error names the first
     bad step of the first chunk that has one, and its first bad trajectory
-    (positions frozen from the complex vec(rho) kernel).  A split raises
-    the one-process error, message and all."""
+    (positions frozen from the complex vec(rho) kernel; the full messages,
+    and the rows of a law whose entries are all >= 0 but sum to 1.01,
+    recorded with each law checked whole at its step).  A split raises the
+    one-process error, message and all."""
     m = fixtures.two_temperature_qubit()
     entry = m.unravelings[label]
-    ops = entry._prob_ops * (np.nan if fault == "nan" else 1.0)
+    ops = entry._prob_ops * {"nan": np.nan, "sum": 1.01}.get(fault, 1.0)
     if fault == "negative":
         # outcome 1 loses weight to outcome 2: the sum stays one
         ops[1] -= 0.05 * np.eye(2)
         ops[2] += 0.05 * np.eye(2)
     entry._prob_ops = ops
-    messages = []
     for threads in (1, 2, 3):
-        with pytest.raises(trajectories.NumericalCorruption,
-                           match=f"outcome law defective at {where} ") as err:
+        with pytest.raises(trajectories.NumericalCorruption) as err:
             trajectories.sample_entropy_process(
                 m, TrajectoryConfig(n_steps=30, n_traj=20, seed=5, chunk=chunk,
                                     n_threads=threads))
         _split_into(forced_split, threads)
-        messages.append(str(err.value))
-    assert messages == messages[:1] * 3
+        assert str(err.value) == f"outcome law defective at {where}"
+        assert where.startswith(
+            f"step {err.value.step} of trajectory {err.value.trajectory} ")
+
+
+# a chain that seldom leaves "hot" for "cold"
+STICKY = [[0.995, 0.005], [0.5, 0.5]]
+
+
+@pytest.mark.parametrize("chunk,threads", [(512, 1), (3, 1), (512, 2), (3, 3)])
+def test_a_totals_defect_past_the_first_block_names_its_step(chunk, threads,
+                                                             forced_split):
+    """Law totals are checked once per block of ``_BLOCK`` steps.  With
+    "cold" summing to 1.01, the first defect of these four trajectories is
+    the first visit to "cold", at step 194 of trajectory 1, in the second
+    block; its law is recovered for the message by stepping that block
+    again (message recorded with each law checked whole at its step)."""
+    assert trajectories._BLOCK < 194
+    m = fixtures.two_temperature_qubit(p_matrix=STICKY)
+    entry = m.unravelings["cold"]
+    entry._prob_ops = entry._prob_ops * 1.01
+    with pytest.raises(trajectories.NumericalCorruption) as err:
+        trajectories.sample_entropy_process(
+            m, TrajectoryConfig(n_steps=300, n_traj=4, seed=40, chunk=chunk,
+                                n_threads=threads))
+    _split_into(forced_split, threads)
+    assert str(err.value) == ("outcome law defective at step 194 of trajectory 1 "
+                              "(sum error 1.000e-02, min 0.000e+00)")
+    assert (err.value.step, err.value.trajectory) == (194, 1)
+
+
+def test_a_totals_defect_is_raised_before_a_later_nan_of_its_block():
+    """With w2's law summing to 1.01 and w3's NaN, the one trajectory meets
+    w2 first at step 7 and w3 at step 17, in the same block: the NaN stops
+    the block at step 17, and the error names step 7, as a check of each
+    law at its step would (messages recorded so)."""
+    def first_defect(faults):
+        m = fixtures.random_model(7, n_labels=4)
+        for label, factor in faults:
+            m.unravelings[label]._prob_ops = m.unravelings[label]._prob_ops * factor
+        with pytest.raises(trajectories.NumericalCorruption) as err:
+            trajectories.sample_entropy_process(
+                m, TrajectoryConfig(n_steps=40, n_traj=1, seed=12))
+        return str(err.value), err.value.step
+    assert first_defect([("w3", np.nan)]) == (
+        "outcome law defective at step 17 of trajectory 0 (sum error nan, min nan)", 17)
+    assert first_defect([("w3", np.nan), ("w2", 1.01)]) == (
+        "outcome law defective at step 7 of trajectory 0 "
+        "(sum error 1.000e-02, min 3.167e-02)", 7)
 
 
 @pytest.mark.parametrize("fails", [RuntimeError, KeyboardInterrupt])
@@ -483,6 +559,137 @@ def test_sampler_memory_does_not_grow_with_the_step_count():
 # numpy 2.4 and OpenBLAS (a different LAPACK may round the model tables, and
 # so these bytes, differently).  Draws, totals and floor counts are bitwise
 # those of that kernel; ergodic averages agree to rounding.
+# the step loops as they were written with each law checked whole at its
+# step and every index formed per step, kept as bitwise references
+
+def _reference_label_path(cum_rows, lab, u):
+    m = cum_rows.shape[0]
+    labs = np.empty(u.shape, dtype=np.intp)
+    for i, row in enumerate(u):
+        lab = np.minimum((row > cum_rows.take(lab, axis=1)).sum(axis=0), m - 1,
+                         out=labs[i])
+    return labs
+
+
+def _reference_observe_steps(table, x, labs):
+    group, b = x.shape[0] + 1, x.shape[1]
+    rows = np.arange(group)[:, None] * b + np.arange(b)
+    val = np.empty(labs.shape)
+    for i, lab in enumerate(labs):
+        g = trajectories._gemm(table, x).ravel().take(rows + lab * (group * b))
+        val[i], x = g[0], g[1:]
+    return val, x
+
+
+def _reference_running_sum(p):
+    cum = np.empty_like(p)
+    cum[0] = p[0]
+    for x in range(1, p.shape[0]):
+        np.add(cum[x - 1], p[x], out=cum[x])
+    return cum
+
+
+def _reference_measure_steps(table, x, labs, u, width, last, floor, floored,
+                             c0, k0):
+    group, b = x.shape[0] + 1, x.shape[1]
+    col = np.arange(b)
+    p_rows = np.arange(width)[:, None] * (group * b) + col
+    rows = np.arange(group)[:, None] * b + col
+    val = np.empty(labs.shape, dtype=np.intp)
+    for i, lab in enumerate(labs):
+        y = trajectories._gemm(table, x).ravel()
+        p = y.take(p_rows + lab * (width * group * b))
+        cum = _reference_running_sum(p)
+        p_min = p.min()
+        if not (cum[-1].max() <= 1.0 + 1e-8 and cum[-1].min() >= 1.0 - 1e-8
+                and p_min >= -1e-8):
+            trajectories._check_law(p, cum[-1], k0 + i, c0)
+        if p_min < floor and (np.count_nonzero(p < floor)
+                              > np.count_nonzero(p == 0.0) * (floor > 0.0)):
+            cum = trajectories._floor(p, floor, floored, c0)
+        xi = (u[i] > cum).sum(axis=0)
+        np.minimum(xi, last.take(lab), out=xi)
+        j = np.add(lab * width, xi, out=val[i])
+        g = y.take(rows + j * (group * b))
+        x = g[1:] / g[0]
+    return val, x
+
+
+def _bits(a):
+    return a.dtype, a.shape, np.ascontiguousarray(a).tobytes()
+
+
+BLOCK_MODELS = {
+    "two_temperature": lambda tol: fixtures.two_temperature_qubit(tol=tol),
+    "random7": lambda tol: fixtures.random_model(7, n_labels=4, tol=tol),
+    "sparse_mixed": lambda tol: _sparse_mixed_model(tol),
+}
+
+
+@pytest.mark.parametrize("width", [1, 7, 512])
+@pytest.mark.parametrize("floor", [0.0, DEFAULT.prob_floor, 1e-3])
+@pytest.mark.parametrize("name", sorted(BLOCK_MODELS))
+def test_step_loops_are_bitwise_the_reference_loops_block_by_block(
+        monkeypatch, name, floor, width):
+    """Every block of both samplers, over two chunks of ``width``
+    trajectories and three blocks of steps, gives the labels, outcome
+    indices, states and floored counts of the reference loops, bit for bit:
+    the chunk of one trajectory (stepped beside a copy of itself), the
+    floor at work, and the clip of a padded label (``_sparse_mixed_model``,
+    whose outcome counts are 4, 9 and 4) included.  Each measurement block
+    is also stepped with uniforms above 1, where every draw is clipped."""
+    model = BLOCK_MODELS[name](DEFAULT.replace(prob_floor=floor))
+    n_out = model.outcome_table[3]
+    label_path = trajectories._label_path
+    observe, measure = trajectories._observe_steps, trajectories._measure_steps
+    seen = {"labels": 0, "observe": 0, "measure": 0}
+
+    def label_spy(cum_rows, lab, u):
+        got = label_path(cum_rows, lab, u)
+        assert _bits(got) == _bits(_reference_label_path(cum_rows, lab, u))
+        seen["labels"] += 1
+        return got
+
+    def observe_spy(table, x, labs):
+        want = _reference_observe_steps(table, x, labs)
+        got = observe(table, x, labs)
+        assert [_bits(a) for a in got] == [_bits(a) for a in want]
+        seen["observe"] += 1
+        return got
+
+    def measure_spy(table, x, labs, u, width_, last, floor_, floored, c0, k0):
+        assert (last is None) == (n_out.min() == width_)
+        ref_floored = floored.copy()
+        want = _reference_measure_steps(table, x, labs, u, width_, n_out - 1,
+                                        floor_, ref_floored, c0, k0)
+        got = measure(table, x, labs, u, width_, last, floor_, floored, c0, k0)
+        assert [_bits(a) for a in got] == [_bits(a) for a in want]
+        assert _bits(floored) == _bits(ref_floored)
+        # uniforms above every law total that passes the check: the clip
+        # decides every draw
+        top = np.full(u.shape, 1.0 + 2e-8)
+        want = _reference_measure_steps(table, x, labs, top, width_, n_out - 1,
+                                        floor_, floored.copy(), c0, k0)
+        assert [_bits(a) for a in measure(table, x, labs, top, width_, last,
+                                          floor_, floored.copy(), c0, k0)] \
+            == [_bits(a) for a in want]
+        seen["measure"] += 1
+        return got
+
+    monkeypatch.setattr(trajectories, "_label_path", label_spy)
+    monkeypatch.setattr(trajectories, "_observe_steps", observe_spy)
+    monkeypatch.setattr(trajectories, "_measure_steps", measure_spy)
+    cfg = TrajectoryConfig(n_steps=300, n_traj=width + 1, seed=24, chunk=width,
+                           n_threads=1, initial="stationary")
+    sample = trajectories.sample_entropy_process(model, cfg)
+    trajectories.ergodic_average(
+        model, models.flux_extended(model, model.labels[0]), cfg)
+    # two chunks of three blocks each, per sampler
+    assert seen == {"labels": 12, "observe": 6, "measure": 6}
+    if name == "two_temperature" and floor == 1e-3:
+        assert sample.floored > 0
+
+
 # ---------------------------------------------------------------------------
 
 def _digest(a):
@@ -970,17 +1177,17 @@ def test_real_enumeration_matches_the_complex_one(name):
         assert np.abs(dist.probs - probs).max() <= 1e-15
 
 
-def _sparse_mixed_model():
+def _sparse_mixed_model(tol=DEFAULT):
     """Three labels, two missing chain edges, and a qutrit probe whose nine
     outcomes pad the two qubit probes' four."""
-    base = fixtures.random_model(11, n_labels=3)
+    base = fixtures.random_model(11, n_labels=3, tol=tol)
     a = np.random.default_rng(3).normal(size=(6, 6))
     probes = dict(base.probes)
     probes["w1"] = models.ProbeSpec(h_env=np.diag([0.0, 1.0, 2.5]).astype(complex),
                                     beta=0.8, tau=1.0, coupling=0.4 * (a + a.T))
     p = np.array([[0.0, 0.5, 0.5], [0.3, 0.3, 0.4], [0.6, 0.4, 0.0]])
     chain = MarkovChain(labels=base.labels, pi=base.chain.pi, P=p)
-    return models.build_model(base.h_sys, chain, probes, base.rho_init)
+    return models.build_model(base.h_sys, chain, probes, base.rho_init, tol=tol)
 
 
 @pytest.mark.parametrize("kind,n", [("random", 1), ("random", 2), ("random", 3),
