@@ -172,7 +172,7 @@ def adiabatic_evolve(model: MrisModel, schedule: AdiabaticSchedule,
         known = [points.get(t) for t in s]
         todo = [k for k, x in enumerate(known) if x is None]
         kept = points if keep else {}
-        for k, x in zip(todo, extended._ess_stack(mats[todo], labels, d, tol) if todo else ()):
+        for k, x in zip(todo, extended._ess_stack(mats[todo], labels, d, tol)[0] if todo else ()):
             known[k] = kept[s[k]] = x
         ess = np.array(known)
         states = np.empty(ess.shape)

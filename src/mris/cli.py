@@ -127,13 +127,12 @@ def cmd_classify(args):
 def cmd_ess(args):
     model = _load(args)
     r_plus, residual = model.ess()
-    decomp = extended.ess_decompose(model.generator, r_plus, model.tol)
+    decomp = model.caches["ess_decomposition"]
     pi_stat, _ = stationary_vector(model.chain.P)
-    marg = r_plus.marginal()
-    eq = models.check_equilibrium(model, decomp)
+    eq = models.check_equilibrium(model)
     results = {
         "fixed_point_residual": residual,
-        "bordered_condition": extended.bordered_condition(model.generator),
+        "bordered_condition": model.caches["ess_condition"],
         "pi_plus": decomp.pi_plus,
         "rho_plus": {l: decomp.rho_plus[l] for l in model.labels},
         "reconstruction_residual": decomp.reconstruction_residual(
@@ -148,7 +147,7 @@ def cmd_ess(args):
         verdicts={
             "fixed_point": residual <= 1e-8,
             "decomposition_reconstructs": results["reconstruction_residual"] <= 1e-8,
-            "marginal_is_chain_stationary": float(np.abs(marg - pi_stat).max()) <= 1e-8,
+            "marginal_is_chain_stationary": float(np.abs(decomp.pi_plus - pi_stat).max()) <= 1e-8,
         })
     return _emit(report, args)
 
@@ -171,7 +170,8 @@ def cmd_simulate(args):
             r_plus, models.flux_extended(model, l))
         est = float(sample.svec[:, k].mean()) / cfg.n_steps
         se = float(sample.svec[:, k].std(ddof=1)) / cfg.n_steps / np.sqrt(cfg.n_traj)
-        z = (est - target) / se if se > 0 else np.inf
+        diff = est - target     # with zero spread, within exactly when diff is 0
+        z = diff / se if se > 0 else math.copysign(math.inf, diff) if diff else 0.0
         results["per_probe"][l] = {"mean_rate": est, "stderr": se,
                                    "steady_target": target, "z": z}
         lln_ok &= abs(z) <= 5.0

@@ -289,13 +289,13 @@ def _bordered_solve(mats: np.ndarray, m: int, d: int):
     return x, a_inv, inv_norm, np.einsum("...ij->...j", np.abs(a)).max(axis=-1) * inv_norm
 
 
-def _ess_stack(mats: np.ndarray, labels, d: int,
-               tol: Tolerances = DEFAULT) -> np.ndarray:
-    """Repaired steady states (K, n) of a stack of real generators (K, n, n):
-    the bordered solve of each, clipped and renormalized (see find_ess)."""
+def _ess_stack(mats: np.ndarray, labels, d: int, tol: Tolerances = DEFAULT):
+    """Repaired steady states (K, n) of a stack of real generators (K, n, n),
+    the bordered solve of each clipped and renormalized (see find_ess), with
+    the A^{-1} (K, n, n) and kappa_1 (K,) of those solves."""
     K, m = mats.shape[0], len(labels)
     try:
-        x, _a_inv, inv_norm, kappa = _bordered_solve(mats, m, d)
+        x, a_inv, inv_norm, kappa = _bordered_solve(mats, m, d)
     except np.linalg.LinAlgError:
         x, kappa, inv_norm = None, np.full(K, np.inf), np.full(K, np.inf)
     # an eigenvalue lambda != 1 of M makes ||A^{-1}||_1 >= 1 / |1 - lambda|,
@@ -316,7 +316,7 @@ def _ess_stack(mats: np.ndarray, labels, d: int,
         ew, ev = np.linalg.eigh(blocks[neg])
         clipped = (ev * np.clip(ew, 0.0, None)[..., None, :]) @ ev.conj().swapaxes(-1, -2)
         coords[neg] = _coords(clipped[:, None])
-    return x / coords[..., :d].sum(axis=(1, 2))[:, None]
+    return x / coords[..., :d].sum(axis=(1, 2))[:, None], a_inv, kappa
 
 
 def _refuse(mats: np.ndarray, inv_norm: np.ndarray, kappa: np.ndarray,
@@ -350,16 +350,17 @@ def find_ess(g: ExtendedGenerator, tol: Tolerances = DEFAULT):
     renormalizes, and eigenvalues below -psd_tol abort: they signal a wrong
     solution, not noise.
     """
+    return _steady_state(g, tol)[:2]
+
+
+def _steady_state(g: ExtendedGenerator, tol: Tolerances):
+    """find_ess's (state, residual), then what else its one solve gives:
+    the state's real coordinates x, A^{-1} and kappa_1 (MrisModel.ess keeps
+    them all)."""
     mat = _real_generator(g)
-    x = _ess_stack(mat[None], g.labels, g.dim, tol)[0]
+    x, a_inv, kappa = (a[0] for a in _ess_stack(mat[None], g.labels, g.dim, tol))
     return (ExtendedState(g.labels, _blocks(x, g.n_labels, g.dim)),
-            float(_trace_norm(mat @ x - x, g.n_labels, g.dim)))
-
-
-def bordered_condition(g: ExtendedGenerator) -> float:
-    """kappa_1 of the bordered matrix whose solve gives the steady state of
-    g (a numerical-health figure of find_ess)."""
-    return float(_bordered_solve(_real_generator(g)[None], g.n_labels, g.dim)[3][0])
+            float(_trace_norm(mat @ x - x, g.n_labels, g.dim)), x, a_inv, float(kappa))
 
 
 @dataclass

@@ -485,9 +485,9 @@ def kinetic_coefficients(model: MrisModel) -> KineticMatrix:
     """Linear response of the steady fluxes to probe-temperature deformations
     around an equilibrium model.
 
-    Route (a) is exact, rebuilds nothing and runs in the real coordinates:
-    with A the bordered matrix of the steady-state solve (see
-    extended._bordered_solve) and dM_v the generator of the family whose one
+    Route (a) is exact and reads the model's one steady-state solve
+    (MrisModel.ess keeps R_+ and A^{-1}, A its bordered matrix, see
+    extended._bordered_solve): with dM_v the generator of the family whose one
     nonzero superoperator is dS_v/dzeta_v, dR_v = A^{-1} dM_v R_+ and
     dJ_w/dzeta_v = <F_w, dR_v> + delta_wv <dF_v/dzeta_v, R_+>.
     Route (b) is the exact Hess e(0) / (2 beta_bar^2).  The two are returned
@@ -506,15 +506,13 @@ def kinetic_coefficients(model: MrisModel) -> KineticMatrix:
         raise FluctuationError(
             f"kinetic coefficients need a positive inverse temperature, got {beta_bar}")
 
-    m, d, P = model.chain.n, model.dim_sys, model.chain.P
+    m, P = model.chain.n, model.chain.P
     d_super, d_flux = map(np.stack, zip(*(_zeta_derivatives(model, l) for l in model.labels)))
-    r, a_inv, _, _ = extended._bordered_solve(
-        extended._generator_stack(P[None], extended._real_superops(model)), m, d)
-    r = r[0].reshape(m, -1)
+    r, a_inv = model.caches["ess_coords"].reshape(m, -1), model.caches["ess_inverse"]
     # dM_v R_+ lives in block column v: its block w is P[v, w] dS_v R_+(v)
     d_mr = P[:, :, None] * (extended._fold(d_super, "superoperator derivatives")
                             @ r[..., None])[:, None, :, 0]
-    d_r = (a_inv[0] @ d_mr.reshape(m, -1).T).T.reshape(m, m, -1)    # [v, w]: dR_v(w)
+    d_r = (a_inv @ d_mr.reshape(m, -1).T).T.reshape(m, m, -1)    # [v, w]: dR_v(w)
     # F_w lives in block w alone, and <X, Y> of Hermitian blocks is the real
     # dot product of their coordinates: <F_w, dR_v> = f_w . dR_v(w)
     flux = extended._coords(np.stack([model.flux[l] for l in model.labels])).reshape(m, -1)

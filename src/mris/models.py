@@ -228,9 +228,18 @@ class MrisModel:
         return self.caches["outcome_table"]
 
     def ess(self):
-        """(R_+, residual), cached."""
+        """(R_+, residual) of extended.find_ess, from the model's one
+        steady-state solve, made on first use.  What is read off that solve
+        is kept read-only beside it in caches: "ess_coords" (R_+ in the real
+        coordinates), "ess_inverse" (A^{-1}), "ess_condition" (kappa_1) and
+        "ess_decomposition" (pi_+ and rho_+, extended.ess_decompose)."""
         if "ess" not in self.caches:
-            self.caches["ess"] = extended.find_ess(self.generator, self.tol)
+            r_plus, residual, x, a_inv, kappa = extended._steady_state(self.generator, self.tol)
+            decomp = extended.ess_decompose(self.generator, r_plus, self.tol)
+            for a in (r_plus.blocks, x, a_inv, decomp.pi_plus, *decomp.rho_plus.values()):
+                a.flags.writeable = False
+            self.caches.update(ess_coords=x, ess_inverse=a_inv, ess_condition=kappa,
+                               ess_decomposition=decomp, ess=(r_plus, residual))
         return self.caches["ess"]
 
     def initial_state(self) -> extended.ExtendedState:
@@ -386,17 +395,15 @@ def check_tri(model: MrisModel) -> dict:
     return {"holds": worst <= 1e-10, "max_residual": worst, "residuals": residuals}
 
 
-def check_equilibrium(model: MrisModel, decomp: "extended.EssDecomposition" = None) -> dict:
+def check_equilibrium(model: MrisModel) -> dict:
     """Joint-invariance test of the steady state family.
 
     Equilibrium means U_w (rho_+v (x) rho_env_w) U_w* = rho_+w (x) rho_env_w
     for every chain edge v -> w; the report carries the worst residual, the
     steady entropy production <R_+, J_S>, and the steady energy fluxes.
     """
-    g = model.generator
     r_plus, _ = model.ess()
-    if decomp is None:
-        decomp = extended.ess_decompose(g, r_plus, model.tol)
+    decomp = model.caches["ess_decomposition"]
     labels = model.labels
     worst = 0.0
     for vi, v in enumerate(labels):

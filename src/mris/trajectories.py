@@ -141,14 +141,6 @@ def simulate_states(model: MrisModel, omega_path, rho0=None) -> np.ndarray:
 # tables of the stepping engine, in a real Hermitian basis
 # ---------------------------------------------------------------------------
 
-def _stationary_decomposition(model: MrisModel) -> extended.EssDecomposition:
-    if "ess_decomposition" not in model.caches:
-        r_plus, _ = model.ess()
-        model.caches["ess_decomposition"] = extended.ess_decompose(
-            model.generator, r_plus, model.tol)
-    return model.caches["ess_decomposition"]
-
-
 def _step_table(funcs, superops) -> np.ndarray:
     """The one real table of a step, for states X (d^2, B) in the Hermitian
     basis.  Each (label w, outcome x) owns d^2 + 1 adjacent rows of
@@ -195,7 +187,8 @@ def _stepper(model: MrisModel, cfg: TrajectoryConfig, table, width: int,
     """
     m, n = model.chain.n, cfg.n_steps
     if cfg.initial == "stationary":
-        ess = _stationary_decomposition(model)
+        model.ess()
+        ess = model.caches["ess_decomposition"]
         init_dist, rho0 = ess.pi_plus, ess.rho_plus
     else:
         init_dist, rho0 = model.chain.pi, model.rho_init
@@ -381,7 +374,7 @@ def _check_law(p, total, k: int, c0: int):
     bad = np.nonzero(~(defect <= 1e-8) | (p.min(axis=0) < -1e-8))[0]
     if not bad.size:
         return
-    r = bad[0]
+    r = int(bad[0])
     raise NumericalCorruption(
         f"outcome law defective at step {k} of trajectory {c0 + r} "
         f"(sum error {defect[r]:.3e}, min {p[:, r].min():.3e})",

@@ -160,9 +160,8 @@ def test_a_generator_that_does_not_preserve_hermiticity_is_refused(canonical):
     rng = np.random.default_rng(3)
     skew = canonical.generator.matrix + 1e-3j * rng.normal(size=(8, 8))
     g = extended.ExtendedGenerator(canonical.labels, 2, skew)
-    for solve in (extended.find_ess, extended.bordered_condition):
-        with pytest.raises(extended.RealBasisError, match="^generator not real"):
-            solve(g)
+    with pytest.raises(extended.RealBasisError, match="^generator not real"):
+        extended.find_ess(g)
 
 
 def test_classification_canonical_vs_decoupled(canonical, decoupled):
@@ -309,7 +308,7 @@ def test_stacked_ess_repair_equals_the_blockwise_repair_bitwise(name):
     real = extended._real_superops(m)
     mats = extended._generator_stack(P, real)
     assert mats.dtype == np.float64
-    stacked = extended._ess_stack(mats, m.labels, m.dim_sys, m.tol)
+    stacked = extended._ess_stack(mats, m.labels, m.dim_sys, m.tol)[0]
     for k, p in enumerate(P):
         chain = chains.MarkovChain(m.labels, chains.stationary_vector(p)[0], p)
         g = extended.build_generator(chain, m.channels, m.tol)
@@ -355,11 +354,10 @@ ESS_BUILDS = {
 @pytest.mark.parametrize("name", sorted(ESS_BUILDS))
 def test_bordered_ess_matches_the_eigenvector_route(name):
     m = ESS_BUILDS[name]()
-    r_plus, residual = extended.find_ess(m.generator, m.tol)
+    r_plus, residual = m.ess()
     assert np.abs(r_plus.blocks - _eigenvector_ess_blocks(m.generator, m.tol)).max() <= 1e-14
     assert residual <= 1e-14
-    kappa = extended.bordered_condition(m.generator)
-    assert 1.0 <= kappa < 1e3
+    assert 1.0 <= m.caches["ess_condition"] < 1e3
 
 
 @pytest.mark.parametrize("c", [1e-3, 1e-4])
@@ -368,10 +366,10 @@ def test_weak_coupling_ess_solves_to_round_off(c):
     eigenvalue-1 cluster), so kappa_1 grows like 1 / c^2; one refinement
     step keeps the residual at round-off."""
     m = fixtures.two_temperature_qubit(coupling_strength=c)
-    r_plus, residual = extended.find_ess(m.generator, m.tol)
+    r_plus, residual = m.ess()
     assert residual <= 1e-14
     r_plus.check(m.tol)
-    assert 1.0 / c ** 2 <= extended.bordered_condition(m.generator) <= 10.0 / c ** 2
+    assert 1.0 / c ** 2 <= m.caches["ess_condition"] <= 10.0 / c ** 2
 
 
 @pytest.mark.parametrize("c", [3e-5, 1e-6])

@@ -42,6 +42,11 @@ The ``cumulant.ray`` entry pins e(0) and the 61-point diagonal ray
 a = -1 ... 2 of the cumulant command.  It was recorded while e(alpha) still
 kept its values in a per-model memo (the command asked for e(0) and the ray
 after the GC symmetry report), and evaluating every tilt afresh keeps it.
+The ``ess.kappa_1`` entries (the bordered condition number of the
+steady-state solve) and FROZEN_LINRESP (both routes of the kinetic
+coefficients and the Green-Kubo matrices on the equilibrium model) were
+recorded while kappa_1 and route (a) still solved the bordered system a
+second time; reading them from the model's one kept solve keeps them.
 
 The digests depend on LAPACK rounding: they were recorded on x86-64 with
 numpy 2.4 and OpenBLAS, and a different LAPACK (or BLAS kernel) may round
@@ -101,6 +106,8 @@ def _snapshot(model) -> dict:
     out["ess.blocks"] = _digest(r_plus.blocks)
     out["ess.residual"] = _digest(residual)
     out["ess.reconstruction_residual"] = _digest(decomp.reconstruction_residual(g, r_plus))
+    model.ess()
+    out["ess.kappa_1"] = _digest(model.caches["ess_condition"])
     out["initial_state"] = _digest(model.initial_state().blocks)
 
     cls = extended.classify_generator(g, model.tol)
@@ -173,6 +180,7 @@ FROZEN = {
         'enum.words': 'edd438497ba7ef6b',
         'entropy_flux': '56e8ed9083587b33',
         'ess.blocks': '7c8fd2083edda26a',
+        'ess.kappa_1': 'c7479214b33bf9d1',
         'ess.reconstruction_residual': 'afdb85344a964222',
         'ess.residual': 'acf674302fb9d85f',
         'gc': '43d53fa93b05a75e',
@@ -214,6 +222,7 @@ FROZEN = {
         'enum.words': '48dcd595f5308859',
         'entropy_flux': '63fd19d206e888b0',
         'ess.blocks': '4aa26519c8c1d27f',
+        'ess.kappa_1': '213f374edbdba158',
         'ess.reconstruction_residual': '9d4ca343a3e4c3c4',
         'ess.residual': 'b783c2d467df61f3',
         'gc': '5391b1679d9b37e1',
@@ -258,6 +267,7 @@ FROZEN = {
         'enum.words': 'edd438497ba7ef6b',
         'entropy_flux': 'd7a980cdf0b8cd11',
         'ess.blocks': '37a5a2bbd5fd055f',
+        'ess.kappa_1': 'aa473d2617249cd0',
         'ess.reconstruction_residual': '25e5005f79f6a596',
         'ess.residual': '15e24bb197f0c0f3',
         'gc': '522b7ca172ef9288',
@@ -299,6 +309,7 @@ FROZEN = {
         'enum.words': 'edd438497ba7ef6b',
         'entropy_flux': '0ccb1cee99dbd0e8',
         'ess.blocks': '99674582fb73ee88',
+        'ess.kappa_1': '82d570783daff49b',
         'ess.reconstruction_residual': 'c08803e545574d93',
         'ess.residual': 'ceca9c112e59a6c4',
         'gc': '5c2e6fcc14553927',
@@ -332,6 +343,29 @@ def test_formulas_match_frozen_digests(name):
     want = FROZEN[name]
     assert sorted(got) == sorted(want)
     assert {k: v for k, v in got.items() if v != want[k]} == {}
+
+
+FROZEN_LINRESP = {
+    'kinetic.matrix': '78c6f8adc99dbd5e',
+    'kinetic.route_b': '6a527c71dac1892e',
+    'green_kubo.matrix': '2f463cd82aeab88f',
+    'green_kubo.per_epsilon.0.05': 'dac3e79e7c2ac463',
+    'green_kubo.per_epsilon.0.025': '1cdc63fc55917fc2',
+    'green_kubo.per_epsilon.0.0125': 'e1addfce2e32aa05',
+}
+
+
+def test_linear_response_matches_frozen_digests():
+    """Both routes of the kinetic coefficients and every Green-Kubo matrix
+    at equilibrium, the one model where they are defined."""
+    model = FROZEN_MODELS["equilibrium"]()
+    kin = fluctuations.kinetic_coefficients(model)
+    gk = fluctuations.green_kubo(model)
+    got = {"kinetic.matrix": _digest(kin.matrix), "kinetic.route_b": _digest(kin.route_b),
+           "green_kubo.matrix": _digest(gk.matrix)}
+    got.update({f"green_kubo.per_epsilon.{eps}": _digest(mat)
+                for eps, mat in gk.per_epsilon.items()})
+    assert got == FROZEN_LINRESP
 
 
 @pytest.mark.parametrize("name", sorted(FROZEN_MODELS) + ["random_11"])

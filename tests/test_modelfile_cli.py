@@ -8,13 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mris import cli, fixtures, modelfile, output
+from mris import cli, extended, fixtures, modelfile, models, output
 from mris.chains import ChainError
 from mris.tolerances import DEFAULT
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 TWO_TEMP = str(MODELS / "two_temperature_qubit.json")
 EQUILIBRIUM = str(MODELS / "equilibrium_qubit.json")
+BUNDLED = sorted(str(p) for p in MODELS.glob("*.json"))
 
 
 def _base_dict():
@@ -354,6 +355,85 @@ def test_cli_linresp_equilibrium(capsys):
     text = capsys.readouterr().out
     assert "PASS onsager_symmetric" in text
     assert "PASS green_kubo_within_1pct" in text
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Counts of the bordered solves and the steady-state decompositions."""
+    calls = {"solve": 0, "decompose": 0}
+    for name, key in (("_bordered_solve", "solve"), ("ess_decompose", "decompose")):
+        def counting(*args, _f=getattr(extended, name), _key=key, **kwargs):
+            calls[_key] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(extended, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [
+    *(["ess", "--model", p] for p in BUNDLED),
+    ["linresp", "--model", EQUILIBRIUM],
+    *(["simulate", "--model", p, "--steps", "20", "--traj", "64", "--threads", "1",
+       "--stationary"] for p in BUNDLED),
+], ids=lambda argv: f"{argv[0]}-{Path(argv[2]).stem}")
+def test_one_steady_state_solve_and_decomposition_per_run(argv, solves, capsys):
+    """The model solves and decomposes its steady state once, and every
+    figure of a run (kappa_1, route (a)'s A^{-1}, the stationary ensemble)
+    is read off that one solve."""
+    assert cli.main(argv) == 0
+    assert solves == {"solve": 1, "decompose": 1}
+
+
+def test_the_kept_steady_state_is_decomposed_once_and_read_only(solves):
+    model = fixtures.equilibrium_qubit()
+    assert models.check_equilibrium(model) == models.check_equilibrium(model)
+    assert solves == {"solve": 1, "decompose": 1}
+    decomp = model.caches["ess_decomposition"]
+    kept = [model.ess()[0].blocks, model.caches["ess_coords"], model.caches["ess_inverse"],
+            decomp.pi_plus, *decomp.rho_plus.values()]
+    for a in kept:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
+@pytest.fixture
+def infinite_temperature(tmp_path):
+    """equilibrium_qubit with both probes at beta = 0: every entropy
+    increment is 0, and so is every steady entropy rate."""
+    doc = json.loads(Path(EQUILIBRIUM).read_text())
+    for probe in doc["probes"].values():
+        probe["beta"] = 0
+    return _dump(tmp_path, doc)
+
+
+def test_cli_simulate_zero_spread_at_its_target_passes(infinite_temperature, capsys, tmp_path):
+    out = str(tmp_path / "s")
+    assert cli.main(["simulate", "--model", infinite_temperature, "--steps", "100",
+                     "--traj", "50", "--out", out]) == 0
+    for probe in json.loads(Path(out + ".json").read_text())["results"]["per_probe"].values():
+        assert (probe["stderr"], probe["mean_rate"], probe["z"]) == (0.0, 0.0, 0.0)
+    assert "PASS entropy_rates_within_5_stderr" in capsys.readouterr().out
+
+
+def test_cli_simulate_zero_spread_off_its_target_fails(infinite_temperature, monkeypatch,
+                                                       capsys, tmp_path):
+    """Totals shifted by a constant keep zero spread, but their rate is no
+    longer the target: z is infinite and the run fails."""
+    from mris import trajectories
+
+    sample_entropy_process = trajectories.sample_entropy_process
+
+    def shifted(*args, **kwargs):
+        sample = sample_entropy_process(*args, **kwargs)
+        sample.svec += 1.0
+        return sample
+
+    monkeypatch.setattr(trajectories, "sample_entropy_process", shifted)
+    out = str(tmp_path / "s")
+    assert cli.main(["simulate", "--model", infinite_temperature, "--steps", "100",
+                     "--traj", "50", "--out", out]) == 1
+    for probe in json.loads(Path(out + ".json").read_text())["results"]["per_probe"].values():
+        assert (probe["stderr"], probe["mean_rate"], probe["z"]) == (0.0, 0.01, "inf")
+    assert "FAIL entropy_rates_within_5_stderr" in capsys.readouterr().out
 
 
 def test_cli_adiabatic_inline_matrix(capsys):

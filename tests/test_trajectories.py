@@ -372,6 +372,7 @@ def test_corruption_names_the_first_bad_step_and_trajectory(label, fault, chunk,
         assert str(err.value) == f"outcome law defective at {where}"
         assert where.startswith(
             f"step {err.value.step} of trajectory {err.value.trajectory} ")
+        assert type(err.value.step) is int and type(err.value.trajectory) is int
 
 
 # a chain that seldom leaves "hot" for "cold"
