@@ -73,7 +73,7 @@ def schedule_generator(model: MrisModel, schedule: AdiabaticSchedule,
     p_s = schedule.transition_matrix(s)
     pi_s, _ = stationary_vector(p_s)
     chain_s = MarkovChain(labels=model.labels, pi=pi_s, P=p_s)
-    return extended.build_generator(chain_s, model.channels, model.tol)
+    return extended.build_generator(chain_s, model.channels)
 
 
 # Schedule steps per stack of generators (the first stack also carries s = 0),
@@ -126,7 +126,7 @@ def adiabatic_evolve(model: MrisModel, schedule: AdiabaticSchedule,
     which point any admissible start has merged into the O(1/N) tracking
     regime.
 
-    Everything is real, in the coordinates of extended._real_superops.  The
+    Everything is real, in the coordinates of MrisModel.real_superops.  The
     primitivity grid is checked once per path and model (_path_gap_min); the
     generators, the steady states R_+(s_k) (one bordered solve each, no
     eigensolve) and the trace norms are taken over stacks of schedule
@@ -151,7 +151,7 @@ def adiabatic_evolve(model: MrisModel, schedule: AdiabaticSchedule,
             r0.check(tol)
         except extended.GeneratorError as err:
             raise AdiabaticError(f"r0 is not an extended state: {err}") from err
-    superops = extended._real_superops(model)
+    superops = model.real_superops
 
     def generators(s):
         return extended._generator_stack(schedule.transition_matrix(s), superops)

@@ -126,17 +126,17 @@ def cmd_classify(args):
 
 def cmd_ess(args):
     model = _load(args)
-    r_plus, residual = model.ess()
-    decomp = model.caches["ess_decomposition"]
+    ss = model.steady_state
+    decomp = ss.decomposition
     pi_stat, _ = stationary_vector(model.chain.P)
     eq = models.check_equilibrium(model)
     results = {
-        "fixed_point_residual": residual,
-        "bordered_condition": model.caches["ess_condition"],
+        "fixed_point_residual": ss.residual,
+        "bordered_condition": ss.condition,
         "pi_plus": decomp.pi_plus,
         "rho_plus": {l: decomp.rho_plus[l] for l in model.labels},
         "reconstruction_residual": decomp.reconstruction_residual(
-            model.generator, r_plus),
+            model.generator, ss.state),
         "steady_fluxes": eq["steady_fluxes"],
         "entropy_production_rate": eq["entropy_production_rate"],
         "equilibrium": eq["is_equilibrium"],
@@ -145,7 +145,7 @@ def cmd_ess(args):
     report = output.RunReport(
         command="ess", params={"model": args.model}, results=results,
         verdicts={
-            "fixed_point": residual <= 1e-8,
+            "fixed_point": ss.residual <= 1e-8,
             "decomposition_reconstructs": results["reconstruction_residual"] <= 1e-8,
             "marginal_is_chain_stationary": float(np.abs(decomp.pi_plus - pi_stat).max()) <= 1e-8,
         })

@@ -15,8 +15,8 @@ The numerics run in a real basis.  With U the unitary that takes vec(rho)
 to the coordinates tr(E_a rho) of rho in an orthonormal Hermitian basis E_a
 (_hermitian_basis), and T = 1_m (x) U, every Hermiticity-preserving map has
 a real matrix T M T^H.  Steady states and their sensitivities are solved
-there, from the channel superoperators U S_v U^H (_real_superops), and so is
-the tilted generator, whose block (w, v) is
+there, from the channel superoperators U S_v U^H (MrisModel.real_superops),
+and so is the tilted generator, whose block (w, v) is
 
     M(alpha)_wv = sum_xi exp(-alpha_v delta_{v xi}) P[v, w] U S_{v xi} U^H,
 
@@ -205,7 +205,7 @@ def generator_matrix(chain: MarkovChain, superops) -> np.ndarray:
     return _generator_stack(chain.P[None], superops)[0]
 
 
-def build_generator(chain: MarkovChain, channels: dict, tol: Tolerances = DEFAULT) -> ExtendedGenerator:
+def build_generator(chain: MarkovChain, channels: dict) -> ExtendedGenerator:
     """The one-step generator from a chain and per-label channels."""
     labels = chain.labels
     missing = [l for l in labels if l not in channels]
@@ -355,8 +355,8 @@ def find_ess(g: ExtendedGenerator, tol: Tolerances = DEFAULT):
 
 def _steady_state(g: ExtendedGenerator, tol: Tolerances):
     """find_ess's (state, residual), then what else its one solve gives:
-    the state's real coordinates x, A^{-1} and kappa_1 (MrisModel.ess keeps
-    them all)."""
+    the state's real coordinates x, A^{-1} and kappa_1 (MrisModel.steady_state
+    keeps them all)."""
     mat = _real_generator(g)
     x, a_inv, kappa = (a[0] for a in _ess_stack(mat[None], g.labels, g.dim, tol))
     return (ExtendedState(g.labels, _blocks(x, g.n_labels, g.dim)),
@@ -496,23 +496,6 @@ def _real_generator(g: ExtendedGenerator) -> np.ndarray:
     generator that does not preserve Hermiticity raises RealBasisError."""
     u = _hermitian_basis(g.dim)
     return _real(_rebase(g.matrix, u, u.conj().T), "generator")
-
-
-def _kept(model, key: str, build) -> np.ndarray:
-    """model.caches[key], built on first use and read-only (a build that
-    raises keeps nothing)."""
-    if key not in model.caches:
-        table = build()
-        table.flags.writeable = False
-        model.caches[key] = table
-    return model.caches[key]
-
-
-def _real_superops(model) -> np.ndarray:
-    """The channel superoperators U S_v U^H (m, d^2, d^2), kept beside the
-    outcome table: _generator_stack assembles the real generators from them."""
-    return _kept(model, "real_superops", lambda: _fold(
-        np.stack([model.channels[l].superop for l in model.labels])))
 
 
 def _tilt_vector(m: int, alpha, error=GeneratorError, stack: bool = False) -> np.ndarray:

@@ -486,7 +486,7 @@ def kinetic_coefficients(model: MrisModel) -> KineticMatrix:
     around an equilibrium model.
 
     Route (a) is exact and reads the model's one steady-state solve
-    (MrisModel.ess keeps R_+ and A^{-1}, A its bordered matrix, see
+    (MrisModel.steady_state holds R_+ and A^{-1}, A its bordered matrix, see
     extended._bordered_solve): with dM_v the generator of the family whose one
     nonzero superoperator is dS_v/dzeta_v, dR_v = A^{-1} dM_v R_+ and
     dJ_w/dzeta_v = <F_w, dR_v> + delta_wv <dF_v/dzeta_v, R_+>.
@@ -508,7 +508,7 @@ def kinetic_coefficients(model: MrisModel) -> KineticMatrix:
 
     m, P = model.chain.n, model.chain.P
     d_super, d_flux = map(np.stack, zip(*(_zeta_derivatives(model, l) for l in model.labels)))
-    r, a_inv = model.caches["ess_coords"].reshape(m, -1), model.caches["ess_inverse"]
+    r, a_inv = model.steady_state.coords.reshape(m, -1), model.steady_state.inverse
     # dM_v R_+ lives in block column v: its block w is P[v, w] dS_v R_+(v)
     d_mr = P[:, :, None] * (extended._fold(d_super, "superoperator derivatives")
                             @ r[..., None])[:, None, :, 0]

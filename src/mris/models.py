@@ -4,13 +4,15 @@ measurement unravelings, flux observables, and thermodynamic diagnostics.
 A model is a system Hamiltonian, a driving Markov chain over probe labels,
 one thermal probe specification per label, and initial system states.  All
 derived objects (probe states, propagators U_w, reduced channels L_w,
-two-time-measurement unravelings, flux observables) are built eagerly and
-cached on the model, which is immutable afterwards.  The read-only outcome
-table of the unravelings is taken on first use, once per model.
+two-time-measurement unravelings, flux observables) are built eagerly by
+build_model; what the numerics derive from them is a read-only cached
+property, taken once per model on first use (one that raises keeps nothing).
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -160,6 +162,31 @@ def _build_unraveling(label, u, rho_env, h_env, beta, free_energy, d_sys,
 # the model
 # ---------------------------------------------------------------------------
 
+class OutcomeTable(NamedTuple):        # MrisModel.outcome_table
+    superops: np.ndarray
+    funcs: np.ndarray
+    deltas: np.ndarray
+    n_out: np.ndarray
+
+
+class SteadyState(NamedTuple):
+    """MrisModel.steady_state: R_+ and its residual (find_ess), its real
+    coordinates, A^{-1}, kappa_1 and (pi_+, rho_+); every array read-only.  A
+    named tuple: immutable, and cheaper to define at import than a dataclass."""
+    state: extended.ExtendedState
+    residual: float
+    coords: np.ndarray
+    inverse: np.ndarray
+    condition: float
+    decomposition: extended.EssDecomposition
+
+
+def _read_only(*arrays) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 @dataclass
 class MrisModel:
     h_sys: np.ndarray
@@ -175,6 +202,7 @@ class MrisModel:
     channels: dict = None
     unravelings: dict = None
     flux: dict = None
+    # the adiabatic sweep's per-schedule stores
     caches: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -188,59 +216,55 @@ class MrisModel:
     def dim_env(self, label) -> int:
         return self.probes[label].h_env.shape[0]
 
-    @property
+    @functools.cached_property
     def generator(self) -> extended.ExtendedGenerator:
-        if "generator" not in self.caches:
-            self.caches["generator"] = extended.build_generator(
-                self.chain, self.channels, self.tol)
-        return self.caches["generator"]
+        return extended.build_generator(self.chain, self.channels)
 
-    @property
-    def outcome_table(self) -> tuple:
-        """Per-(label, outcome) tables of the two-time measurement, built on
-        first use and read-only, in the real Hermitian basis of
-        extended._hermitian_basis (U): outcome superoperators U S U^H
-        (m, n_max, d^2, d^2), probability functionals G.reshape(-1) U^H
-        (m, n_max, d^2), so that p = funcs @ x for a state with coordinates x,
-        increments (m, n_max) and outcome counts (m,).  Labels with fewer
-        outcomes are zero-padded to the widest label.  The tilt kernel, the
-        entropy sampler and the exact enumeration all read this one table; a
-        map that does not preserve Hermiticity raises RealBasisError and
-        keeps no table."""
-        if "outcome_table" not in self.caches:
-            entries = [self.unravelings[l] for l in self.labels]
-            n_out = np.array([e.n_outcomes for e in entries])
-            shape = (len(entries), n_out.max(), self.dim_sys ** 2)
-            superops = np.zeros(shape + shape[-1:], dtype=complex)
-            prob_funcs = np.zeros(shape, dtype=complex)
-            deltas = np.zeros(shape[:2])
-            for w, e in enumerate(entries):
-                superops[w, :e.n_outcomes] = e._superops
-                prob_funcs[w, :e.n_outcomes] = e.prob_ops.reshape(e.n_outcomes, -1)
-                deltas[w, :e.n_outcomes] = e.deltas
-            uh = extended._hermitian_basis(self.dim_sys).conj().T
-            table = (extended._fold(superops),
-                     extended._real(prob_funcs @ uh, "probability functionals"),
-                     deltas, n_out)
-            for a in table:
-                a.flags.writeable = False
-            self.caches["outcome_table"] = table
-        return self.caches["outcome_table"]
+    @functools.cached_property
+    def outcome_table(self) -> OutcomeTable:
+        """Per-(label, outcome) tables of the two-time measurement, read-only
+        and in the real Hermitian basis of extended._hermitian_basis (U):
+        outcome superoperators U S U^H (m, n_max, d^2, d^2), probability
+        functionals G.reshape(-1) U^H (m, n_max, d^2), so that p = funcs @ x
+        for a state with coordinates x, increments (m, n_max) and outcome
+        counts (m,).  Labels with fewer outcomes are zero-padded to the
+        widest label.  The tilt kernel, the entropy sampler and the exact
+        enumeration all read this one table; a map that does not preserve
+        Hermiticity raises RealBasisError."""
+        entries = [self.unravelings[l] for l in self.labels]
+        n_out = np.array([e.n_outcomes for e in entries])
+        shape = (len(entries), n_out.max(), self.dim_sys ** 2)
+        superops = np.zeros(shape + shape[-1:], dtype=complex)
+        prob_funcs = np.zeros(shape, dtype=complex)
+        deltas = np.zeros(shape[:2])
+        for w, e in enumerate(entries):
+            superops[w, :e.n_outcomes] = e._superops
+            prob_funcs[w, :e.n_outcomes] = e.prob_ops.reshape(e.n_outcomes, -1)
+            deltas[w, :e.n_outcomes] = e.deltas
+        uh = extended._hermitian_basis(self.dim_sys).conj().T
+        return OutcomeTable(*_read_only(
+            extended._fold(superops),
+            extended._real(prob_funcs @ uh, "probability functionals"), deltas, n_out))
+
+    @functools.cached_property
+    def real_superops(self) -> np.ndarray:
+        """The channel superoperators U S_v U^H (m, d^2, d^2), read-only:
+        extended._generator_stack assembles the real generators from them."""
+        return _read_only(extended._fold(
+            np.stack([self.channels[l].superop for l in self.labels])))[0]
+
+    @functools.cached_property
+    def steady_state(self) -> SteadyState:
+        """The model's one steady-state solve (extended._steady_state) and
+        its decomposition (extended.ess_decompose)."""
+        r_plus, residual, x, a_inv, kappa = extended._steady_state(self.generator, self.tol)
+        decomp = extended.ess_decompose(self.generator, r_plus, self.tol)
+        _read_only(r_plus.blocks, x, a_inv, decomp.pi_plus, *decomp.rho_plus.values())
+        return SteadyState(r_plus, residual, x, a_inv, kappa, decomp)
 
     def ess(self):
-        """(R_+, residual) of extended.find_ess, from the model's one
-        steady-state solve, made on first use.  What is read off that solve
-        is kept read-only beside it in caches: "ess_coords" (R_+ in the real
-        coordinates), "ess_inverse" (A^{-1}), "ess_condition" (kappa_1) and
-        "ess_decomposition" (pi_+ and rho_+, extended.ess_decompose)."""
-        if "ess" not in self.caches:
-            r_plus, residual, x, a_inv, kappa = extended._steady_state(self.generator, self.tol)
-            decomp = extended.ess_decompose(self.generator, r_plus, self.tol)
-            for a in (r_plus.blocks, x, a_inv, decomp.pi_plus, *decomp.rho_plus.values()):
-                a.flags.writeable = False
-            self.caches.update(ess_coords=x, ess_inverse=a_inv, ess_condition=kappa,
-                               ess_decomposition=decomp, ess=(r_plus, residual))
-        return self.caches["ess"]
+        """(R_+, residual) of extended.find_ess, from steady_state."""
+        return self.steady_state.state, self.steady_state.residual
 
     def initial_state(self) -> extended.ExtendedState:
         return extended.initial_extended_state(self.chain, self.rho_init)
@@ -402,8 +426,7 @@ def check_equilibrium(model: MrisModel) -> dict:
     for every chain edge v -> w; the report carries the worst residual, the
     steady entropy production <R_+, J_S>, and the steady energy fluxes.
     """
-    r_plus, _ = model.ess()
-    decomp = model.caches["ess_decomposition"]
+    r_plus, decomp = model.steady_state.state, model.steady_state.decomposition
     labels = model.labels
     worst = 0.0
     for vi, v in enumerate(labels):

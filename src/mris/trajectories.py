@@ -152,14 +152,6 @@ def _step_table(funcs, superops) -> np.ndarray:
                           axis=2).reshape(-1, superops.shape[-1])
 
 
-def _entropy_step_table(model: MrisModel) -> np.ndarray:
-    """The entropy sampler's step table over the model's outcome table,
-    kept read-only in model.caches beside it (see extended._kept)."""
-    superops, prob_funcs, _, _ = model.outcome_table
-    return extended._kept(model, "entropy_step_table",
-                          lambda: _step_table(prob_funcs, superops))
-
-
 # ---------------------------------------------------------------------------
 # the stepping engine shared by both samplers
 # ---------------------------------------------------------------------------
@@ -183,12 +175,12 @@ def _stepper(model: MrisModel, cfg: TrajectoryConfig, table, width: int,
     per-step values, both (L, B).  A block's labels are drawn first (the
     probe path does not depend on the states), then its states are stepped
     by ``_observe_steps`` (without ``n_out``) or ``_measure_steps``;
-    ``table`` is a ``_step_table`` of ``width`` row groups per label.
+    ``table`` is a ``_step_table`` of ``width`` row groups per label, laid
+    out by each sampler call; a stationary start reads model.steady_state.
     """
     m, n = model.chain.n, cfg.n_steps
     if cfg.initial == "stationary":
-        model.ess()
-        ess = model.caches["ess_decomposition"]
+        ess = model.steady_state.decomposition
         init_dist, rho0 = ess.pi_plus, ess.rho_plus
     else:
         init_dist, rho0 = model.chain.pi, model.rho_init
@@ -434,7 +426,7 @@ def ergodic_average(model: MrisModel, x: extended.ExtendedObservable,
     herm = (blocks + blocks.conj().transpose(0, 2, 1)) / 2
     uh = _hermitian_basis(model.dim_sys).conj().T
     table = _step_table(_real(herm.reshape(len(blocks), 1, -1) @ uh, "observable blocks"),
-                        extended._real_superops(model)[:, None])
+                        model.real_superops[:, None])
     ranges = _ranges(cfg)
     acc = _zeros((cfg.n_traj,), np.float64, len(ranges) > 1)
     stepper = _stepper(model, cfg, table, 1)
@@ -591,8 +583,8 @@ def sample_entropy_process(model: MrisModel, cfg: TrajectoryConfig) -> EntropySa
     the outcome decomposition of the step channel), updates the conditional
     system state, and accumulates the entropy increment of that probe.
     """
-    _, _, deltas, n_out = model.outcome_table
-    table = _entropy_step_table(model)
+    superops, prob_funcs, deltas, n_out = model.outcome_table
+    table = _step_table(prob_funcs, superops)
     width, m = deltas.shape[1], model.chain.n
     deltas = deltas.ravel()
     ranges = _ranges(cfg)

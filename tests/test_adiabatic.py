@@ -139,7 +139,7 @@ def _reference_classification(w, tol):
 def _real_generator_at(model, sch, s):
     """The real generator T M(s) T^H assembled block by block: block (w, v)
     is P(s)[v, w] U S_v U^H."""
-    p, real = sch.transition_matrix(s), extended._real_superops(model)
+    p, real = sch.transition_matrix(s), model.real_superops
     return np.block([[p[v, w] * real[v] if p[v, w] != 0.0 else np.zeros_like(real[v])
                       for v in range(len(p))] for w in range(len(p))])
 
@@ -285,7 +285,7 @@ def test_vectorized_grid_classification_equals_the_per_point_one(canonical):
     generator; with an identity generator added, every kind occurs."""
     sch = adiabatic.AdiabaticSchedule(canonical.chain.P, [[0.0, 1.0], [1.0, 0.0]])
     mats = extended._generator_stack(sch.transition_matrix(np.linspace(0.0, 1.0, 20)),
-                                     extended._real_superops(canonical))
+                                     canonical.real_superops)
     w = np.linalg.eigvals(np.concatenate([mats, np.eye(8)[None]]))
     kind, gap, mult, _ = extended._spectrum_kinds(w, canonical.tol)
     assert set(kind) == {"primitive", "irreducible_periodic", "reducible"}

@@ -305,13 +305,13 @@ def test_stacked_ess_repair_equals_the_blockwise_repair_bitwise(name):
     # a stack of generators along a path of chains, solved in one call
     p_other = np.full((m.chain.n, m.chain.n), 1.0 / m.chain.n)
     P = np.stack([(1 - f) * m.chain.P + f * p_other for f in np.linspace(0.0, 0.9, 5)])
-    real = extended._real_superops(m)
+    real = m.real_superops
     mats = extended._generator_stack(P, real)
     assert mats.dtype == np.float64
     stacked = extended._ess_stack(mats, m.labels, m.dim_sys, m.tol)[0]
     for k, p in enumerate(P):
         chain = chains.MarkovChain(m.labels, chains.stationary_vector(p)[0], p)
-        g = extended.build_generator(chain, m.channels, m.tol)
+        g = extended.build_generator(chain, m.channels)
         assert np.abs(extended._real_generator(g) - mats[k]).max() <= 1e-15
         assert extended._generator_stack(p[None], real)[0].tobytes() == mats[k].tobytes()
         assert stacked[k].tobytes() == _blockwise_ess_coords(
@@ -357,7 +357,7 @@ def test_bordered_ess_matches_the_eigenvector_route(name):
     r_plus, residual = m.ess()
     assert np.abs(r_plus.blocks - _eigenvector_ess_blocks(m.generator, m.tol)).max() <= 1e-14
     assert residual <= 1e-14
-    assert 1.0 <= m.caches["ess_condition"] < 1e3
+    assert 1.0 <= m.steady_state.condition < 1e3
 
 
 @pytest.mark.parametrize("c", [1e-3, 1e-4])
@@ -369,7 +369,7 @@ def test_weak_coupling_ess_solves_to_round_off(c):
     r_plus, residual = m.ess()
     assert residual <= 1e-14
     r_plus.check(m.tol)
-    assert 1.0 / c ** 2 <= m.caches["ess_condition"] <= 10.0 / c ** 2
+    assert 1.0 / c ** 2 <= m.steady_state.condition <= 10.0 / c ** 2
 
 
 @pytest.mark.parametrize("c", [3e-5, 1e-6])

@@ -106,8 +106,7 @@ def _snapshot(model) -> dict:
     out["ess.blocks"] = _digest(r_plus.blocks)
     out["ess.residual"] = _digest(residual)
     out["ess.reconstruction_residual"] = _digest(decomp.reconstruction_residual(g, r_plus))
-    model.ess()
-    out["ess.kappa_1"] = _digest(model.caches["ess_condition"])
+    out["ess.kappa_1"] = _digest(model.steady_state.condition)
     out["initial_state"] = _digest(model.initial_state().blocks)
 
     cls = extended.classify_generator(g, model.tol)

@@ -387,9 +387,9 @@ def test_the_kept_steady_state_is_decomposed_once_and_read_only(solves):
     model = fixtures.equilibrium_qubit()
     assert models.check_equilibrium(model) == models.check_equilibrium(model)
     assert solves == {"solve": 1, "decompose": 1}
-    decomp = model.caches["ess_decomposition"]
-    kept = [model.ess()[0].blocks, model.caches["ess_coords"], model.caches["ess_inverse"],
-            decomp.pi_plus, *decomp.rho_plus.values()]
+    ss = model.steady_state
+    decomp = ss.decomposition
+    kept = [ss.state.blocks, ss.coords, ss.inverse, decomp.pi_plus, *decomp.rho_plus.values()]
     for a in kept:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0

@@ -249,6 +249,18 @@ def test_outcome_table_is_built_once_and_read_only(monkeypatch):
             a[(0,) * a.ndim] = 1.0
 
 
+def test_a_failed_steady_state_solve_keeps_nothing():
+    """A model whose generator has a degenerate fixed space raises on every
+    call, and no steady state is kept that a later call could read."""
+    m = fixtures.decoupled_qubit()
+    for _ in range(2):
+        with pytest.raises(extended.NotIrreducibleError):
+            m.ess()
+        with pytest.raises(extended.NotIrreducibleError):
+            m.steady_state
+    assert "steady_state" not in vars(m)
+
+
 # ---------------------------------------------------------------------------
 # one-step balance
 # ---------------------------------------------------------------------------

@@ -146,7 +146,7 @@ def test_a_map_that_is_not_hermiticity_preserving_is_a_typed_kernel_error():
             with pytest.raises(extended.RealBasisError,
                                match="superoperators not real in the Hermitian basis"):
                 route(model, np.array([0.2, 0.1]))
-    assert "outcome_table" not in model.caches
+    assert "outcome_table" not in vars(model)
 
 
 def test_mris_cumulant_on_a_map_that_is_not_hermiticity_preserving_exits_2(

@@ -200,10 +200,10 @@ def test_a_range_is_stepped_in_chunks_on_the_global_grid(canonical):
     """A range that starts inside a chunk steps up to the next multiple of
     the chunk size first, so no piece straddles two chunks of an unsplit
     run, and a range's first failure is that of its chunks in order."""
-    _, _, deltas, n_out = canonical.outcome_table
+    superops, funcs, deltas, n_out = canonical.outcome_table
     cfg = TrajectoryConfig(n_steps=3, n_traj=40, seed=0, chunk=7)
     blocks = trajectories._stepper(
-        canonical, cfg, trajectories._entropy_step_table(canonical),
+        canonical, cfg, trajectories._step_table(funcs, superops),
         deltas.shape[1], n_out, np.zeros(40, np.int64))
     pieces = [(c0, j.shape[1]) for c0, _, _, j in blocks(10, 30)]
     assert pieces == [(10, 4), (14, 7), (21, 7), (28, 2)]
@@ -491,24 +491,9 @@ def test_non_hermiticity_preserving_map_is_an_error_not_dropped():
         trajectories.sample_entropy_process(with_phase(1e-6j), cfg)
 
 
-def test_entropy_step_table_is_folded_once_and_kept_read_only(monkeypatch):
-    m = fixtures.two_temperature_qubit()
-    cfg = TrajectoryConfig(n_steps=40, n_traj=16, seed=3)
-    first = trajectories.sample_entropy_process(m, cfg)
-    table = m.caches["entropy_step_table"]
-    assert not table.flags.writeable
-    folds = []
-    step_table = trajectories._step_table
-    monkeypatch.setattr(trajectories, "_step_table",
-                        lambda *a: folds.append(1) or step_table(*a))
-    again = trajectories.sample_entropy_process(m, cfg)
-    assert folds == [] and m.caches["entropy_step_table"] is table
-    assert np.array_equal(first.svec, again.svec)
-
-
 def test_a_map_that_is_not_hermiticity_preserving_raises_on_every_call():
     """The sampler and the exact enumeration both raise, and the model keeps
-    no outcome table and no step table."""
+    no outcome table."""
     m = fixtures.two_temperature_qubit()
     entry = m.unravelings["hot"]
     entry._superops = entry._superops * np.exp(1e-6j)
@@ -517,7 +502,7 @@ def test_a_map_that_is_not_hermiticity_preserving_raises_on_every_call():
             trajectories.sample_entropy_process(m, TrajectoryConfig(n_steps=5, n_traj=3, seed=0))
         with pytest.raises(trajectories.RealBasisError, match="not real in the Hermitian basis"):
             trajectories.enumerate_full_statistics(m, 2)
-    assert "entropy_step_table" not in m.caches and "outcome_table" not in m.caches
+    assert "outcome_table" not in vars(m)
 
 
 def test_tolerated_anti_hermitian_part_of_a_start_state_is_dropped():
@@ -804,7 +789,7 @@ def test_ergodic_average_reads_the_cached_real_superoperators(monkeypatch):
     first = trajectories.ergodic_average(model, x, cfg)
     u = extended._hermitian_basis(model.dim_sys)
     superops = np.stack([model.channels[l].superop for l in model.labels])[:, None]
-    assert (extended._real_superops(model)[:, None].tobytes()
+    assert (model.real_superops[:, None].tobytes()
             == extended._real(u @ superops @ u.conj().T, "superoperators").tobytes())
     folded = []
     real = trajectories._real
