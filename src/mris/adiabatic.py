@@ -77,31 +77,25 @@ def schedule_generator(model: MrisModel, schedule: AdiabaticSchedule,
 
 
 # Schedule steps per stack of generators (the first stack also carries s = 0),
-# so that memory does not grow with the number of steps; only a sweep that
-# fits in one stack keeps its steady states.
+# so that memory does not grow with the number of steps.
 _SWEEP_BLOCK = 256
 
 # Points of the uniform grid on which the family is checked for primitivity.
 _PRIMITIVITY_POINTS = 20
 
 
-def _path_gap_min(model: MrisModel, key, generators) -> float:
+def _path_gap_min(generators, tol) -> float:
     """The smallest gap of the instantaneous family on the primitivity grid,
     from one batched eigvals call classified in one pass; raises naming the
-    first point that is not primitive.  A path is checked once per model:
-    the gap is kept in model.caches under the schedule's key (a failing path
-    keeps nothing, so it raises on every call)."""
-    cache = model.caches.setdefault("adiabatic_gap_min", {})
-    if key not in cache:
-        grid = np.linspace(0.0, 1.0, _PRIMITIVITY_POINTS)
-        kind, gap, _, _ = extended._spectrum_kinds(np.linalg.eigvals(generators(grid)), model.tol)
-        bad = np.flatnonzero(kind != "primitive")
-        if bad.size:
-            raise AdiabaticError(
-                f"instantaneous generator at s={grid[bad[0]]:.3f} is {kind[bad[0]]}; "
-                "the tracking bound needs a primitive family")
-        cache[key] = float(gap.min())
-    return cache[key]
+    first point that is not primitive."""
+    grid = np.linspace(0.0, 1.0, _PRIMITIVITY_POINTS)
+    kind, gap, _, _ = extended._spectrum_kinds(np.linalg.eigvals(generators(grid)), tol)
+    bad = np.flatnonzero(kind != "primitive")
+    if bad.size:
+        raise AdiabaticError(
+            f"instantaneous generator at s={grid[bad[0]]:.3f} is {kind[bad[0]]}; "
+            "the tracking bound needs a primitive family")
+    return float(gap.min())
 
 
 @dataclass
@@ -126,13 +120,12 @@ def adiabatic_evolve(model: MrisModel, schedule: AdiabaticSchedule,
     which point any admissible start has merged into the O(1/N) tracking
     regime.
 
-    Everything is real, in the coordinates of MrisModel.real_superops.  The
-    primitivity grid is checked once per path and model (_path_gap_min); the
-    generators, the steady states R_+(s_k) (one bordered solve each, no
-    eigensolve) and the trace norms are taken over stacks of schedule
-    points, and only the recursion steps one point at a time.  A sweep of at
-    most _SWEEP_BLOCK steps keeps its steady states in model.caches, per
-    path and float s, so nested sweeps (N, 2N, 4N) solve each point once.
+    Everything is real, in the coordinates of MrisModel.real_superops.  Each
+    call checks its own primitivity grid (_path_gap_min) and keeps nothing on
+    the model; the generators, the steady states R_+(s_k) (one bordered solve
+    each, no eigensolve) and the trace norms are taken over stacks of at
+    most _SWEEP_BLOCK schedule points, and only the recursion steps one
+    point at a time.
     """
     if not isinstance(n_steps, (int, np.integer)):
         raise AdiabaticError(f"n_steps must be an integer, got {n_steps!r}")
@@ -156,11 +149,7 @@ def adiabatic_evolve(model: MrisModel, schedule: AdiabaticSchedule,
     def generators(s):
         return extended._generator_stack(schedule.transition_matrix(s), superops)
 
-    key = (schedule.kind, schedule.p_start.tobytes(), schedule.p_end.tobytes())
-    gap_min = _path_gap_min(model, key, generators)
-    keep = n_steps <= _SWEEP_BLOCK
-    points = model.caches.setdefault("adiabatic_ess", {})
-    points = points.setdefault(key, {}) if keep else points.get(key, {})
+    gap_min = _path_gap_min(generators, tol)
     s_grid = np.arange(n_steps + 1) / n_steps
     errors = np.empty(n_steps + 1)
 
@@ -168,13 +157,8 @@ def adiabatic_evolve(model: MrisModel, schedule: AdiabaticSchedule,
         """Fill errors[lo:hi] and return R_{hi-1}, entering with R_{lo-1}
         (with R_0, or None for R_+(0), when lo = 0).  A function of its own,
         so that one stack is released before the next is built."""
-        mats, s = generators(s_grid[lo:hi]), s_grid[lo:hi].tolist()
-        known = [points.get(t) for t in s]
-        todo = [k for k, x in enumerate(known) if x is None]
-        kept = points if keep else {}
-        for k, x in zip(todo, extended._ess_stack(mats[todo], labels, d, tol)[0] if todo else ()):
-            known[k] = kept[s[k]] = x
-        ess = np.array(known)
+        mats = generators(s_grid[lo:hi])
+        ess = extended._ess_stack(mats, labels, d, tol)[0]
         states = np.empty(ess.shape)
         for k, mat in enumerate(mats, lo):
             if k > 0:
@@ -192,4 +176,4 @@ def adiabatic_evolve(model: MrisModel, schedule: AdiabaticSchedule,
     plateau = float(errors[int(np.ceil(n_steps / 4)):].max())
     return AdiabaticResult(n_steps=n_steps, kind=schedule.kind, s_grid=s_grid,
                            errors=errors, plateau_error=plateau,
-                           instantaneous_gap_min=float(gap_min))
+                           instantaneous_gap_min=gap_min)

@@ -370,10 +370,11 @@ def _checked(convert, ok, expected: str):
 
 _count = _checked(int, lambda n: n >= 1, "an integer >= 1")
 _positive = _checked(float, lambda x: math.isfinite(x) and x > 0, "a finite number > 0")
-# adiabatic --steps: the verdict compares the tracking error between counts
+# adiabatic --steps: the verdict compares the tracking error between counts,
+# and a sweep needs at least 4 steps
 _step_counts = _checked(lambda text: sorted({int(s) for s in text.split(",")}),
-                        lambda steps: len(steps) >= 2 and steps[0] >= 1,
-                        "at least two distinct positive comma-separated step counts")
+                        lambda steps: len(steps) >= 2 and steps[0] >= 4,
+                        "at least two distinct comma-separated step counts >= 4")
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="target transition matrix: inline JSON or @file")
     p.add_argument("--kind", choices=("linear", "smoothstep"), default="linear")
     p.add_argument("--steps", type=_step_counts, default="64,128,256",
-                   help="comma-separated step counts, at least two distinct")
+                   help="comma-separated step counts, at least two distinct, "
+                        "each >= 4")
 
     return parser
 

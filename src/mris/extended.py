@@ -245,15 +245,14 @@ def adjoint_matrix(g: ExtendedGenerator) -> np.ndarray:
 
 @dataclass
 class GeneratorClassification:
+    """The spectral class of a generator, read off its eigenvalues alone; its
+    steady state is a separate solve (find_ess, MrisModel.steady_state)."""
     kind: str                     # 'reducible' | 'irreducible_periodic' | 'primitive'
     period: int
     gap: float
-    dominant_eigenvalue: float
     eigenvalue_one_multiplicity: int
     peripheral: np.ndarray
     peripheral_match_roots: bool
-    ess: ExtendedState = None
-    ess_faithful: bool = None
 
 
 def _eigenvalue_one_cluster(w: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -405,27 +404,22 @@ def classify_generator(g: ExtendedGenerator, tol: Tolerances = DEFAULT) -> Gener
     One eigenvalue solve, no eigenvectors: a trace-preserving positive map
     has the trace as its left fixed point and a semisimple peripheral
     spectrum (Wolf, Quantum Channels & Operations, 2012, ch. 6).
-    Irreducibility is exactly one eigenvalue in the 1-cluster; a generator
-    whose steady state cannot be solved still fails in find_ess.  The
-    period is the number of peripheral eigenvalues, cross-checked against
-    the p-th roots of unity.  An irreducible aperiodic generator whose
-    sub-peripheral spectrum does not clear the gap threshold is reported as
-    'irreducible_periodic' with period 1 rather than certified primitive.
+    Irreducibility is exactly one eigenvalue in the 1-cluster.  The period
+    is the number of peripheral eigenvalues, cross-checked against the p-th
+    roots of unity.  No steady state is solved.  An irreducible aperiodic
+    generator whose sub-peripheral spectrum does not clear the gap
+    threshold is reported as 'irreducible_periodic' with period 1 rather
+    than certified primitive.
     """
     w = np.linalg.eigvals(g.matrix)
     kind, gap, mult, on_circle = (a[0] for a in _spectrum_kinds(w[None], tol))
     peripheral = w[on_circle]
     p = len(peripheral) if mult == 1 else 0
     roots = np.exp(2j * np.pi * np.arange(p) / max(p, 1))
-    cls = GeneratorClassification(
-        kind=str(kind), period=p, gap=float(gap), dominant_eigenvalue=float(np.abs(w).max()),
-        eigenvalue_one_multiplicity=int(mult), peripheral=peripheral,
+    return GeneratorClassification(
+        kind=str(kind), period=p, gap=float(gap), eigenvalue_one_multiplicity=int(mult),
+        peripheral=peripheral,
         peripheral_match_roots=p >= 1 and all(np.abs(peripheral - r).min() <= 1e-6 for r in roots))
-    if cls.kind != "reducible":
-        cls.ess, _resid = find_ess(g, tol)
-        low = np.linalg.eigvalsh(cls.ess.blocks).min(axis=1)
-        cls.ess_faithful = bool((low[cls.ess.marginal() > tol.pi_floor] > 0.0).all())
-    return cls
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ derived objects (probe states, propagators U_w, reduced channels L_w,
 two-time-measurement unravelings, flux observables) are built eagerly by
 build_model; what the numerics derive from them is a read-only cached
 property, taken once per model on first use (one that raises keeps nothing).
+A model keeps nothing else: no analysis stores what it computes on it.
 """
 
 import functools
@@ -202,8 +203,6 @@ class MrisModel:
     channels: dict = None
     unravelings: dict = None
     flux: dict = None
-    # the adiabatic sweep's per-schedule stores
-    caches: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def labels(self):

@@ -73,23 +73,21 @@ def test_path_must_stay_primitive(canonical):
         adiabatic.adiabatic_evolve(canonical, sch, 64)
 
 
-def test_path_check_is_kept_per_schedule_and_a_failing_path_raises_every_time():
+def test_path_is_checked_by_every_call_and_a_failing_path_raises_every_time():
+    """Each sweep is its own: a failing path raises again, and a repeated
+    sweep on a model equals the first sweep of a fresh model byte for byte."""
     model = fixtures.two_temperature_qubit()
     two_cycle = adiabatic.AdiabaticSchedule(model.chain.P, [[0.0, 1.0], [1.0, 0.0]])
     for _ in range(2):
         with pytest.raises(adiabatic.AdiabaticError, match="primitive"):
             adiabatic.adiabatic_evolve(model, two_cycle, 16)
-    assert model.caches.get("adiabatic_gap_min", {}) == {}
-    first = {}
     for kind in ("linear", "smoothstep"):
         sch = adiabatic.AdiabaticSchedule(model.chain.P, P_END, kind=kind)
-        first[kind] = adiabatic.adiabatic_evolve(model, sch, 32)
-    assert len(model.caches["adiabatic_gap_min"]) == 2
-    for kind, res in first.items():
-        again = adiabatic.adiabatic_evolve(
-            model, adiabatic.AdiabaticSchedule(model.chain.P, P_END, kind=kind), 32)
-        assert again.instantaneous_gap_min == res.instantaneous_gap_min
-        assert again.errors.tobytes() == res.errors.tobytes()
+        fresh = adiabatic.adiabatic_evolve(fixtures.two_temperature_qubit(), sch, 32)
+        for _ in range(2):
+            again = adiabatic.adiabatic_evolve(model, sch, 32)
+            assert again.instantaneous_gap_min == fresh.instantaneous_gap_min
+            assert again.errors.tobytes() == fresh.errors.tobytes()
 
 
 def test_default_start_has_no_initial_error(canonical):
@@ -227,14 +225,9 @@ def test_real_sweep_matches_the_complex_sweep(name):
 HARNESS_STEPS = (64, 128, 256)
 
 
-def _cached_points(model):
-    return sum(len(p) for p in model.caches.get("adiabatic_ess", {}).values())
-
-
-def test_nested_sweeps_reuse_steady_states_bitwise():
-    """s = k / 64 and k / 128 are points of the 256-step grid, as floats, so
-    the nested sweeps solve each point once; the 256-step sweep that reads
-    them equals a cold one on a fresh model byte for byte."""
+def test_nested_sweeps_equal_a_fresh_sweep_bitwise():
+    """The 256-step sweep that follows the 64- and 128-step sweeps of the
+    same schedule equals one on a fresh model byte for byte."""
     warm = fixtures.two_temperature_qubit()
     for kind in ("linear", "smoothstep"):
         sch = adiabatic.AdiabaticSchedule(warm.chain.P, P_END, kind=kind)
@@ -243,41 +236,46 @@ def test_nested_sweeps_reuse_steady_states_bitwise():
         cold = adiabatic.adiabatic_evolve(fixtures.two_temperature_qubit(), sch, 256)
         assert res.errors.tobytes() == cold.errors.tobytes()
         assert res.instantaneous_gap_min == cold.instantaneous_gap_min
-    assert _cached_points(warm) == 2 * 257
 
 
-def test_steady_states_solved_over_the_nested_sweeps(monkeypatch):
-    """The 64/128/256 triple solves 257 steady states per schedule (65 + 129
-    + 257 = 451 without the cache), and repeating it solves none."""
+@pytest.fixture
+def solved(monkeypatch):
+    """The sizes of the stacks of steady states solved, in call order."""
     ess_stack = extended._ess_stack
-    solved = []
+    sizes = []
 
     def counting(mats, *args):
-        solved.append(len(mats))
+        sizes.append(len(mats))
         return ess_stack(mats, *args)
 
     monkeypatch.setattr(extended, "_ess_stack", counting)
+    return sizes
+
+
+def test_steady_states_solved_over_the_nested_sweeps(solved):
+    """Each sweep solves its own points: the 64/128/256 triple solves
+    65 + 129 + 257 = 451 steady states per schedule, on every repeat."""
     model = fixtures.two_temperature_qubit()
     for kind in ("linear", "smoothstep"):
         sch = adiabatic.AdiabaticSchedule(model.chain.P, P_END, kind=kind)
-        for repeat in (257, 0):
+        for _ in range(2):
             solved.clear()
             for n in HARNESS_STEPS:
                 adiabatic.adiabatic_evolve(model, sch, n)
-            assert sum(solved) == repeat, kind
+            assert sum(solved) == 451, kind
 
 
-def test_a_sweep_longer_than_one_stack_keeps_nothing():
+def test_a_sweep_longer_than_one_stack_keeps_nothing(solved):
+    """A sweep of 512 steps solves its 513 points in two stacks whatever ran
+    before it, with the bits of a sweep on a fresh model."""
     model = fixtures.two_temperature_qubit()
     sch = adiabatic.AdiabaticSchedule(model.chain.P, P_END)
-    adiabatic.adiabatic_evolve(model, sch, 300)
-    assert _cached_points(model) == 0
-    adiabatic.adiabatic_evolve(model, sch, 64)
-    first = adiabatic.adiabatic_evolve(model, sch, 512)
-    assert _cached_points(model) == 65
-    # the long sweep reads the kept points, with the same bits
-    again = adiabatic.adiabatic_evolve(fixtures.two_temperature_qubit(), sch, 512)
-    assert first.errors.tobytes() == again.errors.tobytes()
+    fresh = adiabatic.adiabatic_evolve(fixtures.two_temperature_qubit(), sch, 512)
+    for n in (300, 64, 512):
+        solved.clear()
+        res = adiabatic.adiabatic_evolve(model, sch, n)
+    assert solved == [257, 256]
+    assert res.errors.tobytes() == fresh.errors.tobytes()
 
 
 def test_vectorized_grid_classification_equals_the_per_point_one(canonical):
@@ -342,10 +340,8 @@ def test_start_state_must_match_the_model(canonical):
 
 
 def test_eigensolve_count_does_not_grow_with_the_step_count(canonical, monkeypatch):
-    """The sweep solves stacks of schedule points, not one point per call,
-    and a path is checked for primitivity once: one eigvals call on the
-    first sweep of a schedule, none on later sweeps of any length."""
-    # a schedule of this test's own: canonical (and its caches) is shared
+    """The sweep solves stacks of schedule points, not one point per call:
+    each sweep of any length makes one eigvals call, its primitivity grid."""
     sch = adiabatic.AdiabaticSchedule(canonical.chain.P, [[0.25, 0.75], [0.55, 0.45]])
     eigvals = np.linalg.eigvals
     calls = []
@@ -360,16 +356,15 @@ def test_eigensolve_count_does_not_grow_with_the_step_count(canonical, monkeypat
         calls.clear()
         adiabatic.adiabatic_evolve(canonical, sch, n)
         counts.append(len(calls))
-    assert counts == [1, 0, 0]
+    assert counts == [1, 1, 1]
 
 
 def test_one_eigensolve_per_sweep_and_no_rebuild_in_linear_response(
         canonical, equilibrium, monkeypatch):
     """Regression guard: the tracking grid takes its steady states from the
     bordered solve, so a sweep runs no eigenvector solve whatever its
-    length, and one eigenvalue solve (the primitivity stack) on the first
-    sweep of a path only, as does one classification; the linear response
-    rebuilds no model."""
+    length, and one eigenvalue solve (the primitivity stack) per sweep, as
+    does one classification; the linear response rebuilds no model."""
     calls = {"eig": 0, "eigvals": 0, "build_model": 0}
 
     def counting(module, name):
@@ -383,13 +378,12 @@ def test_one_eigensolve_per_sweep_and_no_rebuild_in_linear_response(
     counting(np.linalg, "eig")
     counting(np.linalg, "eigvals")
     counting(models, "build_model")
-    # a schedule of this test's own: canonical (and its caches) is shared
     sch = adiabatic.AdiabaticSchedule(canonical.chain.P, [[0.3, 0.7], [0.45, 0.55]],
                                       kind="smoothstep")
-    for n, solves in ((16, 1), (300, 0), (700, 0)):
+    for n in (16, 300, 700):
         calls.update(eig=0, eigvals=0)
         adiabatic.adiabatic_evolve(canonical, sch, n)
-        assert (calls["eig"], calls["eigvals"]) == (0, solves), n
+        assert (calls["eig"], calls["eigvals"]) == (0, 1), n
     calls.update(eig=0, eigvals=0)
     extended.find_ess(canonical.generator, canonical.tol)
     assert (calls["eig"], calls["eigvals"]) == (0, 0)

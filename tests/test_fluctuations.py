@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mris import extended, fixtures, fluctuations, modelfile, models, trajectories
+from mris import (adiabatic, extended, fixtures, fluctuations, modelfile, models,
+                  trajectories)
 
 
 def test_cumulant_vanishes_at_origin(canonical, equilibrium):
@@ -25,29 +26,49 @@ def test_cumulant_does_not_depend_on_the_call_history():
     assert fluctuations.e_of_alpha(model, alpha) == fresh
 
 
-def test_cumulant_keeps_nothing_per_tilt():
-    """Nothing the model holds grows with the number of tilts evaluated."""
-    model = fixtures.two_temperature_qubit()
-    fluctuations.e_of_alpha(model, np.zeros(2))
+def _size(v):
+    if isinstance(v, dict):
+        return len(v), {key: _size(x) for key, x in v.items()}
+    if isinstance(v, tuple):
+        return tuple(_size(x) for x in v)
+    return v.shape if isinstance(v, np.ndarray) else None
 
-    def size(v):
-        if isinstance(v, dict):
-            return len(v), {key: size(x) for key, x in v.items()}
-        if isinstance(v, tuple):
-            return tuple(size(x) for x in v)
-        return v.shape if isinstance(v, np.ndarray) else None
 
-    def sizes():
-        return {key: size(v) for key, v in vars(model).items()}
+def _sizes(model):
+    """The size of everything the model holds, container by container."""
+    return {key: _size(v) for key, v in vars(model).items()}
 
-    before = sizes()
-    rng = np.random.default_rng(3)
+
+def _tilt_scan(model, rng):
     for a in rng.uniform(-1.0, 2.0, size=(20, 2)):
         fluctuations.e_of_alpha(model, a)
     fluctuations.e_of_alpha(model, rng.uniform(-1.0, 2.0, size=(30, 2)))
     fluctuations.gc_symmetry_report(model)
     fluctuations.translation_symmetry_report(model)
-    assert sizes() == before
+
+
+def _schedule_scan(model, rng):
+    """200 distinct p_end schedules at 64 steps each."""
+    for q in rng.uniform(0.1, 0.9, size=200):
+        sch = adiabatic.AdiabaticSchedule(model.chain.P, [[1.0 - q, q], [0.5, 0.5]])
+        adiabatic.adiabatic_evolve(model, sch, 64)
+
+
+def _classification(model, rng):
+    extended.classify_generator(model.generator, model.tol)
+
+
+@pytest.mark.parametrize("scan", [_tilt_scan, _schedule_scan, _classification],
+                         ids=["tilts", "schedules", "classify"])
+def test_the_model_keeps_nothing_per_call(scan):
+    """Nothing the model holds grows with the number of tilts, schedules or
+    classifications asked of it; a first scan fills its cached properties,
+    and a second one, over other tilts and schedules, adds nothing."""
+    model = fixtures.two_temperature_qubit()
+    scan(model, np.random.default_rng(2))
+    before = _sizes(model)
+    scan(model, np.random.default_rng(3))
+    assert _sizes(model) == before
 
 
 def test_cumulant_on_a_period_two_chain():

@@ -383,6 +383,20 @@ def test_one_steady_state_solve_and_decomposition_per_run(argv, solves, capsys):
     assert solves == {"solve": 1, "decompose": 1}
 
 
+@pytest.mark.parametrize("path", BUNDLED, ids=lambda p: Path(p).stem)
+def test_classify_solves_no_steady_state(path, solves, capsys):
+    """Classification reads the spectrum alone."""
+    assert cli.main(["classify", "--model", path]) == 0
+    assert solves == {"solve": 0, "decompose": 0}
+
+
+def test_classify_then_ess_solves_the_steady_state_once(solves):
+    model = modelfile.load_model(TWO_TEMP)
+    extended.classify_generator(model.generator, model.tol)
+    model.ess()
+    assert solves == {"solve": 1, "decompose": 1}
+
+
 def test_the_kept_steady_state_is_decomposed_once_and_read_only(solves):
     model = fixtures.equilibrium_qubit()
     assert models.check_equilibrium(model) == models.check_equilibrium(model)
@@ -467,6 +481,17 @@ def test_cli_adiabatic_steps_must_compare_two_counts(steps, capsys):
                   "--p-end", "[[0.2, 0.8], [0.5, 0.5]]", "--steps", steps])
     assert exc.value.code == 2
     assert "argument --steps: expected" in capsys.readouterr().err
+
+
+def test_cli_adiabatic_step_counts_below_4_are_a_usage_error(capsys):
+    """A sweep needs at least 4 steps: the parser says so, not the sweep."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["adiabatic", "--model", TWO_TEMP,
+                  "--p-end", "[[0.2, 0.8], [0.5, 0.5]]", "--steps", "2,3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert "argument --steps: expected at least two distinct comma-separated step counts >= 4" in err
 
 
 @pytest.mark.parametrize("argv, option", [
