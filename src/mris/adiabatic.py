@@ -83,6 +83,9 @@ _SWEEP_BLOCK = 256
 # Points of the uniform grid on which the family is checked for primitivity.
 _PRIMITIVITY_POINTS = 20
 
+# The shortest sweep: the plateau is the maximum over k >= N/4.
+_MIN_STEPS = 4
+
 
 def _path_gap_min(generators, tol) -> float:
     """The smallest gap of the instantaneous family on the primitivity grid,
@@ -129,8 +132,8 @@ def adiabatic_evolve(model: MrisModel, schedule: AdiabaticSchedule,
     """
     if not isinstance(n_steps, (int, np.integer)):
         raise AdiabaticError(f"n_steps must be an integer, got {n_steps!r}")
-    if n_steps < 4:
-        raise AdiabaticError("need at least 4 steps")
+    if n_steps < _MIN_STEPS:
+        raise AdiabaticError(f"need at least {_MIN_STEPS} steps")
     _check_states(model, schedule)
     tol = model.tol
     labels, m, d = model.labels, model.chain.n, model.dim_sys

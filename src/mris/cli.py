@@ -370,11 +370,17 @@ def _checked(convert, ok, expected: str):
 
 _count = _checked(int, lambda n: n >= 1, "an integer >= 1")
 _positive = _checked(float, lambda x: math.isfinite(x) and x > 0, "a finite number > 0")
-# adiabatic --steps: the verdict compares the tracking error between counts,
-# and a sweep needs at least 4 steps
-_step_counts = _checked(lambda text: sorted({int(s) for s in text.split(",")}),
-                        lambda steps: len(steps) >= 2 and steps[0] >= 4,
-                        "at least two distinct comma-separated step counts >= 4")
+
+
+def _step_counts(text: str) -> list:
+    """adiabatic --steps: the verdict compares the tracking error between
+    counts, and each is a sweep of at least adiabatic._MIN_STEPS steps.
+    Only an adiabatic command parses --steps, so only it imports adiabatic."""
+    from .adiabatic import _MIN_STEPS
+    return _checked(lambda t: sorted({int(s) for s in t.split(",")}),
+                    lambda steps: len(steps) >= 2 and steps[0] >= _MIN_STEPS,
+                    "at least two distinct comma-separated step counts "
+                    f">= {_MIN_STEPS}")(text)
 
 
 # ---------------------------------------------------------------------------

@@ -360,9 +360,12 @@ def test_acceptance_15_classification_suite():
         if want_period is not None:
             assert cls.period == want_period, (name, cls.period)
 
-        # an irreducible lift needs an irreducible driving chain
+        # an irreducible lift needs an irreducible driving chain, and has a
+        # steady state that one bordered solve finds
         if cls.kind != "reducible":
             assert chains.classify_chain(chain).irreducible, name
+            _, resid = extended.find_ess(g)
+            assert resid <= 1e-10, (name, resid)
 
         # positivity-improving chain: the lift and the averaged single-step
         # channel are primitive together

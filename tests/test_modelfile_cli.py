@@ -484,7 +484,10 @@ def test_cli_adiabatic_steps_must_compare_two_counts(steps, capsys):
 
 
 def test_cli_adiabatic_step_counts_below_4_are_a_usage_error(capsys):
-    """A sweep needs at least 4 steps: the parser says so, not the sweep."""
+    """A sweep needs at least 4 steps: the parser says so, not the sweep,
+    and its help names the bound the sweep checks."""
+    from mris import adiabatic
+    assert adiabatic._MIN_STEPS == 4
     with pytest.raises(SystemExit) as exc:
         cli.main(["adiabatic", "--model", TWO_TEMP,
                   "--p-end", "[[0.2, 0.8], [0.5, 0.5]]", "--steps", "2,3"])
@@ -492,6 +495,10 @@ def test_cli_adiabatic_step_counts_below_4_are_a_usage_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: ")
     assert "argument --steps: expected at least two distinct comma-separated step counts >= 4" in err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["adiabatic", "--help"])
+    assert exc.value.code == 0
+    assert "each >= 4" in " ".join(capsys.readouterr().out.split())
 
 
 @pytest.mark.parametrize("argv, option", [
