@@ -20,8 +20,7 @@ _EXPORTS = {
                "classify_chain", "sample_path", "stationary_vector"),
     "extended": ("EssDecomposition", "ExtendedGenerator", "ExtendedObservable",
                  "ExtendedState", "GeneratorClassification", "GeneratorError",
-                 "NotIrreducibleError", "RealBasisError", "adjoint_matrix",
-                 "build_generator",
+                 "NotIrreducibleError", "RealBasisError", "build_generator",
                  "classify_generator", "deformed_generator", "ess_decompose",
                  "evolve", "expectation", "find_ess", "initial_extended_state"),
     "fluctuations": ("FluctuationError", "GreenKuboResult", "KineticMatrix",

@@ -4,28 +4,25 @@ An extended state is a family R = (R(w))_{w in Omega} of positive blocks with
 total trace one; extended observables are Hermitian block families.  The
 generator acts blockwise as
 
-    (L R)(w) = sum_v P[v, w] L_v R(v),
+    (L R)(w) = sum_v P[v, w] L_v R(v).
 
-and is represented as an (m d^2) x (m d^2) matrix over the stacked
-column-vectorizations of the blocks.  The duality <R, X> = sum_w tr(R(w)* X(w))
-is then the plain inner product of stacked vectors, so the adjoint map on
-observables is the conjugate transpose of the generator matrix.
-
-The numerics run in a real basis.  With U the unitary that takes vec(rho)
-to the coordinates tr(E_a rho) of rho in an orthonormal Hermitian basis E_a
-(_hermitian_basis), and T = 1_m (x) U, every Hermiticity-preserving map has
-a real matrix T M T^H.  Steady states and their sensitivities are solved
-there, from the channel superoperators U S_v U^H (MrisModel.real_superops),
-and so is the tilted generator, whose block (w, v) is
+It is held as one real (m d^2) x (m d^2) matrix over the stacked coordinates
+of the blocks in an orthonormal Hermitian basis E_a (_hermitian_basis).
+With U the unitary that takes vec(rho) to the coordinates tr(E_a rho) and
+T = 1_m (x) U, it is T M T^H, M the matrix over the stacked
+column-vectorizations: block (w, v) is P[v, w] U S_v U^H, from the channel
+superoperators S_v folded once (an imaginary part beyond round-off raises
+RealBasisError).  The duality <R, X> = sum_w tr(R(w)* X(w)) is the plain
+inner product of the real coordinates, so the dual map on observables is the
+transpose of the matrix.  States are stepped, steady states and their
+sensitivities solved and spectra classified on it, so LAPACK runs on real
+matrices.  The tilted generator lives in the same coordinates; its block
+(w, v) is
 
     M(alpha)_wv = sum_xi exp(-alpha_v delta_{v xi}) P[v, w] U S_{v xi} U^H,
 
 read from the real outcome table of the model (MrisModel.outcome_table)
-with the chain folded into the weights.  Both tables are folded once per
-model (an imaginary part beyond round-off raises RealBasisError), so LAPACK
-runs on real matrices; deformed_generator writes M(alpha) back as
-T^H M T.  The plain generator and the classification keep the complex
-layout above.
+with the chain folded into the weights.
 """
 
 import functools
@@ -172,7 +169,7 @@ def expectation(r, x) -> float:
 class ExtendedGenerator:
     labels: tuple
     dim: int
-    matrix: np.ndarray = field(repr=False)
+    matrix: np.ndarray = field(repr=False)    # real T M T^H (module docstring)
     chain: MarkovChain = None
     channels: dict = None       # label -> QuantumChannel; None for tilted variants
 
@@ -181,8 +178,8 @@ class ExtendedGenerator:
         return len(self.labels)
 
     def apply(self, r: ExtendedState) -> ExtendedState:
-        v = self.matrix @ big_vec(r.blocks)
-        return ExtendedState(self.labels, big_unvec(v, self.n_labels, self.dim))
+        """L R: one step of evolve, which checks R."""
+        return evolve(self, r, 1)
 
 
 def _generator_stack(P: np.ndarray, superops) -> np.ndarray:
@@ -190,7 +187,7 @@ def _generator_stack(P: np.ndarray, superops) -> np.ndarray:
     one superoperator family S (m, d^2, d^2) or a stack of them
     (K, m, d^2, d^2): block (w, v) of the k-th matrix is P[k, v, w] * S[k]_v,
     and exactly zero where P[k, v, w] is.  Either stack may have K = 1.  The
-    matrices take the dtype of S: the real U S_v U^H give T M T^H."""
+    matrices take the dtype of S: the folded U S_v U^H give T M T^H."""
     superops = np.asarray(superops)
     if superops.ndim == 4:
         superops = superops[:, None]
@@ -200,13 +197,10 @@ def _generator_stack(P: np.ndarray, superops) -> np.ndarray:
     return blocks.transpose(0, 1, 3, 2, 4).reshape(-1, m * dd, m * dd)
 
 
-def generator_matrix(chain: MarkovChain, superops) -> np.ndarray:
-    """Assemble the block matrix M[w, v] = P[v, w] * S_v."""
-    return _generator_stack(chain.P[None], superops)[0]
-
-
 def build_generator(chain: MarkovChain, channels: dict) -> ExtendedGenerator:
-    """The one-step generator from a chain and per-label channels."""
+    """The one-step generator T M T^H from a chain and per-label channels,
+    their superoperators folded into the Hermitian basis (_fold): a channel
+    that does not preserve Hermiticity raises RealBasisError."""
     labels = chain.labels
     missing = [l for l in labels if l not in channels]
     if missing:
@@ -215,7 +209,8 @@ def build_generator(chain: MarkovChain, channels: dict) -> ExtendedGenerator:
     if len(dims) != 1:
         raise GeneratorError(f"channels have mixed dimensions {sorted(dims)}")
     d = dims.pop()
-    mat = generator_matrix(chain, [channels[l].superop for l in labels])
+    superops = _fold(np.stack([channels[l].superop for l in labels]))
+    mat = _generator_stack(chain.P[None], superops)[0]
     return ExtendedGenerator(labels=tuple(labels), dim=d, matrix=mat,
                              chain=chain, channels=dict(channels))
 
@@ -227,16 +222,22 @@ def initial_extended_state(chain: MarkovChain, rho_init: dict) -> ExtendedState:
 
 
 def evolve(g: ExtendedGenerator, r: ExtendedState, n: int) -> ExtendedState:
+    """L^n R, stepped in the real coordinates: R is read into them once and
+    written back once.  R must have the generator's labels, block dimension
+    and Hermitian blocks, and n must be an integer >= 0; GeneratorError
+    otherwise."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
+        raise GeneratorError(f"n must be an integer >= 0, got {n!r}")
     if r.labels != g.labels or r.dim != g.dim:
-        raise GeneratorError("state does not match generator layout")
+        raise GeneratorError(
+            f"state has labels {r.labels} and {r.dim} x {r.dim} blocks, the "
+            f"generator {g.labels} and {g.dim} x {g.dim}")
+    # the base check alone: Hermitian blocks, whose real coordinates lose nothing
+    _BlockFamily.check(r)
+    x = _coords(r.blocks)
     for _ in range(n):
-        r = g.apply(r)
-    return r
-
-
-def adjoint_matrix(g: ExtendedGenerator) -> np.ndarray:
-    """Matrix of the dual map on observables w.r.t. <R, X>."""
-    return g.matrix.conj().T
+        x = g.matrix @ x
+    return ExtendedState(g.labels, _blocks(x, g.n_labels, g.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +357,9 @@ def _steady_state(g: ExtendedGenerator, tol: Tolerances):
     """find_ess's (state, residual), then what else its one solve gives:
     the state's real coordinates x, A^{-1} and kappa_1 (MrisModel.steady_state
     keeps them all)."""
-    mat = _real_generator(g)
-    x, a_inv, kappa = (a[0] for a in _ess_stack(mat[None], g.labels, g.dim, tol))
+    x, a_inv, kappa = (a[0] for a in _ess_stack(g.matrix[None], g.labels, g.dim, tol))
     return (ExtendedState(g.labels, _blocks(x, g.n_labels, g.dim)),
-            float(_trace_norm(mat @ x - x, g.n_labels, g.dim)), x, a_inv, float(kappa))
+            float(_trace_norm(g.matrix @ x - x, g.n_labels, g.dim)), x, a_inv, float(kappa))
 
 
 @dataclass
@@ -401,7 +401,7 @@ def _spectrum_kinds(w: np.ndarray, tol: Tolerances = DEFAULT):
 def classify_generator(g: ExtendedGenerator, tol: Tolerances = DEFAULT) -> GeneratorClassification:
     """Full-spectrum classification: reducible / irreducible-periodic / primitive.
 
-    One eigenvalue solve, no eigenvectors: a trace-preserving positive map
+    One real eigenvalue solve, no eigenvectors: a trace-preserving positive map
     has the trace as its left fixed point and a semisimple peripheral
     spectrum (Wolf, Quantum Channels & Operations, 2012, ch. 6).
     Irreducibility is exactly one eigenvalue in the 1-cluster.  The period
@@ -477,21 +477,6 @@ def _fold(superops: np.ndarray, what: str = "superoperators") -> np.ndarray:
     return _real(u @ superops @ u.conj().T, what)
 
 
-def _rebase(mats: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """left M_wv right for every d^2 x d^2 block (w, v) of matrices (..., n, n)."""
-    dd = left.shape[0]
-    m = mats.shape[-1] // dd
-    blocks = mats.reshape(mats.shape[:-2] + (m, dd, m, dd)).swapaxes(-2, -3)
-    return (left @ blocks @ right).swapaxes(-2, -3).reshape(mats.shape)
-
-
-def _real_generator(g: ExtendedGenerator) -> np.ndarray:
-    """T M T^H, the generator matrix of g in the real coordinates; a
-    generator that does not preserve Hermiticity raises RealBasisError."""
-    u = _hermitian_basis(g.dim)
-    return _real(_rebase(g.matrix, u, u.conj().T), "generator")
-
-
 def _tilt_vector(m: int, alpha, error=GeneratorError, stack: bool = False) -> np.ndarray:
     """alpha as a float array with one entry for each of m labels (or, with
     ``stack``, also a stack (K, m) of such tilts); raises ``error`` naming
@@ -553,22 +538,14 @@ def _tilted_stack(model, alpha, derivatives: bool = False,
     return blocks.reshape(blocks.shape[:-4] + (n, n))
 
 
-def _complex_generator(mats: np.ndarray, d: int) -> np.ndarray:
-    """T^H M T: generator matrices (..., n, n) in the real coordinates back
-    in the stacked vec(rho) layout of the blocks."""
-    u = _hermitian_basis(d)
-    return _rebase(mats, u.conj().T, u)
-
-
 def deformed_generator(model, alpha) -> ExtendedGenerator:
     """The entropy-tilted generator: channel v is replaced by
     sum_xi exp(-alpha_v * delta_xi) L_{v, xi}, from the unravelings' Kraus
-    atoms, so nothing is re-diagonalized per alpha.  The matrix is T^H M T,
-    the real M(alpha) of the tilt kernel (see _tilted_stack) written in the
-    layout of the plain generator, which it equals at alpha = 0 up to
-    round-off; a tilt that overflows raises GeneratorError naming alpha."""
+    atoms, so nothing is re-diagonalized per alpha.  The matrix is the real
+    M(alpha) of the tilt kernel (see _tilted_stack), which equals the plain
+    generator's at alpha = 0 up to round-off; a tilt that overflows raises
+    GeneratorError naming alpha."""
     chain = model.chain
     alpha = _tilt_vector(chain.n, alpha)
-    mat = _complex_generator(_tilted_stack(model, alpha), model.dim_sys)
     return ExtendedGenerator(labels=tuple(chain.labels), dim=model.dim_sys,
-                             matrix=mat, chain=chain, channels=None)
+                             matrix=_tilted_stack(model, alpha), chain=chain, channels=None)

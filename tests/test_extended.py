@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from conftest import random_density, random_hermitian
-from mris import chains, extended, fixtures, modelfile, models
+from mris import chains, extended, fixtures, modelfile, models, quantum
 from mris.tolerances import DEFAULT
 from test_trajectories import _sparse_mixed_model
 
@@ -94,18 +94,44 @@ def test_adjoint_is_the_pairing_dual(canonical, rng):
     x = extended.ExtendedObservable(
         canonical.labels, np.stack([random_hermitian(rng, 2) for _ in canonical.labels]))
     lhs = extended.expectation(g.apply(r), x)
+    # the dual map is the transpose of the real matrix
     xd = extended.ExtendedObservable(
         canonical.labels,
-        extended.big_unvec(extended.adjoint_matrix(g) @ extended.big_vec(x.blocks),
-                           len(canonical.labels), 2))
+        extended._blocks(g.matrix.T @ extended._coords(x.blocks), len(canonical.labels), 2))
     rhs = extended.expectation(r, xd)
     assert abs(lhs - rhs) < 1e-12
 
 
 def test_identity_is_fixed_by_the_adjoint(canonical):
-    ident = extended.identity_observable(canonical.labels, 2)
-    out = extended.adjoint_matrix(canonical.generator) @ extended.big_vec(ident.blocks)
-    np.testing.assert_allclose(out, extended.big_vec(ident.blocks), atol=1e-12)
+    ident = extended._coords(extended.identity_observable(canonical.labels, 2).blocks)
+    np.testing.assert_allclose(canonical.generator.matrix.T @ ident, ident, atol=1e-12)
+
+
+def test_a_state_is_stepped_only_under_its_own_labels(canonical):
+    """apply and evolve step a state whose labels, block size and Hermitian
+    blocks fit the generator, and raise otherwise: a state labelled
+    (cold, hot) is not read as (hot, cold)."""
+    g = canonical.generator
+    r = canonical.initial_state()
+    swapped = extended.ExtendedState(g.labels[::-1], r.blocks)
+    bigger = extended.ExtendedState(g.labels, np.broadcast_to(np.eye(3) / 6, (2, 3, 3)))
+    skew = extended.ExtendedState(g.labels, r.blocks + 1e-3j)
+    for state, match in ((swapped, r"labels \('cold', 'hot'\)"),
+                         (bigger, "3 x 3 blocks"), (skew, "not Hermitian")):
+        with pytest.raises(extended.GeneratorError, match=match):
+            g.apply(state)
+        with pytest.raises(extended.GeneratorError, match=match):
+            extended.evolve(g, state, 2)
+
+
+def test_evolve_takes_an_integer_step_count_of_at_least_zero(canonical):
+    g, r = canonical.generator, canonical.initial_state()
+    for n in (-1, 1.5, 2.0, True, "2"):
+        with pytest.raises(extended.GeneratorError, match="n must be an integer >= 0"):
+            extended.evolve(g, r, n)
+    np.testing.assert_allclose(extended.evolve(g, r, 0).blocks, r.blocks, atol=1e-16)
+    assert (extended.evolve(g, r, np.int64(2)).blocks.tobytes()
+            == g.apply(g.apply(r)).blocks.tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +167,7 @@ def test_refused_solves_name_their_cause(canonical):
     """An exactly singular bordered matrix (the identity generator fixes
     every state) reads the multiplicity off the spectrum; a refusal whose
     eigenvalue-1 cluster is a single eigenvalue names the norms instead."""
-    ident = extended.ExtendedGenerator(("a", "b"), 2, np.eye(8, dtype=complex))
+    ident = extended.ExtendedGenerator(("a", "b"), 2, np.eye(8))
     with pytest.raises(extended.NotIrreducibleError) as err:
         extended.find_ess(ident)
     assert err.value.multiplicity == 8
@@ -155,13 +181,14 @@ def test_refused_solves_name_their_cause(canonical):
 
 
 def test_a_generator_that_does_not_preserve_hermiticity_is_refused(canonical):
-    """The steady state is solved in the Hermitian basis, where such a
-    generator has no real matrix: it raises instead of losing a part."""
+    """The generator is assembled in the Hermitian basis, where a channel
+    that does not preserve Hermiticity has no real superoperator: it raises
+    instead of losing a part."""
     rng = np.random.default_rng(3)
-    skew = canonical.generator.matrix + 1e-3j * rng.normal(size=(8, 8))
-    g = extended.ExtendedGenerator(canonical.labels, 2, skew)
-    with pytest.raises(extended.RealBasisError, match="^generator not real"):
-        extended.find_ess(g)
+    hot = canonical.channels["hot"]
+    skew = quantum.QuantumChannel(2, hot.kraus, hot.superop + 1e-3j * rng.normal(size=(4, 4)))
+    with pytest.raises(extended.RealBasisError, match="^superoperators not real"):
+        extended.build_generator(canonical.chain, {**canonical.channels, "hot": skew})
 
 
 def test_classification_canonical_vs_decoupled(canonical, decoupled):
@@ -188,14 +215,14 @@ def test_left_fixed_point_is_the_identity(name):
     cls = extended.classify_generator(g)
     assert cls.kind in ("primitive", "irreducible_periodic")
     assert cls.period == (2 if name == "period_two" else 1)
-    eye = extended.big_vec(extended.identity_observable(g.labels, g.dim).blocks)
-    assert np.abs(extended.adjoint_matrix(g) @ eye - eye).max() <= 1e-12
+    eye = extended._coords(extended.identity_observable(g.labels, g.dim).blocks)
+    assert np.abs(g.matrix.T @ eye - eye).max() <= 1e-12
 
 
 def test_defective_generator_classifies_without_raising():
     """A Jordan block at 1 (and a nilpotent one at 0) leaves the
     eigenvectors linearly dependent; eigenvalue 1 counts as not simple."""
-    mat = np.zeros((8, 8), dtype=complex)
+    mat = np.zeros((8, 8))
     mat[:2, :2] = [[1.0, 1.0], [0.0, 1.0]]
     mat[2:5, 2:5] = np.eye(3, k=1)
     mat[5:, 5:] = np.diag([0.5, 0.2, 0.1])
@@ -233,11 +260,13 @@ def test_deformed_generator_shrinks_spectral_radius_inside_gc_interval(canonical
 
 
 def test_generator_matrix_layout(canonical):
-    """Block (w', w) of the matrix must be P[w, w'] times the step superop."""
+    """Block (w', w) of the matrix must be P[w, w'] times the step superop
+    in the Hermitian basis, U S_w U^H."""
     g = canonical.generator
     d2 = 4
+    u = extended._hermitian_basis(2)
     for wi, w in enumerate(canonical.labels):
-        s_w = canonical.channels[w].superop
+        s_w = u @ canonical.channels[w].superop @ u.conj().T
         for vi in range(len(canonical.labels)):
             block = g.matrix[vi * d2:(vi + 1) * d2, wi * d2:(wi + 1) * d2]
             np.testing.assert_allclose(
@@ -286,18 +315,17 @@ def _blockwise_ess_coords(mat, m, d, tol):
 
 
 def _blockwise_ess_blocks(g, tol):
-    x = _blockwise_ess_coords(extended._real_generator(g), g.n_labels, g.dim, tol)
+    x = _blockwise_ess_coords(g.matrix, g.n_labels, g.dim, tol)
     return extended._blocks(x, g.n_labels, g.dim)
 
 
 def _eigenvector_ess_blocks(g, tol):
-    """The steady state the eigenvalue-1 eigenvector gives, phase-fixed,
-    Hermitized and normalized to total trace 1."""
+    """The steady state the eigenvalue-1 eigenvector of the real matrix
+    gives, normalized to total trace 1."""
     w, vr = np.linalg.eig(g.matrix)
     (i,) = np.flatnonzero(np.abs(w - 1.0) <= tol.peripheral)
-    blocks = extended.big_unvec(vr[:, i], g.n_labels, g.dim)
-    blocks = blocks / np.trace(blocks, axis1=1, axis2=2).sum()
-    return (blocks + blocks.conj().transpose(0, 2, 1)) / 2
+    blocks = extended._blocks(vr[:, i].real, g.n_labels, g.dim)
+    return blocks / np.trace(blocks, axis1=1, axis2=2).real.sum()
 
 
 @pytest.mark.parametrize("name", sorted(IRREDUCIBLE_BUILDS))
@@ -309,14 +337,16 @@ def test_stacked_ess_repair_equals_the_blockwise_repair_bitwise(name):
     p_other = np.full((m.chain.n, m.chain.n), 1.0 / m.chain.n)
     P = np.stack([(1 - f) * m.chain.P + f * p_other for f in np.linspace(0.0, 0.9, 5)])
     real = m.real_superops
+    # the model's generator is the one real assembly of its folded channels
+    assert (m.generator.matrix.tobytes()
+            == extended._generator_stack(m.chain.P[None], real)[0].tobytes())
     mats = extended._generator_stack(P, real)
     assert mats.dtype == np.float64
     stacked = extended._ess_stack(mats, m.labels, m.dim_sys, m.tol)[0]
     for k, p in enumerate(P):
         chain = chains.MarkovChain(m.labels, chains.stationary_vector(p)[0], p)
         g = extended.build_generator(chain, m.channels)
-        assert np.abs(extended._real_generator(g) - mats[k]).max() <= 1e-15
-        assert extended._generator_stack(p[None], real)[0].tobytes() == mats[k].tobytes()
+        assert g.matrix.tobytes() == mats[k].tobytes()
         assert stacked[k].tobytes() == _blockwise_ess_coords(
             mats[k], m.chain.n, m.dim_sys, m.tol).tobytes()
 
@@ -329,16 +359,15 @@ def _pure_fixed_point_generator():
     q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
     kraus = [q @ k @ q.conj().T for k in (np.diag([1.0, np.sqrt(0.7)]),
                                           np.sqrt(0.3) * np.eye(2, k=1))]
-    superop = sum(np.kron(k.conj(), k) for k in kraus)
+    channel = quantum.channel_from_kraus(kraus)
     chain = chains.MarkovChain(("a", "b"), np.array([0.5, 0.5]), np.full((2, 2), 0.5))
-    return extended.ExtendedGenerator(("a", "b"), 2,
-                                      extended.generator_matrix(chain, [superop, superop]))
+    return extended.build_generator(chain, {"a": channel, "b": channel})
 
 
 def test_round_off_negatives_are_clipped_as_the_blockwise_repair_clips_them():
     g = _pure_fixed_point_generator()
     tol = DEFAULT
-    x = extended._bordered_solve(extended._real_generator(g)[None], 2, 2)[0][0]
+    x = extended._bordered_solve(g.matrix[None], 2, 2)[0][0]
     assert (np.linalg.eigvalsh(extended._blocks(x, 2, 2)).min(axis=1) < 0.0).all()
     r_plus, residual = extended.find_ess(g, tol)
     assert r_plus.blocks.tobytes() == _blockwise_ess_blocks(g, tol).tobytes()
@@ -391,7 +420,7 @@ def test_zero_chain_entries_give_exactly_zero_blocks():
     some entries of a superoperator with negative parts)."""
     chain = fixtures.two_temperature_qubit(p_matrix=PERIOD_TWO).chain
     superops = [np.full((4, 4), -1.0 - 1.0j), np.full((4, 4), -2.0 - 1.0j)]
-    mat = extended.generator_matrix(chain, superops)
+    mat = extended._generator_stack(chain.P[None], superops)[0]
     for v in range(chain.n):
         block = mat[v * 4:(v + 1) * 4, v * 4:(v + 1) * 4]
         assert not block.any()
@@ -414,5 +443,5 @@ def test_stacks_of_families_match_one_family_at_a_time(canonical):
     mats = extended._generator_stack(canonical.chain.P[None], superops)
     assert mats.shape == (3, m * d * d, m * d * d)
     for k in range(3):
-        assert mats[k].tobytes() == extended.generator_matrix(canonical.chain,
-                                                              superops[k]).tobytes()
+        assert mats[k].tobytes() == extended._generator_stack(canonical.chain.P[None],
+                                                              superops[k])[0].tobytes()

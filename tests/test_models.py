@@ -184,14 +184,16 @@ def test_entropy_flux_is_minus_beta_times_energy_flux(canonical):
 def _tilted_superop(model, label, a):
     """The superoperator that deformed_generator puts in place of channel v
     at alpha_v = a: its block (w, v) divided by P[v, w], at the w with the
-    largest P[v, w]."""
+    largest P[v, w], taken out of the Hermitian basis (U^H B U)."""
     v = model.chain.index(label)
     w = int(np.argmax(model.chain.P[v]))
     alpha = np.zeros(model.chain.n)
     alpha[v] = a
     dd = model.dim_sys ** 2
     mat = extended.deformed_generator(model, alpha).matrix
-    return mat[w * dd:(w + 1) * dd, v * dd:(v + 1) * dd] / model.chain.P[v, w]
+    u = extended._hermitian_basis(model.dim_sys)
+    block = mat[w * dd:(w + 1) * dd, v * dd:(v + 1) * dd] / model.chain.P[v, w]
+    return u.conj().T @ block @ u
 
 
 def test_deformed_superop_interpolates_the_two_time_weighting(canonical, rng):
