@@ -68,12 +68,12 @@ def _check_states(model: MrisModel, schedule: AdiabaticSchedule):
 def schedule_generator(model: MrisModel, schedule: AdiabaticSchedule,
                        s: float) -> extended.ExtendedGenerator:
     """Instantaneous generator at schedule time s: the model's channels driven
-    by the interpolated chain."""
+    by the interpolated chain, assembled from MrisModel.real_superops."""
     _check_states(model, schedule)
     p_s = schedule.transition_matrix(s)
     pi_s, _ = stationary_vector(p_s)
     chain_s = MarkovChain(labels=model.labels, pi=pi_s, P=p_s)
-    return extended.build_generator(chain_s, model.channels)
+    return extended._chain_generator(chain_s, model.real_superops, model.channels)
 
 
 # Schedule steps per stack of generators (the first stack also carries s = 0),

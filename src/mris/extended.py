@@ -208,10 +208,17 @@ def build_generator(chain: MarkovChain, channels: dict) -> ExtendedGenerator:
     dims = {channels[l].dim for l in labels}
     if len(dims) != 1:
         raise GeneratorError(f"channels have mixed dimensions {sorted(dims)}")
-    d = dims.pop()
-    superops = _fold(np.stack([channels[l].superop for l in labels]))
-    mat = _generator_stack(chain.P[None], superops)[0]
-    return ExtendedGenerator(labels=tuple(labels), dim=d, matrix=mat,
+    return _chain_generator(
+        chain, _fold(np.stack([channels[l].superop for l in labels])), channels)
+
+
+def _chain_generator(chain: MarkovChain, superops: np.ndarray,
+                     channels: dict) -> ExtendedGenerator:
+    """The generator of a chain over the channels whose folded
+    superoperators U S_v U^H (m, d^2, d^2) are given in chain label order
+    (build_generator, or a model's real_superops, which folds nothing anew)."""
+    return ExtendedGenerator(labels=tuple(chain.labels), dim=math.isqrt(superops.shape[-1]),
+                             matrix=_generator_stack(chain.P[None], superops)[0],
                              chain=chain, channels=dict(channels))
 
 

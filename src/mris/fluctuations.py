@@ -122,8 +122,9 @@ def _perron(model: MrisModel, alpha) -> _Perron:
     mats = extended._tilted_stack(model, alphas, derivatives=True,
                                   error=FluctuationError)
     K, m, n = len(alphas), model.chain.n, mats.shape[-1]
+    dd = n // m             # block width, explicit so that K = 0 reshapes
     gen = mats[:, 0]
-    d1, d2 = mats[:, 1].reshape(K, n, m, -1), mats[:, 2].reshape(K, n, m, -1)
+    d1, d2 = mats[:, 1].reshape(K, n, m, dd), mats[:, 2].reshape(K, n, m, dd)
 
     w, vr = np.linalg.eig(gen)
     i = _perron_index(w, alphas)
@@ -138,10 +139,10 @@ def _perron(model: MrisModel, alpha) -> _Perron:
         _singular_border(border, alphas)
     l = lam[:, None] * (r[:, None, :] @ b_inv)[:, 0]
     proj = eye - r[:, :, None] * l[:, None, :]
-    r_blocks = r.reshape(K, m, -1)
+    r_blocks = r.reshape(K, m, dd)
     with np.errstate(over="ignore", invalid="ignore"):    # see derivatives
         # block column v of D_k is that of the k-th derivative in alpha_v
-        l_dm = np.zeros((K, m, m, n // m))
+        l_dm = np.zeros((K, m, m, dd))
         l_dm[:, range(m), range(m)] = np.einsum("ki,kivj->kvj", l, d1)
         kernel = _Perron(
             lam=lam, matrix=gen, r=r, l=l, q=proj @ b_inv @ proj,
@@ -185,12 +186,11 @@ class SymmetryReport:
     threshold: float
 
 
-def _nonempty(**grids):
-    """Raise for the first empty grid: a symmetry check over no point tests
-    nothing."""
+def _nonempty(check: str = "the symmetry check", **grids):
+    """Raise for the first empty grid: a check over no point tests nothing."""
     for name, grid in grids.items():
         if len(grid) == 0:
-            raise FluctuationError(f"{name} is empty: the symmetry check would test nothing")
+            raise FluctuationError(f"{name} is empty: {check} would test nothing")
 
 
 def _tilt_grid(m: int, name: str, grid) -> np.ndarray:
@@ -427,6 +427,7 @@ def rate_function(model: MrisModel, s_grid) -> RateFunctionResult:
     if s_grid.ndim != 2 or s_grid.shape[1] != model.chain.n:
         raise FluctuationError(
             f"s must have one entry per label, got rows of shape {s_grid.shape[1:]}")
+    _nonempty("the rate function", s_grid=s_grid)
     return _legendre(model, s_grid, np.eye(model.chain.n))
 
 
@@ -434,6 +435,7 @@ def entropy_rate_function(model: MrisModel, s_grid) -> RateFunctionResult:
     """Scalar version for the total entropy exchange: the transform of
     ebar(a) = e(a 1), the vector transform restricted to the direction 1."""
     s_grid = np.asarray(s_grid, dtype=float).reshape(-1)
+    _nonempty("the rate function", s_grid=s_grid)
     res = _legendre(model, s_grid[:, None], np.ones((model.chain.n, 1)))
     res.s, res.maximizers = s_grid, res.maximizers[:, 0]
     return res

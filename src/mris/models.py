@@ -68,41 +68,26 @@ class TimeReversalData:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class Outcome:
-    """One two-time measurement outcome xi = (s, s'): entropy eigenvalue read
-    before and after the interaction, with the CP map it selects."""
-    index: int
-    s_initial: float
-    s_final: float
-    delta: float
-    kraus: np.ndarray            # (n_atoms, d, d)
-    superop: np.ndarray = field(repr=False)
-    prob_op: np.ndarray = field(repr=False)   # sum K^dagger K; p(xi) = tr(rho G)
-
-
-@dataclass
 class UnravelingEntry:
+    """The two-time measurement of one channel.  Its outcomes xi = (s, s')
+    pair the entropy eigenvalue read before and after the interaction; they
+    are stored as stacks in lexicographic (s, s') cluster order, one row per
+    outcome, each with the CP map it selects and its probability operator
+    G = sum K^dagger K, so that p(xi) = tr(rho G)."""
     label: object
     s_env: np.ndarray                    # entropy observable -log rho_env
     varsigma: np.ndarray                 # clustered entropy eigenvalues, ascending
     projections: list                    # probe-space projections per cluster
-    outcomes: list                       # lexicographic in (s, s') cluster order
     kms_residual: float                  # ||S_E - beta (H_E - F)||, None at beta=0
-    deltas: np.ndarray = None            # per-outcome increments
-    _superops: np.ndarray = field(default=None, repr=False)
-    _prob_ops: np.ndarray = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.deltas is None:
-            self.deltas = np.array([o.delta for o in self.outcomes])
-        if self._superops is None:
-            self._superops = np.stack([o.superop for o in self.outcomes])
-        if self._prob_ops is None:
-            self._prob_ops = np.stack([o.prob_op for o in self.outcomes])
+    s_initial: np.ndarray                # per-outcome s
+    s_final: np.ndarray                  # per-outcome s'
+    deltas: np.ndarray                   # per-outcome increments s' - s
+    _superops: np.ndarray = field(repr=False)     # (n_outcomes, d^2, d^2)
+    _prob_ops: np.ndarray = field(repr=False)     # (n_outcomes, d, d)
 
     @property
     def n_outcomes(self):
-        return len(self.outcomes)
+        return len(self.deltas)
 
     @property
     def prob_ops(self):
@@ -141,22 +126,16 @@ def _build_unraveling(label, u, rho_env, h_env, beta, free_energy, d_sys,
     for i, j, k in atoms:
         grouped.setdefault((cluster_of[i], cluster_of[j]), []).append(k)
 
-    outcomes = []
-    for ci in range(len(clusters)):
-        for cj in range(len(clusters)):
-            ks = np.stack(grouped.get((ci, cj), [np.zeros((d_sys, d_sys), dtype=complex)]))
-            outcomes.append(Outcome(
-                index=len(outcomes),
-                s_initial=float(varsigma[ci]),
-                s_final=float(varsigma[cj]),
-                delta=float(varsigma[cj] - varsigma[ci]),
-                kraus=ks,
-                superop=superop_from_kraus(ks),
-                prob_op=np.einsum("xji,xjk->ik", ks.conj(), ks),
-            ))
-    return UnravelingEntry(label=label, s_env=s_env, varsigma=varsigma,
-                           projections=projections, outcomes=outcomes,
-                           kms_residual=kms_residual)
+    n = len(clusters)
+    zero = [np.zeros((d_sys, d_sys), dtype=complex)]
+    kraus = [np.stack(grouped.get((ci, cj), zero)) for ci in range(n) for cj in range(n)]
+    s_initial, s_final = np.repeat(varsigma, n), np.tile(varsigma, n)
+    return UnravelingEntry(
+        label=label, s_env=s_env, varsigma=varsigma, projections=projections,
+        kms_residual=kms_residual, s_initial=s_initial, s_final=s_final,
+        deltas=s_final - s_initial,
+        _superops=np.stack([superop_from_kraus(ks) for ks in kraus]),
+        _prob_ops=np.stack([np.einsum("xji,xjk->ik", ks.conj(), ks) for ks in kraus]))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +196,8 @@ class MrisModel:
 
     @functools.cached_property
     def generator(self) -> extended.ExtendedGenerator:
-        return extended.build_generator(self.chain, self.channels)
+        """The one-step generator, assembled from real_superops."""
+        return extended._chain_generator(self.chain, self.real_superops, self.channels)
 
     @functools.cached_property
     def outcome_table(self) -> OutcomeTable:
@@ -247,8 +227,9 @@ class MrisModel:
 
     @functools.cached_property
     def real_superops(self) -> np.ndarray:
-        """The channel superoperators U S_v U^H (m, d^2, d^2), read-only:
-        extended._generator_stack assembles the real generators from them."""
+        """The channel superoperators U S_v U^H (m, d^2, d^2), read-only: the
+        model's one fold of them, from which extended._generator_stack
+        assembles every real generator of the model."""
         return _read_only(extended._fold(
             np.stack([self.channels[l].superop for l in self.labels])))[0]
 

@@ -125,8 +125,14 @@ class TrajectoryConfig:
 def simulate_states(model: MrisModel, omega_path, rho0=None) -> np.ndarray:
     """States rho_0, rho_1, ..., rho_n along the path w_0 ... w_n, where
     rho_k = L_{w_k} rho_{k-1}; rho0 defaults to the model's initial state for
-    the path's first label."""
+    the path's first label.  An empty path, or one with a label the model
+    does not have, raises TrajectoryError."""
     labels = list(omega_path)
+    if not labels:
+        raise TrajectoryError("omega_path is empty: it has no first label")
+    for label in labels:
+        if label not in model.labels:
+            raise TrajectoryError(f"unknown label {label!r}; labels are {model.labels}")
     if rho0 is None:
         rho0 = model.rho_init[labels[0]]
     d = model.dim_sys
@@ -791,7 +797,8 @@ def flux_autocorrelation(source, omega, nu, max_lag: int = 5) -> AutocorrResult:
         if label not in source.labels:
             raise TrajectoryError(f"unknown label {label!r}; labels are {source.labels}")
     n_steps = source.n_steps if isinstance(source, EntropySample) else math.inf
-    if not (isinstance(max_lag, (int, np.integer)) and 0 <= max_lag < n_steps):
+    if (isinstance(max_lag, bool) or not isinstance(max_lag, (int, np.integer))
+            or not 0 <= max_lag < n_steps):
         raise TrajectoryError(
             f"max_lag must be an integer in [0, {n_steps}), got {max_lag!r}")
     if isinstance(source, MrisModel):

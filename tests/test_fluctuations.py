@@ -141,6 +141,24 @@ def test_symmetry_reports_reject_an_empty_grid(equilibrium, report, grid):
         getattr(fluctuations, report)(equilibrium, **{grid: []})
 
 
+@pytest.mark.parametrize("function, s_grid", [
+    ("rate_function", np.zeros((0, 2))),
+    ("entropy_rate_function", []),
+])
+def test_rate_functions_reject_an_empty_grid(canonical, function, s_grid):
+    with pytest.raises(fluctuations.FluctuationError,
+                       match="^s_grid is empty: the rate function would test nothing$"):
+        getattr(fluctuations, function)(canonical, s_grid)
+
+
+def test_perron_kernel_takes_an_empty_stack_of_tilts(canonical):
+    """K = 0 tilts give empty stacks, as e_of_alpha gives an empty list."""
+    kernel = fluctuations._perron(canonical, np.zeros((0, 2)))
+    e, grad, hess = kernel.derivatives()
+    assert (e.shape, grad.shape, hess.shape) == ((0,), (0, 2), (0, 2, 2))
+    assert fluctuations.e_of_alpha(canonical, np.zeros((0, 2))) == []
+
+
 @pytest.mark.parametrize("report, grid", [
     ("gc_symmetry_report", "alpha_grid"),
     ("translation_symmetry_report", "alphas"),

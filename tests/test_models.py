@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from conftest import random_density
-from mris import extended, fixtures, fluctuations, models, trajectories
+from mris import adiabatic, extended, fixtures, fluctuations, models, trajectories
 from mris.chains import MarkovChain
 from mris.quantum import tensor, thermal_state
 
@@ -122,7 +122,7 @@ def test_unraveling_structure(canonical):
     np.testing.assert_allclose(sorted(entry.deltas), [-gap, 0.0, 0.0, gap],
                                atol=1e-12)
     # ordering contract: lexicographic in the (s, s') cluster pair
-    pairs = [(o.s_initial, o.s_final) for o in entry.outcomes]
+    pairs = list(zip(entry.s_initial, entry.s_final))
     assert pairs == sorted(pairs)
     # the probability operators resolve the identity
     np.testing.assert_allclose(entry.prob_ops.sum(axis=0), np.eye(2), atol=1e-12)
@@ -146,15 +146,15 @@ def test_unraveling_matches_eigenpair_oracle(canonical, rng):
                                           canonical.rho_env[label], rho)
         assert len(raw) == entry.n_outcomes
         p_env = np.linalg.eigvalsh(canonical.rho_env[label])
-        for o in entry.outcomes:
+        for x in range(entry.n_outcomes):
             hits = [r for r in raw
-                    if abs(-math.log(p_env[r["i"]]) - o.s_initial) < 1e-10
-                    and abs(-math.log(p_env[r["j"]]) - o.s_final) < 1e-10]
+                    if abs(-math.log(p_env[r["i"]]) - entry.s_initial[x]) < 1e-10
+                    and abs(-math.log(p_env[r["j"]]) - entry.s_final[x]) < 1e-10]
             assert len(hits) == 1, "outcome labels must identify one eigenpair"
             r = hits[0]
-            assert abs(r["delta"] - o.delta) < 1e-12
-            assert abs(r["prob"] - np.trace(rho @ o.prob_op).real) < 1e-12
-            post = (o.superop @ rho.reshape(-1, order="F")).reshape(2, 2, order="F")
+            assert abs(r["delta"] - entry.deltas[x]) < 1e-12
+            assert abs(r["prob"] - np.trace(rho @ entry.prob_ops[x]).real) < 1e-12
+            post = (entry._superops[x] @ rho.reshape(-1, order="F")).reshape(2, 2, order="F")
             np.testing.assert_allclose(post, r["post"], atol=1e-12)
 
 
@@ -249,6 +249,21 @@ def test_outcome_table_is_built_once_and_read_only(monkeypatch):
     for a in table:
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 1.0
+
+
+def test_channel_stack_is_folded_once(monkeypatch):
+    """The model generator, the steady state, an adiabatic sweep and the
+    instantaneous generators all read the one fold of the channel
+    superoperators, real_superops."""
+    folds, fold = [], extended._fold
+    monkeypatch.setattr(extended, "_fold", lambda *a: folds.append(a[0].shape) or fold(*a))
+    m = fixtures.two_temperature_qubit()
+    m.generator, m.real_superops, m.steady_state
+    schedule = adiabatic.AdiabaticSchedule(m.chain.P, np.full((2, 2), 0.5))
+    adiabatic.adiabatic_evolve(m, schedule, 8)
+    for s in (0.0, 0.5):
+        adiabatic.schedule_generator(m, schedule, s)
+    assert folds == [m.real_superops.shape]
 
 
 def test_a_failed_steady_state_solve_keeps_nothing():

@@ -87,6 +87,16 @@ def test_simulate_states_matches_one_step_oracle(canonical, rng):
         assert abs(np.trace(states[k]) - 1) < 1e-12
 
 
+@pytest.mark.parametrize("path, message", [
+    ([], "omega_path is empty: it has no first label"),
+    (["hot", "warm", "cold"], "unknown label 'warm'; labels are ('hot', 'cold')"),
+])
+def test_simulate_states_rejects_an_empty_path_or_an_unknown_label(canonical, path,
+                                                                  message):
+    with pytest.raises(trajectories.TrajectoryError, match=f"^{re.escape(message)}$"):
+        trajectories.simulate_states(canonical, path)
+
+
 # ---------------------------------------------------------------------------
 # exact enumeration
 # ---------------------------------------------------------------------------
@@ -1002,7 +1012,7 @@ def test_step_labels_take_the_smallest_signed_type(m, dtype):
     assert trajectories._label_dtype(m) is dtype
 
 
-@pytest.mark.parametrize("lag", [-1, 2.5])
+@pytest.mark.parametrize("lag", [-1, 2.5, True])
 @pytest.mark.parametrize("which", ["model", "sample"])
 def test_autocorrelation_rejects_a_negative_or_fractional_lag(canonical, short_sample,
                                                               which, lag):
