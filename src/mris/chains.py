@@ -50,6 +50,8 @@ class MarkovChain:
         return len(self.labels)
 
     def index(self, label) -> int:
+        if label not in self.labels:
+            raise ChainError(f"unknown label {label!r}; labels are {self.labels}")
         return self.labels.index(label)
 
 

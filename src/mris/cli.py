@@ -1,10 +1,19 @@
 """Command line interface.
 
-Every subcommand loads a model file, runs one analysis, prints a PASS/FAIL
-line per verdict, optionally writes a JSON report (plus CSV / plot script
-where the output is tabular), and exits 0 exactly when all verdicts passed.
-Outputs are deterministic: rerunning a command byte-identically reproduces
-its files.
+Each subcommand runs one analysis of a model file and prints a PASS/FAIL
+line per verdict; it exits 0 exactly when every verdict passed, 1 when one
+failed and 2 on a usage error or a named failure (a malformed model, say).
+
+A handler ``cmd_NAME(model, args)`` is given the model, which ``main``
+loads, and its parsed arguments.  It returns ``(params, results, verdicts)``
+or ``(params, results, verdicts, table)``: its parameters other than
+``model``, its results, its verdicts by name, and at most one table
+``(name, header, rows, ylabel)``.  It writes no file (``cumulant`` prints
+its GC symmetry line).  ``_emit`` does the rest for every subcommand: it
+builds the ``RunReport`` and, under ``--out PREFIX``, writes the table to
+PREFIX.csv, a plot script of its first two columns to PREFIX_plot.py where
+the table has a y label, and the report to PREFIX.json.  Outputs are
+deterministic: rerunning a command byte-identically reproduces its files.
 
 Each subcommand imports the analysis module it runs (``trajectories``,
 ``fluctuations`` or ``adiabatic``) in its handler, so a process loads only
@@ -53,10 +62,24 @@ def _load(args):
     return load_model(args.model, overrides=_parse_tol(args.tol))
 
 
-def _emit(report: output.RunReport, args):
-    for name, ok in sorted(report.verdicts.items()):
+def _emit(args, params: dict, results: dict, verdicts: dict, table=None) -> int:
+    """Print and, under --out, write what a handler returned (see the module
+    docstring); the exit code is 0 exactly when every verdict passed."""
+    report = output.RunReport(command=args.command,
+                              params={"model": args.model, **params},
+                              results=results, verdicts=verdicts)
+    if table and args.out:
+        name, header, rows, ylabel = table
+        output.write_csv(args.out + ".csv", header, rows)
+        line = f"{name}: {args.out}.csv"
+        if ylabel:
+            output.write_plot_script(args.out + "_plot.py", args.out + ".csv",
+                                     x=header[0], ys=header[1:2], ylabel=ylabel)
+            line += f"  plot: {args.out}_plot.py"
+        print(line)
+    for name, ok in sorted(verdicts.items()):
         print(f"{'PASS' if ok else 'FAIL'} {name}")
-    if getattr(args, "out", None):
+    if args.out:
         report.write(args.out + ".json")
         print(f"report: {args.out}.json")
     return 0 if report.passed else 1
@@ -66,8 +89,7 @@ def _emit(report: output.RunReport, args):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_validate(args):
-    model = _load(args)
+def cmd_validate(model, args):
     tol = model.tol
     results = {"labels": list(model.labels), "dim_sys": model.dim_sys}
     worst_choi, worst_tp, worst_comp, worst_kms = 0.0, 0.0, 0.0, 0.0
@@ -93,21 +115,15 @@ def cmd_validate(args):
     tri = models.check_tri(model)
     results["time_reversal"] = {"holds": tri["holds"],
                                 "max_residual": tri["max_residual"]}
-    report = output.RunReport(
-        command="validate",
-        params={"model": args.model},
-        results=results,
-        verdicts={
-            "channels_completely_positive": worst_choi >= -tol.psd,
-            "channels_trace_preserving": worst_tp <= tol.tp,
-            "unravelings_resum_to_channels": worst_comp <= 1e-12,
-            "entropy_observables_thermal": worst_kms <= 1e-10,
-        })
-    return _emit(report, args)
+    return {}, results, {
+        "channels_completely_positive": worst_choi >= -tol.psd,
+        "channels_trace_preserving": worst_tp <= tol.tp,
+        "unravelings_resum_to_channels": worst_comp <= 1e-12,
+        "entropy_observables_thermal": worst_kms <= 1e-10,
+    }
 
 
-def cmd_classify(args):
-    model = _load(args)
+def cmd_classify(model, args):
     chain_cls = classify_chain(model.chain, model.tol)
     gen_cls = extended.classify_generator(model.generator, model.tol)
     results = {
@@ -118,14 +134,10 @@ def cmd_classify(args):
     }
     # an irreducible extended generator needs an irreducible driving chain
     consistent = gen_cls.kind == "reducible" or chain_cls.irreducible
-    report = output.RunReport(
-        command="classify", params={"model": args.model}, results=results,
-        verdicts={"chain_consistent_with_generator": consistent})
-    return _emit(report, args)
+    return {}, results, {"chain_consistent_with_generator": consistent}
 
 
-def cmd_ess(args):
-    model = _load(args)
+def cmd_ess(model, args):
     ss = model.steady_state
     decomp = ss.decomposition
     pi_stat, _ = stationary_vector(model.chain.P)
@@ -142,20 +154,16 @@ def cmd_ess(args):
         "equilibrium": eq["is_equilibrium"],
         "equilibrium_residual": eq["max_residual"],
     }
-    report = output.RunReport(
-        command="ess", params={"model": args.model}, results=results,
-        verdicts={
-            "fixed_point": ss.residual <= 1e-8,
-            "decomposition_reconstructs": results["reconstruction_residual"] <= 1e-8,
-            "marginal_is_chain_stationary": float(np.abs(decomp.pi_plus - pi_stat).max()) <= 1e-8,
-        })
-    return _emit(report, args)
+    return {}, results, {
+        "fixed_point": ss.residual <= 1e-8,
+        "decomposition_reconstructs": results["reconstruction_residual"] <= 1e-8,
+        "marginal_is_chain_stationary": float(np.abs(decomp.pi_plus - pi_stat).max()) <= 1e-8,
+    }
 
 
-def cmd_simulate(args):
+def cmd_simulate(model, args):
     from . import trajectories
 
-    model = _load(args)
     cfg = trajectories.TrajectoryConfig(
         n_steps=args.steps, n_traj=args.traj, seed=args.seed,
         n_threads=args.threads, chunk=args.chunk,
@@ -175,25 +183,17 @@ def cmd_simulate(args):
         results["per_probe"][l] = {"mean_rate": est, "stderr": se,
                                    "steady_target": target, "z": z}
         lln_ok &= abs(z) <= 5.0
-    report = output.RunReport(
-        command="simulate",
-        params={"model": args.model, "steps": args.steps, "traj": args.traj,
-                "seed": args.seed, "threads": args.threads,
-                "stationary": bool(args.stationary)},
-        results=results,
-        verdicts={"entropy_rates_within_5_stderr": bool(lln_ok)})
-    if args.out:
-        header = ["traj"] + [f"s_{l}" for l in model.labels]
-        rows = [[t] + list(sample.svec[t]) for t in range(cfg.n_traj)]
-        output.write_csv(args.out + ".csv", header, rows)
-        print(f"totals: {args.out}.csv")
-    return _emit(report, args)
+    params = {"steps": args.steps, "traj": args.traj, "seed": args.seed,
+              "threads": args.threads, "stationary": bool(args.stationary)}
+    header = ["traj"] + [f"s_{l}" for l in model.labels]
+    rows = [[t] + list(sample.svec[t]) for t in range(cfg.n_traj)]
+    return (params, results, {"entropy_rates_within_5_stderr": bool(lln_ok)},
+            ("totals", header, rows, None))
 
 
-def cmd_cumulant(args):
+def cmd_cumulant(model, args):
     from . import fluctuations
 
-    model = _load(args)
     gc = fluctuations.gc_symmetry_report(model)
     ray = np.linspace(-1.0, 2.0, args.grid_points)
     e0, *ray_vals = fluctuations.e_of_alpha(model, np.append(0.0, ray)[:, None]
@@ -208,33 +208,21 @@ def cmd_cumulant(args):
         },
         "diagonal_ray": {"a": ray, "e": ray_vals},
     }
-    report = output.RunReport(
-        command="cumulant", params={"model": args.model,
-                                    "grid_points": args.grid_points},
-        results=results,
-        verdicts={"vanishes_at_origin": abs(e0) <= 1e-12})
     print(f"gc symmetry: {'holds' if gc.holds else 'violated'} "
           f"(max residual {'<=' if gc.holds else '>'} threshold {gc.threshold:.0e})")
-    if args.out:
-        output.write_csv(args.out + ".csv", ["a", "e"],
-                         [[a, v] for a, v in zip(ray, ray_vals)])
-        output.write_plot_script(args.out + "_plot.py", args.out + ".csv",
-                                 x="a", ys=["e"], ylabel="cumulant rate")
-        print(f"ray: {args.out}.csv  plot: {args.out}_plot.py")
-    return _emit(report, args)
+    return ({"grid_points": args.grid_points}, results,
+            {"vanishes_at_origin": abs(e0) <= 1e-12},
+            ("ray", ["a", "e"], [[a, v] for a, v in zip(ray, ray_vals)], "cumulant rate"))
 
 
-def cmd_ratefn(args):
+def cmd_ratefn(model, args):
     from . import fluctuations
 
-    model = _load(args)
     ones = np.ones(model.chain.n)
     a_grid = np.linspace(-args.alpha_range, args.alpha_range, args.points)
     # s = -ebar'(-a) with ebar(b) = e(b 1), from the exact gradients
     grads = fluctuations._perron(model, -a_grid[:, None] * ones).derivatives()[1]
-    s_grid = np.array([-ones @ g for g in grads])
-    order = np.argsort(s_grid)
-    s_grid = s_grid[order]
+    s_grid = np.sort([-ones @ g for g in grads])
     res = fluctuations.entropy_rate_function(model, s_grid)
     results = {
         "s": res.s, "rate": res.values, "maximizer": res.maximizers,
@@ -242,34 +230,24 @@ def cmd_ratefn(args):
         "converged": [bool(b) for b in res.converged],
         "grad_norm": res.grad_norm,
     }
-    finite = all(np.isfinite(res.values))
-    report = output.RunReport(
-        command="ratefn",
-        params={"model": args.model, "points": args.points,
-                "alpha_range": args.alpha_range},
-        results=results,
-        verdicts={"transform_finite_on_grid": finite,
-                  "maximizers_interior": not res.unbounded.any()})
-    if args.out:
-        output.write_csv(args.out + ".csv", ["s", "rate", "alpha_star"],
-                         [[s, v, a] for s, v, a in
-                          zip(res.s, res.values, res.maximizers)])
-        output.write_plot_script(args.out + "_plot.py", args.out + ".csv",
-                                 x="s", ys=["rate"], ylabel="rate function")
-        print(f"grid: {args.out}.csv  plot: {args.out}_plot.py")
-    return _emit(report, args)
+    rows = [[s, v, a] for s, v, a in zip(res.s, res.values, res.maximizers)]
+    return ({"points": args.points, "alpha_range": args.alpha_range}, results,
+            {"transform_finite_on_grid": all(np.isfinite(res.values)),
+             "maximizers_interior": not res.unbounded.any()},
+            ("grid", ["s", "rate", "alpha_star"], rows, "rate function"))
 
 
-def cmd_linresp(args):
+def cmd_linresp(model, args):
     from . import fluctuations
 
-    model = _load(args)
     kin = fluctuations.kinetic_coefficients(model)
     cov = fluctuations.clt_covariance(model)
     gk = fluctuations.green_kubo(model)
     fdr = cov / (2 * kin.beta_bar ** 2)
     scale = float(np.abs(kin.matrix).max())
-    rel_gk = float(np.abs(gk.matrix - kin.matrix).max()) / scale
+    gk_err = float(np.abs(gk.matrix - kin.matrix).max())
+    # with no transport K is exactly 0: Green-Kubo reproduces it only as 0
+    rel_gk = gk_err / scale if scale else math.inf if gk_err else 0.0
     results = {
         "beta_bar": kin.beta_bar,
         "kinetic_matrix": kin.matrix,
@@ -283,41 +261,30 @@ def cmd_linresp(args):
         "row_sums": kin.row_sums,
         "col_sums": kin.col_sums,
     }
-    report = output.RunReport(
-        command="linresp",
-        params={"model": args.model},
-        results=results,
-        verdicts={
-            "onsager_symmetric": float(
-                np.abs(kin.matrix - kin.matrix.T).max()) <= 1e-6,
-            "fluctuation_dissipation": float(
-                np.abs(kin.matrix - fdr).max()) <= 1e-6,
-            "routes_agree": kin.discrepancy <= 1e-5,
-            "green_kubo_within_1pct": rel_gk <= 1e-2,
-            "row_sums_vanish": float(np.abs(kin.row_sums).max()) <= 1e-6,
-            "col_sums_vanish": float(np.abs(kin.col_sums).max()) <= 1e-6,
-        })
-    if args.out:
-        rows = [[str(la), str(lb), kin.matrix[a, b], kin.route_b[a, b], fdr[a, b], gk.matrix[a, b]]
-                for a, la in enumerate(model.labels) for b, lb in enumerate(model.labels)]
-        output.write_csv(args.out + ".csv",
-                         ["omega", "nu", "kinetic", "route_b", "fdr", "green_kubo"],
-                         rows)
-        print(f"matrices: {args.out}.csv")
-    return _emit(report, args)
+    rows = [[str(la), str(lb), kin.matrix[a, b], kin.route_b[a, b], fdr[a, b], gk.matrix[a, b]]
+            for a, la in enumerate(model.labels) for b, lb in enumerate(model.labels)]
+    return {}, results, {
+        "onsager_symmetric": float(np.abs(kin.matrix - kin.matrix.T).max()) <= 1e-6,
+        "fluctuation_dissipation": float(np.abs(kin.matrix - fdr).max()) <= 1e-6,
+        "routes_agree": kin.discrepancy <= 1e-5,
+        "green_kubo_within_1pct": rel_gk <= 1e-2,
+        "row_sums_vanish": float(np.abs(kin.row_sums).max()) <= 1e-6,
+        "col_sums_vanish": float(np.abs(kin.col_sums).max()) <= 1e-6,
+    }, ("matrices", ["omega", "nu", "kinetic", "route_b", "fdr", "green_kubo"], rows, None)
 
 
-def cmd_adiabatic(args):
+def cmd_adiabatic(model, args):
     from . import adiabatic
 
-    model = _load(args)
     p_end = _matrix_arg(args.p_end, model.chain.n)
     sched = adiabatic.AdiabaticSchedule(p_start=model.chain.P, p_end=p_end,
                                         kind=args.kind)
     steps = args.steps
     runs = {n: adiabatic.adiabatic_evolve(model, sched, n) for n in steps}
     plateaus = [runs[n].plateau_error for n in steps]
-    ratios = [plateaus[i] / plateaus[i + 1] for i in range(len(steps) - 1)]
+    # a zero plateau makes its ratio inf (x/0) or nan (0/0)
+    ratios = [a / b if b else math.inf if a else math.nan
+              for a, b in zip(plateaus, plateaus[1:])]
     results = {
         "kind": args.kind,
         "steps": steps,
@@ -326,21 +293,11 @@ def cmd_adiabatic(args):
         "instantaneous_gap_min": runs[steps[0]].instantaneous_gap_min,
     }
     decreasing = all(a > b for a, b in zip(plateaus, plateaus[1:]))
-    report = output.RunReport(
-        command="adiabatic",
-        params={"model": args.model, "kind": args.kind, "steps": steps},
-        results=results,
-        verdicts={"primitive_along_path":
-                  results["instantaneous_gap_min"] > model.tol.gap,
-                  "tracking_error_decreases": decreasing})
-    if args.out:
-        output.write_csv(args.out + ".csv", ["n_steps", "plateau_error"],
-                         [[n, p] for n, p in zip(steps, plateaus)])
-        output.write_plot_script(args.out + "_plot.py", args.out + ".csv",
-                                 x="n_steps", ys=["plateau_error"],
-                                 ylabel="plateau tracking error")
-        print(f"plateaus: {args.out}.csv  plot: {args.out}_plot.py")
-    return _emit(report, args)
+    return ({"kind": args.kind, "steps": steps}, results,
+            {"primitive_along_path": results["instantaneous_gap_min"] > model.tol.gap,
+             "tracking_error_decreases": decreasing},
+            ("plateaus", ["n_steps", "plateau_error"],
+             [[n, p] for n, p in zip(steps, plateaus)], "plateau tracking error"))
 
 
 def _matrix_arg(text: str, n: int) -> np.ndarray:
@@ -453,7 +410,7 @@ def _typed_errors() -> tuple:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _emit(args, *args.func(_load(args), args))
     except _typed_errors() as exc:      # evaluated once the handler has failed
         print(f"error: {exc}", file=sys.stderr)
         return 2

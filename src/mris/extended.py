@@ -83,6 +83,8 @@ class _BlockFamily:
         return self.blocks.shape[1]
 
     def block(self, label):
+        if label not in self.labels:
+            raise GeneratorError(f"unknown label {label!r}; labels are {self.labels}")
         return self.blocks[self.labels.index(label)]
 
     def check(self, tol: Tolerances = DEFAULT):

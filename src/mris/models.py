@@ -192,7 +192,7 @@ class MrisModel:
         return self.h_sys.shape[0]
 
     def dim_env(self, label) -> int:
-        return self.probes[label].h_env.shape[0]
+        return self.probes[self.labels[self.chain.index(label)]].h_env.shape[0]
 
     @functools.cached_property
     def generator(self) -> extended.ExtendedGenerator:
@@ -337,14 +337,14 @@ def _flux_matrix(u, h_env, rho_env, d_sys) -> np.ndarray:
 
 def flux_observable(model: MrisModel, omega) -> np.ndarray:
     """Energy-flux observable J(omega) on the system."""
-    return model.flux[omega]
+    return model.flux[model.labels[model.chain.index(omega)]]
 
 
 def flux_extended(model: MrisModel, nu) -> extended.ExtendedObservable:
     """The extended observable with J(nu) in block nu and zero elsewhere."""
     d = model.dim_sys
     blocks = np.zeros((model.chain.n, d, d), dtype=complex)
-    blocks[model.chain.index(nu)] = model.flux[nu]
+    blocks[model.chain.index(nu)] = flux_observable(model, nu)
     return extended.ExtendedObservable(model.labels, blocks)
 
 
@@ -361,7 +361,7 @@ def entropy_flux_observable(model: MrisModel) -> extended.ExtendedObservable:
 
 
 def unraveling(model: MrisModel, omega) -> UnravelingEntry:
-    return model.unravelings[omega]
+    return model.unravelings[model.labels[model.chain.index(omega)]]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mris import cli, extended, fixtures, modelfile, models, output
-from mris.chains import ChainError
+from mris.chains import ChainError, MarkovChain
 from mris.tolerances import DEFAULT
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -448,6 +448,83 @@ def test_cli_simulate_zero_spread_off_its_target_fails(infinite_temperature, mon
     for probe in json.loads(Path(out + ".json").read_text())["results"]["per_probe"].values():
         assert (probe["stderr"], probe["mean_rate"], probe["z"]) == (0.0, 0.01, "inf")
     assert "FAIL entropy_rates_within_5_stderr" in capsys.readouterr().out
+
+
+@pytest.fixture
+def no_transport(tmp_path):
+    """Qubit probes with H_E = 0 under the hopping coupling: the model is at
+    equilibrium and irreducible, and every kinetic, Green-Kubo and covariance
+    entry is exactly 0."""
+    labels = ("hot", "cold")
+    chain = MarkovChain(labels=labels, pi=[0.5, 0.5], P=[[0.5, 0.5], [0.5, 0.5]])
+    probes = {l: models.ProbeSpec(h_env=np.zeros((2, 2)), beta=1.0, tau=1.0,
+                                  coupling=fixtures._hopping_coupling(0.5)) for l in labels}
+    model = models.build_model(
+        fixtures.QUBIT_H, chain, probes, {l: np.eye(2) / 2 for l in labels},
+        tri=models.TimeReversalData(np.eye(2), {l: np.eye(2) for l in labels}))
+    path = str(tmp_path / "no_transport.json")
+    modelfile.write_model_file(model, path)
+    return path
+
+
+def test_cli_linresp_without_transport_passes(no_transport, capsys, tmp_path):
+    """K and Green-Kubo are both exactly 0, so Green-Kubo reproduces K
+    exactly: its relative error is 0, not a division by zero."""
+    out = str(tmp_path / "l")
+    assert cli.main(["linresp", "--model", no_transport, "--out", out]) == 0
+    results = json.loads(Path(out + ".json").read_text())["results"]
+    for name in ("kinetic_matrix", "green_kubo", "covariance"):
+        assert not np.any(results[name]), name
+    assert results["green_kubo_rel_err"] == 0.0
+    assert "PASS green_kubo_within_1pct" in capsys.readouterr().out
+
+
+def test_cli_linresp_green_kubo_against_zero_kinetic_fails(no_transport, monkeypatch,
+                                                           capsys, tmp_path):
+    """A nonzero Green-Kubo matrix against K = 0 is infinitely wrong."""
+    from mris import fluctuations
+
+    green_kubo = fluctuations.green_kubo
+
+    def shifted(*args, **kwargs):
+        gk = green_kubo(*args, **kwargs)
+        gk.matrix = gk.matrix + 1e-3
+        return gk
+
+    monkeypatch.setattr(fluctuations, "green_kubo", shifted)
+    out = str(tmp_path / "l")
+    assert cli.main(["linresp", "--model", no_transport, "--out", out]) == 1
+    assert json.loads(Path(out + ".json").read_text())["results"]["green_kubo_rel_err"] == "inf"
+    assert "FAIL green_kubo_within_1pct" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("zeroed, ratios", [("every", ["nan", "nan"]), ("last", [1.0, "inf"])])
+def test_cli_adiabatic_zero_plateau_ratios(zeroed, ratios, monkeypatch, capsys, tmp_path):
+    """At beta = 0 under a constant schedule every plateau is exactly 0: the
+    ratios are 0/0, written as nan, and equal plateaus do not decrease.  A
+    zero plateau after a nonzero one gives an infinite ratio."""
+    from mris import adiabatic
+
+    evolve = adiabatic.adiabatic_evolve
+
+    def last_zeroed(model, sched, n):
+        run = evolve(model, sched, n)
+        run.plateau_error = 0.0 if n == 256 else 1.0
+        return run
+
+    path = str(tmp_path / "flat.json")
+    modelfile.write_model_file(fixtures.two_temperature_qubit(
+        beta=(0.0, 0.0), p_matrix=[[0.5, 0.5], [0.5, 0.5]]), path)
+    if zeroed == "last":
+        monkeypatch.setattr(adiabatic, "adiabatic_evolve", last_zeroed)
+    out = str(tmp_path / "a")
+    assert cli.main(["adiabatic", "--model", path, "--p-end", "[[0.5,0.5],[0.5,0.5]]",
+                     "--out", out]) == 1
+    results = json.loads(Path(out + ".json").read_text())["results"]
+    assert results["ratios"] == ratios
+    if zeroed == "every":
+        assert results["plateau_errors"] == [0.0, 0.0, 0.0]
+    assert "FAIL tracking_error_decreases" in capsys.readouterr().out
 
 
 def test_cli_adiabatic_inline_matrix(capsys):

@@ -7,7 +7,7 @@ import pytest
 import oracles
 from conftest import random_density
 from mris import adiabatic, extended, fixtures, fluctuations, models, trajectories
-from mris.chains import MarkovChain
+from mris.chains import ChainError, MarkovChain
 from mris.quantum import tensor, thermal_state
 
 
@@ -374,3 +374,19 @@ def test_temperature_deform(equilibrium):
 def test_temperature_deform_refuses_nonpositive_beta(equilibrium):
     with pytest.raises(models.ModelError, match="<= 0"):
         models.temperature_deform(equilibrium, np.array([1.5, 0.0]))
+
+
+@pytest.mark.parametrize("lookup, error", [
+    (lambda m: m.chain.index("warm"), ChainError),
+    (lambda m: m.dim_env("warm"), ChainError),
+    (lambda m: models.flux_observable(m, "warm"), ChainError),
+    (lambda m: models.flux_extended(m, "warm"), ChainError),
+    (lambda m: models.unraveling(m, "warm"), ChainError),
+    (lambda m: m.steady_state.state.block("warm"), extended.GeneratorError),
+], ids=["chain.index", "dim_env", "flux_observable", "flux_extended", "unraveling",
+        "block"])
+def test_an_unknown_label_is_a_named_error(canonical, lookup, error):
+    """A label the chain does not have is named with the chain's labels."""
+    with pytest.raises(error) as info:
+        lookup(canonical)
+    assert str(info.value) == "unknown label 'warm'; labels are ('hot', 'cold')"
