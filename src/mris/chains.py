@@ -194,7 +194,9 @@ def outcome_stream(seed: int, n: int) -> "np.random.Generator":
     """``path_stream(seed)`` positioned after its first n + 1 draws, where an
     n-step trajectory's outcome uniforms start.  Each Philox counter value
     yields four draws, so the counter advances by (n + 1) // 4 and the
-    remaining (n + 1) % 4 draws are discarded."""
+    remaining (n + 1) % 4 draws are discarded.  The samplers read these
+    draws by index (``trajectories._draws``); this stream is their
+    reference."""
     bits = _philox(seed)
     bits.advance((n + 1) // 4)
     stream = np.random.Generator(bits)

@@ -11,25 +11,28 @@ model), are laid out as one table, so each step is a single GEMM
 ``table @ X`` followed by flat takes of every trajectory's outcome law and
 drawn image.  The exact enumeration runs in the same coordinates, on the
 same outcome table.
-Uniforms are streamed in blocks of ``_BLOCK`` steps per trajectory, so
-memory does not grow with the number of steps; labels, increments and
-totals are handled block by block and summed in step order.  The index
-work that depends on a block's labels alone is formed once per block, the
-takes gather into buffers of the block, and an outcome law's totals are
-checked once per block (its smallest entry at its step; see
-``_measure_steps``).
+Uniforms are drawn a slab of steps at a time (see ``_slab``) and read in
+blocks of ``_BLOCK`` steps, so memory does not grow with the number of
+steps; labels, increments and totals are handled block by block and summed
+in step order.  The index work that depends on a block's labels alone is
+formed once per block, the takes gather into buffers of the block, and an
+outcome law's totals are checked once per block (its smallest entry at its
+step; see ``_measure_steps``).
 
-RNG contract (stable across versions, chunk sizes, and worker counts): each
-trajectory t uses its own ``numpy.random.Generator(Philox(key=seed + t))``
-stream.  The first ``n + 1`` uniforms of the stream drive the probe path
-(initial label, then one transition per step); the next ``n`` uniforms select
-measurement outcomes (read through ``chains.outcome_stream``, the same stream
-advanced past the path draws).  Every categorical draw maps a uniform u
-through the same inverse-CDF arithmetic ``(u > cumsum(p)).sum()``, clipped to
-the last index (the count over every cumulative entry but the last, which
-is the same where the entries are nondecreasing).  Results are therefore
-bitwise identical however trajectories are batched or split across
-processes.
+RNG contract (stable across versions, chunk sizes, slab sizes and worker
+counts): trajectory t reads the stream of
+``numpy.random.Generator(Philox(key=seed + t))``, that is
+``chains.path_stream(seed + t)``.  Draws 0 ... n of the stream drive the
+probe path (initial label, then one transition per step); draw n + k selects
+the measurement outcome of step k (``chains.outcome_stream`` is the stream
+positioned there).  The stream is counter-based, so any draw is found from
+its index alone: ``_draws`` reads a range of draws of every trajectory of a
+chunk through one generator per range of trajectories, re-keyed per
+trajectory.  Every categorical draw maps a uniform u through the same
+inverse-CDF arithmetic ``(u > cumsum(p)).sum()``, clipped to the last index
+(the count over every cumulative entry but the last, which is the same
+where the entries are nondecreasing).  Results are therefore bitwise
+identical however trajectories are batched or split across processes.
 
 A sampler call large enough to pay for a fork (see ``_ranges``) is split into
 one contiguous range of trajectories per usable core (see ``_split``): the
@@ -47,14 +50,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import extended
-from .chains import outcome_stream, path_stream
+from .chains import path_stream
 # RealBasisError is defined with the basis helpers and stays importable here
 from .extended import RealBasisError, _hermitian_basis, _real  # noqa: F401
 from .models import MrisModel
-from .quantum import vec
+from .quantum import QuantumError, check_density_matrix, vec
 
 ENUMERATION_GUARD = 10_000_000
-_BLOCK = 128          # steps of uniforms streamed per trajectory at a time
+_BLOCK = 128          # steps of a block: labels drawn, then states stepped
+_TILE = 64            # trajectories whose uniforms are drawn, then transposed, at a time
 _CORR_BLOCK = 1 << 14  # elements of the empirical lag products formed at a time
 _ENUM_BLOCK = 1 << 8   # parents whose children the exact enumeration forms at a time
 _SPLIT_WORK = 1 << 17  # trajectory-steps from which a sampler call forks workers
@@ -125,17 +129,26 @@ class TrajectoryConfig:
 def simulate_states(model: MrisModel, omega_path, rho0=None) -> np.ndarray:
     """States rho_0, rho_1, ..., rho_n along the path w_0 ... w_n, where
     rho_k = L_{w_k} rho_{k-1}; rho0 defaults to the model's initial state for
-    the path's first label.  An empty path, or one with a label the model
-    does not have, raises TrajectoryError."""
+    the path's first label.  An empty path, a label the model does not
+    have, or a rho0 that is not a d x d density matrix (within the model's
+    tolerances) raises TrajectoryError."""
     labels = list(omega_path)
     if not labels:
         raise TrajectoryError("omega_path is empty: it has no first label")
     for label in labels:
         if label not in model.labels:
             raise TrajectoryError(f"unknown label {label!r}; labels are {model.labels}")
+    d = model.dim_sys
     if rho0 is None:
         rho0 = model.rho_init[labels[0]]
-    d = model.dim_sys
+    else:
+        try:
+            rho0 = check_density_matrix(rho0, model.tol, "rho0")
+        except QuantumError as exc:
+            raise TrajectoryError(str(exc)) from None
+        if rho0.shape != (d, d):
+            raise TrajectoryError(
+                f"rho0 has shape {rho0.shape}; the system is {d} x {d}")
     out = np.empty((len(labels), d, d), dtype=complex)
     out[0] = np.asarray(rho0, dtype=complex)
     for k, w in enumerate(labels[1:], start=1):
@@ -162,12 +175,41 @@ def _step_table(funcs, superops) -> np.ndarray:
 # the stepping engine shared by both samplers
 # ---------------------------------------------------------------------------
 
-def _uniforms(streams, steps: int) -> np.ndarray:
-    """The next ``steps`` uniforms of every stream, trajectory-minor: (steps, B)."""
-    block = np.empty((len(streams), steps))
-    for stream, row in zip(streams, block):
-        stream.random(out=row)
-    return block.T
+def _draws(gen, keys, start: int, count: int) -> np.ndarray:
+    """Draws start ... start + count - 1 of the stream of every key in
+    ``keys``, trajectory-minor: a contiguous (count, B), bitwise
+    ``path_stream(key).random(start + count)[start:]``.  ``gen`` is one
+    Philox Generator, re-keyed per stream: its counter is set to the block
+    of four draws that holds draw ``start`` and its buffer emptied, so a
+    stream's row of draws opens with the ``start % 4`` draws of that block
+    before draw ``start``, which the copy into place leaves out.  The rows
+    of ``_TILE`` streams are drawn at a time, then transposed into place,
+    so that a step reads its uniforms from one contiguous row."""
+    skip = start % 4
+    out = np.empty((count, len(keys)))
+    tile = np.empty((min(_TILE, len(keys)), skip + count))
+    key = [0, 0]
+    state = {"bit_generator": "Philox",
+             "state": {"counter": [start // 4, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    bits = gen.bit_generator
+    for t0 in range(0, len(keys), _TILE):
+        rows = tile[:len(keys) - t0]
+        for k, row in zip(keys[t0:t0 + _TILE], rows):
+            # Philox takes its 128-bit key as two 64-bit words, low word first
+            key[0], key[1] = k & (2 ** 64 - 1), k >> 64
+            bits.state = state
+            gen.random(out=row)
+        out[:, t0:t0 + len(rows)] = rows[:, skip:].T
+    return out
+
+
+def _slab(width: int) -> int:
+    """The steps of uniforms drawn at a time for a chunk of ``width``
+    trajectories: whole blocks, at most 512 steps or 2**17 draws of a kind,
+    one block at least."""
+    return max(_BLOCK, min(512, 2 ** 17 // width) // _BLOCK * _BLOCK)
 
 
 def _stepper(model: MrisModel, cfg: TrajectoryConfig, table, width: int,
@@ -178,11 +220,14 @@ def _stepper(model: MrisModel, cfg: TrajectoryConfig, table, width: int,
     the range, so no chunk straddles two chunks of an unsplit run) and
     yields ``(c0, k0, labs, val)`` for each block of up to ``_BLOCK`` steps
     k0 <= k < k0 + L of the chunk that starts at c0: the labels w_k and
-    per-step values, both (L, B).  A block's labels are drawn first (the
-    probe path does not depend on the states), then its states are stepped
-    by ``_observe_steps`` (without ``n_out``) or ``_measure_steps``;
-    ``table`` is a ``_step_table`` of ``width`` row groups per label, laid
-    out by each sampler call; a stationary start reads model.steady_state.
+    per-step values, both (L, B).  A chunk's path and outcome uniforms are
+    drawn a slab of steps at a time (see ``_slab``), by ``_draws`` through
+    one generator per range; the first path slab also holds draw 0, the
+    initial label.  A block's labels are drawn first (the probe path does
+    not depend on the states), then its states are stepped by
+    ``_observe_steps`` (without ``n_out``) or ``_measure_steps``; ``table``
+    is a ``_step_table`` of ``width`` row groups per label, laid out by each
+    sampler call; a stationary start reads model.steady_state.
     """
     m, n = model.chain.n, cfg.n_steps
     if cfg.initial == "stationary":
@@ -205,25 +250,33 @@ def _stepper(model: MrisModel, cfg: TrajectoryConfig, table, width: int,
         last = n_out - 1 if n_out.min() < width else None
 
     def blocks(t0, t1):
+        gen = path_stream(cfg.seed + t0)
         for g0 in range(t0 - t0 % cfg.chunk, t1, cfg.chunk):
-            span = range(max(g0, t0), min(g0 + cfg.chunk, t1))
-            c0 = span.start
-            paths = [path_stream(cfg.seed + t) for t in span]
-            u0 = np.array([stream.random() for stream in paths])
-            lab = np.minimum((u0 > cum0).sum(axis=0), m - 1)
-            x = bank.take(lab, axis=1)
-            if n_out is not None:
-                outs = [outcome_stream(cfg.seed + t, n) for t in span]
-            for k0 in range(1, n + 1, _BLOCK):
-                steps = min(_BLOCK, n + 1 - k0)
-                labs = _label_path(cum_rows, lab, _uniforms(paths, steps))
-                lab = labs[-1]
-                if n_out is None:
-                    val, x = _observe_steps(table, x, labs)
+            c0, c1 = max(g0, t0), min(g0 + cfg.chunk, t1)
+            keys = range(cfg.seed + c0, cfg.seed + c1)
+            slab = _slab(c1 - c0)
+            for s0 in range(1, n + 1, slab):
+                s1 = min(s0 + slab, n + 1)
+                if s0 == 1:
+                    u = _draws(gen, keys, 0, s1)
+                    lab = np.minimum((u[0] > cum0).sum(axis=0), m - 1)
+                    x = bank.take(lab, axis=1)
+                    u = u[1:]
                 else:
-                    val, x = _measure_steps(table, x, labs, _uniforms(outs, steps),
-                                            width, last, floor, floored, c0, k0)
-                yield c0, k0, labs, val
+                    u = _draws(gen, keys, s0, s1 - s0)
+                v = None if n_out is None else _draws(gen, keys, n + s0, s1 - s0)
+                for k0 in range(s0, s1, _BLOCK):
+                    steps = slice(k0 - s0, min(k0 + _BLOCK, s1) - s0)
+                    labs = _label_path(cum_rows, lab, u[steps])
+                    lab = labs[-1]
+                    if n_out is None:
+                        val, x = _observe_steps(table, x, labs)
+                    else:
+                        val, x = _measure_steps(table, x, labs, v[steps], width,
+                                                last, floor, floored, c0, k0)
+                    yield c0, k0, labs, val
+                # dropped before the next slab is drawn: one slab is held at a time
+                del u, v
     return blocks
 
 
@@ -426,11 +479,18 @@ def ergodic_average(model: MrisModel, x: extended.ExtendedObservable,
     Each term pairs the observable at the upcoming label with the state
     entering that interaction, matching the pairing <R, X> of the extended
     process: for a flux block this is the energy exchanged during step k.
+    An observable whose labels or block size are not the model's raises
+    TrajectoryError.
     """
+    d = model.dim_sys
+    if set(x.labels) != set(model.labels) or x.dim != d:
+        raise TrajectoryError(
+            f"observable has labels {x.labels} and {x.dim} x {x.dim} blocks; "
+            f"the model has labels {model.labels} and {d} x {d} blocks")
     # Re tr(rho X) = tr(rho H) with H the Hermitian part of X
     blocks = np.stack([x.block(l) for l in model.labels])
     herm = (blocks + blocks.conj().transpose(0, 2, 1)) / 2
-    uh = _hermitian_basis(model.dim_sys).conj().T
+    uh = _hermitian_basis(d).conj().T
     table = _step_table(_real(herm.reshape(len(blocks), 1, -1) @ uh, "observable blocks"),
                         model.real_superops[:, None])
     ranges = _ranges(cfg)

@@ -97,6 +97,20 @@ def test_simulate_states_rejects_an_empty_path_or_an_unknown_label(canonical, pa
         trajectories.simulate_states(canonical, path)
 
 
+@pytest.mark.parametrize("rho0, message", [
+    (1.0, "expected a matrix, got array of shape ()"),
+    (np.eye(3) / 3, "rho0 has shape (3, 3); the system is 2 x 2"),
+    (np.diag([1.5, -0.5]), "rho0 has negative eigenvalue -5.000e-01"),
+    (np.eye(2), "rho0 has trace (2+0j) (|tr-1| > 1.0e-10)"),
+])
+def test_simulate_states_rejects_a_rho0_that_is_not_a_system_state(canonical, rho0,
+                                                                   message):
+    """A scalar is not broadcast into a matrix of ones, and a state of
+    another dimension is named, not left to fail inside numpy."""
+    with pytest.raises(trajectories.TrajectoryError, match=f"^{re.escape(message)}$"):
+        trajectories.simulate_states(canonical, ["hot", "cold"], rho0=rho0)
+
+
 # ---------------------------------------------------------------------------
 # exact enumeration
 # ---------------------------------------------------------------------------
@@ -762,6 +776,92 @@ def test_ergodic_average_matches_frozen_kernel(name):
 
 
 # ---------------------------------------------------------------------------
+# uniforms addressed by draw index, drawn a slab of steps at a time
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("start", range(9))
+@pytest.mark.parametrize("count", [1, 3, 4, 130])
+@pytest.mark.parametrize("n_keys", [4, 2 * trajectories._TILE + 3])
+def test_draws_are_the_streams_read_from_a_draw_index(start, count, n_keys):
+    """Every start % 4, keys on both sides of a word of the 128-bit key, in
+    one tile and over three: the draws of each key are those of its own
+    path stream, and read from draw n + 1 those of its outcome stream n,
+    whatever the generator held."""
+    keys = range(2 ** 64 - n_keys // 2, 2 ** 64 + n_keys - n_keys // 2)
+    gen = chains.path_stream(12345)
+    gen.random(7)
+    got = trajectories._draws(gen, keys, start, count)
+    assert got.shape == (count, n_keys) and got.flags.c_contiguous
+    for key, col in zip(keys, got.T):
+        assert np.array_equal(col, chains.path_stream(key).random(start + count)[start:])
+        if start:
+            assert np.array_equal(
+                col, chains.outcome_stream(key, start - 1).random(count))
+
+
+@pytest.mark.parametrize("width, slab", [(1, 512), (256, 512), (257, 384),
+                                         (512, 256), (1000, 128), (5000, 128)])
+def test_a_slab_is_whole_blocks_of_bounded_draws(width, slab):
+    assert trajectories._slab(width) == slab
+
+
+SLAB_TRAJ = 5
+SLAB_SEEDS = {"0": 0, "2**64-3": 2 ** 64 - 3, "2**64": 2 ** 64,
+              "2**128-n_traj": 2 ** 128 - SLAB_TRAJ}
+
+# (seed, n_steps) -> digest of svec, increments, step labels, floored count
+# and ergodic per_traj (see _slab_digest), recorded with every trajectory
+# stepped on its own streams before uniforms were drawn in slabs
+FROZEN_SLABS = {
+    ("0", 1): "80b1c97e4a093ca6", ("0", 2): "cd8adb60fa9924f2",
+    ("0", 3): "27b1118f860160d8", ("0", 4): "c8d638e9af121fb7",
+    ("0", 5): "b29d384c99e5e1f6", ("0", 130): "7e883e9e2efe78e8",
+    ("0", 257): "d42853e68a4683a9",
+    ("2**64-3", 1): "d66275b9f9a90c3a", ("2**64-3", 2): "1dc149a53ac7314f",
+    ("2**64-3", 3): "bef905b77de6be4a", ("2**64-3", 4): "edd980fecf7f9576",
+    ("2**64-3", 5): "f3d2df1f9ea2b65d", ("2**64-3", 130): "5534db83ccf95982",
+    ("2**64-3", 257): "86f8d13d736f37bc",
+    ("2**64", 1): "4799b00b8aa562ff", ("2**64", 2): "26ac8e0be6ed4b2e",
+    ("2**64", 3): "4bf4e751d639ed92", ("2**64", 4): "60b12dfcbec3be07",
+    ("2**64", 5): "e5e9bc5516455fcb", ("2**64", 130): "b5b262d3ff295a3f",
+    ("2**64", 257): "dbb319aba79192b9",
+    ("2**128-n_traj", 1): "2f273330d6861f3f", ("2**128-n_traj", 2): "49b3b7f5b6fbcb15",
+    ("2**128-n_traj", 3): "4747794398d37b67", ("2**128-n_traj", 4): "ff3afea94b90c4be",
+    ("2**128-n_traj", 5): "235353aa640f421a", ("2**128-n_traj", 130): "7074928bb4bc63cb",
+    ("2**128-n_traj", 257): "84e7fb84ff399010",
+}
+
+
+def _slab_digest(model, flux, seed, n, chunk):
+    cfg = TrajectoryConfig(n_steps=n, n_traj=SLAB_TRAJ, seed=seed, chunk=chunk,
+                           n_threads=1, initial="stationary", keep_increments=True)
+    sample = trajectories.sample_entropy_process(model, cfg)
+    per_traj = trajectories.ergodic_average(model, flux, cfg).per_traj
+    h = hashlib.sha256()
+    for a in (sample.svec, sample.increments, sample.step_labels,
+              np.int64(sample.floored), per_traj):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("blocks", [1, 2, None], ids=["one-block", "two-blocks",
+                                                      "whole-run"])
+def test_sampler_outputs_do_not_depend_on_the_slab(monkeypatch, blocks):
+    """Slabs of one block, of two and of the whole run (every n below 512)
+    give the recorded bits, at chunks of 1, 3 and 512, for keys at both
+    ends of the key range and across a word of the key, with the floor at
+    work (floored counts of up to 76)."""
+    steps = 512 if blocks is None else blocks * trajectories._BLOCK
+    monkeypatch.setattr(trajectories, "_slab", lambda width: steps)
+    model = fixtures.two_temperature_qubit(tol=DEFAULT.replace(prob_floor=1e-3))
+    flux = models.flux_extended(model, "hot")
+    got = {(name, n): {_slab_digest(model, flux, seed, n, chunk)
+                       for chunk in (1, 3, 512)}
+           for name, seed in SLAB_SEEDS.items() for n in (1, 2, 3, 4, 5, 130, 257)}
+    assert got == {key: {digest} for key, digest in FROZEN_SLABS.items()}
+
+
+# ---------------------------------------------------------------------------
 # ergodic averages
 # ---------------------------------------------------------------------------
 
@@ -827,6 +927,28 @@ def test_ergodic_average_pairs_observable_with_entering_state(canonical):
     w0, w1 = (canonical.labels[i] for i in path)
     want = np.trace(canonical.rho_init[w0] @ x.block(w1)).real
     assert abs(est.mean - want) < 1e-14
+
+
+@pytest.mark.parametrize("labels, d", [(("hot", "cold"), 3), (("hot", "warm"), 2),
+                                       (("hot",), 2)])
+def test_ergodic_average_rejects_an_observable_of_another_model(canonical, labels,
+                                                                d):
+    """An observable of another block size or other labels is named with the
+    model's, not left to fail in a matrix product or a label lookup."""
+    x = extended.identity_observable(labels, d)
+    want = (f"observable has labels {labels} and {d} x {d} blocks; "
+            "the model has labels ('hot', 'cold') and 2 x 2 blocks")
+    with pytest.raises(trajectories.TrajectoryError, match=f"^{re.escape(want)}$"):
+        trajectories.ergodic_average(canonical, x,
+                                     TrajectoryConfig(n_steps=3, n_traj=2, seed=0))
+
+
+def test_ergodic_average_reads_an_observable_by_label_in_any_order(canonical):
+    x = models.flux_extended(canonical, "hot")
+    swapped = extended.ExtendedObservable(x.labels[::-1], x.blocks[::-1])
+    cfg = TrajectoryConfig(n_steps=20, n_traj=4, seed=5)
+    assert np.array_equal(trajectories.ergodic_average(canonical, swapped, cfg).per_traj,
+                          trajectories.ergodic_average(canonical, x, cfg).per_traj)
 
 
 # ---------------------------------------------------------------------------
