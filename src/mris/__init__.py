@@ -33,8 +33,7 @@ _EXPORTS = {
     "models": ("ModelError", "MrisModel", "ProbeSpec", "TimeReversalData",
                "UnravelingEntry", "build_model", "check_equilibrium", "check_tri",
                "entropy_flux_observable", "flux_extended", "flux_observable",
-               "one_step_balance", "reduced_channel", "temperature_deform",
-               "unraveling"),
+               "one_step_balance", "temperature_deform", "unraveling"),
     "quantum": ("QuantumChannel", "QuantumError", "channel_from_kraus",
                 "choi_matrix", "choi_verify", "entropy_vn",
                 "interaction_kraus_atoms", "partial_trace_env", "propagator",

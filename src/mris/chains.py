@@ -5,7 +5,6 @@ trajectory streams can be assigned as ``base_seed + trajectory_index`` and
 sampled in any order or thread layout without changing a single draw.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -31,6 +30,8 @@ class MarkovChain:
         m = len(self.labels)
         if m == 0:
             raise ChainError("a chain needs at least one label")
+        if len(set(self.labels)) != m:
+            raise ChainError(f"labels are not distinct: {list(self.labels)}")
         if self.pi.shape != (m,) or self.P.shape != (m, m):
             raise ChainError(f"chain shapes inconsistent with {m} labels")
         for name in ("pi", "P"):
@@ -157,37 +158,9 @@ def _inverse_cdf(weights: np.ndarray, u: float) -> int:
     return min(idx, len(weights) - 1)
 
 
-@functools.cache
-def _key_sequence():
-    """The seed sequence type that hands Philox a given 128-bit key.  It is
-    defined on first use, so that only the samplers load numpy.random."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class KeySequence(ISeedSequence):
-        def __init__(self, key: int):
-            self.key = key
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            # Philox asks for its key as two uint64 words, low word first
-            return np.array([self.key & (2 ** 64 - 1), self.key >> 64],
-                            dtype=np.uint64)
-
-    return KeySequence
-
-
-def _philox(seed: int):
-    """``Philox(key=seed)``, the same stream, built without its waste: given a
-    key, Philox still gathers OS entropy for a SeedSequence it then
-    discards, which costs several times the rest of the construction."""
-    seed = int(seed)
-    if not 0 <= seed < 2 ** 128:
-        raise ValueError("key must be positive and less than 2**128.")
-    return np.random.Philox(_key_sequence()(seed))
-
-
 def path_stream(seed: int) -> "np.random.Generator":
     """The counter-based uniform stream assigned to one trajectory."""
-    return np.random.Generator(_philox(seed))
+    return np.random.Generator(np.random.Philox(key=seed))
 
 
 def outcome_stream(seed: int, n: int) -> "np.random.Generator":
@@ -197,7 +170,7 @@ def outcome_stream(seed: int, n: int) -> "np.random.Generator":
     remaining (n + 1) % 4 draws are discarded.  The samplers read these
     draws by index (``trajectories._draws``); this stream is their
     reference."""
-    bits = _philox(seed)
+    bits = np.random.Philox(key=seed)
     bits.advance((n + 1) // 4)
     stream = np.random.Generator(bits)
     stream.random((n + 1) % 4)

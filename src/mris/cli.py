@@ -15,6 +15,10 @@ PREFIX.csv, a plot script of its first two columns to PREFIX_plot.py where
 the table has a y label, and the report to PREFIX.json.  Outputs are
 deterministic: rerunning a command byte-identically reproduces its files.
 
+``validate`` reports the certificate that ``build_model`` took of each
+probe (``MrisModel.certificates``: Choi margin, TP residual, resummation
+residual); it recomputes none of it.
+
 Each subcommand imports the analysis module it runs (``trajectories``,
 ``fluctuations`` or ``adiabatic``) in its handler, so a process loads only
 what its subcommand needs.
@@ -30,7 +34,6 @@ import numpy as np
 from . import extended, models, output
 from .chains import ChainError, classify_chain, stationary_vector
 from .modelfile import ModelFileError, load_model, read_matrix, read_tolerances
-from .quantum import choi_verify
 
 # typed errors of the analysis modules that the handlers import
 _ANALYSIS_ERRORS = (("fluctuations", "FluctuationError"),
@@ -95,19 +98,18 @@ def cmd_validate(model, args):
     worst_choi, worst_tp, worst_comp, worst_kms = 0.0, 0.0, 0.0, 0.0
     per_probe = {}
     for l in model.labels:
-        cert = choi_verify(model.channels[l])
-        comp = model.unravelings[l].completeness_residual(model.channels[l])
+        cert = model.certificates[l]
         kms = model.unravelings[l].kms_residual
         per_probe[l] = {
-            "min_choi_eig": cert["min_choi_eig"],
-            "tp_residual": cert["tp_residual"],
-            "unraveling_completeness": comp,
+            "min_choi_eig": cert.min_choi_eig,
+            "tp_residual": cert.tp_residual,
+            "unraveling_completeness": cert.completeness,
             "entropy_observable_residual": kms,
             "n_outcomes": model.unravelings[l].n_outcomes,
         }
-        worst_choi = min(worst_choi, cert["min_choi_eig"])
-        worst_tp = max(worst_tp, cert["tp_residual"])
-        worst_comp = max(worst_comp, comp)
+        worst_choi = min(worst_choi, cert.min_choi_eig)
+        worst_tp = max(worst_tp, cert.tp_residual)
+        worst_comp = max(worst_comp, cert.completeness)
         if kms is not None:
             worst_kms = max(worst_kms, kms)
     results["probes"] = per_probe

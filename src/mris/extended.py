@@ -89,7 +89,7 @@ class _BlockFamily:
 
     def check(self, tol: Tolerances = DEFAULT):
         herm = np.abs(self.blocks - self.blocks.conj().transpose(0, 2, 1)).max()
-        if herm > tol.herm:
+        if not herm <= tol.herm:        # so that NaN fails too
             # _what, a class attribute of each family, names its blocks
             raise GeneratorError(f"{self._what} not Hermitian ({herm:.3e})")
         return self
@@ -109,11 +109,11 @@ class ExtendedState(_BlockFamily):
     def check(self, tol: Tolerances = DEFAULT):
         super().check(tol)
         low = np.linalg.eigvalsh((self.blocks + self.blocks.conj().transpose(0, 2, 1)) / 2)[:, 0]
-        bad = np.flatnonzero(low < -tol.psd)
+        bad = np.flatnonzero(~(low >= -tol.psd))
         if bad.size:
             raise GeneratorError(
                 f"block {self.labels[bad[0]]} has negative eigenvalue {low[bad[0]]:.3e}")
-        if abs(self.total_trace() - 1.0) > tol.trace:
+        if not abs(self.total_trace() - 1.0) <= tol.trace:
             raise GeneratorError(f"total trace {self.total_trace()} != 1")
         return self
 

@@ -19,24 +19,32 @@ def _hopping_coupling(strength: float = 0.5) -> np.ndarray:
     return strength * (np.kron(SIGMA_PLUS, SIGMA_MINUS) + np.kron(SIGMA_MINUS, SIGMA_PLUS))
 
 
+def _hot_cold_qubit(v, beta, tau, tol, p_matrix=None,
+                    identity_tri=False) -> MrisModel:
+    """Qubit between hot and cold qubit probes at inverse temperatures beta
+    that share the coupling v, driven by a two-state chain with
+    pi = (4, 3) / 7 and P = p_matrix ([[0.7, 0.3], [0.4, 0.6]] by default);
+    both initial states are maximally mixed.  identity_tri attaches the
+    identity time reversal."""
+    if p_matrix is None:
+        p_matrix = [[0.7, 0.3], [0.4, 0.6]]
+    chain = MarkovChain(labels=("hot", "cold"), pi=np.array([4.0, 3.0]) / 7.0,
+                        P=np.asarray(p_matrix, dtype=float))
+    probes = {l: ProbeSpec(h_env=QUBIT_H, beta=beta[k], tau=tau, coupling=v)
+              for k, l in enumerate(chain.labels)}
+    rho_init = {l: np.eye(2, dtype=complex) / 2 for l in chain.labels}
+    tri = (TimeReversalData(np.eye(2), {l: np.eye(2) for l in chain.labels})
+           if identity_tri else None)
+    return build_model(QUBIT_H, chain, probes, rho_init, tri=tri, tol=tol)
+
+
 def two_temperature_qubit(beta=(1.0, 2.0), tau: float = 1.0,
                           coupling_strength: float = 0.5,
                           p_matrix=None, tol: Tolerances = DEFAULT) -> MrisModel:
     """Qubit exchanging excitations with hot and cold qubit probes, driven by
     a two-state chain.  The workhorse non-equilibrium fixture."""
-    if p_matrix is None:
-        p_matrix = [[0.7, 0.3], [0.4, 0.6]]
-    chain = MarkovChain(labels=("hot", "cold"),
-                        pi=np.array([4.0, 3.0]) / 7.0,
-                        P=np.asarray(p_matrix, dtype=float))
-    v = _hopping_coupling(coupling_strength)
-    probes = {
-        "hot": ProbeSpec(h_env=QUBIT_H, beta=beta[0], tau=tau, coupling=v),
-        "cold": ProbeSpec(h_env=QUBIT_H, beta=beta[1], tau=tau, coupling=v),
-    }
-    rho_init = {l: np.eye(2, dtype=complex) / 2 for l in chain.labels}
-    tri = TimeReversalData(np.eye(2), {l: np.eye(2) for l in chain.labels})
-    return build_model(QUBIT_H, chain, probes, rho_init, tri=tri, tol=tol)
+    return _hot_cold_qubit(_hopping_coupling(coupling_strength), beta, tau, tol,
+                           p_matrix, identity_tri=True)
 
 
 def equilibrium_qubit(beta: float = 1.0, tau: float = 1.0,
@@ -59,31 +67,14 @@ def tri_broken_qubit(phase: float = 0.9, hop: float = 0.7, pair: float = 0.5,
                 + np.exp(-1j * phase) * np.kron(SIGMA_MINUS, SIGMA_PLUS))
          + pair * (np.kron(SIGMA_PLUS, SIGMA_PLUS) + np.kron(SIGMA_MINUS, SIGMA_MINUS))
          + drive * np.kron(SIGMA_X, np.eye(2)))
-    chain = MarkovChain(labels=("hot", "cold"),
-                        pi=np.array([4.0, 3.0]) / 7.0,
-                        P=np.array([[0.7, 0.3], [0.4, 0.6]]))
-    probes = {
-        "hot": ProbeSpec(h_env=QUBIT_H, beta=beta[0], tau=tau, coupling=v),
-        "cold": ProbeSpec(h_env=QUBIT_H, beta=beta[1], tau=tau, coupling=v),
-    }
-    rho_init = {l: np.eye(2, dtype=complex) / 2 for l in chain.labels}
-    return build_model(QUBIT_H, chain, probes, rho_init, tri=None, tol=tol)
+    return _hot_cold_qubit(v, beta, tau, tol)
 
 
 def decoupled_qubit(beta=(1.0, 2.0), tau: float = 1.0,
                     tol: Tolerances = DEFAULT) -> MrisModel:
     """Zero coupling: every channel is unitary conjugation by exp(-i tau H_sys),
     so the generator is badly reducible.  Useful as a negative control."""
-    v = np.zeros((4, 4), dtype=complex)
-    chain = MarkovChain(labels=("hot", "cold"),
-                        pi=np.array([4.0, 3.0]) / 7.0,
-                        P=np.array([[0.7, 0.3], [0.4, 0.6]]))
-    probes = {
-        "hot": ProbeSpec(h_env=QUBIT_H, beta=beta[0], tau=tau, coupling=v),
-        "cold": ProbeSpec(h_env=QUBIT_H, beta=beta[1], tau=tau, coupling=v),
-    }
-    rho_init = {l: np.eye(2, dtype=complex) / 2 for l in chain.labels}
-    return build_model(QUBIT_H, chain, probes, rho_init, tol=tol)
+    return _hot_cold_qubit(np.zeros((4, 4), dtype=complex), beta, tau, tol)
 
 
 def random_model(seed: int, n_labels: int = 2, coupling_scale: float = 0.8,

@@ -5,8 +5,12 @@ A model is a system Hamiltonian, a driving Markov chain over probe labels,
 one thermal probe specification per label, and initial system states.  All
 derived objects (probe states, propagators U_w, reduced channels L_w,
 two-time-measurement unravelings, flux observables) are built eagerly by
-build_model; what the numerics derive from them is a read-only cached
-property, taken once per model on first use (one that raises keeps nothing).
+build_model, each probe's channel and unraveling from one Kraus
+decomposition (quantum.interaction_kraus_atoms).  The build certifies each
+channel once and keeps that certificate on the model
+(MrisModel.certificates); ``mris validate`` reports it.  What the numerics
+derive from a model is a read-only cached property, taken once per model on
+first use (one that raises keeps nothing).
 A model keeps nothing else: no analysis stores what it computes on it.
 """
 
@@ -19,10 +23,10 @@ import numpy as np
 
 from . import extended
 from .chains import MarkovChain
-from .quantum import (QuantumChannel, _cluster_spectrum, check_density_matrix,
-                      check_hermitian, choi_verify, entropy_vn,
-                      interaction_kraus_atoms, partial_trace_env, propagator,
-                      reduced_map, relative_entropy, superop_from_kraus, tensor,
+from .quantum import (QuantumChannel, _cluster_spectrum, channel_from_kraus,
+                      check_density_matrix, check_hermitian, choi_verify,
+                      entropy_vn, interaction_kraus_atoms, partial_trace_env,
+                      propagator, relative_entropy, superop_from_kraus, tensor,
                       thermal_state)
 from .tolerances import DEFAULT, Tolerances
 
@@ -97,8 +101,11 @@ class UnravelingEntry:
         return float(np.abs(self._superops.sum(axis=0) - channel.superop).max())
 
 
-def _build_unraveling(label, u, rho_env, h_env, beta, free_energy, d_sys,
+def _build_unraveling(label, atoms, rho_env, h_env, beta, free_energy, d_sys,
                       tol: Tolerances) -> UnravelingEntry:
+    """The unraveling of the channel whose Kraus atoms (of
+    quantum.interaction_kraus_atoms on rho_env) are ``atoms``: the atoms
+    grouped by the entropy clusters of their source and arrival eigenvectors."""
     p_env, phi = np.linalg.eigh(rho_env)
     if p_env.min() <= tol.prob_floor:
         raise ModelError(
@@ -121,7 +128,6 @@ def _build_unraveling(label, u, rho_env, h_env, beta, free_energy, d_sys,
         varsigma_raw, phi, np.argsort(varsigma_raw), tol.degeneracy)
     cluster_of = {i: ci for ci, c in enumerate(clusters) for i in c}
 
-    atoms, _ = interaction_kraus_atoms(u, rho_env, d_sys, floor=tol.prob_floor)
     grouped = {}
     for i, j, k in atoms:
         grouped.setdefault((cluster_of[i], cluster_of[j]), []).append(k)
@@ -147,6 +153,15 @@ class OutcomeTable(NamedTuple):        # MrisModel.outcome_table
     funcs: np.ndarray
     deltas: np.ndarray
     n_out: np.ndarray
+
+
+class Certificate(NamedTuple):         # MrisModel.certificates[label]
+    """What build_model certified of one probe: its channel's Choi margin and
+    TP residual (quantum.choi_verify) and the residual of its unraveling's
+    resummation to the channel."""
+    min_choi_eig: float
+    tp_residual: float
+    completeness: float
 
 
 class SteadyState(NamedTuple):
@@ -177,10 +192,10 @@ class MrisModel:
     tol: Tolerances = DEFAULT
     # derived, filled by build_model
     rho_env: dict = None
-    free_energy: dict = None
     u: dict = None
     channels: dict = None
     unravelings: dict = None
+    certificates: dict = None
     flux: dict = None
 
     @property
@@ -278,8 +293,8 @@ def build_model(h_sys, chain: MarkovChain, probes: dict, rho_init: dict,
                       rho_init={l: check_density_matrix(rho_init[l], tol, f"rho_init[{l!r}]")
                                 for l in chain.labels},
                       tri=tri, tol=tol,
-                      rho_env={}, free_energy={}, u={}, channels={},
-                      unravelings={}, flux={})
+                      rho_env={}, u={}, channels={}, unravelings={},
+                      certificates={}, flux={})
 
     for label in chain.labels:
         spec = probes[label]
@@ -292,28 +307,25 @@ def build_model(h_sys, chain: MarkovChain, probes: dict, rho_init: dict,
         rho_e, f_e = thermal_state(h_env, spec.beta, tol)
         h_total = tensor(h_sys, np.eye(d_env)) + tensor(np.eye(d), h_env) + v
         u = propagator(h_total, spec.tau, tol)
-        channel = reduced_channel(u, rho_e, d, tol)
-        unrav = _build_unraveling(label, u, rho_e, h_env, spec.beta, f_e, d, tol)
+        atoms, _ = interaction_kraus_atoms(u, rho_e, d, floor=tol.prob_floor)
+        channel = channel_from_kraus([k for _, _, k in atoms], tol)
+        # channel_from_kraus has refused a map that is not trace preserving
+        report = choi_verify(channel)
+        if not report["min_choi_eig"] >= -tol.psd:
+            raise ModelError(f"reduced map failed its CPTP certificate: {report}")
+        unrav = _build_unraveling(label, atoms, rho_e, h_env, spec.beta, f_e, d, tol)
         comp = unrav.completeness_residual(channel)
         if comp > 1e-12:
             raise ModelError(f"unraveling of {label!r} does not resum to the channel "
                              f"(residual {comp:.3e})")
         model.rho_env[label] = rho_e
-        model.free_energy[label] = f_e
         model.u[label] = u
         model.channels[label] = channel
         model.unravelings[label] = unrav
+        model.certificates[label] = Certificate(report["min_choi_eig"],
+                                                report["tp_residual"], comp)
         model.flux[label] = _flux_matrix(u, h_env, rho_e, d)
     return model
-
-
-def reduced_channel(u, rho_env, d_sys, tol: Tolerances = DEFAULT) -> QuantumChannel:
-    """Reduced one-step channel with its CPTP certificate enforced."""
-    channel = reduced_map(u, rho_env, d_sys, tol)
-    report = choi_verify(channel)
-    if report["min_choi_eig"] < -tol.psd or report["tp_residual"] > tol.tp:
-        raise ModelError(f"reduced map failed its CPTP certificate: {report}")
-    return channel
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ def check_hermitian(m, tol: float, what: str = "matrix") -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise QuantumError(f"{what} is not square: shape {a.shape}")
     resid = float(np.abs(a - a.conj().T).max())
-    if resid > tol:
+    if not resid <= tol:        # so that NaN fails too
         raise QuantumError(f"{what} is not Hermitian (residual {resid:.3e} > {tol:.1e})")
     return a
 
@@ -45,10 +45,10 @@ def check_hermitian(m, tol: float, what: str = "matrix") -> np.ndarray:
 def check_density_matrix(rho, tol: Tolerances = DEFAULT, what: str = "state") -> np.ndarray:
     a = check_hermitian(rho, tol.herm, what)
     tr = np.trace(a)
-    if abs(tr - 1.0) > tol.trace:
+    if not abs(tr - 1.0) <= tol.trace:
         raise QuantumError(f"{what} has trace {tr} (|tr-1| > {tol.trace:.1e})")
     w = np.linalg.eigvalsh((a + a.conj().T) / 2)
-    if w.min() < -tol.psd:
+    if not w.min() >= -tol.psd:
         raise QuantumError(f"{what} has negative eigenvalue {w.min():.3e}")
     return a
 
@@ -56,7 +56,7 @@ def check_density_matrix(rho, tol: Tolerances = DEFAULT, what: str = "state") ->
 def check_unitary(u, tol: float, what: str = "propagator") -> np.ndarray:
     a = as_matrix(u)
     resid = float(np.abs(a @ a.conj().T - np.eye(a.shape[0])).max())
-    if resid > tol:
+    if not resid <= tol:
         raise QuantumError(f"{what} is not unitary (residual {resid:.3e})")
     return a
 
@@ -98,11 +98,12 @@ def thermal_state(h, beta: float, tol: Tolerances = DEFAULT):
 
     beta = 0 returns the maximally mixed state with free energy None (it
     diverges there); beta small enough that the quotient overflows the
-    float range is reported the same way.  Negative beta is rejected.
+    float range is reported the same way.  A negative, infinite or NaN beta
+    is rejected.
     """
     hmat = check_hermitian(h, tol.herm, "hamiltonian")
-    if beta < 0:
-        raise QuantumError(f"negative inverse temperature {beta}")
+    if not 0 <= beta < math.inf:
+        raise QuantumError(f"inverse temperature must be finite and >= 0, got {beta}")
     d = hmat.shape[0]
     if beta == 0.0:
         return np.eye(d, dtype=complex) / d, None
@@ -174,7 +175,7 @@ def channel_from_kraus(kraus, tol: Tolerances = DEFAULT) -> QuantumChannel:
     ks = [as_matrix(k) for k in kraus]
     d = ks[0].shape[0]
     ch = QuantumChannel(dim=d, kraus=ks)
-    if ch.tp_residual() > tol.tp:
+    if not ch.tp_residual() <= tol.tp:
         raise QuantumError(f"Kraus family is not trace preserving (residual {ch.tp_residual():.3e})")
     # cached superoperator must agree with the Kraus action on matrix units
     for i in range(d):
@@ -182,7 +183,7 @@ def channel_from_kraus(kraus, tol: Tolerances = DEFAULT) -> QuantumChannel:
             e = np.zeros((d, d), dtype=complex)
             e[i, j] = 1.0
             resid = np.abs(unvec(ch.superop @ vec(e), d) - ch.apply(e)).max()
-            if resid > tol.consistency:
+            if not resid <= tol.consistency:
                 raise QuantumError(f"superoperator/Kraus mismatch {resid:.3e}")
     return ch
 

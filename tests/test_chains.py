@@ -54,6 +54,12 @@ def test_chain_rejects_an_empty_label_set():
         chains.MarkovChain(labels=(), pi=np.zeros(0), P=np.zeros((0, 0)))
 
 
+def test_chain_rejects_duplicate_labels():
+    """index() of a repeated label would answer its first place alone."""
+    with pytest.raises(chains.ChainError, match=r"^labels are not distinct: \['a', 'a'\]$"):
+        chains.MarkovChain(labels=("a", "a"), pi=[0.5, 0.5], P=PRIMITIVE)
+
+
 @pytest.mark.parametrize("p", [PRIMITIVE, TWO_CYCLE, REDUCIBLE,
                                [[0.2, 0.8, 0.0], [0.0, 0.1, 0.9], [0.5, 0.0, 0.5]],
                                [[0, 1, 0], [0, 0, 1], [1, 0, 0]]])
@@ -146,8 +152,8 @@ def test_outcome_stream_continues_the_path_stream(n):
                                  2 ** 127, 2 ** 128 - 1,
                                  0x0123456789ABCDEF_FEDCBA9876543210])
 def test_streams_are_philox_keyed_by_the_seed(key):
-    """The streams skip Philox's entropy gathering and keep its draws: the
-    key's two 64-bit words must land in the right order."""
+    """The streams are Philox keyed by the seed over its whole 128-bit
+    range: the key's two 64-bit words land in the right order."""
     want = np.random.Generator(np.random.Philox(key=key)).random(16)
     assert np.array_equal(chains.path_stream(key).random(16), want)
     assert np.array_equal(chains.outcome_stream(key, 6).random(9), want[7:])

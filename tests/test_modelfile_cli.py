@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mris import cli, extended, fixtures, modelfile, models, output
+from mris import cli, extended, fixtures, modelfile, models, output, quantum
 from mris.chains import ChainError, MarkovChain
 from mris.tolerances import DEFAULT
 
@@ -283,6 +283,28 @@ def test_cli_validate(capsys, tmp_path):
     doc = json.loads(Path(out + ".json").read_text())
     assert all(doc["verdicts"].values())
     assert doc["digest"]
+
+
+def test_each_probe_is_decomposed_and_certified_once(monkeypatch, capsys):
+    """build_model takes one Kraus decomposition and one Choi certificate per
+    probe, and `mris validate` reports the certificates the build kept
+    without taking one of its own."""
+    calls = []
+    for name in ("interaction_kraus_atoms", "choi_verify"):
+        original = getattr(quantum, name)
+
+        def counted(*a, _name=name, _fn=original, **k):
+            calls.append(_name)
+            return _fn(*a, **k)
+        for module in (quantum, models, cli):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    m = fixtures.two_temperature_qubit()
+    assert calls == ["interaction_kraus_atoms", "choi_verify"] * m.chain.n
+    calls.clear()
+    assert cli.main(["validate", "--model", TWO_TEMP]) == 0
+    assert calls == ["interaction_kraus_atoms", "choi_verify"] * m.chain.n
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_cli_validate_reports_time_reversal(capsys, tmp_path):
@@ -713,7 +735,7 @@ PUBLIC_NAMES = {
                  "write_model_file",
     "models": "ModelError MrisModel ProbeSpec TimeReversalData UnravelingEntry "
               "build_model check_equilibrium check_tri entropy_flux_observable "
-              "flux_extended flux_observable one_step_balance reduced_channel "
+              "flux_extended flux_observable one_step_balance "
               "temperature_deform unraveling",
     "quantum": "QuantumChannel QuantumError channel_from_kraus choi_matrix "
                "choi_verify entropy_vn interaction_kraus_atoms partial_trace_env "

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import random_density, random_hermitian, random_unitary
-from mris import quantum
+from mris import extended, fixtures, quantum, trajectories
 from mris.tolerances import DEFAULT
 
 
@@ -81,6 +81,33 @@ def test_thermal_state_subnormal_beta_reports_divergent_free_energy():
 def test_thermal_state_rejects_negative_beta():
     with pytest.raises(quantum.QuantumError):
         quantum.thermal_state(np.diag([0.0, 1.0]), -0.5)
+
+
+NAN_STATE = [[np.nan, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda m: quantum.check_hermitian(NAN_STATE, 1e-12), quantum.QuantumError),
+    (lambda m: quantum.check_density_matrix(NAN_STATE), quantum.QuantumError),
+    (lambda m: quantum.check_unitary(NAN_STATE, 1e-12), quantum.QuantumError),
+    (lambda m: quantum.thermal_state(np.diag([0.0, 1.0]), np.nan), quantum.QuantumError),
+    (lambda m: quantum.thermal_state(np.diag([0.0, 1.0]), np.inf), quantum.QuantumError),
+    (lambda m: quantum.channel_from_kraus([NAN_STATE]), quantum.QuantumError),
+    (lambda m: trajectories.simulate_states(m, ["hot", "cold"], rho0=NAN_STATE),
+     trajectories.TrajectoryError),
+    (lambda m: extended.evolve(m.generator,
+                               extended.ExtendedState(m.labels, [NAN_STATE] * 2), 1),
+     extended.GeneratorError),
+    (lambda m: extended.ExtendedState(m.labels, [NAN_STATE, np.eye(2) / 2]).check(),
+     extended.GeneratorError),
+], ids=["check_hermitian", "check_density_matrix", "check_unitary",
+        "thermal_state-nan", "thermal_state-inf", "channel_from_kraus",
+        "simulate_states", "evolve", "ExtendedState.check"])
+def test_nan_fails_the_input_checks(call, error):
+    """Every comparison with NaN is false, so a check written as
+    ``resid > tol`` lets a NaN input through; each is written to fail it."""
+    with pytest.raises(error):
+        call(fixtures.two_temperature_qubit())
 
 
 def test_thermal_state_extreme_beta_is_stable():
