@@ -3,21 +3,26 @@
 Each subcommand runs one analysis of a model file and prints a PASS/FAIL
 line per verdict; it exits 0 exactly when every verdict passed, 1 when one
 failed and 2 on a usage error or a named failure (a malformed model, say).
+A verdict exists only where it can fail: it compares two computations, or
+bounds a figure that nothing else in the run bounds.  A figure that the run
+already holds to the same bound or a tighter one is a result, not a verdict.
 
 A handler ``cmd_NAME(model, args)`` is given the model, which ``main``
 loads, and its parsed arguments.  It returns ``(params, results, verdicts)``
-or ``(params, results, verdicts, table)``: its parameters other than
-``model``, its results, its verdicts by name, and at most one table
-``(name, header, rows, ylabel)``.  It writes no file (``cumulant`` prints
-its GC symmetry line).  ``_emit`` does the rest for every subcommand: it
-builds the ``RunReport`` and, under ``--out PREFIX``, writes the table to
-PREFIX.csv, a plot script of its first two columns to PREFIX_plot.py where
-the table has a y label, and the report to PREFIX.json.  Outputs are
-deterministic: rerunning a command byte-identically reproduces its files.
+or ``(params, results, verdicts, table)``: its own parameters, its results,
+its verdicts by name, and at most one table ``(name, header, rows,
+ylabel)``.  It writes no file (``cumulant`` prints its GC symmetry line).
+``_emit`` does the rest for every subcommand: it builds the ``RunReport``,
+whose params add ``model`` and the effective tolerances ``tol``, and, under
+``--out PREFIX``, writes the table to PREFIX.csv, a plot script of its
+first two columns to PREFIX_plot.py where the table has a y label, and the
+report to PREFIX.json.  Outputs are deterministic: rerunning a command
+byte-identically reproduces its files.
 
 ``validate`` reports the certificate that ``build_model`` took of each
 probe (``MrisModel.certificates``: Choi margin, TP residual, resummation
-residual); it recomputes none of it.
+residual); it recomputes none of it, and has no verdicts, since the build
+raised where any of them is out of bounds.
 
 Each subcommand imports the analysis module it runs (``trajectories``,
 ``fluctuations`` or ``adiabatic``) in its handler, so a process loads only
@@ -65,11 +70,11 @@ def _load(args):
     return load_model(args.model, overrides=_parse_tol(args.tol))
 
 
-def _emit(args, params: dict, results: dict, verdicts: dict, table=None) -> int:
+def _emit(args, tol, params: dict, results: dict, verdicts: dict, table=None) -> int:
     """Print and, under --out, write what a handler returned (see the module
     docstring); the exit code is 0 exactly when every verdict passed."""
     report = output.RunReport(command=args.command,
-                              params={"model": args.model, **params},
+                              params={"model": args.model, "tol": vars(tol), **params},
                               results=results, verdicts=verdicts)
     if table and args.out:
         name, header, rows, ylabel = table
@@ -93,36 +98,21 @@ def _emit(args, params: dict, results: dict, verdicts: dict, table=None) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_validate(model, args):
-    tol = model.tol
-    results = {"labels": list(model.labels), "dim_sys": model.dim_sys}
-    worst_choi, worst_tp, worst_comp, worst_kms = 0.0, 0.0, 0.0, 0.0
     per_probe = {}
     for l in model.labels:
         cert = model.certificates[l]
-        kms = model.unravelings[l].kms_residual
         per_probe[l] = {
             "min_choi_eig": cert.min_choi_eig,
             "tp_residual": cert.tp_residual,
             "unraveling_completeness": cert.completeness,
-            "entropy_observable_residual": kms,
+            "entropy_observable_residual": model.unravelings[l].kms_residual,
             "n_outcomes": model.unravelings[l].n_outcomes,
         }
-        worst_choi = min(worst_choi, cert.min_choi_eig)
-        worst_tp = max(worst_tp, cert.tp_residual)
-        worst_comp = max(worst_comp, cert.completeness)
-        if kms is not None:
-            worst_kms = max(worst_kms, kms)
-    results["probes"] = per_probe
-    results["chain"] = classify_chain(model.chain, tol).__dict__
+    results = {"labels": list(model.labels), "dim_sys": model.dim_sys, "probes": per_probe,
+               "chain": classify_chain(model.chain, model.tol).__dict__}
     tri = models.check_tri(model)
-    results["time_reversal"] = {"holds": tri["holds"],
-                                "max_residual": tri["max_residual"]}
-    return {}, results, {
-        "channels_completely_positive": worst_choi >= -tol.psd,
-        "channels_trace_preserving": worst_tp <= tol.tp,
-        "unravelings_resum_to_channels": worst_comp <= 1e-12,
-        "entropy_observables_thermal": worst_kms <= 1e-10,
-    }
+    results["time_reversal"] = {"holds": tri["holds"], "max_residual": tri["max_residual"]}
+    return {}, results, {}
 
 
 def cmd_classify(model, args):
@@ -268,7 +258,6 @@ def cmd_linresp(model, args):
     return {}, results, {
         "onsager_symmetric": float(np.abs(kin.matrix - kin.matrix.T).max()) <= 1e-6,
         "fluctuation_dissipation": float(np.abs(kin.matrix - fdr).max()) <= 1e-6,
-        "routes_agree": kin.discrepancy <= 1e-5,
         "green_kubo_within_1pct": rel_gk <= 1e-2,
         "row_sums_vanish": float(np.abs(kin.row_sums).max()) <= 1e-6,
         "col_sums_vanish": float(np.abs(kin.col_sums).max()) <= 1e-6,
@@ -295,9 +284,8 @@ def cmd_adiabatic(model, args):
         "instantaneous_gap_min": runs[steps[0]].instantaneous_gap_min,
     }
     decreasing = all(a > b for a, b in zip(plateaus, plateaus[1:]))
-    return ({"kind": args.kind, "steps": steps}, results,
-            {"primitive_along_path": results["instantaneous_gap_min"] > model.tol.gap,
-             "tracking_error_decreases": decreasing},
+    return ({"kind": args.kind, "steps": steps, "p_end": p_end}, results,
+            {"tracking_error_decreases": decreasing},
             ("plateaus", ["n_steps", "plateau_error"],
              [[n, p] for n, p in zip(steps, plateaus)], "plateau tracking error"))
 
@@ -412,7 +400,8 @@ def _typed_errors() -> tuple:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _emit(args, *args.func(_load(args), args))
+        model = _load(args)
+        return _emit(args, model.tol, *args.func(model, args))
     except _typed_errors() as exc:      # evaluated once the handler has failed
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,8 +5,8 @@ A model is a system Hamiltonian, a driving Markov chain over probe labels,
 one thermal probe specification per label, and initial system states.  All
 derived objects (probe states, propagators U_w, reduced channels L_w,
 two-time-measurement unravelings, flux observables) are built eagerly by
-build_model, each probe's channel and unraveling from one Kraus
-decomposition (quantum.interaction_kraus_atoms).  The build certifies each
+build_model, each probe's channel and unraveling from one eigensolve of
+its probe state and one Kraus decomposition (quantum.interaction_kraus_atoms).  The build certifies each
 channel once and keeps that certificate on the model
 (MrisModel.certificates); ``mris validate`` reports it.  What the numerics
 derive from a model is a read-only cached property, taken once per model on
@@ -23,11 +23,10 @@ import numpy as np
 
 from . import extended
 from .chains import MarkovChain
-from .quantum import (QuantumChannel, _cluster_spectrum, channel_from_kraus,
-                      check_density_matrix, check_hermitian, choi_verify,
-                      entropy_vn, interaction_kraus_atoms, partial_trace_env,
-                      propagator, relative_entropy, superop_from_kraus, tensor,
-                      thermal_state)
+from .quantum import (QuantumChannel, _cluster_spectrum, _kraus_atoms,
+                      channel_from_kraus, check_density_matrix, check_hermitian,
+                      choi_verify, entropy_vn, partial_trace_env, propagator,
+                      relative_entropy, superop_from_kraus, tensor, thermal_state)
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -101,12 +100,12 @@ class UnravelingEntry:
         return float(np.abs(self._superops.sum(axis=0) - channel.superop).max())
 
 
-def _build_unraveling(label, atoms, rho_env, h_env, beta, free_energy, d_sys,
+def _build_unraveling(label, atoms, p_env, phi, h_env, beta, free_energy, d_sys,
                       tol: Tolerances) -> UnravelingEntry:
     """The unraveling of the channel whose Kraus atoms (of
-    quantum.interaction_kraus_atoms on rho_env) are ``atoms``: the atoms
-    grouped by the entropy clusters of their source and arrival eigenvectors."""
-    p_env, phi = np.linalg.eigh(rho_env)
+    quantum.interaction_kraus_atoms on the probe state with eigenpairs
+    (p_env, phi)) are ``atoms``: the atoms grouped by the entropy clusters of
+    their source and arrival eigenvectors."""
     if p_env.min() <= tol.prob_floor:
         raise ModelError(
             f"probe state for {label!r} is singular; the entropy observable "
@@ -118,7 +117,7 @@ def _build_unraveling(label, atoms, rho_env, h_env, beta, free_energy, d_sys,
     if beta > 0 and free_energy is not None:
         ref = beta * (h_env - free_energy * np.eye(h_env.shape[0]))
         kms_residual = float(np.abs(s_env - ref).max())
-        if kms_residual > 1e-10:
+        if not kms_residual <= 1e-10:      # so that NaN fails too
             raise ModelError(
                 f"entropy observable for {label!r} disagrees with beta(H - F) "
                 f"(residual {kms_residual:.3e}); probe state is not thermal for h_env")
@@ -307,15 +306,17 @@ def build_model(h_sys, chain: MarkovChain, probes: dict, rho_init: dict,
         rho_e, f_e = thermal_state(h_env, spec.beta, tol)
         h_total = tensor(h_sys, np.eye(d_env)) + tensor(np.eye(d), h_env) + v
         u = propagator(h_total, spec.tau, tol)
-        atoms, _ = interaction_kraus_atoms(u, rho_e, d, floor=tol.prob_floor)
+        # one eigensolve of the probe state feeds the atoms and the unraveling
+        p_env, phi = np.linalg.eigh(check_hermitian(rho_e, 1e-8, "probe state"))
+        atoms, _ = _kraus_atoms(u, p_env, phi, d, tol.prob_floor)
         channel = channel_from_kraus([k for _, _, k in atoms], tol)
         # channel_from_kraus has refused a map that is not trace preserving
         report = choi_verify(channel)
         if not report["min_choi_eig"] >= -tol.psd:
             raise ModelError(f"reduced map failed its CPTP certificate: {report}")
-        unrav = _build_unraveling(label, atoms, rho_e, h_env, spec.beta, f_e, d, tol)
+        unrav = _build_unraveling(label, atoms, p_env, phi, h_env, spec.beta, f_e, d, tol)
         comp = unrav.completeness_residual(channel)
-        if comp > 1e-12:
+        if not comp <= 1e-12:
             raise ModelError(f"unraveling of {label!r} does not resum to the channel "
                              f"(residual {comp:.3e})")
         model.rho_env[label] = rho_e

@@ -203,8 +203,13 @@ def interaction_kraus_atoms(u, rho_env, d_sys: int, floor: float = 1e-14):
     plain channel, the measurement unraveling, and the tilted channels, which
     keeps all three exactly consistent.
     """
-    umat = as_matrix(u)
     p_env, phi = np.linalg.eigh(check_hermitian(rho_env, 1e-8, "probe state"))
+    return _kraus_atoms(u, p_env, phi, d_sys, floor)
+
+
+def _kraus_atoms(u, p_env, phi, d_sys: int, floor: float):
+    """interaction_kraus_atoms from the probe state's eigenpairs."""
+    umat = as_matrix(u)
     d_env = p_env.shape[0]
     if umat.shape != (d_sys * d_env, d_sys * d_env):
         raise QuantumError("propagator dimension does not match system x probe")

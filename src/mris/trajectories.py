@@ -449,13 +449,15 @@ def _floor(p, floor: float, floored, c0: int):
 
 def _add_in_step_order(total, block):
     """total + block[0] + block[1] + ..., added left to right so the sums
-    keep the bits of a step-by-step accumulation.  A reduction along a
-    contiguous axis (one trajectory) would add pairwise, so a chunk of one
-    trajectory is accumulated."""
-    stack = np.vstack([total, block])
-    if stack.shape[1] == 1:
-        return np.add.accumulate(stack, axis=0)[-1]
-    return np.add.reduce(stack, axis=0)
+    keep the bits of a step-by-step accumulation.  The total is added into
+    block[0] in place (the block is the caller's to spend; addition
+    commutes bit for bit).  A reduction along a contiguous axis (one
+    trajectory) would add pairwise, so a chunk of one trajectory is
+    accumulated."""
+    block[0] += total
+    if block.shape[1] == 1:
+        return np.add.accumulate(block, axis=0)[-1]
+    return np.add.reduce(block, axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import re
@@ -10,7 +11,7 @@ import pytest
 
 from mris import cli, extended, fixtures, modelfile, models, output, quantum
 from mris.chains import ChainError, MarkovChain
-from mris.tolerances import DEFAULT
+from mris.tolerances import DEFAULT, FIELD_NAMES
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 TWO_TEMP = str(MODELS / "two_temperature_qubit.json")
@@ -275,13 +276,13 @@ def test_bad_tolerance_override_exits_2_naming_it(capsys):
 
 
 def test_cli_validate(capsys, tmp_path):
+    """validate has no verdicts: the build has certified what it reports,
+    so the run exits 0 exactly when the model builds."""
     out = str(tmp_path / "v")
     assert cli.main(["validate", "--model", TWO_TEMP, "--out", out]) == 0
-    text = capsys.readouterr().out
-    assert "PASS channels_completely_positive" in text
-    assert "FAIL" not in text
+    assert capsys.readouterr().out.splitlines() == [f"report: {out}.json"]
     doc = json.loads(Path(out + ".json").read_text())
-    assert all(doc["verdicts"].values())
+    assert doc["verdicts"] == {} and doc["passed"] is True
     assert doc["digest"]
 
 
@@ -290,7 +291,7 @@ def test_each_probe_is_decomposed_and_certified_once(monkeypatch, capsys):
     probe, and `mris validate` reports the certificates the build kept
     without taking one of its own."""
     calls = []
-    for name in ("interaction_kraus_atoms", "choi_verify"):
+    for name in ("_kraus_atoms", "choi_verify"):
         original = getattr(quantum, name)
 
         def counted(*a, _name=name, _fn=original, **k):
@@ -300,11 +301,26 @@ def test_each_probe_is_decomposed_and_certified_once(monkeypatch, capsys):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
     m = fixtures.two_temperature_qubit()
-    assert calls == ["interaction_kraus_atoms", "choi_verify"] * m.chain.n
+    assert calls == ["_kraus_atoms", "choi_verify"] * m.chain.n
     calls.clear()
     assert cli.main(["validate", "--model", TWO_TEMP]) == 0
-    assert calls == ["interaction_kraus_atoms", "choi_verify"] * m.chain.n
+    assert calls == ["_kraus_atoms", "choi_verify"] * m.chain.n
     assert "FAIL" not in capsys.readouterr().out
+
+
+def test_each_probe_state_is_diagonalized_once(monkeypatch):
+    """One eigensolve of each probe state per build feeds both its Kraus
+    atoms and its unraveling."""
+    seen, eigh = [], np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return eigh(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    m = fixtures.two_temperature_qubit()
+    monkeypatch.undo()
+    for l in m.labels:
+        assert sum(np.array_equal(a, m.rho_env[l]) for a in seen) == 1
 
 
 def test_cli_validate_reports_time_reversal(capsys, tmp_path):
@@ -549,6 +565,160 @@ def test_cli_adiabatic_zero_plateau_ratios(zeroed, ratios, monkeypatch, capsys, 
     assert "FAIL tracking_error_decreases" in capsys.readouterr().out
 
 
+def _returning(monkeypatch, owner, name, edit):
+    """owner.name returns edit(its result, *its arguments)."""
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a, **k: edit(original(*a, **k), *a))
+
+
+def _loading(monkeypatch, edit):
+    """The CLI loads its model and then edit(model) runs on it."""
+    _returning(monkeypatch, cli, "_load", lambda m, _: edit(m) or m)
+
+
+def _replace_at(values, i, value):
+    values = values.copy()
+    values[i] = value
+    return values
+
+
+def _push_chain_reducible(mp):
+    _returning(mp, cli, "classify_chain",
+               lambda c, *_: dataclasses.replace(c, irreducible=False))
+
+
+def _push_fixed_point(mp):
+    def edit(m):
+        m.steady_state = m.steady_state._replace(residual=1.01e-8)
+    _loading(mp, edit)
+
+
+def _push_reconstruction(mp):
+    _returning(mp, extended.EssDecomposition, "reconstruction_residual",
+               lambda r, *_: 1.01e-8)
+
+
+def _push_marginal(mp):
+    _returning(mp, cli, "stationary_vector", lambda r, *_: (r[0] + 1.01e-8, *r[1:]))
+
+
+def _push_entropy_rate(mp):
+    """Shift the first probe's totals so that its z reads 5.01."""
+    from mris import trajectories
+
+    def edit(sample, model, cfg):
+        l, col = model.labels[0], sample.svec[:, 0]
+        target = -model.probes[l].beta * extended.expectation(
+            model.ess()[0], models.flux_extended(model, l))
+        spread = col.std(ddof=1) / np.sqrt(cfg.n_traj)
+        col += target * cfg.n_steps + 5.01 * spread - col.mean()
+        return sample
+    _returning(mp, trajectories, "sample_entropy_process", edit)
+
+
+def _push_origin(mp):
+    from mris import fluctuations
+    _returning(mp, fluctuations, "e_of_alpha", lambda e, *_: [v + 1.01e-12 for v in e])
+
+
+def _push_rate_field(name, value):
+    def push(mp):
+        from mris import fluctuations
+
+        def edit(res, *_):
+            setattr(res, name, _replace_at(getattr(res, name), 0, value))
+            return res
+        _returning(mp, fluctuations, "entropy_rate_function", edit)
+    return push
+
+
+def _push_kinetic(name, shift):
+    """Add shift(shape) to the kinetic field ``name``."""
+    def push(mp):
+        from mris import fluctuations
+
+        def edit(kin, *_):
+            value = getattr(kin, name)
+            setattr(kin, name, value + shift(value.shape))
+            return kin
+        _returning(mp, fluctuations, "kinetic_coefficients", edit)
+    return push
+
+
+def _antisymmetric(shape):
+    """K[0, 1] - K[1, 0] moves by 1.01e-6, and each entry by half that."""
+    return 0.505e-6 * (np.eye(*shape, k=1) - np.eye(*shape, k=-1))
+
+
+_SIM = ["simulate", "--model", TWO_TEMP, "--steps", "50", "--traj", "16",
+        "--stationary", "--threads", "1"]
+_LINRESP = ["linresp", "--model", EQUILIBRIUM]
+_RATEFN = ["ratefn", "--model", TWO_TEMP, "--points", "5"]
+# (arguments, verdict, push): each push moves the figure its verdict reads
+# just past the verdict's bound; green_kubo_within_1pct and
+# tracking_error_decreases fail in the two tests above
+VERDICT_PUSHES = [
+    (["classify", "--model", TWO_TEMP], "chain_consistent_with_generator",
+     _push_chain_reducible),
+    (["ess", "--model", TWO_TEMP], "fixed_point", _push_fixed_point),
+    (["ess", "--model", TWO_TEMP], "decomposition_reconstructs", _push_reconstruction),
+    (["ess", "--model", TWO_TEMP], "marginal_is_chain_stationary", _push_marginal),
+    (_SIM, "entropy_rates_within_5_stderr", _push_entropy_rate),
+    (["cumulant", "--model", EQUILIBRIUM, "--grid-points", "3"], "vanishes_at_origin",
+     _push_origin),
+    (_RATEFN, "transform_finite_on_grid", _push_rate_field("values", np.inf)),
+    (_RATEFN, "maximizers_interior", _push_rate_field("unbounded", True)),
+    (_LINRESP, "onsager_symmetric", _push_kinetic("matrix", _antisymmetric)),
+    (_LINRESP, "fluctuation_dissipation",
+     _push_kinetic("matrix", lambda shape: np.full(shape, 1.01e-6))),
+    (_LINRESP, "row_sums_vanish", _push_kinetic("row_sums", lambda shape: 1.01e-6)),
+    (_LINRESP, "col_sums_vanish", _push_kinetic("col_sums", lambda shape: 1.01e-6)),
+]
+
+
+@pytest.mark.parametrize("argv, verdict, push", VERDICT_PUSHES,
+                         ids=[v for _, v, _ in VERDICT_PUSHES])
+def test_each_verdict_fails_just_past_its_bound(argv, verdict, push, monkeypatch, capsys):
+    """The run passes as it stands; with the one figure pushed past its bound
+    it prints FAIL for that verdict alone and exits 1."""
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    push(monkeypatch)
+    assert cli.main(argv) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("FAIL")] == [f"FAIL {verdict}"]
+
+
+def test_reports_record_how_they_were_run(tmp_path, capsys):
+    """params hold the effective tolerances and adiabatic's target matrix as
+    parsed: two runs that differ in one input differ in params at that
+    field alone."""
+    def params(*argv):
+        out = str(tmp_path / "r")
+        cli.main([*argv, "--out", out])
+        return json.loads(Path(out + ".json").read_text())["params"]
+
+    def differ(a, b):
+        return {k for k in a.keys() | b.keys() if a.get(k) != b.get(k)}
+
+    adiabatic = ["adiabatic", "--model", TWO_TEMP, "--steps", "8,16", "--p-end"]
+    a = params(*adiabatic, "[[0.2, 0.8], [0.5, 0.5]]")
+    b = params(*adiabatic, "[[0.3, 0.7], [0.5, 0.5]]")
+    assert a["p_end"] == [[0.2, 0.8], [0.5, 0.5]]
+    assert differ(a, b) == {"p_end"}
+    file = tmp_path / "p_end.json"
+    file.write_text('[[0.2,\n 0.8], [0.5, 0.5e0]]')
+    assert params(*adiabatic, f"@{file}") == a
+
+    e = params("ess", "--model", TWO_TEMP)
+    f = params("ess", "--model", TWO_TEMP, "--tol", "gap=1e-3")
+    assert e["tol"] == {name: getattr(DEFAULT, name) for name in FIELD_NAMES}
+    assert differ(e, f) == {"tol"}
+    assert differ(e["tol"], f["tol"]) == {"gap"} and f["tol"]["gap"] == 1e-3
+    model = _dump(tmp_path, _set("tolerances", {"gap": 1e-4})(_base_dict()))
+    assert params("ess", "--model", model)["tol"] == {**e["tol"], "gap": 1e-4}
+
+
 def test_cli_adiabatic_inline_matrix(capsys):
     assert cli.main(["adiabatic", "--model", TWO_TEMP,
                      "--p-end", "[[0.2, 0.8], [0.5, 0.5]]",
@@ -650,11 +820,11 @@ def test_cli_reports_chain_errors(capsys, monkeypatch):
 
 
 def test_console_script_entry_point():
-    proc = subprocess.run([sys.executable, "-m", "mris.cli", "validate",
+    proc = subprocess.run([sys.executable, "-m", "mris.cli", "classify",
                            "--model", TWO_TEMP],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
-    assert "PASS" in proc.stdout
+    assert "PASS chain_consistent_with_generator" in proc.stdout
 
 
 # (arguments, modules it must load, packages it must not load) per process:
