@@ -571,26 +571,16 @@ def _returning(monkeypatch, owner, name, edit):
     monkeypatch.setattr(owner, name, lambda *a, **k: edit(original(*a, **k), *a))
 
 
-def _loading(monkeypatch, edit):
-    """The CLI loads its model and then edit(model) runs on it."""
-    _returning(monkeypatch, cli, "_load", lambda m, _: edit(m) or m)
-
-
-def _replace_at(values, i, value):
-    values = values.copy()
-    values[i] = value
-    return values
-
-
 def _push_chain_reducible(mp):
     _returning(mp, cli, "classify_chain",
                lambda c, *_: dataclasses.replace(c, irreducible=False))
 
 
 def _push_fixed_point(mp):
-    def edit(m):
-        m.steady_state = m.steady_state._replace(residual=1.01e-8)
-    _loading(mp, edit)
+    def edit(model, _):
+        model.steady_state = model.steady_state._replace(residual=1.01e-8)
+        return model
+    _returning(mp, cli, "_load", edit)
 
 
 def _push_reconstruction(mp):
@@ -626,7 +616,7 @@ def _push_rate_field(name, value):
         from mris import fluctuations
 
         def edit(res, *_):
-            setattr(res, name, _replace_at(getattr(res, name), 0, value))
+            getattr(res, name)[0] = value
             return res
         _returning(mp, fluctuations, "entropy_rate_function", edit)
     return push
